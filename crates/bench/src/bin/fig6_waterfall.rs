@@ -1,6 +1,7 @@
 //! Regenerates **Fig. 6** — performance degradation from the 516-TOPS ideal
 //! through global mapping, local mapping, intra-layer unbalance and
-//! communication.
+//! communication — plus the per-tier interconnect load behind the last
+//! step.
 //!
 //! ```text
 //! cargo run --release -p aimc-bench --bin fig6_waterfall [batch]
@@ -22,5 +23,7 @@ fn main() -> Result<(), Error> {
         f[0], f[1], f[2], f[3]
     );
     println!("paper:              global 1.6x, local 4.7x, unbalance 23.8x, communication 28.4x");
+    println!("\nInterconnect load behind the communication step, per tier:\n");
+    print!("{}", w.render_links());
     Ok(())
 }

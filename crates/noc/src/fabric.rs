@@ -1,15 +1,16 @@
 //! Hop-by-hop transfer engine: in-flight messages flying down explicit
 //! [`Route`](crate::Route)s one event at a time.
 //!
-//! ## Relationship to the reservation engine
+//! ## Relationship to the reservation oracle
 //!
-//! [`crate::Noc`] reserves every link of a route analytically the instant a
-//! transaction is injected — O(hops), no internal events, but it serializes
-//! contended links in *injection* order. The [`Fabric`] instead advances a
-//! message hop by hop: the burst head arrives at a link, joins that link's
-//! FIFO, begins service when the link frees up, and reaches the next hop a
-//! router latency later (virtual cut-through). Contended links therefore
-//! serialize in *physical arrival* order.
+//! The crate's tests keep a reservation engine (`Noc`) that reserves every
+//! link of a route analytically the instant a transaction is injected —
+//! O(hops), no internal events, but it serializes contended links in
+//! *injection* order. The [`Fabric`] instead advances a message hop by hop:
+//! the burst head arrives at a link, joins that link's FIFO, begins service
+//! when the link frees up, and reaches the next hop a router latency later
+//! (virtual cut-through). Contended links therefore serialize in *physical
+//! arrival* order.
 //!
 //! Both engines share one routing and timing model ([`crate::Topology`]
 //! plus the HBM controller server), so:
@@ -23,7 +24,7 @@
 //!   burst occupancy, which for the paper's single-beat control traffic is
 //!   within one router latency.
 //!
-//! Tests in this module pin both properties, keeping the cheap reservation
+//! Tests in this crate pin both properties, keeping the cheap reservation
 //! engine an honest oracle for the event-driven one.
 //!
 //! ## Determinism
@@ -167,8 +168,8 @@ impl FabricReport {
 /// Transactions enter with [`Fabric::inject`] (in nondecreasing time order)
 /// and complete asynchronously; [`Fabric::advance_before`] runs the event
 /// loop up to a horizon and returns `(completion_time, tag)` pairs, which is
-/// what lets a windowed parallel simulation overlap NoC flight time with
-/// compute events.
+/// what lets a windowed event loop overlap NoC flight time with compute
+/// events.
 ///
 /// # Examples
 /// ```
@@ -230,7 +231,7 @@ impl Fabric {
 
     /// The HBM controller server: occupies row overhead plus the burst
     /// beats, and makes the data available a full occupancy later
-    /// (`latency == occupancy`, mirroring `Noc::hbm_service`).
+    /// (`latency == occupancy`, as in the reservation oracle).
     fn ctrl_hop(&self, bytes: usize) -> MsgHop {
         let hbm = &self.topo.config().hbm;
         let occ_cycles = hbm.row_overhead_cycles + bytes.max(1).div_ceil(hbm.width_bytes) as u64;
@@ -283,7 +284,7 @@ impl Fabric {
     }
 
     /// Builds the full hop sequence of one transaction, mirroring the leg
-    /// structure of `Noc::transfer` exactly.
+    /// structure of the reservation oracle's `Noc::transfer` exactly.
     fn build_hops(&self, kind: TxnKind, src: Endpoint, dst: Endpoint, bytes: usize) -> Vec<MsgHop> {
         let protocol = self.topo.config().model_protocol_overhead;
         let mut hops = Vec::new();
@@ -504,7 +505,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Noc;
+    use crate::oracle::Noc;
 
     fn pairs() -> Vec<(TxnKind, Endpoint, Endpoint, usize)> {
         use Endpoint::*;

@@ -6,25 +6,27 @@
 //! `(HBM, wrapper, L3, L2, L1) = (1, 8, 4, 4, 4)` for 512 clusters — plus a
 //! wrapper bridging to the off-chip HBM controller.
 //!
-//! Transactions (DMA bursts) are modeled with a reservation discipline that
-//! captures per-hop latency and FIFO bandwidth contention on every directed
-//! link; see [`Noc`] for the details and fidelity argument.
+//! Transactions (DMA bursts) fly hop by hop through per-link FIFOs, which
+//! captures per-hop latency and bandwidth contention on every directed
+//! link; see [`Fabric`] for the details and the fidelity argument.
 //!
 //! ## Example
 //! ```
-//! use aimc_noc::{Endpoint, Noc, NocConfig, TxnKind};
+//! use aimc_noc::{Endpoint, Fabric, NocConfig, TxnKind};
 //! use aimc_sim::SimTime;
 //!
-//! let mut noc = Noc::new(NocConfig::paper_512());
+//! let mut fab = Fabric::new(NocConfig::paper_512());
 //! // Stream a 4 KiB tile from cluster 3 to cluster 200 (different L3 quads).
-//! let done = noc.transfer(
+//! fab.inject(
 //!     SimTime::ZERO,
 //!     TxnKind::Write,
 //!     Endpoint::Cluster(3),
 //!     Endpoint::Cluster(200),
 //!     4096,
+//!     0,
 //! );
-//! assert!(done > SimTime::from_ns(64)); // 64 beats + 8 router hops
+//! let done = fab.advance_all();
+//! assert!(done[0].0 > SimTime::from_ns(64)); // 64 beats + 8 router hops
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,9 +35,11 @@
 mod config;
 mod fabric;
 mod network;
+#[cfg(test)]
+mod oracle;
 mod topology;
 
 pub use config::{HbmConfig, NocConfig};
 pub use fabric::{Fabric, FabricReport, LinkReport};
-pub use network::{Endpoint, LinkId, LinkStats, Noc, TxnKind};
+pub use network::{Endpoint, LinkId, TxnKind};
 pub use topology::{Hop, Route, Topology};

@@ -2,11 +2,10 @@
 //! and which ordered sequence of them a payload crosses between two
 //! endpoints.
 //!
-//! [`Topology`] is the single source of routing truth for both transfer
-//! engines in this crate: the reservation oracle ([`crate::Noc`]) walks a
-//! [`Route`]'s hops reserving bandwidth analytically, and the hop-by-hop
-//! [`crate::Fabric`] flies in-flight messages down the same hops one event at
-//! a time. A route runs *up* the tree from the source cluster to the lowest
+//! [`Topology`] is the single source of routing truth for the hop-by-hop
+//! [`crate::Fabric`], which flies in-flight messages down a [`Route`]'s hops
+//! one event at a time, and for the test-only reservation oracle, which
+//! walks the same hops reserving bandwidth analytically. A route runs *up* the tree from the source cluster to the lowest
 //! common ancestor router (Sec. II-3 of the paper), then *down* to the
 //! destination; the HBM hangs off the wrapper as a leaf — traffic to or from
 //! it crosses the full up (or down) segment plus the dedicated

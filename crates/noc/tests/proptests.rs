@@ -1,72 +1,10 @@
-//! Property-based tests of the interconnect's timing discipline.
+//! Property-based tests of the interconnect's topology.
 
-use aimc_noc::{Endpoint, Noc, NocConfig, TxnKind};
-use aimc_sim::SimTime;
+use aimc_noc::NocConfig;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Zero-load latency is monotone in payload size and never below the
-    /// pure router-latency floor.
-    #[test]
-    fn zero_load_monotone_in_bytes(
-        src in 0usize..512,
-        dst in 0usize..512,
-        bytes in 1usize..100_000,
-    ) {
-        let noc = Noc::new(NocConfig::paper_512());
-        let a = noc.zero_load_latency(TxnKind::Write, Endpoint::Cluster(src), Endpoint::Cluster(dst), bytes);
-        let b = noc.zero_load_latency(TxnKind::Write, Endpoint::Cluster(src), Endpoint::Cluster(dst), bytes * 2);
-        prop_assert!(b >= a, "{b} < {a}");
-        prop_assert!(a >= SimTime::from_ns(8), "two L1 hops minimum");
-    }
-
-    /// Completion times under load are never earlier than zero-load, and
-    /// repeated transfers on one path are nondecreasing in completion.
-    #[test]
-    fn loaded_never_beats_zero_load(
-        pairs in prop::collection::vec((0usize..512, 0usize..512, 64usize..8192), 1..40),
-    ) {
-        let mut noc = Noc::new(NocConfig::paper_512());
-        let zl_noc = Noc::new(NocConfig::paper_512());
-        let mut t = 0u64;
-        for (src, dst, bytes) in pairs {
-            if src == dst { continue; }
-            t += 10;
-            let now = SimTime::from_ns(t);
-            let zl = zl_noc.zero_load_latency(TxnKind::Write, Endpoint::Cluster(src), Endpoint::Cluster(dst), bytes);
-            let done = noc.transfer(now, TxnKind::Write, Endpoint::Cluster(src), Endpoint::Cluster(dst), bytes);
-            prop_assert!(done >= now + zl.saturating_sub(SimTime::ZERO) || done >= now,
-                "completion {done} earlier than zero-load {zl} from {now}");
-            prop_assert!(done >= now);
-        }
-    }
-
-    /// HBM accounting: bytes through the controller equal the sum of
-    /// injected HBM payloads; busy time is at least bytes/width cycles.
-    #[test]
-    fn hbm_accounting_is_conservative(
-        sizes in prop::collection::vec(1usize..4096, 1..30),
-    ) {
-        let mut noc = Noc::new(NocConfig::paper_512());
-        let mut t = 0u64;
-        let mut total = 0u64;
-        for (i, bytes) in sizes.iter().enumerate() {
-            t += 100;
-            noc.transfer(
-                SimTime::from_ns(t),
-                TxnKind::Write,
-                Endpoint::Cluster(i % 512),
-                Endpoint::Hbm,
-                *bytes,
-            );
-            total += *bytes as u64;
-        }
-        prop_assert_eq!(noc.hbm_bytes(), total);
-        let min_busy_cycles = total.div_ceil(64);
-        prop_assert!(noc.hbm_busy() >= SimTime::from_ns(min_busy_cycles));
-    }
 
     /// The common-ancestor level is symmetric and respects subtree nesting.
     #[test]

@@ -275,18 +275,6 @@ where
     Ok(out)
 }
 
-/// Runs `f` for each item (indexed), discarding results — a convenience for
-/// side-effecting work whose output channel is already thread-safe (e.g.
-/// bumping atomics); there is no shared mutable state beyond what `f`
-/// captures.
-pub fn for_each_indexed<T, F>(par: Parallelism, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    let _: Vec<()> = map_indexed(par, items, |i, x| f(i, x));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,16 +356,6 @@ mod tests {
         let serial = try_map_indexed(Parallelism::Serial, &xs, f).unwrap();
         let par = try_map_indexed(Parallelism::Threads(3), &xs, f).unwrap();
         assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn for_each_visits_every_item_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        let xs: Vec<usize> = (0..50).collect();
-        for_each_indexed(Parallelism::Threads(4), &xs, |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     /// Chunked claiming must cover every index exactly once for lengths

@@ -44,5 +44,5 @@ pub mod trace;
 pub use analysis::{
     group_area_efficiency, link_loads, GroupEfficiency, Headline, LinkLoad, Waterfall,
 };
-pub use pipeline::{simulate, simulate_with, ClusterBreakdown, FireRecord, RunReport, SimError};
+pub use pipeline::{simulate, ClusterBreakdown, FireRecord, RunReport, SimError};
 pub use power::{AreaModel, ClusterVariant, EnergyBreakdown, EnergyModel, EnergyTallies};

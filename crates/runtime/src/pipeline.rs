@@ -20,43 +20,37 @@
 //! their assigned storage (HBM or a spare cluster's L1, Sec. V-4), with the
 //! read leg issued on demand as the consuming chunk's main input lands.
 //!
-//! ## Sharded engine: conservative windows
+//! ## Event engine: one queue, conservative windows
 //!
-//! Each stage owns a private event queue and advances through global time in
-//! lockstep *windows* of [`LOOKAHEAD_CYCLES`] cycles. Within a window a
-//! stage touches only its own state plus immutable configuration and a
-//! snapshot of every other stage's progress taken at the window barrier;
-//! all cross-stage effects are buffered and applied at the barrier:
+//! One [`OrderedEventQueue`] holds every stage's events, keyed by
+//! `(time, stage, event)`, and the loop advances global time in *windows*
+//! of [`LOOKAHEAD_CYCLES`] cycles on a fixed grid. Within a window a stage
+//! changes only its own state; it reads other stages' progress from a
+//! snapshot taken at the window barrier, and its cross-stage effects wait
+//! for that barrier:
 //!
 //! * **DMA bursts** enter the [`Fabric`] one window after issue (the DMA
-//!   descriptor-programming latency) and come back as exactly-timed
-//!   delivery events;
+//!   descriptor-programming latency), in `(issue, stage, emission)` order,
+//!   and come back as exactly-timed delivery events;
 //! * **credit wakes** (a consumer fired, freeing producer credit) land one
 //!   window later (the credit-return latency), by which point the barrier
 //!   snapshot already reflects the fire.
 //!
-//! Because stages never read each other's live state, the window's work
-//! items are independent and can run on [`aimc_parallel`] workers — and the
-//! merge (sorted transaction injection, sorted fire records, summed
-//! tallies) is a pure function of per-stage results, so a run's
-//! [`RunReport`] is **bit-identical** for any [`Parallelism`] choice.
-//! `simulate` is the serial entry point; [`simulate_with`] picks the worker
-//! pool. The window is not free fidelity-wise: issue and wake latencies
-//! shift DMA traffic by 4 cycles versus a zero-lookahead engine, which is
-//! both physically honest and well under the ~100-cycle chunk
-//! synchronization overhead.
+//! The run is a pure function of `(graph, mapping, arch, batch)`. The
+//! window is not free fidelity-wise: issue and wake latencies shift DMA
+//! traffic by 4 cycles versus a zero-lookahead engine, which is both
+//! physically honest and well under the ~100-cycle chunk synchronization
+//! overhead.
 
 use crate::power::EnergyTallies;
 use aimc_core::{stage_chunk_timing, ArchConfig, EdgeKind, ResidualRoute, SystemMapping};
 use aimc_dnn::Graph;
 use aimc_noc::{Endpoint, Fabric, FabricReport, TxnKind};
-use aimc_parallel::Parallelism;
 use aimc_sim::{
     stats::{Activity, ActivityTracker},
     Cycles, OrderedEventQueue, SimTime,
 };
 use std::fmt;
-use std::sync::Mutex;
 
 /// Extra per-chunk orchestration cycles (DMA descriptor programming + event
 /// waits) on top of the kernel-internal setup costs.
@@ -69,13 +63,14 @@ const SKIP_SLACK_IMAGES: u64 = 2;
 /// progress becomes visible to producers after the same delay). Both are
 /// physical pipeline latencies, and together they guarantee that nothing a
 /// stage does inside a window can affect another stage within that same
-/// window — the lookahead that makes per-window stage sharding exact.
+/// window.
 const LOOKAHEAD_CYCLES: u64 = 4;
 
 /// Per-stage events. The `Ord` implementation (variant order, then fields)
-/// is part of the determinism contract: equal-time events drain in a fixed
-/// order — deliveries and state updates first, completions next, fire
-/// attempts last so they observe every update at their timestamp.
+/// is part of the determinism contract: a stage's equal-time events drain
+/// in a fixed order — deliveries and state updates first, completions
+/// next, fire attempts last so they observe every update at their
+/// timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     Delivered { edge: u32, pchunk: u64 },
@@ -88,7 +83,7 @@ enum Ev {
 /// What to do when a fabric transaction (all its parts) completes.
 #[derive(Debug, Clone, Copy)]
 enum Deliver {
-    /// Push `ev` into `stage`'s queue at the completion time.
+    /// Queue `ev` for `stage` at the completion time.
     Edge { stage: u32, ev: Ev },
     /// A final output tile reached the HBM.
     Final { chunk: u64 },
@@ -112,7 +107,7 @@ struct Pending {
     deliver: Deliver,
 }
 
-/// Immutable per-edge configuration, readable from any stage's worker.
+/// Immutable per-edge configuration.
 struct EdgeCfg {
     from: usize,
     bytes_per_cchunk: usize,
@@ -169,12 +164,11 @@ struct LaneRt {
     next_chunk: u64,
     free_at: SimTime,
     last_busy_end: SimTime,
-    fired_any: bool,
     analog_busy: SimTime,
     digital_busy: SimTime,
 }
 
-/// Immutable per-stage configuration shared across all workers.
+/// Immutable per-stage configuration.
 struct StageCfg {
     total_chunks: u64,
     n_lanes: usize,
@@ -200,21 +194,38 @@ struct StageCfg {
     lane_slots: Vec<Vec<usize>>,
 }
 
-/// Mutable per-stage runtime state; exactly one worker touches it per
-/// window.
+/// Mutable per-stage runtime state.
 struct StageState {
-    queue: OrderedEventQueue<Ev>,
     lanes: Vec<LaneRt>,
     edges: Vec<EdgeState>,
     next_fire: u64,
     trackers: Vec<ActivityTracker>,
+}
+
+/// The simulation between barriers: stage configuration and state, the one
+/// event queue, and the buffers each barrier drains.
+struct Engine<'a> {
+    mapping: &'a SystemMapping,
+    final_stage: usize,
+    window: SimTime,
+    cfgs: Vec<StageCfg>,
+    stages: Vec<StageState>,
+    queue: OrderedEventQueue<(u32, Ev)>,
+    /// Each stage's `next_fire` as of the last barrier: what producers'
+    /// credit checks read.
+    snaps: Vec<u64>,
+    /// Stages that fired since the last barrier (stale snapshots).
+    fired: Vec<usize>,
+    /// DMA requests issued since the last barrier, already in `(issue,
+    /// stage, emission)` order: within a window a handler queues events only
+    /// for its own stage, so the queue pops in `(time, stage)` order, and
+    /// every request issues at its event's time.
+    reqs: Vec<TxnReq>,
+    /// Credit wakes issued since the last barrier: `(wake time, producer)`.
+    wakes: Vec<(SimTime, u32)>,
     fires: Vec<FireRecord>,
     mvms: u64,
     core_cycles: u64,
-    /// Barrier-buffered DMA requests issued this window.
-    txns: Vec<TxnReq>,
-    /// Barrier-buffered credit wakes: `(wake time, producer stage)`.
-    wakes: Vec<(SimTime, u32)>,
 }
 
 /// Per-cluster execution-time breakdown row (Fig. 5B/C/D).
@@ -331,19 +342,6 @@ impl RunReport {
     }
 }
 
-/// Simulates one batch through the mapped pipeline on the calling thread.
-///
-/// Equivalent to [`simulate_with`] under [`Parallelism::Serial`]; any other
-/// parallelism level produces a bit-identical [`RunReport`].
-pub fn simulate(
-    graph: &Graph,
-    mapping: &SystemMapping,
-    arch: &ArchConfig,
-    batch: usize,
-) -> Result<RunReport, SimError> {
-    simulate_with(graph, mapping, arch, batch, Parallelism::Serial)
-}
-
 fn validate(graph: &Graph, mapping: &SystemMapping, batch: usize) -> Result<(), SimError> {
     if batch == 0 {
         return Err(SimError::ZeroBatch);
@@ -379,19 +377,15 @@ fn validate(graph: &Graph, mapping: &SystemMapping, batch: usize) -> Result<(), 
     Ok(())
 }
 
-/// Simulates one batch through the mapped pipeline, sharding the per-window
-/// stage work across `par` workers.
+/// Simulates one batch through the mapped pipeline.
 ///
-/// The report is a pure function of `(graph, mapping, arch, batch)`:
-/// [`Parallelism::Serial`], [`Parallelism::Threads`] and
-/// [`Parallelism::PinnedThreads`] at any width produce bit-identical
-/// results (see the module docs for why).
-pub fn simulate_with(
+/// The report is a pure function of `(graph, mapping, arch, batch)` (see
+/// the module docs for the event engine).
+pub fn simulate(
     graph: &Graph,
     mapping: &SystemMapping,
     arch: &ArchConfig,
     batch: usize,
-    par: Parallelism,
 ) -> Result<RunReport, SimError> {
     validate(graph, mapping, batch)?;
     let n_stages = mapping.stages.len();
@@ -402,8 +396,9 @@ pub fn simulate_with(
 
     // ---- Build immutable configuration and per-stage state -------------------
     let mut cfgs: Vec<StageCfg> = Vec::with_capacity(n_stages);
-    let mut states: Vec<Mutex<StageState>> = Vec::with_capacity(n_stages);
-    for s in mapping.stages() {
+    let mut stages: Vec<StageState> = Vec::with_capacity(n_stages);
+    let mut queue = OrderedEventQueue::new();
+    for (sid, s) in mapping.stages().iter().enumerate() {
         let t = stage_chunk_timing(s, arch);
         let total_chunks = (batch * s.tiling.chunks_per_image) as u64;
         let edges: Vec<EdgeCfg> = s
@@ -486,9 +481,8 @@ pub fn simulate_with(
             .iter()
             .map(|_| ActivityTracker::new(SimTime::ZERO))
             .collect();
-        let mut queue = OrderedEventQueue::new();
         for l in 0..s.lanes {
-            queue.push(SimTime::ZERO, Ev::TryFire { lane: l as u32 });
+            queue.push(SimTime::ZERO, (sid as u32, Ev::TryFire { lane: l as u32 }));
         }
         cfgs.push(StageCfg {
             total_chunks,
@@ -510,30 +504,20 @@ pub fn simulate_with(
             clusters,
             lane_slots,
         });
-        states.push(Mutex::new(StageState {
-            queue,
+        stages.push(StageState {
             lanes: (0..s.lanes)
                 .map(|l| LaneRt {
                     next_chunk: l as u64,
                     free_at: SimTime::ZERO,
                     last_busy_end: SimTime::ZERO,
-                    fired_any: false,
                     analog_busy: SimTime::ZERO,
                     digital_busy: SimTime::ZERO,
                 })
                 .collect(),
             edges: edge_states,
             next_fire: 0,
-            trackers: {
-                let t: Vec<ActivityTracker> = trackers;
-                t
-            },
-            fires: Vec::new(),
-            mvms: 0,
-            core_cycles: 0,
-            txns: Vec::new(),
-            wakes: Vec::new(),
-        }));
+            trackers,
+        });
     }
     // Reverse edges.
     for sid in 0..n_stages {
@@ -549,162 +533,115 @@ pub fn simulate_with(
     let mut final_max = SimTime::ZERO;
 
     let mut fabric = Fabric::new(arch.noc.clone());
+    // In-flight DMA requests by fabric tag; finished slots are reused.
     let mut pending: Vec<Pending> = Vec::new();
-    let mut wake_buf: Vec<(SimTime, u32)> = Vec::new();
+    let mut free_tags: Vec<u64> = Vec::new();
+    let mut eng = Engine {
+        mapping,
+        final_stage,
+        window,
+        cfgs,
+        stages,
+        queue,
+        snaps: vec![0; n_stages],
+        fired: Vec::new(),
+        reqs: Vec::new(),
+        wakes: Vec::new(),
+        fires: Vec::new(),
+        mvms: 0,
+        core_cycles: 0,
+    };
 
-    // ---- Window loop ---------------------------------------------------------
+    // ---- Event loop ----------------------------------------------------------
     loop {
-        // The next window is wherever the earliest pending work sits: a
-        // stage event, a fabric event, or a buffered wake. Windows are
-        // aligned to the lookahead grid; the choice is a pure function of
-        // (deterministic) simulation state, never of worker scheduling.
-        let mut t_min: Option<SimTime> = None;
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                t_min = Some(t_min.map_or(t, |m: SimTime| m.min(t)));
-            }
+        // The next window is wherever the earliest pending work sits, a
+        // stage event or a fabric event, aligned to the lookahead grid.
+        let next = [eng.queue.peek_time(), fabric.next_event_time()];
+        let Some(t0) = next.into_iter().flatten().min() else {
+            break;
         };
-        for st in states.iter_mut() {
-            fold(st.get_mut().expect("stage lock poisoned").queue.peek_time());
-        }
-        fold(fabric.next_event_time());
-        for &(t, _) in &wake_buf {
-            fold(Some(t));
-        }
-        let Some(t0) = t_min else { break };
         let horizon = SimTime::from_ps((t0.as_ps() / window_ps) * window_ps) + window;
 
-        // Barrier, part 1: fly the fabric up to the horizon and deliver
-        // completed transfers into their stages at exact completion times.
+        // Barrier: fly the fabric up to the horizon and deliver completed
+        // transfers into their stages at exact completion times.
         for (t, tag) in fabric.advance_before(horizon) {
             let p = &mut pending[tag as usize];
             p.remaining -= 1;
-            if t > p.max_t {
-                p.max_t = t;
+            p.max_t = p.max_t.max(t);
+            if p.remaining > 0 {
+                continue;
             }
-            if p.remaining == 0 {
-                match p.deliver {
-                    Deliver::Edge { stage, ev } => states[stage as usize]
-                        .get_mut()
-                        .expect("stage lock poisoned")
-                        .queue
-                        .push(p.max_t, ev),
-                    Deliver::Final { chunk } => {
-                        let img = (chunk / final_chunks_per_image) as usize;
-                        final_done_per_image[img] += 1;
-                        if final_done_per_image[img] == final_chunks_per_image {
-                            image_completions[img] = p.max_t;
-                        }
-                        if p.max_t > final_max {
-                            final_max = p.max_t;
-                        }
+            free_tags.push(tag);
+            match p.deliver {
+                Deliver::Edge { stage, ev } => eng.queue.push(p.max_t, (stage, ev)),
+                Deliver::Final { chunk } => {
+                    let img = (chunk / final_chunks_per_image) as usize;
+                    final_done_per_image[img] += 1;
+                    if final_done_per_image[img] == final_chunks_per_image {
+                        image_completions[img] = p.max_t;
                     }
+                    final_max = final_max.max(p.max_t);
                 }
             }
         }
-        // Barrier, part 2: due credit wakes become TryFire events.
-        let mut due = Vec::new();
-        wake_buf.retain(|&(t, s)| {
-            if t < horizon {
-                due.push((t, s));
-                false
-            } else {
-                true
-            }
-        });
-        for (t, s) in due {
-            let st = states[s as usize].get_mut().expect("stage lock poisoned");
-            for l in 0..cfgs[s as usize].n_lanes {
-                st.queue.push(t, Ev::TryFire { lane: l as u32 });
-            }
+
+        // The window: every stage event before the horizon.
+        while let Some((now, (sid, ev))) = eng.queue.pop_before(horizon) {
+            eng.handle(now, sid as usize, ev);
         }
 
-        // Barrier, part 3: snapshot every stage's progress for credit checks.
-        let snaps: Vec<u64> = states
-            .iter_mut()
-            .map(|m| m.get_mut().expect("stage lock poisoned").next_fire)
-            .collect();
-
-        // Process the window: each active stage drains its own queue up to
-        // the horizon, touching only its own state + shared config/snapshot.
-        let mut active: Vec<usize> = Vec::new();
-        for (i, m) in states.iter_mut().enumerate() {
-            if m.get_mut()
-                .expect("stage lock poisoned")
-                .queue
-                .peek_time()
-                .is_some_and(|t| t < horizon)
-            {
-                active.push(i);
-            }
-        }
-        let run = |sid: usize| {
-            let mut st = states[sid].lock().expect("stage lock poisoned");
-            process_stage(
-                sid,
-                &mut st,
-                &cfgs,
-                &snaps,
-                mapping,
-                horizon,
-                window,
-                final_stage,
-            );
-        };
-        if par.is_parallel() && active.len() >= 2 {
-            aimc_parallel::for_each_indexed(par, &active, |_, &sid| run(sid));
-        } else {
-            for &sid in &active {
-                run(sid);
-            }
-        }
-
-        // Barrier, part 4: merge the window's cross-stage effects. DMA
-        // requests are injected in `(issue, stage, emission)` order so
-        // fabric message ids — and therefore FIFO tie-breaks — are
-        // scheduling-independent.
-        let mut reqs: Vec<(SimTime, usize, usize, TxnReq)> = Vec::new();
-        for (sid, m) in states.iter_mut().enumerate() {
-            let st = m.get_mut().expect("stage lock poisoned");
-            for (seq, r) in st.txns.drain(..).enumerate() {
-                reqs.push((r.issue, sid, seq, r));
-            }
-            wake_buf.append(&mut st.wakes);
-        }
-        reqs.sort_by_key(|a| (a.0, a.1, a.2));
-        for (_, _, _, r) in reqs {
-            let pid = pending.len() as u64;
-            pending.push(Pending {
+        // Barrier: the window's DMA requests enter the fabric one window
+        // after issue, its credit wakes become fire attempts, and the
+        // stages that fired publish their progress.
+        for r in eng.reqs.drain(..) {
+            let p = Pending {
                 remaining: r.parts.len() as u32,
                 max_t: SimTime::ZERO,
                 deliver: r.deliver,
-            });
+            };
+            let tag = match free_tags.pop() {
+                Some(tag) => {
+                    pending[tag as usize] = p;
+                    tag
+                }
+                None => {
+                    pending.push(p);
+                    pending.len() as u64 - 1
+                }
+            };
             for (dst, bytes) in r.parts {
-                fabric.inject(r.issue + window, r.kind, r.src, dst, bytes, pid);
+                fabric.inject(r.issue + window, r.kind, r.src, dst, bytes, tag);
             }
         }
-        wake_buf.sort_unstable_by_key(|&(t, s)| (t, s));
-        wake_buf.dedup();
+        eng.wakes.sort_unstable();
+        eng.wakes.dedup();
+        for (t, s) in eng.wakes.drain(..) {
+            for lane in 0..eng.cfgs[s as usize].n_lanes as u32 {
+                eng.queue.push(t, (s, Ev::TryFire { lane }));
+            }
+        }
+        for sid in eng.fired.drain(..) {
+            eng.snaps[sid] = eng.stages[sid].next_fire;
+        }
     }
     debug_assert!(fabric.is_idle(), "fabric drained with the event loop");
 
     // ---- Collect -------------------------------------------------------------
-    let mut states: Vec<StageState> = states
-        .into_iter()
-        .map(|m| m.into_inner().expect("stage lock poisoned"))
-        .collect();
-    let mut makespan = final_max;
-    for st in &states {
-        makespan = makespan.max(st.queue.now());
-    }
-
-    let mut fires: Vec<FireRecord> = Vec::new();
-    let mut tallies = EnergyTallies::default();
-    for st in &mut states {
-        fires.append(&mut st.fires);
-        tallies.mvms += st.mvms;
-        tallies.core_cycles += st.core_cycles;
-    }
+    let Engine {
+        cfgs,
+        stages,
+        queue,
+        mut fires,
+        mvms,
+        core_cycles,
+        ..
+    } = eng;
+    let makespan = final_max.max(queue.now());
+    let mut tallies = EnergyTallies {
+        mvms,
+        core_cycles,
+        ..EnergyTallies::default()
+    };
     fires.sort_by_key(|f| (f.start, f.stage, f.chunk));
 
     let mut clusters = Vec::new();
@@ -713,11 +650,11 @@ pub fn simulate_with(
             if s.lane_clusters == 0 {
                 continue;
             }
-            let analog_bound = states[sid].lanes[l].analog_busy
-                >= states[sid].lanes[l].digital_busy
-                && states[sid].lanes[l].analog_busy > SimTime::ZERO;
+            let analog_bound = stages[sid].lanes[l].analog_busy
+                >= stages[sid].lanes[l].digital_busy
+                && stages[sid].lanes[l].analog_busy > SimTime::ZERO;
             for &slot in &cfgs[sid].lane_slots[l] {
-                let mut tr = states[sid].trackers[slot].clone();
+                let mut tr = stages[sid].trackers[slot].clone();
                 tr.finish(makespan);
                 clusters.push(ClusterBreakdown {
                     cluster: cfgs[sid].clusters[slot],
@@ -753,10 +690,10 @@ pub fn simulate_with(
     let mut executed_ops = 0u64;
     for (sid, s) in mapping.stages().iter().enumerate() {
         if let Some(a) = &s.analog {
-            let fired: u64 = states[sid]
+            let fired: u64 = stages[sid]
                 .lanes
                 .iter()
-                .map(|l| l.next_chunk / states[sid].lanes.len().max(1) as u64)
+                .map(|l| l.next_chunk / stages[sid].lanes.len().max(1) as u64)
                 .sum::<u64>()
                 .min(cfgs[sid].total_chunks);
             let per_chunk_useful =
@@ -792,11 +729,7 @@ pub fn simulate_with(
         SimTime::from_ps(gaps[gaps.len() / 2])
     };
 
-    let events = states
-        .iter()
-        .map(|s| s.queue.events_processed())
-        .sum::<u64>()
-        + fabric_report.events;
+    let events = queue.events_processed() + fabric_report.events;
     Ok(RunReport {
         batch,
         makespan,
@@ -826,148 +759,21 @@ fn lane_endpoint(mapping: &SystemMapping, sid: usize, lane: usize) -> Endpoint {
     }
 }
 
-/// Drains one stage's events up to `horizon`. Only `st` is mutated; every
-/// cross-stage effect is buffered in `st.txns` / `st.wakes` for the merge.
-#[allow(clippy::too_many_arguments)]
-fn process_stage(
-    sid: usize,
-    st: &mut StageState,
-    cfgs: &[StageCfg],
-    snaps: &[u64],
-    mapping: &SystemMapping,
-    horizon: SimTime,
-    window: SimTime,
-    final_stage: usize,
-) {
-    let cfg = &cfgs[sid];
-    while let Some((now, ev)) = st.queue.pop_before(horizon) {
+impl Engine<'_> {
+    /// Handles one event of stage `sid`. Only that stage's state changes;
+    /// every cross-stage effect is buffered for the next barrier.
+    fn handle(&mut self, now: SimTime, sid: usize, ev: Ev) {
+        let cfg = &self.cfgs[sid];
+        let st = &mut self.stages[sid];
+        let mapping = self.mapping;
         match ev {
-            Ev::TryFire { lane } => {
-                let l = lane as usize;
-                // Structured as a breakable block: every arm exits after one
-                // pass; continuation is always via a re-queued TryFire.
-                #[allow(clippy::never_loop)]
-                loop {
-                    let k = st.lanes[l].next_chunk;
-                    if k >= cfg.total_chunks {
-                        break;
-                    }
-                    if st.lanes[l].free_at > now {
-                        // Re-check when the lane frees up.
-                        let at = st.lanes[l].free_at;
-                        st.queue.push(at, Ev::TryFire { lane });
-                        break;
-                    }
-                    // Input readiness.
-                    let mut input_ready = true;
-                    for (e, es) in cfg.edges.iter().zip(&st.edges) {
-                        let ok = match e.kind {
-                            EdgeKind::Stream => es.watermark >= e.required(k) as i64,
-                            EdgeKind::Skip { .. } => es.skip_delivered[k as usize],
-                        };
-                        if !ok {
-                            input_ready = false;
-                            break;
-                        }
-                    }
-                    if !input_ready {
-                        break; // a Delivered event will retry us
-                    }
-                    // Consumer credit, against the window-barrier snapshot
-                    // of each consumer's progress (stale by at most one
-                    // lookahead window — strictly conservative, since
-                    // `next_fire` only grows).
-                    let mut credit = true;
-                    for &(cid, eidx) in &cfg.consumers {
-                        let ccfg = &cfgs[cid];
-                        let cons_next = snaps[cid];
-                        if cons_next >= ccfg.total_chunks {
-                            continue;
-                        }
-                        let e = &ccfg.edges[eidx];
-                        let slack = match e.kind {
-                            EdgeKind::Stream => e.slack,
-                            EdgeKind::Skip { .. } => SKIP_SLACK_IMAGES * e.cc,
-                        };
-                        let h = (cons_next + slack).min(ccfg.total_chunks - 1);
-                        if k > e.required(h) {
-                            credit = false;
-                            break;
-                        }
-                    }
-                    if !credit {
-                        break; // a consumer fire will wake us
-                    }
-
-                    // ---- Fire chunk k on (sid, l) -----------------------------
-                    let n_lanes = cfg.n_lanes as u64;
-                    let ln = &mut st.lanes[l];
-                    let start = now;
-                    ln.free_at = start + cfg.service;
-                    ln.next_chunk += n_lanes;
-                    ln.fired_any = true;
-                    ln.analog_busy += cfg.analog_time;
-                    ln.digital_busy += cfg.digital_time;
-                    let busy_end = start + cfg.service;
-                    let prev_end = ln.last_busy_end;
-                    ln.last_busy_end = busy_end;
-                    st.next_fire = st.lanes.iter().map(|x| x.next_chunk).min().unwrap_or(0);
-                    st.fires.push(FireRecord {
-                        stage: sid as u32,
-                        lane,
-                        chunk: k,
-                        start,
-                        end: busy_end,
-                    });
-                    st.queue
-                        .push(start + cfg.latency, Ev::ChunkDone { lane, chunk: k });
-
-                    // Activity attribution on the lane's clusters: waits are
-                    // communication up to the expected DMA time of the
-                    // chunk's inputs; the remainder is sleep (starvation or
-                    // backpressure — the paper's head/tail idling).
-                    if cfg.lane_clusters > 0 {
-                        let first_fire = prev_end == SimTime::ZERO && start > SimTime::ZERO;
-                        for &slot in &cfg.lane_slots[l] {
-                            let tr = &mut st.trackers[slot];
-                            if !first_fire && start > prev_end {
-                                let comm_start = start
-                                    .saturating_sub(cfg.expected_comm_per_chunk)
-                                    .max(prev_end);
-                                tr.set_state(comm_start, Activity::Communication);
-                            }
-                            tr.set_state(start, Activity::Synchronization);
-                            tr.set_state(start + cfg.sync_display, Activity::Compute);
-                            tr.set_state(busy_end, Activity::Sleep);
-                        }
-                    }
-
-                    // Energy tallies: analog MVMs on every split cluster of
-                    // the lane, serial core cycles from the kernel model.
-                    st.mvms += cfg.mvms_per_fire;
-                    st.core_cycles += cfg.core_cycles_per_chunk;
-
-                    // Wake producers one window out (credit freed; by then
-                    // the barrier snapshot reflects this fire).
-                    for e in &cfg.edges {
-                        st.wakes.push((now + window, e.from as u32));
-                    }
-                    // Residual reads may be unblocked by our own progress.
-                    request_skip_reads(sid, st, cfg, mapping, now);
-
-                    // Loop again: the lane might have another ready chunk only
-                    // after free_at; the scheduled TryFire handles it.
-                    let at = st.lanes[l].free_at;
-                    st.queue.push(at, Ev::TryFire { lane });
-                    break;
-                }
-            }
+            Ev::TryFire { lane } => self.try_fire(now, sid, lane),
 
             Ev::ChunkDone { lane, chunk } => {
-                if cfg.consumers.is_empty() && sid == final_stage {
+                if cfg.consumers.is_empty() && sid == self.final_stage {
                     // Ship the network output to HBM.
                     let bytes = mapping.stages[sid].tiling.out_tile_bytes();
-                    st.txns.push(TxnReq {
+                    self.reqs.push(TxnReq {
                         issue: now,
                         kind: TxnKind::Write,
                         src: lane_endpoint(mapping, sid, lane as usize),
@@ -976,7 +782,7 @@ fn process_stage(
                     });
                 }
                 for &(cid, eidx) in &cfg.consumers {
-                    let e = &cfgs[cid].edges[eidx];
+                    let e = &self.cfgs[cid].edges[eidx];
                     let bytes_pp =
                         ((e.bytes_per_cchunk as u64 * e.cc).div_ceil(e.cp) as usize).max(1);
                     let transfers = e.transfers.max(1);
@@ -1000,7 +806,7 @@ fn process_stage(
                                     (dst, per)
                                 })
                                 .collect();
-                            st.txns.push(TxnReq {
+                            self.reqs.push(TxnReq {
                                 issue: now,
                                 kind: TxnKind::Write,
                                 src,
@@ -1021,7 +827,7 @@ fn process_stage(
                                 ResidualRoute::Hbm => (Endpoint::Hbm, e.hbm_amp),
                                 ResidualRoute::StorageCluster(c) => (Endpoint::Cluster(c), 1),
                             };
-                            st.txns.push(TxnReq {
+                            self.reqs.push(TxnReq {
                                 issue: now,
                                 kind: TxnKind::Write,
                                 src,
@@ -1040,36 +846,136 @@ fn process_stage(
             }
 
             Ev::Delivered { edge, pchunk } => {
-                {
-                    let es = &mut st.edges[edge as usize];
-                    let (marks, wm) = (&mut es.delivered, &mut es.watermark);
-                    EdgeState::advance(marks, wm, pchunk);
-                }
-                request_skip_reads(sid, st, cfg, mapping, now);
-                for l in 0..cfg.n_lanes {
-                    st.queue.push(now, Ev::TryFire { lane: l as u32 });
+                let es = &mut st.edges[edge as usize];
+                EdgeState::advance(&mut es.delivered, &mut es.watermark, pchunk);
+                request_skip_reads(sid, st, cfg, mapping, now, &mut self.reqs);
+                for lane in 0..cfg.n_lanes as u32 {
+                    self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
                 }
             }
 
             Ev::SkipStored { edge, pchunk } => {
-                {
-                    let es = &mut st.edges[edge as usize];
-                    let (marks, wm) = (&mut es.stored, &mut es.stored_watermark);
-                    EdgeState::advance(marks, wm, pchunk);
-                }
-                request_skip_reads(sid, st, cfg, mapping, now);
+                let es = &mut st.edges[edge as usize];
+                EdgeState::advance(&mut es.stored, &mut es.stored_watermark, pchunk);
+                request_skip_reads(sid, st, cfg, mapping, now, &mut self.reqs);
             }
 
             Ev::SkipReadDone { edge, cchunk } => {
                 st.edges[edge as usize].skip_delivered[cchunk as usize] = true;
-                st.queue.push(
-                    now,
-                    Ev::TryFire {
-                        lane: (cchunk % cfg.n_lanes as u64) as u32,
-                    },
-                );
+                let lane = (cchunk % cfg.n_lanes as u64) as u32;
+                self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
             }
         }
+    }
+
+    /// Fires the lane's next chunk if its inputs are in, its consumers have
+    /// credit and the lane is free. Every way out that can still fire later
+    /// has something to wake it: a re-queued attempt when the lane frees, a
+    /// `Delivered` event for inputs, a consumer's credit wake for credit.
+    fn try_fire(&mut self, now: SimTime, sid: usize, lane: u32) {
+        let cfg = &self.cfgs[sid];
+        let st = &mut self.stages[sid];
+        let l = lane as usize;
+        let k = st.lanes[l].next_chunk;
+        if k >= cfg.total_chunks {
+            return;
+        }
+        if st.lanes[l].free_at > now {
+            // Re-check when the lane frees up.
+            self.queue
+                .push(st.lanes[l].free_at, (sid as u32, Ev::TryFire { lane }));
+            return;
+        }
+        // Input readiness.
+        let input_ready = cfg.edges.iter().zip(&st.edges).all(|(e, es)| match e.kind {
+            EdgeKind::Stream => es.watermark >= e.required(k) as i64,
+            EdgeKind::Skip { .. } => es.skip_delivered[k as usize],
+        });
+        if !input_ready {
+            return;
+        }
+        // Consumer credit, against the window-barrier snapshot of each
+        // consumer's progress (stale by at most one lookahead window —
+        // strictly conservative, since `next_fire` only grows).
+        let credit = cfg.consumers.iter().all(|&(cid, eidx)| {
+            let ccfg = &self.cfgs[cid];
+            let cons_next = self.snaps[cid];
+            if cons_next >= ccfg.total_chunks {
+                return true;
+            }
+            let e = &ccfg.edges[eidx];
+            let slack = match e.kind {
+                EdgeKind::Stream => e.slack,
+                EdgeKind::Skip { .. } => SKIP_SLACK_IMAGES * e.cc,
+            };
+            let h = (cons_next + slack).min(ccfg.total_chunks - 1);
+            k <= e.required(h)
+        });
+        if !credit {
+            return;
+        }
+
+        // ---- Fire chunk k on (sid, l) -----------------------------------------
+        let n_lanes = cfg.n_lanes as u64;
+        let ln = &mut st.lanes[l];
+        let start = now;
+        ln.free_at = start + cfg.service;
+        ln.next_chunk += n_lanes;
+        ln.analog_busy += cfg.analog_time;
+        ln.digital_busy += cfg.digital_time;
+        let busy_end = start + cfg.service;
+        let prev_end = ln.last_busy_end;
+        ln.last_busy_end = busy_end;
+        st.next_fire = st.lanes.iter().map(|x| x.next_chunk).min().unwrap_or(0);
+        self.fired.push(sid);
+        self.fires.push(FireRecord {
+            stage: sid as u32,
+            lane,
+            chunk: k,
+            start,
+            end: busy_end,
+        });
+        self.queue.push(
+            start + cfg.latency,
+            (sid as u32, Ev::ChunkDone { lane, chunk: k }),
+        );
+
+        // Activity attribution on the lane's clusters: waits are
+        // communication up to the expected DMA time of the chunk's inputs;
+        // the remainder is sleep (starvation or backpressure — the paper's
+        // head/tail idling).
+        if cfg.lane_clusters > 0 {
+            let first_fire = prev_end == SimTime::ZERO && start > SimTime::ZERO;
+            for &slot in &cfg.lane_slots[l] {
+                let tr = &mut st.trackers[slot];
+                if !first_fire && start > prev_end {
+                    let comm_start = start
+                        .saturating_sub(cfg.expected_comm_per_chunk)
+                        .max(prev_end);
+                    tr.set_state(comm_start, Activity::Communication);
+                }
+                tr.set_state(start, Activity::Synchronization);
+                tr.set_state(start + cfg.sync_display, Activity::Compute);
+                tr.set_state(busy_end, Activity::Sleep);
+            }
+        }
+
+        // Energy tallies: analog MVMs on every split cluster of the lane,
+        // serial core cycles from the kernel model.
+        self.mvms += cfg.mvms_per_fire;
+        self.core_cycles += cfg.core_cycles_per_chunk;
+
+        // Wake producers one window out (credit freed; by then the barrier
+        // snapshot reflects this fire).
+        for e in &cfg.edges {
+            self.wakes.push((now + self.window, e.from as u32));
+        }
+        // Residual reads may be unblocked by our own progress.
+        request_skip_reads(sid, st, cfg, self.mapping, now, &mut self.reqs);
+
+        // The lane might have another ready chunk only after free_at.
+        self.queue
+            .push(st.lanes[l].free_at, (sid as u32, Ev::TryFire { lane }));
     }
 }
 
@@ -1083,6 +989,7 @@ fn request_skip_reads(
     cfg: &StageCfg,
     mapping: &SystemMapping,
     now: SimTime,
+    reqs: &mut Vec<TxnReq>,
 ) {
     let n_edges = cfg.edges.len();
     if !cfg
@@ -1127,7 +1034,7 @@ fn request_skip_reads(
                 ResidualRoute::StorageCluster(c) => (Endpoint::Cluster(c), 1),
             };
             let bytes = cfg.edges[eidx].bytes_per_cchunk * amp;
-            st.txns.push(TxnReq {
+            reqs.push(TxnReq {
                 issue: now,
                 kind: TxnKind::Read,
                 src,
@@ -1216,22 +1123,6 @@ mod tests {
         let a = simulate(&g, &m, &arch, 3).unwrap();
         let b = simulate(&g, &m, &arch, 3).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_shards_are_bit_identical() {
-        let g = small_graph();
-        let arch = ArchConfig::small(4, 8);
-        let m = map_network(&g, &arch, MappingStrategy::Naive).unwrap();
-        let serial = simulate(&g, &m, &arch, 3).unwrap();
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(4),
-            Parallelism::PinnedThreads(2),
-        ] {
-            let sharded = simulate_with(&g, &m, &arch, 3, par).unwrap();
-            assert_eq!(serial, sharded, "divergence under {par:?}");
-        }
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! *no* architecture knowledge: just simulated time, a deterministic event
 //! queue, and measurement utilities. The platform model lives in
 //! `aimc-noc`, `aimc-cluster` and `aimc-runtime`, which define their own event
-//! payloads and dispatch loops on top of [`EventQueue`].
+//! payloads and dispatch loops on top of [`OrderedEventQueue`].
 //!
 //! ## Design notes
 //!
-//! * **Determinism.** Equal-time events pop in insertion order; all randomness
-//!   in the workspace flows through explicitly seeded RNGs. Two runs with the
-//!   same configuration produce bit-identical results.
+//! * **Determinism.** Equal-time events pop in the payload's `Ord` order,
+//!   never in insertion order; all randomness in the workspace flows through
+//!   explicitly seeded RNGs. Two runs with the same configuration produce
+//!   bit-identical results.
 //! * **Resolution.** Time is kept in integer picoseconds ([`SimTime`]), so a
 //!   1 GHz core cycle (1000 ps) and the 130 ns analog MVM latency are both
 //!   exact.
@@ -21,12 +22,12 @@
 //!
 //! ## Example
 //! ```
-//! use aimc_sim::{EventQueue, SimTime};
+//! use aimc_sim::{OrderedEventQueue, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
+//! #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 //! enum Ev { Ping(u32), Done }
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = OrderedEventQueue::new();
 //! q.push(SimTime::ZERO, Ev::Ping(0));
 //! let mut pings = 0;
 //! while let Some((t, ev)) = q.pop() {
@@ -50,6 +51,6 @@ mod queue;
 pub mod stats;
 mod time;
 
-pub use queue::{EventQueue, OrderedEventQueue};
+pub use queue::OrderedEventQueue;
 pub use stats::{Activity, ActivityTracker};
 pub use time::{Cycles, Frequency, SimTime};

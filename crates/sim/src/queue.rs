@@ -1,24 +1,18 @@
-//! The discrete-event queues at the heart of the simulator.
+//! The discrete-event queue at the heart of the simulator.
 //!
-//! Two queue flavors, with different tie-break contracts for events that
-//! share a timestamp:
-//!
-//! * [`EventQueue`] pops equal-time events in **insertion order** (FIFO).
-//!   This is deterministic for a fixed caller, but the pop order depends on
-//!   the order `push` was called — fine for a single-threaded loop, unusable
-//!   when several shards contribute events to one timeline.
-//! * [`OrderedEventQueue`] pops equal-time events in **payload order**
-//!   (`E: Ord`): the pop sequence is a pure function of the *set* of inserted
-//!   `(time, event)` pairs, independent of insertion order. This is the
-//!   contract the sharded pipeline simulator builds its bit-identical
-//!   serial-vs-parallel guarantee on — barrier phases may merge events from
-//!   worker shards in any order without perturbing the replay.
+//! [`OrderedEventQueue`] pops events in time order and equal-time events in
+//! **payload order** (`E: Ord`): the pop sequence is a pure function of the
+//! *set* of inserted `(time, event)` pairs, independent of insertion order.
+//! Callers state their tie-break rules in the payload's `Ord` — the pipeline
+//! simulator keys its events by `(stage, event)`, the fabric serves link
+//! releases before arrivals — so a run never depends on the order in which
+//! handlers happened to push.
 //!
 //! Determinism matters — every figure in the evaluation must be exactly
 //! reproducible run-to-run, and tie-breaking by heap order would make results
 //! depend on allocation details.
 //!
-//! The queues are intentionally payload-generic: the platform layer
+//! The queue is intentionally payload-generic: the platform layer
 //! (`aimc-runtime`) defines its own event enum and dispatch loop, keeping this
 //! kernel reusable for other architectures.
 
@@ -26,173 +20,27 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Internal heap entry; ordered by `(time, seq)` ascending.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A deterministic discrete-event queue.
-///
-/// # Examples
-/// ```
-/// use aimc_sim::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_ns(5), "late");
-/// q.push(SimTime::from_ns(1), "early");
-/// q.push(SimTime::from_ns(5), "late-second");
-/// assert_eq!(q.pop(), Some((SimTime::from_ns(1), "early")));
-/// assert_eq!(q.pop(), Some((SimTime::from_ns(5), "late")));
-/// assert_eq!(q.pop(), Some((SimTime::from_ns(5), "late-second")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Default)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: SimTime,
-    popped: u64,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-        }
-    }
-
-    /// The timestamp of the most recently popped event (the simulation "now").
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events popped so far (a cheap progress / cost metric).
-    #[inline]
-    pub fn events_processed(&self) -> u64 {
-        self.popped
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current simulation time: causality
-    /// violations are always bugs in the model, never recoverable conditions.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "causality violation: scheduling at {} but now is {}",
-            at,
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            event,
-        });
-    }
-
-    /// Schedules `event` `delay` after the current time.
-    pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
-    }
-
-    /// Pops the earliest event, advancing the simulation time to it.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        self.popped += 1;
-        Some((entry.time, entry.event))
-    }
-
-    /// Pops the earliest event only if it is at or before `horizon`.
-    ///
-    /// Useful for bounded-time runs; events beyond the horizon stay queued.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.heap.peek() {
-            Some(e) if e.time <= horizon => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Returns the timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-}
-
-impl<E> std::fmt::Debug for EventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
-            .field("processed", &self.popped)
-            .finish()
-    }
-}
-
-/// Internal heap entry for [`OrderedEventQueue`]; ordered by
+/// Internal heap entry; ordered by
 /// `(time, event, seq)` ascending. `seq` only separates *identical*
 /// `(time, event)` pairs, so the pop order remains insertion-independent.
-struct OrdEntry<E> {
+struct Entry<E> {
     time: SimTime,
     event: E,
     seq: u64,
 }
 
-impl<E: Ord> PartialEq for OrdEntry<E> {
+impl<E: Ord> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.event == other.event && self.seq == other.seq
     }
 }
-impl<E: Ord> Eq for OrdEntry<E> {}
-impl<E: Ord> PartialOrd for OrdEntry<E> {
+impl<E: Ord> Eq for Entry<E> {}
+impl<E: Ord> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E: Ord> Ord for OrdEntry<E> {
+impl<E: Ord> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the smallest first.
         other
@@ -209,8 +57,7 @@ impl<E: Ord> Ord for OrdEntry<E> {
 /// Equal-time events pop in the payload's `Ord` order, **not** insertion
 /// order; two identical `(time, event)` entries pop in insertion order, which
 /// is unobservable because the entries are indistinguishable. Consequently
-/// any interleaving of `push` calls — e.g. a barrier merging per-shard event
-/// batches in nondeterministic worker-completion order — replays identically.
+/// any interleaving of `push` calls replays identically.
 ///
 /// # Examples
 /// ```
@@ -226,7 +73,7 @@ impl<E: Ord> Ord for OrdEntry<E> {
 /// ```
 #[derive(Default)]
 pub struct OrderedEventQueue<E: Ord> {
-    heap: BinaryHeap<OrdEntry<E>>,
+    heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -281,7 +128,7 @@ impl<E: Ord> OrderedEventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(OrdEntry {
+        self.heap.push(Entry {
             time: at,
             event,
             seq,
@@ -298,9 +145,9 @@ impl<E: Ord> OrderedEventQueue<E> {
     }
 
     /// Pops the earliest event only if it is strictly before `horizon` — the
-    /// primitive of conservative-window parallel simulation: a shard may
-    /// safely process everything before the window boundary, events at or
-    /// past it belong to the next superstep.
+    /// primitive of a windowed event loop: everything before the window
+    /// boundary is processed now, events at or past it belong to the next
+    /// window.
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         match self.heap.peek() {
             Some(e) if e.time < horizon => self.pop(),
@@ -330,70 +177,22 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(30), 3);
-        q.push(SimTime::from_ns(10), 1);
+        let mut q = OrderedEventQueue::new();
+        q.push(SimTime::from_ns(30), 1);
+        q.push(SimTime::from_ns(10), 3);
         q.push(SimTime::from_ns(20), 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn equal_times_pop_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.push(SimTime::from_ns(7), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(order, vec![3, 2, 1]);
     }
 
     #[test]
     fn now_tracks_popped_time() {
-        let mut q = EventQueue::new();
+        let mut q = OrderedEventQueue::new();
         assert_eq!(q.now(), SimTime::ZERO);
         q.push(SimTime::from_ns(42), ());
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(42));
         assert_eq!(q.events_processed(), 1);
-    }
-
-    #[test]
-    fn push_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(10), "a");
-        q.pop();
-        q.push_after(SimTime::from_ns(5), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_ns(15), "b")));
-    }
-
-    #[test]
-    #[should_panic(expected = "causality violation")]
-    fn rejects_past_events() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(10), ());
-        q.pop();
-        q.push(SimTime::from_ns(5), ());
-    }
-
-    #[test]
-    fn pop_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(10), "a");
-        q.push(SimTime::from_ns(20), "b");
-        assert_eq!(
-            q.pop_until(SimTime::from_ns(15)),
-            Some((SimTime::from_ns(10), "a"))
-        );
-        assert_eq!(q.pop_until(SimTime::from_ns(15)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(20)));
-    }
-
-    #[test]
-    fn debug_is_nonempty() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert!(!format!("{:?}", q).is_empty());
     }
 
     fn drain<E: Ord>(mut q: OrderedEventQueue<E>) -> Vec<(SimTime, E)> {

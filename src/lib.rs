@@ -100,8 +100,8 @@ pub mod prelude {
     };
     pub use aimc_parallel::Parallelism;
     pub use aimc_runtime::{
-        group_area_efficiency, link_loads, simulate, simulate_with, AreaModel, EnergyModel,
-        Headline, LinkLoad, RunReport, SimError, Waterfall,
+        group_area_efficiency, link_loads, simulate, AreaModel, EnergyModel, Headline, LinkLoad,
+        RunReport, SimError, Waterfall,
     };
     pub use aimc_serve::{
         Admission, AimdPacer, BatchPolicy, ClassStats, Connect, FleetHandle, FleetPolicy,

@@ -40,12 +40,13 @@ use aimc_dnn::{
     he_init, AimcExecutor, ExecError, Executor, GoldenExecutor, Graph, Tensor, Weights,
 };
 use aimc_parallel::Parallelism;
-use aimc_runtime::{simulate_with, AreaModel, EnergyModel, Headline, RunReport, Waterfall};
+use aimc_runtime::{simulate, AreaModel, EnergyModel, Headline, RunReport, Waterfall};
 use aimc_serve::{
     BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, QosOrdering, RoutePolicy, ServeError,
     ServeHandle, ShardControl, ShardServer, ShardSpec, ShardTransport,
 };
 use aimc_xbar::XbarConfig;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -717,9 +718,8 @@ impl Session {
     /// batch report. Results are cached per batch size — repeated calls
     /// with the same spec are free.
     ///
-    /// The simulation itself is sharded per pipeline stage across the
-    /// session's [`Session::set_parallelism`] workers; the report is
-    /// bit-identical regardless of the thread budget.
+    /// The simulation runs on the calling thread, so the report does not
+    /// depend on the session's thread budget.
     ///
     /// # Errors
     /// [`Error::InvalidRunSpec`] if the batch is zero;
@@ -730,17 +730,12 @@ impl Session {
         }
         self.last_batch = Some(spec.batch);
         let p = &self.platform.inner;
-        if !self.runs.contains_key(&spec.batch) {
-            let report = simulate_with(
-                &p.graph,
-                &p.mapping,
-                &p.arch,
-                spec.batch,
-                self.parallelism.get(),
-            )?;
-            self.runs.insert(spec.batch, report);
-        }
-        Ok(&self.runs[&spec.batch])
+        Ok(match self.runs.entry(spec.batch) {
+            Entry::Occupied(run) => run.into_mut(),
+            Entry::Vacant(slot) => {
+                slot.insert(simulate(&p.graph, &p.mapping, &p.arch, spec.batch)?)
+            }
+        })
     }
 
     /// The most recent [`Session::run`] report, if any.
