@@ -870,8 +870,9 @@ impl Engine<'_> {
 
     /// Fires the lane's next chunk if its inputs are in, its consumers have
     /// credit and the lane is free. Every way out that can still fire later
-    /// has something to wake it: a re-queued attempt when the lane frees, a
-    /// `Delivered` event for inputs, a consumer's credit wake for credit.
+    /// has something to wake it: a re-queued attempt when the lane frees,
+    /// `Delivered` or `SkipReadDone` for inputs, a consumer's credit wake
+    /// for credit.
     fn try_fire(&mut self, now: SimTime, sid: usize, lane: u32) {
         let cfg = &self.cfgs[sid];
         let st = &mut self.stages[sid];
