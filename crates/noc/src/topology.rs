@@ -5,11 +5,12 @@
 //! [`Topology`] is the single source of routing truth for the hop-by-hop
 //! [`crate::Fabric`], which flies in-flight messages down a [`Route`]'s hops
 //! one event at a time, and for the test-only reservation oracle, which
-//! walks the same hops reserving bandwidth analytically. A route runs *up* the tree from the source cluster to the lowest
-//! common ancestor router (Sec. II-3 of the paper), then *down* to the
-//! destination; the HBM hangs off the wrapper as a leaf — traffic to or from
-//! it crosses the full up (or down) segment plus the dedicated
-//! wrapper↔controller channel ([`LinkId::HbmUp`] / [`LinkId::HbmDown`]).
+//! walks the same hops reserving bandwidth analytically. A route runs *up*
+//! the tree from the source cluster to the lowest common ancestor router
+//! (Sec. II-3 of the paper), then *down* to the destination; the HBM hangs
+//! off the wrapper as a leaf — traffic to or from it crosses the full up (or
+//! down) segment plus the dedicated wrapper↔controller channel
+//! ([`LinkId::HbmUp`] / [`LinkId::HbmDown`]).
 //!
 //! Every directed link also gets a dense index (`0..n_links`), so per-link
 //! state and statistics live in flat arrays instead of hash maps.
