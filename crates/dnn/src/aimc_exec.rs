@@ -29,9 +29,22 @@
 //!    coordinate* `image_index · patches_per_layer + patch_index`
 //!    ([`Crossbar::mvm_into_at`]) — noise depends on where the MVM sits in
 //!    the workload, never on scheduling order;
-//! 3. digital reduction of row-split partials is merged in fixed
-//!    `(row_split, col_split)` order, so f32 addition order matches the
-//!    serial loop exactly.
+//! 3. digital reduction of row-split partials accumulates tile outputs
+//!    into a pixel-major `[pixel][out_channel]` buffer, starting from
+//!    `+0.0` and adding in fixed ascending `(row_split, col_split)` order,
+//!    then transposes it once into the CHW output — every output element
+//!    sees the same f32 additions in the same order on the serial,
+//!    image-parallel and tile-parallel paths.
+//!
+//! ## Data path
+//!
+//! Per analog layer, a padded layer's input is copied once into a
+//! zero-bordered per-worker buffer, so every im2col window lies inside it
+//! and is gathered as contiguous `kw`-wide tap rows
+//! ([`ops::im2col_patch`]'s interior path). Per image, nodes read their
+//! inputs by reference and each activation is dropped after its last
+//! consumer, so no activation is cloned and an image keeps alive only what
+//! a later node still reads.
 
 use crate::executor::{check_weights, ExecError, Executor};
 use crate::graph::Graph;
@@ -39,7 +52,7 @@ use crate::layer::{ConvCfg, LayerKind};
 use crate::ops::{self, ceil_split};
 use crate::tensor::{Shape, Tensor};
 use crate::weights::Weights;
-use aimc_parallel::{map_with, try_map_indexed, try_map_with, Parallelism};
+use aimc_parallel::{map_with, try_map_indexed, Parallelism};
 use aimc_xbar::stream::stream_seed;
 use aimc_xbar::{Crossbar, MvmScratch, XbarConfig, XbarError, DAC_BATCH};
 use rand::rngs::StdRng;
@@ -48,14 +61,19 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Reusable per-worker buffers for the MVM hot loop: up to [`DAC_BATCH`]
-/// im2col patches, their per-tile row slices, the per-tile output slab, and
-/// the crossbar kernels' own [`MvmScratch`]. One scratch lives per worker
-/// thread (or one per executor call in serial mode) and is recycled across
-/// every patch, tile, layer, and image that worker touches — the hot loop
-/// allocates nothing.
+/// Reusable per-worker buffers for an analog layer: the zero-padded layer
+/// input, up to [`DAC_BATCH`] im2col patches, their per-tile row slices,
+/// the per-tile output slab, the layer's pixel-major partial-sum
+/// accumulator, and the crossbar kernels' own [`MvmScratch`]. One scratch
+/// lives per worker thread (or one per executor call in serial mode) and
+/// is recycled across every patch, tile, layer, and image that worker
+/// touches — once warm, the per-patch loop allocates nothing and a layer
+/// allocates only its output tensor.
 #[derive(Debug, Default)]
 struct InferScratch {
+    /// The layer input with a `pad`-wide zero border, so every im2col
+    /// window lies inside it (padded layers only).
+    padded: Vec<f32>,
     /// Up to [`DAC_BATCH`] concatenated im2col patches, each sized to the
     /// largest `xbar_rows()` among analog layers.
     patch: Vec<f32>,
@@ -64,13 +82,16 @@ struct InferScratch {
     /// Per-tile MVM outputs for the batch, sized to the largest column
     /// chunk × [`DAC_BATCH`].
     col: Vec<f32>,
+    /// The layer's `[pixel][out_channel]` sums of tile outputs, transposed
+    /// once into the CHW output.
+    acc: Vec<f32>,
     /// Kernel-internal buffers (quantized inputs, row masks, accumulators).
     mvm: MvmScratch,
 }
 
 impl InferScratch {
-    /// Grows the buffers to cover a layer with `rows` patch elements and
-    /// `max_cols` output columns (no-op once warm).
+    /// Grows the patch buffers to cover a layer with `rows` patch elements
+    /// and `max_cols` output columns (no-op once warm).
     fn reserve(&mut self, rows: usize, max_cols: usize) {
         if self.patch.len() < DAC_BATCH * rows {
             self.patch.resize(DAC_BATCH * rows, 0.0);
@@ -80,6 +101,32 @@ impl InferScratch {
         }
         if self.col.len() < DAC_BATCH * max_cols {
             self.col.resize(DAC_BATCH * max_cols, 0.0);
+        }
+    }
+
+    /// Copies `x` into the padded buffer with a `pad`-wide zero border and
+    /// lends it out as a tensor; put its buffer back into `padded` to keep
+    /// the allocation.
+    fn take_padded(&mut self, x: &Tensor, pad: usize) -> Tensor {
+        let s = x.shape();
+        let ps = Shape::new(s.c, s.h + 2 * pad, s.w + 2 * pad);
+        let mut buf = std::mem::take(&mut self.padded);
+        buf.clear();
+        buf.resize(ps.numel(), 0.0);
+        for (i, row) in x.data().chunks_exact(s.w).enumerate() {
+            let at = (i / s.h * ps.h + i % s.h + pad) * ps.w + pad;
+            buf[at..at + s.w].copy_from_slice(row);
+        }
+        Tensor::from_vec(ps, buf)
+    }
+}
+
+/// Adds a tile's `[pixel][cl]` outputs into output channels `c0 .. c0 + cl`
+/// of the `[pixel][cout]` accumulator `acc`.
+fn accumulate(acc: &mut [f32], cout: usize, (c0, cl): (usize, usize), tile_out: &[f32]) {
+    for (sums, outs) in acc.chunks_exact_mut(cout).zip(tile_out.chunks_exact(cl)) {
+        for (sum, &v) in sums[c0..c0 + cl].iter_mut().zip(outs) {
+            *sum += v;
         }
     }
 }
@@ -153,14 +200,36 @@ impl AnalogLayer {
     /// on every tile, making the noise independent of evaluation order.
     /// With a parallel setting and more than one tile, tiles are evaluated
     /// concurrently and merged in the serial reduction order.
+    ///
+    /// A padded layer first copies its input once into the scratch's
+    /// zero-bordered buffer and gathers every patch from there with
+    /// `pad: 0`, so no window takes im2col's bounds-checked border path.
+    /// Tile outputs are summed pixel-major into the scratch accumulator and
+    /// transposed once into the CHW output.
     fn conv(&self, x: &Tensor, img: u64, scratch: &mut InferScratch, par: Parallelism) -> Tensor {
         let outs = self.cfg.out_shape(x.shape());
-        let n_tiles = self.row_chunks.len() * self.col_chunks.len();
-        let mut y = if par.is_parallel() && n_tiles > 1 {
-            self.conv_tiles_parallel(x, img, outs, par)
-        } else {
-            self.conv_serial(x, img, outs, scratch)
+        let padded = (self.cfg.pad > 0).then(|| scratch.take_padded(x, self.cfg.pad));
+        let (src, cfg) = match &padded {
+            Some(p) => (p, ConvCfg { pad: 0, ..self.cfg }),
+            None => (x, self.cfg),
         };
+        scratch.acc.clear();
+        scratch.acc.resize(outs.numel(), 0.0);
+        let n_tiles = self.row_chunks.len() * self.col_chunks.len();
+        if par.is_parallel() && n_tiles > 1 {
+            self.conv_tiles_parallel(src, &cfg, img, outs, &mut scratch.acc, par);
+        } else {
+            self.conv_serial(src, &cfg, img, outs, scratch);
+        }
+        if let Some(p) = padded {
+            scratch.padded = p.into_vec();
+        }
+        // Transpose the `[pixel][out_channel]` sums into CHW.
+        let mut y = Vec::with_capacity(outs.numel());
+        for oc in 0..outs.c {
+            y.extend(scratch.acc[oc..].iter().step_by(outs.c));
+        }
+        let mut y = Tensor::from_vec(outs, y);
         if self.cfg.relu {
             ops::relu_inplace(&mut y);
         }
@@ -168,7 +237,9 @@ impl AnalogLayer {
     }
 
     /// The reference single-thread evaluation (also the per-image body under
-    /// image-level parallelism).
+    /// image-level parallelism), gathering patches from `x` with `cfg` (the
+    /// layer's geometry, padding already applied to `x`) and summing tile
+    /// outputs into `scratch.acc`.
     ///
     /// Output pixels are evaluated in chunks of up to [`DAC_BATCH`] patches
     /// per tile through [`Crossbar::mvm_batch_into_with`], which is
@@ -176,9 +247,15 @@ impl AnalogLayer {
     /// carries its own explicit invocation coordinate). Per output element
     /// the digital reduction still runs in ascending `(row_split,
     /// col_split)` order, so the f32 sums match the unbatched loop exactly.
-    fn conv_serial(&self, x: &Tensor, img: u64, outs: Shape, scratch: &mut InferScratch) -> Tensor {
-        let mut y = Tensor::zeros(outs);
-        let rows = self.cfg.xbar_rows();
+    fn conv_serial(
+        &self,
+        x: &Tensor,
+        cfg: &ConvCfg,
+        img: u64,
+        outs: Shape,
+        scratch: &mut InferScratch,
+    ) {
+        let rows = cfg.xbar_rows();
         scratch.reserve(rows, self.max_col_chunk());
         let n_pix = outs.h * outs.w;
         let single_row_chunk = self.row_chunks.len() == 1;
@@ -189,13 +266,7 @@ impl AnalogLayer {
                 let pix = p0 + p;
                 let (oh, ow) = (pix / outs.w, pix % outs.w);
                 *inv = (img * n_pix as u64) + pix as u64;
-                ops::im2col_patch(
-                    x,
-                    &self.cfg,
-                    oh,
-                    ow,
-                    &mut scratch.patch[p * rows..(p + 1) * rows],
-                );
+                ops::im2col_patch(x, cfg, oh, ow, &mut scratch.patch[p * rows..(p + 1) * rows]);
             }
             for (ri, &(r0, rl)) in self.row_chunks.iter().enumerate() {
                 // Row-split layers gather each tile's row slice of every
@@ -210,32 +281,32 @@ impl AnalogLayer {
                     }
                     &scratch.xs[..k * rl]
                 };
-                for (ci, &(c0, cl)) in self.col_chunks.iter().enumerate() {
-                    let out = &mut scratch.col[..k * cl];
+                for (ci, &chunk) in self.col_chunks.iter().enumerate() {
+                    let out = &mut scratch.col[..k * chunk.1];
                     self.tiles[ri][ci]
                         .mvm_batch_into_with(xin, out, &invocations[..k], &mut scratch.mvm)
                         .expect("programmed dimensions are consistent");
-                    for p in 0..k {
-                        let pix = p0 + p;
-                        let (oh, ow) = (pix / outs.w, pix % outs.w);
-                        for (c, &v) in out[p * cl..(p + 1) * cl].iter().enumerate() {
-                            let oc = c0 + c;
-                            // Digital reduction of row-split partials.
-                            let cur = y.get(oc, oh, ow);
-                            y.set(oc, oh, ow, cur + v);
-                        }
-                    }
+                    // Digital reduction of row-split partials.
+                    let sums = &mut scratch.acc[p0 * outs.c..(p0 + k) * outs.c];
+                    accumulate(sums, outs.c, chunk, out);
                 }
             }
         }
-        y
     }
 
     /// Tile-level parallel evaluation: each tile sweeps all output pixels
-    /// into a private partial plane; planes are then merged in
+    /// into a private partial plane; planes are then summed into `acc` in
     /// `(row_split, col_split)` order — the exact f32 addition order of
     /// [`AnalogLayer::conv_serial`] — so the result is bit-identical.
-    fn conv_tiles_parallel(&self, x: &Tensor, img: u64, outs: Shape, par: Parallelism) -> Tensor {
+    fn conv_tiles_parallel(
+        &self,
+        x: &Tensor,
+        cfg: &ConvCfg,
+        img: u64,
+        outs: Shape,
+        acc: &mut [f32],
+        par: Parallelism,
+    ) {
         let max_rl = self.row_chunks.iter().map(|c| c.1).max().unwrap_or(0);
         let n_pix = outs.h * outs.w;
         let descs: Vec<(usize, usize)> = (0..self.row_chunks.len())
@@ -266,7 +337,7 @@ impl AnalogLayer {
                         // in hardware), not the full patch.
                         ops::im2col_patch_range(
                             x,
-                            &self.cfg,
+                            cfg,
                             oh,
                             ow,
                             r0,
@@ -285,21 +356,9 @@ impl AnalogLayer {
             },
         );
 
-        let mut y = Tensor::zeros(outs);
         for (&(_, ci), plane) in descs.iter().zip(&planes) {
-            let (c0, cl) = self.col_chunks[ci];
-            for oh in 0..outs.h {
-                for ow in 0..outs.w {
-                    let p = oh * outs.w + ow;
-                    for k in 0..cl {
-                        let oc = c0 + k;
-                        let cur = y.get(oc, oh, ow);
-                        y.set(oc, oh, ow, cur + plane[p * cl + k]);
-                    }
-                }
-            }
+            accumulate(acc, outs.c, self.col_chunks[ci], plane);
         }
-        y
     }
 
     fn total_mvms(&self) -> u64 {
@@ -330,6 +389,10 @@ pub struct AimcExecutor {
     graph: Arc<Graph>,
     weights: Arc<Weights>,
     analog: HashMap<usize, AnalogLayer>,
+    /// `last_use[id]`: the last node that reads node `id`'s activation (`id`
+    /// itself when none does); [`AimcExecutor::run_image`] frees each
+    /// activation right after it.
+    last_use: Vec<usize>,
     xbar_cfg: XbarConfig,
     /// Images started so far — the base of each image's invocation
     /// coordinates. Atomic so batches and concurrent callers claim disjoint
@@ -422,10 +485,18 @@ impl AimcExecutor {
                 );
             }
         }
+        // Nodes are in topological id order, so the last write wins.
+        let mut last_use: Vec<usize> = (0..graph.len()).collect();
+        for node in graph.nodes() {
+            for &p in &node.inputs {
+                last_use[p] = node.id;
+            }
+        }
         Ok(AimcExecutor {
             graph,
             weights,
             analog,
+            last_use,
             xbar_cfg: xbar_cfg.clone(),
             images_seen: AtomicU64::new(0),
             parallelism: par,
@@ -498,6 +569,25 @@ impl AimcExecutor {
         }
     }
 
+    /// Checks every input against the graph's input shape, failing with
+    /// [`ExecError::ShapeMismatch`] on the first mismatch. Every entry
+    /// point checks its whole batch here before it claims a coordinate, so
+    /// a rejected call neither counts as evaluated nor shifts later calls'
+    /// noise streams.
+    fn check_inputs<'a>(
+        &self,
+        inputs: impl IntoIterator<Item = &'a Tensor>,
+    ) -> Result<(), ExecError> {
+        let expected = self.graph.input_shape();
+        match inputs.into_iter().find(|x| x.shape() != expected) {
+            Some(x) => Err(ExecError::ShapeMismatch {
+                expected,
+                got: x.shape(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Runs one image through the network.
     ///
     /// Claims the next image coordinate from the internal counter, so a
@@ -506,11 +596,12 @@ impl AimcExecutor {
     ///
     /// # Errors
     /// [`ExecError::ShapeMismatch`] if the input does not match the graph's
-    /// input shape.
+    /// input shape; the call then claims no coordinate.
     pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ExecError> {
+        self.check_inputs([input])?;
         let img = self.images_seen.fetch_add(1, Ordering::Relaxed);
         let mut scratch = InferScratch::default();
-        self.run_image(input, img, &mut scratch, self.parallelism)
+        Ok(self.run_image(input, img, &mut scratch, self.parallelism))
     }
 
     /// Runs a batch of images, parallelizing across images when `par`
@@ -523,7 +614,7 @@ impl AimcExecutor {
     ///
     /// # Errors
     /// [`ExecError::ShapeMismatch`] on the first (lowest-index) mismatched
-    /// input.
+    /// input; the call then claims no coordinate and evaluates nothing.
     pub fn try_infer_batch(
         &self,
         inputs: &[Tensor],
@@ -532,6 +623,7 @@ impl AimcExecutor {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
+        self.check_inputs(inputs)?;
         let base = self
             .images_seen
             .fetch_add(inputs.len() as u64, Ordering::Relaxed);
@@ -578,12 +670,13 @@ impl AimcExecutor {
     ///
     /// # Errors
     /// [`ExecError::ShapeMismatch`] on the first (lowest-index) mismatched
-    /// item.
+    /// item; the call then leaves the counter alone and evaluates nothing.
     pub fn try_infer_batch_indexed(
         &self,
         items: &[(u64, &Tensor)],
         par: Parallelism,
     ) -> Result<Vec<Tensor>, ExecError> {
+        self.check_inputs(items.iter().map(|&(_, x)| x))?;
         let Some(max_coord) = items.iter().map(|&(k, _)| k).max() else {
             return Ok(Vec::new());
         };
@@ -591,16 +684,16 @@ impl AimcExecutor {
         if items.len() == 1 {
             let (img, x) = items[0];
             let mut scratch = InferScratch::default();
-            return Ok(vec![self.run_image(x, img, &mut scratch, par)?]);
+            return Ok(vec![self.run_image(x, img, &mut scratch, par)]);
         }
         // Image-level parallelism: each image runs serially inside (one
         // scratch per worker), images spread across workers.
-        try_map_with(
+        Ok(map_with(
             par,
             items,
             InferScratch::default,
             |scratch, _, &(img, x)| self.run_image(x, img, scratch, Parallelism::Serial),
-        )
+        ))
     }
 
     /// Images started so far — equivalently, the next image coordinate a
@@ -609,49 +702,32 @@ impl AimcExecutor {
         self.images_seen.load(Ordering::Relaxed)
     }
 
-    /// Atomically claims the next `n` image coordinates, returning the
-    /// base of the claimed range. Serving layers claim here and evaluate
-    /// via [`AimcExecutor::try_infer_batch_at`]; because the claim is a
-    /// single `fetch_add`, concurrent claimers (another handle, an
-    /// interleaved counter-claiming infer) can never alias a coordinate —
-    /// unlike a read-then-run of [`AimcExecutor::images_seen`].
-    pub fn claim_images(&self, n: u64) -> u64 {
-        self.images_seen.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// One image at an explicit image coordinate (shared by the serial and
-    /// batch paths).
+    /// One image, already checked against the graph's input shape, at an
+    /// explicit image coordinate (shared by the serial and batch paths).
+    ///
+    /// Nodes read their inputs by reference; each activation is dropped
+    /// right after its last consumer (`last_use`), so an image holds only
+    /// the activations some later node still needs.
     fn run_image(
         &self,
         input: &Tensor,
         img: u64,
         scratch: &mut InferScratch,
         par: Parallelism,
-    ) -> Result<Tensor, ExecError> {
-        if input.shape() != self.graph.input_shape() {
-            return Err(ExecError::ShapeMismatch {
-                expected: self.graph.input_shape(),
-                got: input.shape(),
-            });
-        }
-        let mut outs: Vec<Tensor> = Vec::with_capacity(self.graph.len());
+    ) -> Tensor {
+        let mut outs: Vec<Option<Tensor>> = vec![None; self.graph.len()];
         for node in self.graph.nodes() {
-            let fetch = |slot: usize, outs: &[Tensor]| -> Tensor {
+            let arg = |slot: usize| -> &Tensor {
                 match node.inputs.get(slot) {
-                    Some(&p) => outs[p].clone(),
-                    None => input.clone(),
+                    Some(&p) => outs[p].as_ref().expect("read before its last use"),
+                    None => input,
                 }
             };
             let id = node.id;
+            let analog = || self.analog.get(&id).expect("analog layer programmed");
             let y = match &node.kind {
                 LayerKind::Input => input.clone(),
-                LayerKind::Conv(_) => {
-                    let x = fetch(0, &outs);
-                    self.analog
-                        .get(&id)
-                        .expect("analog layer programmed")
-                        .conv(&x, img, scratch, par)
-                }
+                LayerKind::Conv(_) => analog().conv(arg(0), img, scratch, par),
                 LayerKind::DepthwiseConv(cfg) => {
                     // Depthwise runs digitally on the CORES (block-diagonal
                     // weights waste crossbar cells).
@@ -659,39 +735,32 @@ impl AimcExecutor {
                         .weights
                         .get(id)
                         .unwrap_or_else(|| panic!("missing weights for node {id}"));
-                    ops::depthwise_conv2d(&fetch(0, &outs), w, cfg)
+                    ops::depthwise_conv2d(arg(0), w, cfg)
                 }
-                LayerKind::MaxPool { k, stride, pad } => {
-                    ops::maxpool2d(&fetch(0, &outs), *k, *stride, *pad)
-                }
-                LayerKind::GlobalAvgPool => ops::global_avgpool(&fetch(0, &outs)),
-                LayerKind::Linear { out_features, .. } => {
-                    let x = fetch(0, &outs);
-                    let flat = Tensor::from_vec(Shape::new(x.shape().numel(), 1, 1), x.into_vec());
-                    let y = self
-                        .analog
-                        .get(&id)
-                        .expect("analog layer programmed")
-                        .conv(&flat, img, scratch, par);
-                    Tensor::from_vec(Shape::new(*out_features, 1, 1), y.into_vec())
+                LayerKind::MaxPool { k, stride, pad } => ops::maxpool2d(arg(0), *k, *stride, *pad),
+                LayerKind::GlobalAvgPool => ops::global_avgpool(arg(0)),
+                LayerKind::Linear { .. } => {
+                    let x = arg(0);
+                    let flat =
+                        Tensor::from_vec(Shape::new(x.shape().numel(), 1, 1), x.data().to_vec());
+                    analog().conv(&flat, img, scratch, par)
                 }
                 LayerKind::Residual { projection } => {
-                    let main = fetch(0, &outs);
-                    let skip = fetch(1, &outs);
-                    let skip = match projection {
-                        Some(_) => self
-                            .analog
-                            .get(&id)
-                            .expect("projection programmed")
-                            .conv(&skip, img, scratch, par),
-                        None => skip,
-                    };
-                    ops::add(&main, &skip, true)
+                    let (main, skip) = (arg(0), arg(1));
+                    match projection {
+                        Some(_) => ops::add(main, &analog().conv(skip, img, scratch, par), true),
+                        None => ops::add(main, skip, true),
+                    }
                 }
             };
-            outs.push(y);
+            for &p in &node.inputs {
+                if self.last_use[p] == id {
+                    outs[p] = None;
+                }
+            }
+            outs[id] = Some(y);
         }
-        Ok(outs.pop().expect("non-empty graph"))
+        outs.pop().flatten().expect("non-empty graph")
     }
 
     /// Runs one image through the network (panicking convenience over
@@ -1000,6 +1069,44 @@ mod tests {
         assert_eq!(b.try_infer(&images[1]).unwrap(), second);
         let mvms = a.total_mvms();
         assert_eq!(mvms, b.total_mvms(), "empty batches must not evaluate MVMs");
+    }
+
+    /// Regression: every entry point validates its whole batch before it
+    /// claims a coordinate, so a rejected call neither counts MVMs nor
+    /// shifts the noise streams of later calls.
+    #[test]
+    fn rejected_inputs_claim_no_coordinates() {
+        let g = small_cnn();
+        let w = he_init(&g, 4);
+        let cfg = XbarConfig::hermes_256().with_size(32, 4);
+        let good: Vec<Tensor> = (0..2)
+            .map(|i| random_image(g.input_shape(), 20 + i))
+            .collect();
+        let bad = Tensor::zeros(Shape::new(3, 4, 4));
+        let mixed = [good[0].clone(), bad.clone()];
+        let exec = AimcExecutor::try_program(&g, &w, &cfg, 6).unwrap();
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let rejected = [
+                exec.try_infer(&bad).map(|y| vec![y]),
+                exec.try_infer_batch(&mixed, par),
+                exec.try_infer_batch_at(&mixed, 40, par),
+                exec.try_infer_batch_indexed(&[(9, &good[0]), (3, &bad)], par),
+            ];
+            for r in rejected {
+                assert!(
+                    matches!(r, Err(ExecError::ShapeMismatch { got, .. }) if got == bad.shape())
+                );
+            }
+            assert_eq!(exec.images_seen(), 0, "{par:?}: a rejected call claimed");
+            assert_eq!(exec.total_mvms(), 0, "{par:?}: a rejected call evaluated");
+        }
+        let fresh = AimcExecutor::try_program(&g, &w, &cfg, 6).unwrap();
+        assert_eq!(exec.try_infer(&good[0]), fresh.try_infer(&good[0]));
+        assert_eq!(
+            exec.try_infer_batch(&good, Parallelism::Threads(2)),
+            fresh.try_infer_batch(&good, Parallelism::Threads(2))
+        );
+        assert_eq!(exec.images_seen(), 3);
     }
 
     /// The tentpole invariant at the executor level: chopping a request

@@ -190,12 +190,52 @@ pub fn relu_inplace(x: &mut Tensor) {
     }
 }
 
+/// Offset in `x`'s data of the first tap of output pixel `(oh, ow)`'s
+/// window when the whole window lies inside the input, `None` when it
+/// touches the zero padding.
+fn interior_window(ins: Shape, cfg: &ConvCfg, oh: usize, ow: usize) -> Option<usize> {
+    let ih0 = (oh * cfg.stride).checked_sub(cfg.pad)?;
+    let iw0 = (ow * cfg.stride).checked_sub(cfg.pad)?;
+    (ih0 + cfg.kh <= ins.h && iw0 + cfg.kw <= ins.w).then_some(ih0 * ins.w + iw0)
+}
+
+/// Copies an interior window of `KW`-wide taps from `src` (starting at the
+/// window's first tap) into `out`, one contiguous tap row per
+/// `(channel, kernel row)`.
+fn copy_taps<const KW: usize>(src: &[f32], ins: Shape, kh: usize, out: &mut [f32]) {
+    let plane = ins.h * ins.w;
+    for (ic, chan) in out.chunks_exact_mut(kh * KW).enumerate() {
+        for (r, taps) in chan.chunks_exact_mut(KW).enumerate() {
+            let at = ic * plane + r * ins.w;
+            taps.copy_from_slice(&src[at..at + KW]);
+        }
+    }
+}
+
 /// Extracts the im2col patch for output pixel `(oh, ow)` into `out`, using
 /// the crossbar row ordering `row = (ic·kh + r)·kw + s` — the same layout
 /// [`crate::AimcExecutor`] programs weights with.
+///
+/// A window inside the input is copied `kw` contiguous taps at a time
+/// (specialized for 1- and 3-wide kernels); only windows that touch the
+/// zero padding take the bounds-checked element loop.
 pub fn im2col_patch(x: &Tensor, cfg: &ConvCfg, oh: usize, ow: usize, out: &mut [f32]) {
     let ins = x.shape();
     debug_assert_eq!(out.len(), cfg.xbar_rows());
+    if let Some(at) = interior_window(ins, cfg, oh, ow) {
+        let src = &x.data()[at..];
+        match cfg.kw {
+            1 => copy_taps::<1>(src, ins, cfg.kh, out),
+            3 => copy_taps::<3>(src, ins, cfg.kh, out),
+            kw => {
+                for (row, taps) in out.chunks_exact_mut(kw).enumerate() {
+                    let at = (row / cfg.kh * ins.h + row % cfg.kh) * ins.w;
+                    taps.copy_from_slice(&src[at..at + kw]);
+                }
+            }
+        }
+        return;
+    }
     let ih0 = (oh * cfg.stride) as isize - cfg.pad as isize;
     let iw0 = (ow * cfg.stride) as isize - cfg.pad as isize;
     let mut idx = 0;
@@ -218,6 +258,7 @@ pub fn im2col_patch(x: &Tensor, cfg: &ConvCfg, oh: usize, ow: usize, out: &mut [
 /// Like [`im2col_patch`] but extracting only crossbar rows
 /// `r0 .. r0 + out.len()` — exactly the slice a row-split tile consumes, so
 /// the tile-parallel executor never builds patch elements it will not read.
+/// Interior windows are copied tap row by tap row here too.
 pub fn im2col_patch_range(
     x: &Tensor,
     cfg: &ConvCfg,
@@ -228,6 +269,22 @@ pub fn im2col_patch_range(
 ) {
     let ins = x.shape();
     debug_assert!(r0 + out.len() <= cfg.xbar_rows());
+    if let Some(at) = interior_window(ins, cfg, oh, ow) {
+        let src = &x.data()[at..];
+        // Tap row `row = ic·kh + r`, starting `s` taps in.
+        let (mut row, mut s) = (r0 / cfg.kw, r0 % cfg.kw);
+        let mut rest = out;
+        while !rest.is_empty() {
+            let n = (cfg.kw - s).min(rest.len());
+            let from = (row / cfg.kh * ins.h + row % cfg.kh) * ins.w + s;
+            let (taps, tail) = rest.split_at_mut(n);
+            taps.copy_from_slice(&src[from..from + n]);
+            rest = tail;
+            row += 1;
+            s = 0;
+        }
+        return;
+    }
     let ih0 = (oh * cfg.stride) as isize - cfg.pad as isize;
     let iw0 = (ow * cfg.stride) as isize - cfg.pad as isize;
     // Decompose the first row index once, then step through (ic, r, s).
@@ -491,23 +548,79 @@ mod tests {
 
     #[test]
     fn im2col_range_matches_full_patch() {
-        // Every (start, len) slice of the range extractor must agree with
-        // the corresponding window of the full patch, including padding.
-        let cfg = ConvCfg::k3(3, 4, 2); // stride 2 exercises pad offsets
-        let x = Tensor::from_vec(
-            Shape::new(3, 5, 5),
-            (0..75).map(|i| (i as f32) * 0.07 - 2.0).collect(),
-        );
-        let rows = cfg.xbar_rows();
-        let mut full = vec![0.0f32; rows];
-        let outs = cfg.out_shape(x.shape());
-        for oh in 0..outs.h {
-            for ow in 0..outs.w {
-                im2col_patch(&x, &cfg, oh, ow, &mut full);
-                for (r0, rl) in [(0, rows), (5, 13), (9, 9), (rows - 1, 1)] {
-                    let mut part = vec![0.0f32; rl];
-                    im2col_patch_range(&x, &cfg, oh, ow, r0, &mut part);
-                    assert_eq!(&part[..], &full[r0..r0 + rl], "slice ({r0}, {rl})");
+        // Both extractors against a bounds-checked loop, element for
+        // element, over kernel, stride and pad geometries on inputs small
+        // enough that border windows dominate. Every range slice starting
+        // at each row (a partial first tap row), of length 1, of a tap row
+        // and a bit, and to the end must agree too.
+        for (h, w) in [(1, 1), (4, 4), (5, 7)] {
+            let x = Tensor::from_vec(
+                Shape::new(2, h, w),
+                (0..2 * h * w).map(|i| (i as f32) * 0.07 - 2.0).collect(),
+            );
+            for (kh, kw) in [
+                (1, 1),
+                (3, 3),
+                (5, 5),
+                (7, 7),
+                (3, 1),
+                (1, 3),
+                (3, 5),
+                (5, 3),
+            ] {
+                for stride in [1, 2] {
+                    for pad in 0..=3 {
+                        if h + 2 * pad < kh || w + 2 * pad < kw {
+                            continue;
+                        }
+                        let cfg = ConvCfg {
+                            in_ch: 2,
+                            out_ch: 1,
+                            kh,
+                            kw,
+                            stride,
+                            pad,
+                            relu: false,
+                        };
+                        let geom = format!("{h}x{w} k{kh}x{kw} s{stride} p{pad}");
+                        let rows = cfg.xbar_rows();
+                        let outs = cfg.out_shape(x.shape());
+                        let mut full = vec![f32::NAN; rows];
+                        for oh in 0..outs.h {
+                            for ow in 0..outs.w {
+                                let mut want = Vec::with_capacity(rows);
+                                for ic in 0..2 {
+                                    for r in 0..kh {
+                                        for s in 0..kw {
+                                            let ih = (oh * stride + r) as isize - pad as isize;
+                                            let iw = (ow * stride + s) as isize - pad as isize;
+                                            let inside = (0..h as isize).contains(&ih)
+                                                && (0..w as isize).contains(&iw);
+                                            want.push(if inside {
+                                                x.get(ic, ih as usize, iw as usize)
+                                            } else {
+                                                0.0
+                                            });
+                                        }
+                                    }
+                                }
+                                im2col_patch(&x, &cfg, oh, ow, &mut full);
+                                assert_eq!(full, want, "{geom} at ({oh}, {ow})");
+                                for r0 in 0..rows {
+                                    for rl in [1, kw + 1, rows - r0] {
+                                        let rl = rl.min(rows - r0);
+                                        let mut part = vec![f32::NAN; rl];
+                                        im2col_patch_range(&x, &cfg, oh, ow, r0, &mut part);
+                                        assert_eq!(
+                                            part,
+                                            want[r0..r0 + rl],
+                                            "{geom} at ({oh}, {ow}), slice ({r0}, {rl})"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

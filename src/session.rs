@@ -967,11 +967,12 @@ impl Session {
                     // survives drift untouched and resets with
                     // reprogramming, exactly like a solo-infer stream
                     // through the same transitions (fleet shards are the
-                    // opposite: the router owns the numbering). The claim
-                    // is atomic, so even a concurrent counter-claiming
-                    // infer can never alias a coordinate.
-                    let base = exec.claim_images(inputs.len() as u64);
-                    exec.try_infer_batch_at(inputs, base, par)
+                    // opposite: the router owns the numbering). The batch
+                    // claims its coordinates atomically, so even a
+                    // concurrent counter-claiming infer can never alias
+                    // one, and only after every input passed the shape
+                    // check, so a rejected batch shifts no later stream.
+                    exec.try_infer_batch(inputs, par)
                 })
             }
         };

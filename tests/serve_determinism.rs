@@ -287,3 +287,30 @@ fn serve_requires_a_programmed_backend_and_reports_stats() {
     assert!(stats.max_batch_observed <= 2);
     assert_eq!(stats.queue_waits.len(), 5);
 }
+
+/// A request rejected for its input shape claims no stream coordinate,
+/// through `Session::infer` and through a served batch alike: the good
+/// requests after it get exactly the logits of a stream that never saw it.
+#[test]
+fn rejected_inputs_shift_no_stream() {
+    let backend = noisy_backend();
+    let images = random_images(2, 5);
+    let bad = Tensor::zeros(Shape::new(3, 4, 4));
+    let want = solo_logits(&backend, &images);
+
+    let mut s = session();
+    assert!(s
+        .infer(&[images[0].clone(), bad.clone()], backend.clone())
+        .is_err());
+    assert_eq!((s.images_seen(), s.total_mvms()), (0, 0));
+    let handle = s
+        .serve(BatchPolicy::new(1, Duration::from_millis(1)))
+        .unwrap();
+    assert!(handle.submit(bad).unwrap().wait().is_err());
+    let got: Vec<Tensor> = images
+        .iter()
+        .map(|x| handle.submit(x.clone()).unwrap().wait().unwrap())
+        .collect();
+    handle.shutdown();
+    assert_eq!(got, want, "a rejected request shifted the stream");
+}
