@@ -199,6 +199,12 @@ fn interior_window(ins: Shape, cfg: &ConvCfg, oh: usize, ow: usize) -> Option<us
     (ih0 + cfg.kh <= ins.h && iw0 + cfg.kw <= ins.w).then_some(ih0 * ins.w + iw0)
 }
 
+/// Offset of tap row `row = ic·kh + r` of an interior window from the
+/// window's first tap.
+fn tap_row(ins: Shape, kh: usize, row: usize) -> usize {
+    (row / kh * ins.h + row % kh) * ins.w
+}
+
 /// Copies an interior window of `KW`-wide taps from `src` (starting at the
 /// window's first tap) into `out`, one contiguous tap row per
 /// `(channel, kernel row)`.
@@ -229,7 +235,7 @@ pub fn im2col_patch(x: &Tensor, cfg: &ConvCfg, oh: usize, ow: usize, out: &mut [
             3 => copy_taps::<3>(src, ins, cfg.kh, out),
             kw => {
                 for (row, taps) in out.chunks_exact_mut(kw).enumerate() {
-                    let at = (row / cfg.kh * ins.h + row % cfg.kh) * ins.w;
+                    let at = tap_row(ins, cfg.kh, row);
                     taps.copy_from_slice(&src[at..at + kw]);
                 }
             }
@@ -271,12 +277,12 @@ pub fn im2col_patch_range(
     debug_assert!(r0 + out.len() <= cfg.xbar_rows());
     if let Some(at) = interior_window(ins, cfg, oh, ow) {
         let src = &x.data()[at..];
-        // Tap row `row = ic·kh + r`, starting `s` taps in.
+        // Tap row `row`, starting `s` taps in.
         let (mut row, mut s) = (r0 / cfg.kw, r0 % cfg.kw);
         let mut rest = out;
         while !rest.is_empty() {
             let n = (cfg.kw - s).min(rest.len());
-            let from = (row / cfg.kh * ins.h + row % cfg.kh) * ins.w + s;
+            let from = tap_row(ins, cfg.kh, row) + s;
             let (taps, tail) = rest.split_at_mut(n);
             taps.copy_from_slice(&src[from..from + n]);
             rest = tail;
