@@ -931,7 +931,8 @@ mod tests {
 
     /// The mixing contract: external indices below the handle-owned
     /// counter's watermark are a coordinate-aliasing bug, caught by the
-    /// debug assertion.
+    /// debug assertion (so the test exists only where the check does).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "collides with the handle-owned counter")]
     fn submit_at_below_internal_watermark_is_rejected() {

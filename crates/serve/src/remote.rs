@@ -21,11 +21,24 @@
 //! index twice between reprogram rewinds), so replies may arrive
 //! interleaved with control replies on one connection. Control commands
 //! are strictly one-outstanding-at-a-time (serialized client-side), so
-//! control replies need no id at all. Backpressure is the shard's own
-//! bounded queue: when it fills, the server stops reading frames, the
-//! byte stream fills, and the client's `submit_indexed` blocks in `write`
-//! — the same push-back a local submitter feels, propagated through the
-//! pipe.
+//! control replies need no id at all. Leases stay inside the router: a
+//! request frame carries its own index, and nothing else is sent per
+//! request.
+//!
+//! Backpressure is the shard's own bounded queue: when it fills, the
+//! server stops reading frames, its `BufReader` fills (at most 8 KiB),
+//! then the byte stream fills, and the client's `submit_indexed` blocks
+//! in `write` — the same push-back a local submitter feels, propagated
+//! through the pipe.
+//!
+//! Socket work per request is kept small:
+//!
+//! * each frame leaves in one write (prefix and payload together);
+//! * both ends read through a `BufReader` set up before the handshake, so
+//!   one `read` can yield several frames;
+//! * the server's replier waits for its oldest reply, then sends it with
+//!   every queued reply that is already complete in one write. The
+//!   replies of one write share one pressure sample, taken at write time.
 //!
 //! ## Link death, reconnect, and go-back-N replay
 //!
@@ -34,15 +47,16 @@
 //! request keeps its `(index, image)` pair buffered until its reply
 //! arrives, so when the connection drops the transport re-dials (bounded
 //! attempts with backoff, per [`RetryPolicy`]), announces itself with
-//! `Hello { resumed: true }`, and retransmits the unacknowledged tail of
-//! each lease in ascending index order — go-back-N per lease, framed by
-//! an advisory `ReplayLeases`. Replay may re-execute a request whose
-//! reply was lost in flight; that is harmless by construction, because
-//! noise is keyed by the global coordinate (re-running index `k` yields
-//! bit-identical logits) and the client ignores a reply for an index it
-//! no longer has pending. Control commands are level-based (drift to an
-//! absolute time, reprogram from the seed), so the client resends one
-//! that was cut off mid-call.
+//! `Hello { resumed: true }`, and retransmits every unacknowledged
+//! request in ascending index order — go-back-N. A lease routes whole to
+//! one shard, so this is each lease's unacknowledged tail, and the server
+//! needs no lease information to serve it. Replay may re-execute a
+//! request whose reply was lost in flight; that is harmless by
+//! construction, because noise is keyed by the global coordinate
+//! (re-running index `k` yields bit-identical logits) and the client
+//! ignores a reply for an index it no longer has pending. Control
+//! commands are level-based (drift to an absolute time, reprogram from
+//! the seed), so the client resends one that was cut off mid-call.
 //!
 //! When the retry budget is exhausted the transport closes and parks its
 //! unacknowledged requests as [`Orphan`]s instead of cancelling them —
@@ -56,11 +70,11 @@ use crate::transport::{Orphan, ShardTransport};
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
 use aimc_wire::{
-    read_frame, write_frame, Frame, IndexLease, ReplyError, ShardReply, ShardRequest, ShardSpec,
+    append_frame, read_frame, write_frame, Frame, ReplyError, ShardReply, ShardRequest, ShardSpec,
     WireClassStats, WireStats,
 };
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -165,13 +179,17 @@ impl ShardServer {
     /// `Shutdown`; all replies for accepted requests are written before
     /// either return.
     ///
+    /// The reader is buffered here, once for the whole session, so
+    /// callers pass the raw stream.
+    ///
     /// # Errors
     /// Protocol violations (`InvalidData`) or underlying I/O failures.
     pub fn serve_stream(
         &self,
-        mut reader: impl Read,
+        reader: impl Read,
         writer: impl Write + Send + 'static,
     ) -> io::Result<()> {
+        let mut reader = BufReader::new(reader);
         let writer = Arc::new(Mutex::new(writer));
         // Completed requests flow back on their own thread: the shard
         // fulfills tickets in FIFO dispatch order, so one replier waiting
@@ -182,34 +200,7 @@ impl ShardServer {
             let shard = Arc::clone(&self.shard);
             std::thread::Builder::new()
                 .name("aimc-shard-replier".into())
-                .spawn(move || {
-                    // Once the writer dies the channel is still drained —
-                    // each remaining Pending is waited (so serve_stream
-                    // returns only after every accepted request's shard
-                    // ticket settled) and its reply discarded.
-                    let mut writer_alive = true;
-                    for (global_index, pending) in rx {
-                        let outcome = match pending.wait() {
-                            Ok(t) => Ok(t),
-                            Err(e) => Err(reply_error(e)),
-                        };
-                        if !writer_alive {
-                            continue;
-                        }
-                        // ECN-style marking: each reply carries the
-                        // shard's pressure bit at write time (level-
-                        // triggered, like a switch marking packets while
-                        // its queue is past the threshold).
-                        let frame = Frame::Reply(ShardReply {
-                            global_index,
-                            marked: shard.load().pressure,
-                            outcome,
-                        });
-                        if write_frame(&mut *writer.lock().unwrap(), &frame).is_err() {
-                            writer_alive = false;
-                        }
-                    }
-                })
+                .spawn(move || reply_loop(&rx, &*writer, &*shard))
                 .expect("spawn shard replier")
         };
 
@@ -257,17 +248,9 @@ impl ShardServer {
                         outcome: Err(reply_error(e)),
                     }))?,
                 },
-                Frame::Lease(lease) => self.shard.grant_lease(lease),
-                // Advisory preface of a go-back-N retransmission: the
-                // leases whose unacknowledged tails follow as Requests.
-                // Replayed requests may duplicate already-executed ones;
-                // coordinate-keyed noise makes the re-execution
-                // bit-identical, and the client drops duplicate replies.
-                Frame::ReplayLeases(leases) => {
-                    for lease in leases {
-                        self.shard.grant_lease(lease);
-                    }
-                }
+                // Requests carry their own indices; a lease frame (no
+                // current client sends one) adds nothing.
+                Frame::Lease(_) => {}
                 Frame::Drain => {
                     self.shard.drain();
                     reply(&Frame::DrainDone)?;
@@ -307,6 +290,54 @@ impl ShardServer {
                 }
             }
         }
+    }
+}
+
+/// The server's replier: waits for the oldest queued reply, then sends it
+/// together with every queued reply that is already complete in one
+/// write, until the frame loop hangs up.
+///
+/// ECN-style marking: the replies of one write carry the shard's pressure
+/// bit sampled once, at write time (level-triggered, like a switch
+/// marking packets while its queue is past the threshold).
+///
+/// Once the writer dies the channel is still drained — each remaining
+/// `Pending` is waited (so `serve_stream` returns only after every
+/// accepted request's shard ticket settled) and its reply discarded.
+fn reply_loop(rx: &ReplyReceiver, writer: &Mutex<impl Write>, shard: &dyn ShardTransport) {
+    let mut writer_alive = true;
+    let mut done: Vec<(u64, Result<Tensor, ServeError>)> = Vec::new();
+    let mut buf = Vec::new();
+    let mut oldest = None;
+    while let Some((global_index, pending)) = oldest.take().or_else(|| rx.recv().ok()) {
+        done.push((global_index, pending.wait()));
+        // Sweep in queue order, stopping at the first incomplete reply:
+        // it becomes the next round's oldest.
+        while let Ok((global_index, pending)) = rx.try_recv() {
+            if !pending.is_ready() {
+                oldest = Some((global_index, pending));
+                break;
+            }
+            done.push((global_index, pending.wait()));
+        }
+        if writer_alive {
+            let marked = shard.load().pressure;
+            buf.clear();
+            let encoded = done.drain(..).try_for_each(|(global_index, outcome)| {
+                let frame = Frame::Reply(ShardReply {
+                    global_index,
+                    marked,
+                    outcome: outcome.map_err(reply_error),
+                });
+                append_frame(&mut buf, &frame)
+            });
+            let mut w = writer.lock().unwrap();
+            writer_alive = encoded
+                .and_then(|()| w.write_all(&buf))
+                .and_then(|()| w.flush())
+                .is_ok();
+        }
+        done.clear();
     }
 }
 
@@ -445,6 +476,11 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The read half of a live link, buffered once before the handshake: a
+/// `BufReader` dropped after the handshake would discard bytes it had
+/// already read ahead.
+type LinkReader = BufReader<Box<dyn Read + Send>>;
+
 /// A TCP [`Connect`]or: re-dials the same address.
 struct TcpConnector {
     addr: SocketAddr,
@@ -505,10 +541,6 @@ struct RemoteState {
     /// here before any frame is written, so the server never sees them;
     /// folded into [`ShardTransport::stats`] alongside the server ledger.
     infeasible: [u64; Priority::COUNT],
-    /// Leases granted to this shard, kept so a reconnect can announce the
-    /// blocks whose tails it retransmits. Pruned against `pending` when it
-    /// grows.
-    granted: Vec<IndexLease>,
     /// Whether the link currently has a live writer. `false` during an
     /// outage (between link death and a successful replay); submissions
     /// wait on `state_cv` for it rather than racing the reconnect.
@@ -660,7 +692,8 @@ impl TcpTransport {
     /// # Errors
     /// Initial dial or handshake failures.
     pub fn with_connector(connector: Box<dyn Connect>, retry: RetryPolicy) -> io::Result<Self> {
-        let (mut reader, mut writer) = connector.connect()?;
+        let (reader, mut writer) = connector.connect()?;
+        let mut reader = BufReader::new(reader);
         write_frame(&mut writer, &Frame::Hello { resumed: false })?;
         match read_frame(&mut reader)? {
             Frame::HelloAck => {}
@@ -683,11 +716,11 @@ impl TcpTransport {
     /// lifetime. No reconnect is possible on a fixed stream, so link
     /// death cancels outstanding requests.
     pub fn over(reader: impl Read + Send + 'static, writer: impl Write + Send + 'static) -> Self {
-        Self::start(Box::new(reader), Box::new(writer), None)
+        Self::start(BufReader::new(Box::new(reader)), Box::new(writer), None)
     }
 
     fn start(
-        reader: Box<dyn Read + Send>,
+        reader: LinkReader,
         writer: Box<dyn Write + Send>,
         replay: Option<ReplayConfig>,
     ) -> Self {
@@ -703,7 +736,6 @@ impl TcpTransport {
                 est_image_ns: 0,
                 last_reply_at: None,
                 infeasible: [0; Priority::COUNT],
-                granted: Vec::new(),
                 link_up: true,
                 orphans: Vec::new(),
             }),
@@ -821,7 +853,7 @@ fn control_reply_matches(request: &Frame, reply: &Frame) -> bool {
 /// The reader thread: consumes replies until the link dies, then — on a
 /// replay-capable transport — reconnects and retransmits go-back-N, or
 /// parks the pendings as orphans once the retry budget is spent.
-fn run_reader(mut reader: Box<dyn Read + Send>, inner: &Arc<RemoteInner>) {
+fn run_reader(mut reader: LinkReader, inner: &Arc<RemoteInner>) {
     loop {
         reader_loop(&mut reader, inner);
         // The link is dead: EOF, a decode error, or a protocol violation.
@@ -901,7 +933,7 @@ fn reader_loop(reader: &mut impl Read, inner: &RemoteInner) {
 
 /// Re-dials within the retry budget; on success the go-back-N replay has
 /// already been written and the link marked up.
-fn reconnect_and_replay(inner: &RemoteInner) -> io::Result<Box<dyn Read + Send>> {
+fn reconnect_and_replay(inner: &RemoteInner) -> io::Result<LinkReader> {
     let replay = inner.replay.as_ref().expect("reconnect needs a connector");
     let mut last = io::Error::new(io::ErrorKind::ConnectionRefused, "retry budget is zero");
     for attempt in 0..replay.retry.max_attempts {
@@ -920,13 +952,13 @@ fn reconnect_and_replay(inner: &RemoteInner) -> io::Result<Box<dyn Read + Send>>
 }
 
 /// One resume attempt: dial, handshake with `Hello { resumed: true }`,
-/// then — under the writer lock, so no submission interleaves — announce
-/// the leases still carrying unacknowledged work and retransmit those
-/// requests in ascending index order (go-back-N per lease: lease blocks
-/// are contiguous, so the ascending replay is exactly each lease's
-/// unacknowledged tail).
-fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<Box<dyn Read + Send>> {
-    let (mut reader, mut writer) = replay.connector.connect()?;
+/// then — under the writer lock, so no submission interleaves —
+/// retransmit the unacknowledged requests in ascending index order
+/// (go-back-N: lease blocks are contiguous and route whole, so the
+/// ascending replay is exactly each lease's unacknowledged tail).
+fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<LinkReader> {
+    let (reader, mut writer) = replay.connector.connect()?;
+    let mut reader = BufReader::new(reader);
     write_frame(&mut writer, &Frame::Hello { resumed: true })?;
     match read_frame(&mut reader)? {
         Frame::HelloAck => {}
@@ -941,23 +973,15 @@ fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<Box<dyn 
     // Snapshot under the state lock; anything registered later writes its
     // own frame once the writer lock frees (submissions wait for link_up,
     // which is still false here).
-    let (leases, backlog) = {
-        let st = inner.state.lock().unwrap();
-        let leases: Vec<IndexLease> = st
-            .granted
-            .iter()
-            .filter(|lease| st.pending.keys().any(|&i| lease.contains(i)))
-            .copied()
-            .collect();
-        let mut backlog: Vec<(u64, QosClass, Tensor)> = st
-            .pending
-            .iter()
-            .map(|(&i, entry)| (i, entry.class, entry.image.clone()))
-            .collect();
-        backlog.sort_unstable_by_key(|&(i, ..)| i);
-        (leases, backlog)
-    };
-    write_frame(&mut writer, &Frame::ReplayLeases(leases))?;
+    let mut backlog: Vec<(u64, QosClass, Tensor)> = inner
+        .state
+        .lock()
+        .unwrap()
+        .pending
+        .iter()
+        .map(|(&i, entry)| (i, entry.class, entry.image.clone()))
+        .collect();
+    backlog.sort_unstable_by_key(|&(i, ..)| i);
     for (global_index, class, image) in backlog {
         write_frame(
             &mut writer,
@@ -1086,29 +1110,6 @@ impl ShardTransport for TcpTransport {
         }
     }
 
-    fn grant_lease(&self, lease: IndexLease) {
-        if self.is_link_closed() {
-            return;
-        }
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.granted.push(lease);
-            // Bound the record: leases whose every index was acknowledged
-            // will never be replayed.
-            if st.granted.len() > 64 {
-                let live: Vec<u64> = st.pending.keys().copied().collect();
-                st.granted
-                    .retain(|l| live.iter().any(|&i| l.contains(i)) || *l == lease);
-            }
-        }
-        // Advisory fire-and-forget; a failed write surfaces on the next
-        // submission.
-        let _ = write_frame(
-            &mut *self.inner.writer.lock().unwrap(),
-            &Frame::Lease(lease),
-        );
-    }
-
     fn in_flight(&self) -> u64 {
         self.inner.state.lock().unwrap().pending.len() as u64
     }
@@ -1117,9 +1118,11 @@ impl ShardTransport for TcpTransport {
         if !self.is_link_closed() {
             let _ = self.control(&Frame::Drain); // DrainDone or closed link
         }
-        // Either way every outstanding request settles or parks: replies
-        // were flushed before DrainDone, a dead link cancels its pendings,
-        // and an exhausted retry budget moves them to the orphan list.
+        // DrainDone means the shard has drained, not that its replier has
+        // written every reply: the last replies may still be in flight.
+        // Waiting for `pending` to empty is what completes the drain — a
+        // reply lands, a dead link cancels its pendings, or an exhausted
+        // retry budget moves them to the orphan list.
         self.wait_pending_empty();
     }
 
@@ -1212,7 +1215,7 @@ impl ShardTransport for TcpTransport {
 mod tests {
     use super::*;
     use crate::transport::{LocalTransport, ShardControl};
-    use crate::{spawn, BatchPolicy};
+    use crate::{spawn, BatchPolicy, FleetHandle, FleetPolicy, RoutePolicy, ServeHandle};
     use aimc_dnn::{ExecError, Shape};
     use aimc_wire::{duplex, FaultPlan, FaultyEnd};
     use std::collections::VecDeque;
@@ -1250,10 +1253,10 @@ mod tests {
         }
     }
 
-    /// An echo shard server: results encode (index, value) so tests can
-    /// verify the coordinate each request ran at.
-    fn echo_server(control: Arc<RecordingControl>) -> ShardServer {
-        let handle = spawn(
+    /// An echo shard: results encode (index, value) so tests can verify
+    /// the coordinate each request ran at.
+    fn echo_handle() -> ServeHandle {
+        spawn(
             BatchPolicy::new(2, Duration::from_millis(1)),
             |indices: &[u64], inputs: &[Tensor]| {
                 Ok(indices
@@ -1262,8 +1265,15 @@ mod tests {
                     .map(|(&i, t)| tensor(i as f32 * 1000.0 + t.data()[0]))
                     .collect())
             },
-        );
-        ShardServer::new(Box::new(LocalTransport::new(handle, Box::new(control))))
+        )
+    }
+
+    /// An echo shard server (see [`echo_handle`]).
+    fn echo_server(control: Arc<RecordingControl>) -> ShardServer {
+        ShardServer::new(Box::new(LocalTransport::new(
+            echo_handle(),
+            Box::new(control),
+        )))
     }
 
     /// An echo shard over a duplex pipe (the fixed-stream `over` path).
@@ -1369,7 +1379,6 @@ mod tests {
         // The spec probe answers over the *live* link (regression: a Spec
         // reply must land in the control mailbox, not sever the link).
         assert_eq!(t.spec(), ShardSpec::default());
-        t.grant_lease(IndexLease::new(0, 8));
         let p = t.submit_indexed(0, tensor(5.0)).unwrap();
         assert_eq!(p.wait().unwrap().data(), &[5.0]);
         t.shutdown();
@@ -1466,6 +1475,170 @@ mod tests {
         // were still executing; now all three have settled.
         assert_eq!(handle.stats().completed, 3);
         handle.shutdown();
+    }
+
+    /// A `Read` that copies every byte it yields into a shared log: the
+    /// server's view of the wire.
+    struct Tee<R> {
+        inner: R,
+        log: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl<R: Read> Read for Tee<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.log.lock().unwrap().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+    }
+
+    /// The wire shape of a remote seat: after the handshake and the spec
+    /// probe, the server receives exactly one `Request` frame per request
+    /// routed to it and never a `Lease` frame — leases stay inside the
+    /// router even when each block routes whole to one seat.
+    #[test]
+    fn tcp_seat_receives_one_request_frame_per_request_and_no_lease() {
+        let (client_end, server_end) = duplex();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let server = echo_server(Arc::default());
+        let server_thread = std::thread::spawn({
+            let reader = Tee {
+                inner: server_end.clone(),
+                log: Arc::clone(&log),
+            };
+            move || server.serve_stream(reader, server_end).unwrap()
+        });
+        // The handshake a dialled transport makes, over the fixed stream.
+        let (mut reader, mut writer) = (client_end.clone(), client_end.clone());
+        write_frame(&mut writer, &Frame::Hello { resumed: false }).unwrap();
+        assert_eq!(read_frame(&mut reader).unwrap(), Frame::HelloAck);
+        let local = LocalTransport::new(
+            echo_handle(),
+            Box::new(Arc::new(RecordingControl::default())),
+        );
+        let seats: Vec<Box<dyn ShardTransport>> = vec![
+            Box::new(local),
+            Box::new(TcpTransport::over(reader, writer)),
+        ];
+        let fleet = FleetHandle::new(
+            seats,
+            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
+        )
+        .unwrap();
+        let pendings: Vec<Pending> = (0..12)
+            .map(|i| fleet.submit(tensor(i as f32)).unwrap())
+            .collect();
+        for (i, p) in pendings.into_iter().enumerate() {
+            assert_eq!(p.wait().unwrap().data(), &[i as f32 * 1001.0]);
+        }
+        fleet.shutdown();
+        server_thread.join().unwrap();
+
+        let bytes = log.lock().unwrap().clone();
+        let mut stream = bytes.as_slice();
+        let mut frames = Vec::new();
+        while !stream.is_empty() {
+            frames.push(read_frame(&mut stream).unwrap());
+        }
+        assert_eq!(
+            frames[..2],
+            [Frame::Hello { resumed: false }, Frame::SpecProbe]
+        );
+        // Round robin at lease 4: the local seat takes [0, 4) and [8, 12),
+        // the TCP seat the block [4, 8) — one frame per request.
+        let requests: Vec<u64> = frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Request(r) => Some(r.global_index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(requests, vec![4, 5, 6, 7]);
+        assert!(
+            !frames.iter().any(|f| matches!(f, Frame::Lease(_))),
+            "a lease frame crossed the wire: {frames:?}"
+        );
+    }
+
+    /// A writer that records each `write` call's bytes separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The replier sends every queued reply that is already complete in
+    /// one write, in queue order.
+    #[test]
+    fn replier_coalesces_ready_replies_into_one_write() {
+        let (tx, rx) = mpsc::channel();
+        for i in 0..3 {
+            let (pending, slot) = pending_pair();
+            slot.fulfill(Ok(tensor(i as f32)));
+            tx.send((i, pending)).unwrap();
+        }
+        drop(tx);
+        let shard = LocalTransport::new(
+            echo_handle(),
+            Box::new(Arc::new(RecordingControl::default())),
+        );
+        let writer = Mutex::new(WriteLog::default());
+        reply_loop(&rx, &writer, &shard);
+        shard.shutdown();
+        let writes = writer.into_inner().unwrap().0;
+        assert_eq!(writes.len(), 1, "three ready replies, one write");
+        let mut stream = writes[0].as_slice();
+        for i in 0..3 {
+            match read_frame(&mut stream).unwrap() {
+                Frame::Reply(r) => {
+                    assert_eq!(r.global_index, i);
+                    assert_eq!(r.outcome.unwrap().data(), &[i as f32]);
+                }
+                other => panic!("expected a reply, got {other:?}"),
+            }
+        }
+        assert!(stream.is_empty());
+    }
+
+    /// The server still accepts a `Lease` frame, which no client sends
+    /// any more, and ignores it: the session goes on unchanged.
+    #[test]
+    fn server_accepts_and_ignores_a_lease_frame() {
+        let server = echo_server(Arc::default());
+        let (client_end, server_end) = duplex();
+        let session = std::thread::spawn({
+            let reader = server_end.clone();
+            move || server.serve_stream(reader, server_end)
+        });
+        let (mut reader, mut writer) = (client_end.clone(), client_end);
+        write_frame(&mut writer, &Frame::Lease(aimc_wire::IndexLease::new(0, 8))).unwrap();
+        write_frame(
+            &mut writer,
+            &Frame::Request(ShardRequest {
+                global_index: 3,
+                class: QosClass::default(),
+                image: tensor(5.0),
+            }),
+        )
+        .unwrap();
+        match read_frame(&mut reader).unwrap() {
+            Frame::Reply(r) => {
+                assert_eq!(r.global_index, 3);
+                assert_eq!(r.outcome.unwrap().data(), &[3005.0]);
+            }
+            other => panic!("expected the request's reply, got {other:?}"),
+        }
+        write_frame(&mut writer, &Frame::Shutdown).unwrap();
+        assert_eq!(read_frame(&mut reader).unwrap(), Frame::ShutdownDone);
+        session.join().unwrap().unwrap();
     }
 
     /// A stale control reply parked by a dying link must not leak into

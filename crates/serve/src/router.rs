@@ -38,7 +38,9 @@
 //! shard for the **whole block** under the routing policy, and stamps
 //! requests from the block locally — so a remote shard receives a run of
 //! requests without any per-request index traffic, and the routing
-//! decision is amortized over the lease. Lease length 1 degenerates to
+//! decision is amortized over the lease. The lease itself never leaves
+//! the router: each request carries its own index, so transports keep no
+//! lease bookkeeping and send no lease frames. Lease length 1 degenerates to
 //! exactly the per-request `fetch_add` routing of the in-process fleet.
 //! Unused indices of a partially consumed lease are reclaimed on drain and
 //! re-issued before any fresh index, so the stamped stream is always
@@ -530,11 +532,7 @@ impl FleetHandle {
     /// exhausted — or when its shard has been evicted or entered a
     /// maintenance drain since the block was routed, in which case the
     /// unstamped remainder is first retired back to the allocator so those
-    /// coordinates re-route instead of vanishing. When a fresh lease was
-    /// allocated it is also returned, so the caller can grant it to the
-    /// transport **outside** the router lock — a remote grant is a socket
-    /// write, and a backpressured shard must never stall ingress to the
-    /// others.
+    /// coordinates re-route instead of vanishing.
     ///
     /// The claimed seat's [`ShardSlot::submitting`] window is opened
     /// before the lock is released; the caller owns a [`SubmitPermit`]
@@ -548,9 +546,8 @@ impl FleetHandle {
         st: &mut RouterState,
         gid: usize,
         shards: &[Arc<ShardSlot>],
-    ) -> Result<(usize, u64, Option<IndexLease>), ServeError> {
+    ) -> Result<(usize, u64), ServeError> {
         let g = &mut st.groups[gid];
-        let mut granted = None;
         loop {
             if let Some(active) = g.active.as_mut() {
                 if shards.get(active.shard).is_some_and(|s| s.routable()) {
@@ -561,7 +558,7 @@ impl FleetHandle {
                         shards[active.shard]
                             .submitting
                             .fetch_add(1, Ordering::SeqCst);
-                        return Ok((active.shard, index, granted));
+                        return Ok((active.shard, index));
                     }
                     g.active = None;
                 } else {
@@ -573,10 +570,8 @@ impl FleetHandle {
                 }
             }
             let shard = self.pick_shard(g, shards).ok_or(ServeError::ShutDown)?;
-            let lease = g.alloc.alloc(self.inner.policy.lease_len);
-            granted = Some(lease);
             g.active = Some(ActiveLease {
-                lease,
+                lease: g.alloc.alloc(self.inner.policy.lease_len),
                 used: 0,
                 shard,
             });
@@ -790,14 +785,11 @@ impl FleetHandle {
     fn submit_routed(&self, gid: usize, image: Tensor) -> Result<Pending, ServeError> {
         loop {
             let shards = self.shards_snapshot();
-            let (shard, index, granted) = {
+            let (shard, index) = {
                 let mut st = self.inner.state.lock().unwrap();
                 self.claim(&mut st, gid, &shards)?
             };
             let _permit = SubmitPermit(&shards[shard]);
-            if let Some(lease) = granted {
-                shards[shard].transport.grant_lease(lease);
-            }
             match shards[shard].transport.submit_indexed(index, image.clone()) {
                 Ok(p) => return Ok(p),
                 Err(e) => {
@@ -879,15 +871,12 @@ impl FleetHandle {
     ) -> Result<Admission, ServeError> {
         loop {
             let shards = self.shards_snapshot();
-            let (shard, index, granted) = {
+            let (shard, index) = {
                 let mut st = self.inner.state.lock().unwrap();
                 self.claim(&mut st, gid, &shards)?
             };
             let slot = &shards[shard];
             let _permit = SubmitPermit(slot);
-            if let Some(lease) = granted {
-                slot.transport.grant_lease(lease);
-            }
             // Probe the shard's congestion signal and drive its pacer
             // before committing the request.
             let load = slot.transport.load();
@@ -972,7 +961,7 @@ impl FleetHandle {
                 return Ok(pendings);
             }
             let shards = self.shards_snapshot();
-            let routes: Vec<(usize, u64, Option<IndexLease>)> = {
+            let routes: Vec<(usize, u64)> = {
                 let mut st = self.inner.state.lock().unwrap();
                 let mut routes = Vec::with_capacity(images.len());
                 for _ in &images {
@@ -982,7 +971,7 @@ impl FleetHandle {
                             // No live shard: roll the whole batch back,
                             // newest first so lease-cursor rollbacks
                             // compose.
-                            for &(shard, index, _) in routes.iter().rev() {
+                            for &(shard, index) in routes.iter().rev() {
                                 shards[shard].submitting.fetch_sub(1, Ordering::SeqCst);
                                 self.unclaim_locked(&mut st, gid, shard, index);
                             }
@@ -994,12 +983,9 @@ impl FleetHandle {
             };
             let _permits: Vec<SubmitPermit<'_>> = routes
                 .iter()
-                .map(|&(shard, _, _)| SubmitPermit(&shards[shard]))
+                .map(|&(shard, _)| SubmitPermit(&shards[shard]))
                 .collect();
-            for (i, &(shard, index, granted)) in routes.iter().enumerate() {
-                if let Some(lease) = granted {
-                    shards[shard].transport.grant_lease(lease);
-                }
+            for (i, &(shard, index)) in routes.iter().enumerate() {
                 match shards[shard]
                     .transport
                     .submit_indexed(index, images[i].clone())
@@ -1008,7 +994,7 @@ impl FleetHandle {
                     Err(e) => {
                         // Release the failed index and the whole unsent
                         // tail, newest first.
-                        for &(shard, index, _) in routes[i..].iter().rev() {
+                        for &(shard, index) in routes[i..].iter().rev() {
                             self.unclaim(gid, shard, index);
                         }
                         if shards[shard].transport.is_closed() && !self.fleet_is_dead(&shards) {

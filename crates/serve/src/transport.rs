@@ -21,7 +21,7 @@ use crate::handle::{CompletionSlot, Pending, ServeError, ServeHandle, ServeStats
 use crate::qos::{Admission, QosClass, ShardLoad};
 use aimc_dnn::{ExecError, Tensor};
 use aimc_parallel::Parallelism;
-use aimc_wire::{IndexLease, ShardSpec};
+use aimc_wire::ShardSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,14 +151,6 @@ pub trait ShardTransport: Send + Sync {
             in_flight: self.in_flight(),
             ..ShardLoad::default()
         }
-    }
-
-    /// Advises the shard that subsequent requests draw their indices from
-    /// `lease`. Advisory: transports may batch, forward, or ignore it
-    /// (remote transports forward it so a host can account for its block
-    /// without a round-trip per request). The default does nothing.
-    fn grant_lease(&self, lease: IndexLease) {
-        let _ = lease;
     }
 
     /// Requests accepted but not yet completed — the router's load signal

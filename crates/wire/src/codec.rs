@@ -45,7 +45,8 @@ const TAG_STATS_PROBE: u8 = 13;
 const TAG_STATS: u8 = 14;
 const TAG_HELLO: u8 = 15;
 const TAG_HELLO_ACK: u8 = 16;
-const TAG_REPLAY_LEASES: u8 = 17;
+// 17 was `ReplayLeases`, a retired advisory frame; it now decodes as an
+// unknown tag and must not be reused.
 const TAG_SPEC_PROBE: u8 = 18;
 const TAG_SPEC: u8 = 19;
 
@@ -168,34 +169,40 @@ fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
 /// length prefix — [`write_frame`] adds it).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut buf = Vec::new();
+    put_payload(&mut buf, frame);
+    buf
+}
+
+/// Appends one frame's payload (tag + body) to `buf`.
+fn put_payload(buf: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Request(req) => {
             buf.push(TAG_REQUEST);
-            put_u64(&mut buf, req.global_index);
-            put_class(&mut buf, req.class);
-            put_tensor(&mut buf, &req.image);
+            put_u64(buf, req.global_index);
+            put_class(buf, req.class);
+            put_tensor(buf, &req.image);
         }
         Frame::Reply(rep) => {
             buf.push(TAG_REPLY);
-            put_u64(&mut buf, rep.global_index);
+            put_u64(buf, rep.global_index);
             buf.push(u8::from(rep.marked));
             match &rep.outcome {
                 Ok(t) => {
                     buf.push(0);
-                    put_tensor(&mut buf, t);
+                    put_tensor(buf, t);
                 }
                 Err(ReplyError::ShutDown) => buf.push(1),
                 Err(ReplyError::Canceled) => buf.push(2),
                 Err(ReplyError::Exec(msg)) => {
                     buf.push(3);
-                    put_str(&mut buf, msg);
+                    put_str(buf, msg);
                 }
             }
         }
         Frame::Lease(lease) => {
             buf.push(TAG_LEASE);
-            put_u64(&mut buf, lease.start);
-            put_u64(&mut buf, lease.len);
+            put_u64(buf, lease.start);
+            put_u64(buf, lease.len);
         }
         Frame::Drain => buf.push(TAG_DRAIN),
         Frame::DrainDone => buf.push(TAG_DRAIN_DONE),
@@ -203,7 +210,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::ShutdownDone => buf.push(TAG_SHUTDOWN_DONE),
         Frame::ApplyDrift(t) => {
             buf.push(TAG_APPLY_DRIFT);
-            put_f64(&mut buf, *t);
+            put_f64(buf, *t);
         }
         Frame::DriftDone(modeled) => {
             buf.push(TAG_DRIFT_DONE);
@@ -216,40 +223,31 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 Ok(()) => buf.push(0),
                 Err(msg) => {
                     buf.push(1);
-                    put_str(&mut buf, msg);
+                    put_str(buf, msg);
                 }
             }
         }
         Frame::SetParallelism(par) => {
             buf.push(TAG_SET_PARALLELISM);
-            put_parallelism(&mut buf, *par);
+            put_parallelism(buf, *par);
         }
         Frame::ParallelismSet => buf.push(TAG_PARALLELISM_SET),
         Frame::StatsProbe => buf.push(TAG_STATS_PROBE),
         Frame::Stats(s) => {
             buf.push(TAG_STATS);
-            put_stats(&mut buf, s);
+            put_stats(buf, s);
         }
         Frame::Hello { resumed } => {
             buf.push(TAG_HELLO);
             buf.push(u8::from(*resumed));
         }
         Frame::HelloAck => buf.push(TAG_HELLO_ACK),
-        Frame::ReplayLeases(leases) => {
-            buf.push(TAG_REPLAY_LEASES);
-            put_u32(&mut buf, leases.len() as u32);
-            for lease in leases {
-                put_u64(&mut buf, lease.start);
-                put_u64(&mut buf, lease.len);
-            }
-        }
         Frame::SpecProbe => buf.push(TAG_SPEC_PROBE),
         Frame::Spec(spec) => {
             buf.push(TAG_SPEC);
-            put_spec(&mut buf, spec);
+            put_spec(buf, spec);
         }
     }
-    buf
 }
 
 // ---------------------------------------------------------------- decoding
@@ -492,17 +490,6 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<Frame> {
             resumed: cur.u8()? != 0,
         },
         TAG_HELLO_ACK => Frame::HelloAck,
-        TAG_REPLAY_LEASES => {
-            let n = cur.u32()? as usize;
-            let mut leases = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                leases.push(IndexLease {
-                    start: cur.u64()?,
-                    len: cur.u64()?,
-                });
-            }
-            Frame::ReplayLeases(leases)
-        }
         TAG_SPEC_PROBE => Frame::SpecProbe,
         TAG_SPEC => Frame::Spec(cur.spec()?),
         t => return Err(bad(format!("unknown frame tag {t}"))),
@@ -513,19 +500,39 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<Frame> {
 
 // ---------------------------------------------------------------- framing
 
-/// Writes one length-prefixed frame and flushes the writer (a frame is a
-/// complete protocol action; latency beats buffering here).
+/// Appends one length-prefixed frame — exactly the bytes [`write_frame`]
+/// writes — to `buf`, so several frames can leave in a single write.
+///
+/// # Errors
+/// `InvalidData` if the payload exceeds the protocol maximum; `buf` is
+/// then left as it was.
+pub fn append_frame(buf: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    put_payload(buf, frame);
+    match u32::try_from(buf.len() - at - 4) {
+        Ok(len) if len <= MAX_FRAME_LEN => {
+            buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        _ => {
+            buf.truncate(at);
+            Err(bad("frame exceeds protocol maximum"))
+        }
+    }
+}
+
+/// Writes one length-prefixed frame with a single `write_all` and flushes
+/// the writer (a frame is a complete protocol action; latency beats
+/// buffering here). Prefix and payload leave together: on a socket with
+/// `TCP_NODELAY`, two writes would be two segments.
 ///
 /// # Errors
 /// Any I/O error from the underlying writer.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let payload = encode_frame(frame);
-    let len = u32::try_from(payload.len()).map_err(|_| bad("frame exceeds u32 length"))?;
-    if len > MAX_FRAME_LEN {
-        return Err(bad("frame exceeds protocol maximum"));
-    }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
+    let mut buf = Vec::new();
+    append_frame(&mut buf, frame)?;
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -612,8 +619,6 @@ mod tests {
             Frame::Hello { resumed: false },
             Frame::Hello { resumed: true },
             Frame::HelloAck,
-            Frame::ReplayLeases(Vec::new()),
-            Frame::ReplayLeases(vec![IndexLease::new(0, 4), IndexLease::new(96, 32)]),
             Frame::Lease(IndexLease::new(64, 16)),
             Frame::Drain,
             Frame::DrainDone,
@@ -772,13 +777,64 @@ mod tests {
         );
     }
 
+    /// Counts the `write` calls a writer receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Prefix and payload leave in one `write` call per frame (on a
+    /// `TCP_NODELAY` socket each write is a segment), and frames appended
+    /// into one buffer are byte-identical to frames written one by one.
+    #[test]
+    fn write_frame_makes_one_write_per_frame() {
+        let frames = [
+            Frame::Hello { resumed: false },
+            Frame::Request(ShardRequest {
+                global_index: 9,
+                class: QosClass::high(),
+                image: tensor(&[0.5; 48]),
+            }),
+            Frame::Reply(ShardReply {
+                global_index: 9,
+                marked: true,
+                outcome: Ok(tensor(&[1.0, -2.0, 3.0, 4.0])),
+            }),
+            Frame::Lease(IndexLease::new(4, 4)),
+            Frame::Drain,
+        ];
+        let mut w = CountingWriter::default();
+        let mut appended = Vec::new();
+        for (n, f) in frames.iter().enumerate() {
+            write_frame(&mut w, f).unwrap();
+            assert_eq!(w.writes, n + 1, "frame {n} took more than one write");
+            append_frame(&mut appended, f).unwrap();
+        }
+        assert_eq!(w.bytes, appended);
+    }
+
     #[test]
     fn malformed_input_is_invalid_data_not_a_panic() {
-        // Unknown tag.
-        assert_eq!(
-            decode_frame(&[200]).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        // Unknown tags, the retired `ReplayLeases` tag among them.
+        for tag in [17, 200] {
+            assert_eq!(
+                decode_frame(&[tag]).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
         // Truncated payloads at every prefix of a valid frame.
         let good = encode_frame(&Frame::Request(ShardRequest {
             global_index: 1,

@@ -6,9 +6,10 @@
 //! for their compute fabrics: replicas behind a small set of serializable
 //! commands. This crate defines that interface's *wire form*: the
 //! [`Frame`] enum (requests, replies, and control frames), the
-//! [`IndexLease`] blocks the router hands to transports, and a hand-rolled
-//! little-endian byte codec ([`write_frame`] / [`read_frame`]) — no serde,
-//! consistent with the workspace's shims-only dependency policy.
+//! [`IndexLease`] blocks the router allocates stream indices in, and a
+//! hand-rolled little-endian byte codec ([`write_frame`] /
+//! [`read_frame`]) — no serde, consistent with the workspace's
+//! shims-only dependency policy.
 //!
 //! The protocol is deliberately tiny. A client (the router's remote
 //! transport) sends [`Frame::Request`] frames carrying `(global_index,
@@ -23,8 +24,7 @@
 //! |---|---|---|
 //! | `Hello { resumed }` | `HelloAck` | (re)establish a protocol session; `resumed` announces a replay |
 //! | `Request { global_index, image }` | `Reply { global_index, outcome }` | evaluate one image at its global stream coordinate |
-//! | `Lease { start, len }` | *(none)* | advisory: subsequent requests draw indices from this block |
-//! | `ReplayLeases(leases)` | *(none)* | advisory: retransmitted requests follow, drawn from these blocks |
+//! | `Lease { start, len }` | *(none)* | accepted and ignored; no client sends it |
 //! | `Drain` | `DrainDone` | finish every accepted request |
 //! | `Shutdown` | `ShutdownDone` | stop accepting, drain, stop the shard |
 //! | `ApplyDrift(t_hours)` | `DriftDone(modeled)` | conductance drift on the replica |
@@ -34,7 +34,9 @@
 //! | `SpecProbe` | `Spec(spec)` | the shard's [`ShardSpec`] (model id + device/seed recipe) |
 //!
 //! Every frame is length-prefixed (`u32` LE) so a reader can never
-//! misframe a stream; tensors travel as shape + raw `f32` LE bits, so the
+//! misframe a stream, and [`write_frame`] hands prefix and payload to the
+//! writer in one call ([`append_frame`] packs several frames for one
+//! write); tensors travel as shape + raw `f32` LE bits, so the
 //! fleet invariance survives the wire **bit for bit** — a remote shard's
 //! logits are exactly the bytes the local executor produced.
 //!
@@ -51,7 +53,7 @@ mod codec;
 mod fault;
 mod pipe;
 
-pub use codec::{decode_frame, encode_frame, read_frame, write_frame};
+pub use codec::{append_frame, decode_frame, encode_frame, read_frame, write_frame};
 pub use fault::{FaultPlan, FaultyEnd};
 pub use pipe::{duplex, PipeEnd, PIPE_CAPACITY};
 
@@ -262,7 +264,7 @@ impl QosClass {
 }
 
 /// A contiguous block of global stream indices `[start, start + len)`,
-/// handed by the router's lease allocator to one transport.
+/// claimed by the router's lease allocator and routed whole to one shard.
 ///
 /// Leases are the unit of routing *and* of index allocation: the router
 /// claims a lease once, then stamps requests from it without any shared
@@ -407,8 +409,10 @@ pub enum Frame {
     Request(ShardRequest),
     /// Server → client: one completed request.
     Reply(ShardReply),
-    /// Client → server (advisory, no reply): subsequent requests draw
-    /// their indices from this lease block.
+    /// Client → server (no reply): subsequent requests draw their indices
+    /// from this lease block. Servers accept it and ignore it, and no
+    /// client sends it any more: leases stay inside the router, and every
+    /// request carries its own index.
     Lease(IndexLease),
     /// Client → server: finish every accepted request.
     Drain,
@@ -438,18 +442,14 @@ pub enum Frame {
     Stats(WireStats),
     /// Client → server: (re)establishes a protocol session. `resumed` is
     /// `true` when the client reconnects after a link failure and will
-    /// follow up with [`Frame::ReplayLeases`] plus retransmitted
-    /// requests (a go-back-N replay per lease).
+    /// follow up by retransmitting its unacknowledged requests in
+    /// ascending index order (a go-back-N replay).
     Hello {
         /// Whether this connection resumes an interrupted session.
         resumed: bool,
     },
     /// Server → client: the hello is accepted; the session may proceed.
     HelloAck,
-    /// Client → server (advisory, no reply): the lease blocks whose
-    /// unacknowledged requests are about to be retransmitted after a
-    /// reconnect, so the host can account for the replayed coordinates.
-    ReplayLeases(Vec<IndexLease>),
     /// Client → server: request the shard's [`ShardSpec`] (model id +
     /// device/seed recipe), so a router can place the transport into the
     /// right model group at fleet-assembly time.

@@ -266,14 +266,15 @@ fn permanent_kill_mid_lease_is_invisible() {
     let platform = platform();
     let batch = BatchPolicy::new(2, Duration::from_millis(1));
     // Frame 1 is the protocol Hello, frame 2 the registry's spec probe,
-    // frame 3 the lease grant; the sever truncates a request frame of the
-    // first lease block. Redials are refused: a permanently dead host.
+    // frame 3 the first request of the first lease block; the sever
+    // truncates frame 4, the block's second request. Redials are refused:
+    // a permanently dead host.
     let transports: Vec<Box<dyn ShardTransport>> = vec![
         wire_shard(
             &platform,
             batch,
             &backend,
-            vec![FaultPlan::new(41).sever_after(4).sever_mid_frame()],
+            vec![FaultPlan::new(41).sever_after(3).sever_mid_frame()],
         ),
         local_shard(&platform, batch, &backend),
     ];
