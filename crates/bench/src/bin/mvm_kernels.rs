@@ -24,9 +24,9 @@
 //! measurement rounds, which is robust against host frequency and steal
 //! noise on small shared machines.
 //!
-//! Setting `AIMC_BENCH_SIGMA0=1` times the census with read noise
-//! disabled — a diagnostic split separating accumulation cost from the
-//! Gaussian sampler's share (the JSON records which mode ran).
+//! The batched kernel is timed twice per shape, with `hermes_256`'s read
+//! noise and with `read_noise_sigma = 0`, so every run splits the
+//! Gaussian sampler's share from the rest of the kernel.
 
 use aimc_xbar::{noise, stream, Crossbar, MvmScratch, XbarConfig, DAC_BATCH};
 use rand::rngs::StdRng;
@@ -36,15 +36,17 @@ use std::time::Instant;
 
 /// ResNet-18/CIFAR-10 on 256×256 arrays: `(rows, cols, MVMs per image)`.
 ///
-/// Rows/cols are the dominant tile shapes after im2col tiling (3×3×{3,16}
-/// and 3×3×16→192-row blocks, 1×1 projections fold into neighbours);
-/// the MVM counts are the per-image tile-invocation census of the
-/// `parallel_infer` workload's analog layers.
-const CENSUS: [(usize, usize, u64); 4] = [
+/// Every tile shape of the analog layers with its per-image invocation
+/// count; the counts sum to `Session::total_mvms`' 7 937.
+const CENSUS: [(usize, usize, u64); 8] = [
     (27, 16, 1024),
     (144, 16, 4096),
-    (144, 32, 2048),
-    (192, 64, 960),
+    (144, 32, 1792),
+    (16, 32, 256),
+    (144, 64, 128),
+    (192, 64, 576),
+    (32, 64, 64),
+    (64, 10, 1),
 ];
 
 /// Bit widths of the bit-serial sweep.
@@ -286,18 +288,19 @@ fn main() {
         "packed kernels are not bit-identical to the scalar reference"
     );
 
-    let mut cfg = XbarConfig::hermes_256();
-    let sigma0 = std::env::var("AIMC_BENCH_SIGMA0").is_ok_and(|v| v == "1");
-    if sigma0 {
-        cfg.read_noise_sigma = 0.0;
-    }
+    let cfg = XbarConfig::hermes_256();
+    let cfg0 = XbarConfig {
+        read_noise_sigma: 0.0,
+        ..cfg.clone()
+    };
     let mut scratch = MvmScratch::new();
     let mut census_rows = Vec::new();
-    let (mut tot_legacy, mut tot_ref, mut tot_packed, mut tot_batch) =
-        (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut tot_legacy, mut tot_ref, mut tot_packed, mut tot_batch, mut tot_batch0) =
+        (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut tot_mvms = 0u64;
     for &(rows, cols, n) in &CENSUS {
         let (xb, x) = make_case(&cfg, rows, cols, 40 + rows as u64);
+        let (xb0, _) = make_case(&cfg0, rows, cols, 40 + rows as u64);
         let legacy = LegacyKernel::from_xbar(&xb);
         let mut out = vec![0.0f32; cols];
         // Four distinct ReLU-like patches for the batched call, patch 0
@@ -328,25 +331,31 @@ fn main() {
             black_box(&out);
         });
         // Batched: amortized per MVM over a DAC_BATCH lock-step call (the
-        // executors' convolution loops batch patches exactly like this).
-        let ns_batch = time_min(rounds, reps_dac / DAC_BATCH as u64, |i| {
-            let b = DAC_BATCH as u64;
-            let inv = [b * i, b * i + 1, b * i + 2, b * i + 3];
-            xb.mvm_batch_into_with(&xs, &mut outs, &inv, &mut scratch)
-                .unwrap();
-            black_box(&outs);
-        }) / DAC_BATCH as f64;
+        // executors' convolution loops batch patches exactly like this),
+        // with and without read noise.
+        let mut ns_batched = |xb: &Crossbar| {
+            time_min(rounds, reps_dac / DAC_BATCH as u64, |i| {
+                let b = DAC_BATCH as u64;
+                let inv = [b * i, b * i + 1, b * i + 2, b * i + 3];
+                xb.mvm_batch_into_with(&xs, &mut outs, &inv, &mut scratch)
+                    .unwrap();
+                black_box(&outs);
+            }) / DAC_BATCH as f64
+        };
+        let ns_batch = ns_batched(&xb);
+        let ns_batch0 = ns_batched(&xb0);
         println!(
-            "dac {rows}x{cols}: legacy {ns_legacy:.0} ns, reference {ns_ref:.0} ns, packed {ns_packed:.0} ns, batched {ns_batch:.0} ns/mvm ({:.2}x vs legacy)",
+            "dac {rows}x{cols}: legacy {ns_legacy:.0} ns, reference {ns_ref:.0} ns, packed {ns_packed:.0} ns, batched {ns_batch:.0} ns/mvm ({:.2}x vs legacy), batched sigma=0 {ns_batch0:.0} ns/mvm",
             ns_legacy / ns_batch
         );
         census_rows.push(format!(
-            "{{\"rows\": {rows}, \"cols\": {cols}, \"mvms_per_image\": {n}, \"legacy_ns\": {ns_legacy:.1}, \"reference_ns\": {ns_ref:.1}, \"packed_ns\": {ns_packed:.1}, \"batched_ns_per_mvm\": {ns_batch:.1}}}"
+            "{{\"rows\": {rows}, \"cols\": {cols}, \"mvms_per_image\": {n}, \"legacy_ns\": {ns_legacy:.1}, \"reference_ns\": {ns_ref:.1}, \"packed_ns\": {ns_packed:.1}, \"batched_ns_per_mvm\": {ns_batch:.1}, \"batched_sigma0_ns_per_mvm\": {ns_batch0:.1}}}"
         ));
         tot_legacy += ns_legacy * n as f64;
         tot_ref += ns_ref * n as f64;
         tot_packed += ns_packed * n as f64;
         tot_batch += ns_batch * n as f64;
+        tot_batch0 += ns_batch0 * n as f64;
         tot_mvms += n;
     }
 
@@ -379,21 +388,24 @@ fn main() {
     let images_per_s_legacy = 1e9 / tot_legacy;
     let images_per_s_batch = 1e9 / tot_batch;
     println!(
-        "census ({tot_mvms} MVMs/image): legacy {:.2} ms/image ({images_per_s_legacy:.1} img/s), packed {:.2} ms/image, batched {:.2} ms/image ({images_per_s_batch:.1} img/s)",
+        "census ({tot_mvms} MVMs/image): legacy {:.2} ms/image ({images_per_s_legacy:.1} img/s), packed {:.2} ms/image, batched {:.2} ms/image ({images_per_s_batch:.1} img/s), batched sigma=0 {:.2} ms/image (read noise {:.0}%)",
         tot_legacy / 1e6,
         tot_packed / 1e6,
         tot_batch / 1e6,
+        tot_batch0 / 1e6,
+        100.0 * (1.0 - tot_batch0 / tot_batch),
     );
     println!("speedup_hermes256_resnet18={speedup:.2}");
 
     let json = format!(
-        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"timing\": \"min over {rounds} rounds of {reps_dac} (dac) / {reps_bs} (bit-serial) calls\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"reference_ms_per_image\": {rm:.3}, \"packed_ms_per_image\": {pm:.3}, \"batched_ms_per_image\": {bm:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"packed\": {ip:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2},\n  \"speedup_vs_reference\": {sref:.2},\n  \"bit_serial_sweep\": [{sweep}]\n}}\n",
+        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"timing\": \"min over {rounds} rounds of {reps_dac} (dac) / {reps_bs} (bit-serial) calls\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"reference_ms_per_image\": {rm:.3}, \"packed_ms_per_image\": {pm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"packed\": {ip:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2},\n  \"speedup_vs_reference\": {sref:.2},\n  \"bit_serial_sweep\": [{sweep}]\n}}\n",
         sigma = cfg.read_noise_sigma,
         census = census_rows.join(", "),
         lm = tot_legacy / 1e6,
         rm = tot_ref / 1e6,
         pm = tot_packed / 1e6,
         bm = tot_batch / 1e6,
+        bm0 = tot_batch0 / 1e6,
         il = images_per_s_legacy,
         ip = 1e9 / tot_packed,
         ib = images_per_s_batch,

@@ -48,11 +48,31 @@
 //!    (`derive(noise_seed, invocation)`) through the same
 //!    [`GaussianStream`] sampler, drawn in the same (bit, phase, column)
 //!    order, with silent planes drawing nothing — so mask-sharing reuse
-//!    of a plane *sum* never reuses its *noise*.
+//!    of a plane *sum* never reuses its *noise*. The parallel-DAC kernels
+//!    draw a column slice at a time through [`GaussianStream::add_to`],
+//!    the references one draw at a time through [`GaussianStream::next`];
+//!    both consume the same raw draws and add the same `sigma * z`.
 //!
 //! The proptest suite in `tests/kernel_equivalence.rs` pins packed ≡
 //! reference across sizes, bit widths, sign patterns, and repeated
 //! invocations (noise-stream parity).
+//!
+//! ## Per-element stages
+//!
+//! Per MVM, the parallel-DAC kernels also do work per input row and per
+//! column that no accumulation panel hides. Two of those stages are
+//! written so that they run at register speed:
+//!
+//! * **Input scale.** [`max_abs`] is an integer max over the f32 bit
+//!   patterns, which vectorizes; the `f64::max` fold it replaced (kept as
+//!   the unit tests' oracle) ran as a serial chain.
+//! * **Read noise.** [`GaussianStream::add_to`] runs the column loop with
+//!   the generator's four state words in registers and only the rare
+//!   wedge and tail steps out of line. The stream itself is built by
+//!   `noise_stream`, which is kept out of line: inlined, its vectorized
+//!   seeding leads LLVM to hold the generator state packed in vector
+//!   registers through the draw loop, which roughly doubles the cost of
+//!   each draw.
 //!
 //! ## Zero allocation
 //!
@@ -169,10 +189,26 @@ pub(crate) fn with_thread_scratch<T>(f: impl FnOnce(&mut MvmScratch) -> T) -> T 
 // bit-serial input stages (and the ADC readout) define their rounding.
 // ---------------------------------------------------------------------------
 
-/// `max |xᵢ|` of `x` in f64 (0.0 for an empty or all-zero vector).
+/// `max |xᵢ|` of `x` in f64 (0.0 for an empty or all-zero vector), NaN
+/// elements skipped.
+///
+/// An integer max over the f32 bit patterns. With the sign bit cleared,
+/// non-NaN patterns order exactly as their magnitudes (±∞ and subnormals
+/// included) and patterns above `0x7f80_0000` are NaN. Each pattern is
+/// shifted down by `NAN_MIN` (wrapping), which moves the NaN patterns below
+/// every non-NaN one, `+0.0` included, and keeps the non-NaN order; the
+/// fold starts from `+0.0`'s image, so a NaN counts as 0, and the winner
+/// shifts back and widens to f64 exactly. The result is bit-identical to a
+/// fold of `f64::max` over `|xᵢ| as f64`, which skips NaN the same way, but
+/// the integer max vectorizes where the float fold is a serial chain (and
+/// a NaN-to-0 `if` in the fold defeats LLVM's reduction vectorizer).
 #[inline]
 pub fn max_abs(x: &[f32]) -> f64 {
-    x.iter().fold(0.0f64, |m, &v| m.max(v.abs() as f64))
+    const NAN_MIN: u32 = 0x7f80_0001;
+    let m = x.iter().fold(0u32.wrapping_sub(NAN_MIN), |m, &v| {
+        m.max((v.to_bits() & 0x7fff_ffff).wrapping_sub(NAN_MIN))
+    });
+    f32::from_bits(m.wrapping_add(NAN_MIN)) as f64
 }
 
 /// Input scale of the parallel-DAC path: max-abs, with an all-zero vector
@@ -676,6 +712,23 @@ fn sum_masked_rows(g: &[f64], cols: usize, mask: &[u64], acc: &mut [f64]) {
 // Parallel-DAC kernels
 // ---------------------------------------------------------------------------
 
+/// The read-noise stream of invocation `invocation` of `xb`: the same
+/// `derive` → `seed_from_u64` → [`GaussianStream::new`] chain the
+/// references build inline.
+///
+/// Kept out of line on purpose. Inlined, LLVM vectorizes the SplitMix
+/// seeding and then keeps the xoshiro state packed in vector registers
+/// through [`GaussianStream::add_to`]'s draw loop, shuffling words in and
+/// out on every draw; returned from a call, the state loads into four
+/// scalar registers.
+#[inline(never)]
+fn noise_stream(xb: &Crossbar, invocation: u64) -> GaussianStream<StdRng> {
+    GaussianStream::new(StdRng::seed_from_u64(stream::derive(
+        xb.noise_seed(),
+        invocation,
+    )))
+}
+
 /// Packed parallel-DAC evaluation (the production hot path).
 ///
 /// Bit-identical to [`dac_reference`]; see the module docs for why.
@@ -724,12 +777,8 @@ pub(crate) fn dac_packed(
 
     // --- Read noise (per bit line, scales with sqrt(active rows)) --------
     if cfg.read_noise_sigma > 0.0 {
-        let rng = StdRng::seed_from_u64(stream::derive(xb.noise_seed(), invocation));
-        let mut gs = GaussianStream::new(rng);
         let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
-        for a in acc.iter_mut() {
-            *a += gs.next(sigma);
-        }
+        noise_stream(xb, invocation).add_to(acc, sigma);
     }
 
     // --- ADC stage --------------------------------------------------------
@@ -832,12 +881,8 @@ pub(crate) fn dac_packed_batch(
         for p in 0..DAC_BATCH {
             let acc = &mut acc[p * stride..p * stride + cols];
             if cfg.read_noise_sigma > 0.0 {
-                let seed = stream::derive(xb.noise_seed(), invocations[q0 + p]);
-                let mut gs = GaussianStream::new(StdRng::seed_from_u64(seed));
                 let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
-                for a in acc.iter_mut() {
-                    *a += gs.next(sigma);
-                }
+                noise_stream(xb, invocations[q0 + p]).add_to(acc, sigma);
             }
             let back_scale = xb.weight_scale() * x_scales[p];
             let out = &mut out[(q0 + p) * cols..(q0 + p + 1) * cols];
@@ -1127,6 +1172,45 @@ mod tests {
     }
 
     #[test]
+    fn max_abs_matches_the_float_fold_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        // The fold `max_abs` replaced. The scalar reference kernels share
+        // `max_abs`, so only this oracle can catch a fault in it.
+        let fold = |x: &[f32]| x.iter().fold(0.0f64, |m, &v| m.max(v.abs() as f64));
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // smallest NaN pattern
+            f32::from_bits(0xffff_ffff), // largest, sign set
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),            // smallest subnormal
+            -f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let mut cases: Vec<Vec<f32>> = vec![vec![], vec![0.0; 9], vec![-0.0; 70], special.to_vec()];
+        for _ in 0..4000 {
+            let len = rng.gen_range(0usize..200);
+            cases.push(
+                (0..len)
+                    .map(|_| match rng.gen_range(0u32..4) {
+                        0 => special[rng.gen_range(0..special.len())],
+                        1 => f32::from_bits(rng.gen::<u32>()),
+                        _ => rng.gen_range(-4.0f32..4.0),
+                    })
+                    .collect(),
+            );
+        }
+        for x in &cases {
+            assert_eq!(max_abs(x).to_bits(), fold(x).to_bits(), "{x:?}");
+        }
+    }
+
+    #[test]
     fn adc_readout_clips_and_quantizes() {
         // fs 2.0, 1.5 levels, unit back-scale.
         let (fs, levels) = (2.0, 1.5);
@@ -1216,6 +1300,46 @@ mod tests {
             .unwrap();
             for (a, b) in single.iter().zip(&batch[p * cols..(p + 1) * cols]) {
                 assert_eq!(a.to_bits(), b.to_bits(), "patch {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_dac_with_disjoint_patches_crosses_every_union_word() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let cfg = crate::XbarConfig::hermes_256();
+        let mut rng = StdRng::seed_from_u64(65);
+        for rows in [63usize, 64, 65, 129] {
+            let cols = 19;
+            let w: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let xb = Crossbar::program(&cfg, &w, rows, cols, &mut rng).unwrap();
+            // No row is nonzero in two patches. Round-robin rows give a
+            // dense union; the rows on either side of each word boundary
+            // alone give a sparse one (the walk path).
+            let edges = [0, 62, 63, 64, 65, 127, 128, rows - 1];
+            let layouts: [Vec<usize>; 2] = [(0..rows).collect(), edges.to_vec()];
+            for owners in &layouts {
+                let mut xs = vec![0.0f32; DAC_BATCH * rows];
+                for (n, &r) in owners.iter().filter(|&&r| r < rows).enumerate() {
+                    let p = n % DAC_BATCH;
+                    if xs.chunks(rows).all(|patch| patch[r] == 0.0) {
+                        xs[p * rows + r] = rng.gen_range(0.2f32..1.0) * [1.0, -1.0][n % 2];
+                    }
+                }
+                let invocations: Vec<u64> = (0..DAC_BATCH as u64).map(|p| 7 + p).collect();
+                let mut batch = vec![0.0f32; DAC_BATCH * cols];
+                let mut scratch = MvmScratch::new();
+                xb.mvm_batch_into_with(&xs, &mut batch, &invocations, &mut scratch)
+                    .unwrap();
+                for (p, x) in xs.chunks(rows).enumerate() {
+                    let mut single = vec![0.0f32; cols];
+                    xb.mvm_into_with(x, &mut single, invocations[p], &mut scratch)
+                        .unwrap();
+                    for (a, b) in single.iter().zip(&batch[p * cols..(p + 1) * cols]) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "rows {rows}, patch {p}");
+                    }
+                }
             }
         }
     }

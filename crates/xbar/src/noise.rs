@@ -99,6 +99,18 @@ static ZIG: std::sync::OnceLock<ZigTables> = std::sync::OnceLock::new();
 /// Like [`gaussian`], `sigma == 0` returns exactly `0.0` and consumes no
 /// randomness.
 ///
+/// Two ways to draw, one stream: [`GaussianStream::next`] returns one
+/// sample, and [`GaussianStream::add_to`] adds one sample to each element
+/// of a slice. `add_to` is the kernels' read-noise loop. It keeps the
+/// generator in a local copy, inlines the in-layer fast path, and leaves
+/// the wedge and tail steps to a cold out-of-line function that takes and
+/// returns the generator by value, so the copy never has its address
+/// taken and its four state words stay in registers. It consumes the same
+/// raw draws and computes the same `a + sigma * z` as calling `next` per
+/// element; the bit-serial kernel and the scalar reference keep `next`,
+/// and the unit tests and `tests/kernel_equivalence.rs` check one against
+/// the other.
+///
 /// # Examples
 /// ```
 /// use rand::SeedableRng;
@@ -106,6 +118,9 @@ static ZIG: std::sync::OnceLock<ZigTables> = std::sync::OnceLock::new();
 /// let mut gs = aimc_xbar::noise::GaussianStream::new(rng);
 /// assert!(gs.next(1.0).is_finite());
 /// assert_eq!(gs.next(0.0), 0.0);
+/// let mut acc = [1.0, 2.0];
+/// gs.add_to(&mut acc, 0.5);
+/// assert!(acc.iter().all(|a| a.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GaussianStream<R> {
@@ -169,13 +184,79 @@ impl<R: Rng> GaussianStream<R> {
             }
         }
     }
+
+    /// Adds one `N(0, sigma²)` sample to each element of `acc`, in order:
+    /// `a = a + sigma * z`, the same samples, raw draws and expression as
+    /// `*a += self.next(sigma)` per element. With `sigma == 0` it leaves
+    /// `acc` untouched and consumes no randomness.
+    #[inline]
+    pub fn add_to(&mut self, acc: &mut [f64], sigma: f64)
+    where
+        R: Clone,
+    {
+        if sigma == 0.0 {
+            return;
+        }
+        let t = self.t;
+        let mut rng = self.rng.clone();
+        for a in acc.iter_mut() {
+            let u = rng.next_u64();
+            let i = (u & 0xff) as usize;
+            let j = u >> 11;
+            let z = if j < t.kn[i] {
+                let sign_bit = (u & 0x100) << 55;
+                f64::from_bits((j as f64 * t.wn[i]).to_bits() | sign_bit)
+            } else {
+                let (z, r) = unit_slow(rng, t, u);
+                rng = r;
+                z
+            };
+            *a += sigma * z;
+        }
+        self.rng = rng;
+    }
+}
+
+/// The rest of [`GaussianStream::next_unit`]'s loop for a raw draw `u`
+/// that missed its layer's rectangle: the tail or wedge test, then fresh
+/// draws until one is accepted. The generator goes in and comes back by
+/// value, so [`GaussianStream::add_to`]'s register copy of it is never
+/// spilled on the fast path.
+#[cold]
+#[inline(never)]
+fn unit_slow<R: Rng>(mut rng: R, t: &ZigTables, mut u: u64) -> (f64, R) {
+    loop {
+        let i = (u & 0xff) as usize;
+        let sign_bit = (u & 0x100) << 55;
+        let j = u >> 11;
+        let x = j as f64 * t.wn[i];
+        if j < t.kn[i] {
+            return (f64::from_bits(x.to_bits() | sign_bit), rng);
+        }
+        if i == 0 {
+            loop {
+                let u1 = (rng.next_u64() >> 11) as f64 / ZIG_M;
+                let u2 = (rng.next_u64() >> 11) as f64 / ZIG_M;
+                let xt = -u1.ln() / ZIG_R;
+                let yt = -u2.ln();
+                if yt + yt > xt * xt {
+                    return (f64::from_bits((ZIG_R + xt).to_bits() | sign_bit), rng);
+                }
+            }
+        }
+        let uw = (rng.next_u64() >> 11) as f64 / ZIG_M;
+        if t.fx[i] + uw * (t.fx[i - 1] - t.fx[i]) < (-0.5 * x * x).exp() {
+            return (f64::from_bits(x.to_bits() | sign_bit), rng);
+        }
+        u = rng.next_u64();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn zero_sigma_is_exactly_zero() {
@@ -233,6 +314,53 @@ mod tests {
         // continues identically to a run without the interleaved zero draw.
         let mut clean = GaussianStream::new(StdRng::seed_from_u64(4));
         assert_eq!(clean.next(1.0), first);
+        assert_eq!(clean.next(1.0), gs.next(1.0));
+    }
+
+    #[test]
+    fn add_to_matches_per_element_next_bit_for_bit() {
+        // The per-element `next` loop is the oracle. Before each of its
+        // draws, peek at the raw draw to count the elements whose first
+        // draw leaves the fast path, so the cold wedge and tail code is
+        // known to have run.
+        let t = ZIG.get_or_init(zig_tables);
+        let (mut wedge, mut tail) = (0u32, 0u32);
+        for s in 0..20_000u64 {
+            let sigma = [0.37, 1.0, -2.5][s as usize % 3];
+            for (l, len) in [1usize, 16, 32, 64, 65, 256].into_iter().enumerate() {
+                let acc: Vec<f64> = (0..len).map(|k| (k as f64 - 7.0) * 0.125).collect();
+                let mut fast = GaussianStream::new(StdRng::seed_from_u64(s << 3 | l as u64));
+                let mut oracle = fast.clone();
+                let mut got = acc.clone();
+                fast.add_to(&mut got, sigma);
+                let mut want = acc;
+                for a in want.iter_mut() {
+                    let u = oracle.rng.clone().next_u64();
+                    let i = (u & 0xff) as usize;
+                    if u >> 11 >= t.kn[i] {
+                        *if i == 0 { &mut tail } else { &mut wedge } += 1;
+                    }
+                    *a += oracle.next(sigma);
+                }
+                let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "stream {s}, length {len}");
+                for _ in 0..3 {
+                    assert_eq!(fast.next(1.0).to_bits(), oracle.next(1.0).to_bits());
+                }
+            }
+        }
+        assert!(wedge > 0 && tail > 0, "wedge {wedge}, tail {tail}");
+    }
+
+    #[test]
+    fn add_to_with_zero_sigma_adds_nothing_and_consumes_nothing() {
+        let mut gs = GaussianStream::new(StdRng::seed_from_u64(8));
+        let mut acc = [-0.0, 1.5, f64::NAN];
+        gs.add_to(&mut acc, 0.0);
+        assert_eq!(acc[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(acc[1], 1.5);
+        assert!(acc[2].is_nan());
+        let mut clean = GaussianStream::new(StdRng::seed_from_u64(8));
         assert_eq!(clean.next(1.0), gs.next(1.0));
     }
 
