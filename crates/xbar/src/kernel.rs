@@ -1285,21 +1285,23 @@ mod tests {
             }
         }
         let invocations: Vec<u64> = (0..k as u64).map(|p| 91 + 13 * p).collect();
-        let mut batch = vec![0.0f32; k * cols];
+        assert_batch_matches_single_calls(&xb, &xs, &invocations);
+    }
+
+    /// One batched call over the patches of `xs` equals a single call per
+    /// patch, bit for bit.
+    fn assert_batch_matches_single_calls(xb: &Crossbar, xs: &[f32], invocations: &[u64]) {
+        let (rows, cols) = (xb.rows_used(), xb.cols_used());
+        let mut batch = vec![0.0f32; invocations.len() * cols];
         let mut scratch = MvmScratch::new();
-        xb.mvm_batch_into_with(&xs, &mut batch, &invocations, &mut scratch)
+        xb.mvm_batch_into_with(xs, &mut batch, invocations, &mut scratch)
             .unwrap();
-        for p in 0..k {
+        for (p, x) in xs.chunks(rows).enumerate() {
             let mut single = vec![0.0f32; cols];
-            xb.mvm_into_with(
-                &xs[p * rows..(p + 1) * rows],
-                &mut single,
-                invocations[p],
-                &mut scratch,
-            )
-            .unwrap();
+            xb.mvm_into_with(x, &mut single, invocations[p], &mut scratch)
+                .unwrap();
             for (a, b) in single.iter().zip(&batch[p * cols..(p + 1) * cols]) {
-                assert_eq!(a.to_bits(), b.to_bits(), "patch {p}");
+                assert_eq!(a.to_bits(), b.to_bits(), "rows {rows}, patch {p}");
             }
         }
     }
@@ -1328,18 +1330,7 @@ mod tests {
                     }
                 }
                 let invocations: Vec<u64> = (0..DAC_BATCH as u64).map(|p| 7 + p).collect();
-                let mut batch = vec![0.0f32; DAC_BATCH * cols];
-                let mut scratch = MvmScratch::new();
-                xb.mvm_batch_into_with(&xs, &mut batch, &invocations, &mut scratch)
-                    .unwrap();
-                for (p, x) in xs.chunks(rows).enumerate() {
-                    let mut single = vec![0.0f32; cols];
-                    xb.mvm_into_with(x, &mut single, invocations[p], &mut scratch)
-                        .unwrap();
-                    for (a, b) in single.iter().zip(&batch[p * cols..(p + 1) * cols]) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "rows {rows}, patch {p}");
-                    }
-                }
+                assert_batch_matches_single_calls(&xb, &xs, &invocations);
             }
         }
     }
