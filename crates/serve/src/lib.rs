@@ -29,9 +29,9 @@
 //!   flush and stop the worker. [`ServeHandle::submit_many`] stamps a
 //!   whole run under one lock acquisition.
 //! * [`FleetHandle`] — the two-tier *sharded* ingress: a router that owns
-//!   the global stream numbering (a lease-based range allocator,
-//!   [`LeaseAllocator`]), stamps every request with its global index, and
-//!   routes lease blocks ([`FleetPolicy`]) to N shards — with the
+//!   the global stream numbering (one lowest-first index per request),
+//!   stamps every request with its global index, and routes blocks of
+//!   consecutive requests ([`FleetPolicy`]) to N shards — with the
 //!   invariance generalized to any shard count.
 //! * [`ShardTransport`] — the only interface the router speaks: submit an
 //!   indexed request, probe load, drain/shutdown, fan shard control.
@@ -67,7 +67,7 @@
 
 mod coalesce;
 mod handle;
-mod lease;
+mod indices;
 pub mod qos;
 mod recal;
 mod remote;
@@ -75,10 +75,9 @@ mod router;
 mod scheduler;
 mod transport;
 
-pub use aimc_wire::{IndexLease, NoiseSpec, ShardSpec};
+pub use aimc_wire::{NoiseSpec, ShardSpec};
 pub use coalesce::Coalescer;
 pub use handle::{Pending, ServeError, ServeHandle, ServeStats};
-pub use lease::LeaseAllocator;
 pub use qos::{
     Admission, AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosCoalescer, QosOrdering,
     QosPolicy, QosStats, ShardLoad, ShedReason,

@@ -17,13 +17,13 @@
 //! ## Flow control and correlation
 //!
 //! Requests and replies correlate by **global stream index** (unique per
-//! request by construction — the router's lease allocator never issues an
+//! request by construction — the router's index allocator never issues an
 //! index twice between reprogram rewinds), so replies may arrive
 //! interleaved with control replies on one connection. Control commands
 //! are strictly one-outstanding-at-a-time (serialized client-side), so
-//! control replies need no id at all. Leases stay inside the router: a
-//! request frame carries its own index, and nothing else is sent per
-//! request.
+//! control replies need no id at all. Routing blocks stay inside the
+//! router: a request frame carries its own index, and nothing else is sent
+//! per request.
 //!
 //! Backpressure is the shard's own bounded queue: when it fills, the
 //! server stops reading frames, its `BufReader` fills (at most 8 KiB),
@@ -48,9 +48,9 @@
 //! arrives, so when the connection drops the transport re-dials (bounded
 //! attempts with backoff, per [`RetryPolicy`]), announces itself with
 //! `Hello { resumed: true }`, and retransmits every unacknowledged
-//! request in ascending index order — go-back-N. A lease routes whole to
-//! one shard, so this is each lease's unacknowledged tail, and the server
-//! needs no lease information to serve it. Replay may re-execute a
+//! request in ascending index order — go-back-N. Each request carries its
+//! own index, so the replay order does not affect any logit, and the
+//! server needs no routing information to serve it. Replay may re-execute a
 //! request whose reply was lost in flight; that is harmless by
 //! construction, because noise is keyed by the global coordinate
 //! (re-running index `k` yields bit-identical logits) and the client
@@ -954,8 +954,8 @@ fn reconnect_and_replay(inner: &RemoteInner) -> io::Result<LinkReader> {
 /// One resume attempt: dial, handshake with `Hello { resumed: true }`,
 /// then — under the writer lock, so no submission interleaves —
 /// retransmit the unacknowledged requests in ascending index order
-/// (go-back-N: lease blocks are contiguous and route whole, so the
-/// ascending replay is exactly each lease's unacknowledged tail).
+/// (go-back-N; each request carries its own index, so the replay order
+/// does not affect any logit).
 fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<LinkReader> {
     let (reader, mut writer) = replay.connector.connect()?;
     let mut reader = BufReader::new(reader);
@@ -1494,8 +1494,8 @@ mod tests {
 
     /// The wire shape of a remote seat: after the handshake and the spec
     /// probe, the server receives exactly one `Request` frame per request
-    /// routed to it and never a `Lease` frame — leases stay inside the
-    /// router even when each block routes whole to one seat.
+    /// routed to it and never a `Lease` frame — routing blocks stay inside
+    /// the router even when each block routes whole to one seat.
     #[test]
     fn tcp_seat_receives_one_request_frame_per_request_and_no_lease() {
         let (client_end, server_end) = duplex();
@@ -1544,7 +1544,7 @@ mod tests {
             frames[..2],
             [Frame::Hello { resumed: false }, Frame::SpecProbe]
         );
-        // Round robin at lease 4: the local seat takes [0, 4) and [8, 12),
+        // Round robin in blocks of 4: the local seat takes [0, 4) and [8, 12),
         // the TCP seat the block [4, 8) — one frame per request.
         let requests: Vec<u64> = frames
             .iter()

@@ -17,8 +17,8 @@
 //! [`FleetHandle::add_shard`]) the router probes each transport's
 //! [`ShardSpec`] — `{model_id, xbar_cfg, noise, seed}` — and groups
 //! transports by `model_id` into **model groups**. Each group owns its own
-//! lease allocator, active lease, routing cursor, and stream counter, so
-//! each model keeps its own bit-identical global stream `0, 1, 2, …`;
+//! index allocator and routing cursors, so each model keeps its own
+//! bit-identical global stream `0, 1, 2, …`;
 //! requests route by model id ([`FleetHandle::submit_to`]) and never cross
 //! groups. Two transports claiming one model id with different device
 //! recipes are refused ([`ServeError::SpecMismatch`]) — they would compute
@@ -30,38 +30,35 @@
 //! > coordinate and every replica of its model group holds bit-identical
 //! > conductances, the logits of request *k* are bit-identical to a solo
 //! > single-session stream of the same images on that model's spec — for
-//! > ANY shard count, ANY transport mix, ANY lease size, and ANY routing
-//! > policy, no matter which shard evaluated which request.
+//! > ANY shard count, ANY transport mix, ANY routing block length, and ANY
+//! > routing policy, no matter which shard evaluated which request.
 //!
-//! Indices come from a lease-based range allocator instead of a per-
-//! request counter: the router claims an [`IndexLease`] block, picks the
-//! shard for the **whole block** under the routing policy, and stamps
-//! requests from the block locally — so a remote shard receives a run of
-//! requests without any per-request index traffic, and the routing
-//! decision is amortized over the lease. The lease itself never leaves
-//! the router: each request carries its own index, so transports keep no
-//! lease bookkeeping and send no lease frames. Lease length 1 degenerates to
-//! exactly the per-request `fetch_add` routing of the in-process fleet.
-//! Unused indices of a partially consumed lease are reclaimed on drain and
-//! re-issued before any fresh index, so the stamped stream is always
-//! `0, 1, 2, …` in submission order — the invariance's foundation.
+//! Each request claims one index from its group's lowest-first allocator.
+//! An index whose request never reaches a shard (shed, refused, or failed)
+//! is released and re-issued before any fresh index, so the stamped stream
+//! is always `0, 1, 2, …` in submission order — the invariance's
+//! foundation. Routing is a separate cursor: the policy picks a seat for a
+//! **routing block** of [`FleetPolicy::lease_len`] consecutive requests,
+//! so a remote shard receives runs of requests and the routing decision is
+//! amortized over the block. Block length 1 is exactly the per-request
+//! routing of the in-process fleet. Blocks never leave the router: each
+//! request carries its own index, so transports keep no block bookkeeping.
 //!
 //! ## Elasticity
 //!
 //! The shard set is not fixed for the fleet's lifetime:
 //!
 //! * **Eviction.** A shard whose transport dies past its replay budget is
-//!   *retired*, not mourned: the unstamped remainder of its active lease
-//!   goes back to the allocator (so those coordinates are re-issued to a
-//!   survivor, never skipped), its stranded requests are harvested as
-//!   [`Orphan`]s and re-submitted **at their original coordinates** on
-//!   survivors, and the failed submission retries on another shard. The
-//!   caller observes nothing: the same `Pending` resolves with the same
-//!   logits.
+//!   *retired*, not mourned: routing skips it from then on (a block in
+//!   progress moves to another seat), its stranded requests are harvested
+//!   as [`Orphan`]s and re-submitted **at their original coordinates** on
+//!   survivors, and the failed submission releases its index and retries
+//!   on another shard. The caller observes nothing: the same `Pending`
+//!   resolves with the same logits.
 //! * **Live join.** [`FleetHandle::add_shard`] programs a fresh replica
 //!   from the fleet seed via the control surface, replays the drift
 //!   history so its conductances match the incumbents', and enters it
-//!   into the routing rotation — where it is granted fresh leases like
+//!   into the routing rotation — where it receives routing blocks like
 //!   any other shard.
 //!
 //! Both directions preserve the invariance because the stream numbering —
@@ -72,46 +69,46 @@
 //! completion plumbing belong to the transports.
 
 use crate::handle::{Pending, ServeError, ServeStats};
-use crate::lease::LeaseAllocator;
+use crate::indices::StreamIndices;
 use crate::qos::{Admission, AimdPacer, PacerConfig, Priority, QosClass, QosStats, ShedReason};
 use crate::transport::{Orphan, ShardTransport};
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
-use aimc_wire::{IndexLease, ShardSpec};
+use aimc_wire::ShardSpec;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// How the router picks the shard that receives each claimed lease block
-/// (with lease length 1: each request).
+/// How the router picks the shard that receives each routing block of
+/// consecutive requests (with block length 1: each request).
 ///
 /// Routing **never** affects results — that is the fleet invariance — so
 /// the policy is purely a load/latency trade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicy {
-    /// Cycle through shards in lease order: perfectly even request counts,
+    /// Cycle through shards block by block: perfectly even request counts,
     /// oblivious to per-shard backlog.
     #[default]
     RoundRobin,
-    /// Send each lease to the shard with the fewest requests in flight
+    /// Send each block to the shard with the fewest requests in flight
     /// (ties break toward the lowest shard id): adapts to stragglers at
-    /// the cost of one load probe per lease.
+    /// the cost of one load probe per block.
     LeastQueueDepth,
 }
 
-/// How a fleet routes and allocates its global stream: the routing policy
-/// plus the lease length (indices claimed — and routed — per block).
+/// How a fleet routes its global stream: the routing policy plus the
+/// routing block length (consecutive requests sent to one shard).
 ///
-/// The default (`RoundRobin`, lease 1) reproduces the in-process fleet's
-/// per-request routing exactly. Longer leases amortize routing decisions
-/// and index traffic for remote shards; **no setting changes a logit**.
+/// The default (`RoundRobin`, block length 1) routes every request on its
+/// own. Longer blocks amortize routing decisions and send remote shards
+/// runs of requests; **no setting changes a logit**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetPolicy {
-    /// Shard selection per lease block.
+    /// Shard selection per routing block.
     pub route: RoutePolicy,
-    /// Global indices claimed per lease (clamped to ≥ 1). Consecutive
-    /// requests share a lease, hence a shard — lease 1 routes every
+    /// The routing block length: consecutive requests sent to one shard
+    /// before the policy picks again (clamped to ≥ 1). 1 routes every
     /// request independently.
     pub lease_len: u64,
     /// Fleet-wide in-flight budgets per priority class, indexed by
@@ -126,7 +123,7 @@ pub struct FleetPolicy {
 }
 
 impl FleetPolicy {
-    /// Per-request routing (lease length 1) under `route`.
+    /// Per-request routing (block length 1) under `route`.
     pub fn new(route: RoutePolicy) -> Self {
         FleetPolicy {
             route,
@@ -136,7 +133,7 @@ impl FleetPolicy {
         }
     }
 
-    /// Overrides the lease length (clamped to ≥ 1 at use).
+    /// Overrides the routing block length (clamped to ≥ 1 at use).
     pub fn with_lease_len(mut self, lease_len: u64) -> Self {
         self.lease_len = lease_len;
         self
@@ -237,18 +234,9 @@ impl FleetStats {
     }
 }
 
-/// The lease currently being consumed: its block, how much is stamped,
-/// and the shard the whole block routes to.
-#[derive(Debug, Clone, Copy)]
-struct ActiveLease {
-    lease: IndexLease,
-    used: u64,
-    shard: usize,
-}
-
 /// One model group's routing state: the shard seats serving one model id,
-/// plus that model's **own** global stream — allocator, active lease,
-/// round-robin cursor, and stamped count. Streams never cross groups, so
+/// plus that model's **own** global stream — index allocator, routing
+/// block cursor, and round-robin cursor. Streams never cross groups, so
 /// every model keeps the bit-identical numbering `0, 1, 2, …` a solo
 /// session of its spec would produce.
 #[derive(Debug)]
@@ -257,12 +245,11 @@ struct GroupState {
     /// with different device recipes would compute different bits for the
     /// same coordinates — refused at registration).
     spec: ShardSpec,
-    alloc: LeaseAllocator,
-    active: Option<ActiveLease>,
+    indices: StreamIndices,
+    /// The current routing block: its seat and how many more requests it
+    /// takes before the policy picks again.
+    block: Option<(usize, u64)>,
     rr: usize,
-    /// Requests stamped on this group's stream since the last reprogram
-    /// rewind (the observable stream length).
-    stamped: u64,
     /// Member seat ids, in registration order (append-only, like seats).
     members: Vec<usize>,
 }
@@ -271,10 +258,9 @@ impl GroupState {
     fn new(spec: ShardSpec) -> Self {
         GroupState {
             spec,
-            alloc: LeaseAllocator::new(),
-            active: None,
+            indices: StreamIndices::default(),
+            block: None,
             rr: 0,
-            stamped: 0,
             members: Vec::new(),
         }
     }
@@ -298,8 +284,8 @@ struct RouterState {
 
 /// One shard's seat in the fleet: its transport, its congestion pacer,
 /// and whether the router has retired it. Seats are never removed — shard
-/// ids stay stable for stats and the active-lease bookkeeping — they are
-/// only marked evicted and skipped by routing.
+/// ids stay stable for stats and the routing cursors — they are only
+/// marked evicted and skipped by routing.
 struct ShardSlot {
     transport: Box<dyn ShardTransport>,
     /// This shard's AIMD congestion window, fed by its pressure marks on
@@ -489,7 +475,7 @@ impl FleetHandle {
             .all(|s| s.transport.is_closed())
     }
 
-    /// Picks the target shard for one of `g`'s lease blocks under the
+    /// Picks the target shard for one of `g`'s routing blocks under the
     /// routing policy, skipping evicted and draining seats. `None` when no
     /// routable member remains. (Member ids can briefly outrun an older
     /// seat snapshot while a join is in flight — such members are skipped
@@ -527,12 +513,12 @@ impl FleetHandle {
         }
     }
 
-    /// Claims group `gid`'s next global stream index (and the shard its
-    /// lease routes to), allocating a fresh lease when the active one is
-    /// exhausted — or when its shard has been evicted or entered a
-    /// maintenance drain since the block was routed, in which case the
-    /// unstamped remainder is first retired back to the allocator so those
-    /// coordinates re-route instead of vanishing.
+    /// Claims group `gid`'s next global stream index and the shard it
+    /// routes to: the current routing block's seat while the block has
+    /// room and the seat is routable, otherwise the policy's pick for a
+    /// new block of [`FleetPolicy::lease_len`] requests. A seat evicted or
+    /// drained mid-block thus loses the rest of its block, and no index is
+    /// skipped, since indices are claimed one at a time.
     ///
     /// The claimed seat's [`ShardSlot::submitting`] window is opened
     /// before the lock is released; the caller owns a [`SubmitPermit`]
@@ -548,45 +534,27 @@ impl FleetHandle {
         shards: &[Arc<ShardSlot>],
     ) -> Result<(usize, u64), ServeError> {
         let g = &mut st.groups[gid];
-        loop {
-            if let Some(active) = g.active.as_mut() {
-                if shards.get(active.shard).is_some_and(|s| s.routable()) {
-                    if active.used < active.lease.len {
-                        let index = active.lease.start + active.used;
-                        active.used += 1;
-                        g.stamped += 1;
-                        shards[active.shard]
-                            .submitting
-                            .fetch_add(1, Ordering::SeqCst);
-                        return Ok((active.shard, index));
-                    }
-                    g.active = None;
-                } else {
-                    let active = g.active.take().expect("checked Some above");
-                    g.alloc.reclaim(IndexLease::new(
-                        active.lease.start + active.used,
-                        active.lease.len - active.used,
-                    ));
-                }
+        let shard = match g.block {
+            Some((seat, left)) if left > 0 && shards.get(seat).is_some_and(|s| s.routable()) => {
+                g.block = Some((seat, left - 1));
+                seat
             }
-            let shard = self.pick_shard(g, shards).ok_or(ServeError::ShutDown)?;
-            g.active = Some(ActiveLease {
-                lease: g.alloc.alloc(self.inner.policy.lease_len),
-                used: 0,
-                shard,
-            });
-        }
+            _ => {
+                let seat = self.pick_shard(g, shards).ok_or(ServeError::ShutDown)?;
+                g.block = Some((seat, self.inner.policy.lease_len.max(1) - 1));
+                seat
+            }
+        };
+        shards[shard].submitting.fetch_add(1, Ordering::SeqCst);
+        Ok((shard, g.indices.claim()))
     }
 
     /// Returns a claimed-but-unsubmitted index (the shard refused the
     /// request) so the stream has no hole — the next claim re-issues it
-    /// and subsequent successful requests keep their solo-identical
-    /// coordinates. In the common case the index is the active lease's
-    /// most recent stamp: the whole lease remainder is retired back to the
-    /// allocator, so the re-issue also **re-routes** under the policy
-    /// instead of re-hitting the refusing shard. Otherwise (a concurrent
-    /// submitter advanced the stream past it) the single index re-enters
-    /// the free list.
+    /// before any fresh index, and subsequent successful requests keep
+    /// their solo-identical coordinates. When the routing block is still
+    /// on the refusing shard it ends, so the re-issue **re-routes** under
+    /// the policy instead of re-hitting that shard.
     fn unclaim(&self, gid: usize, shard: usize, index: u64) {
         let mut st = self.inner.state.lock().unwrap();
         self.unclaim_locked(&mut st, gid, shard, index);
@@ -596,44 +564,17 @@ impl FleetHandle {
     /// block-submission path rolls back mid-claim).
     fn unclaim_locked(&self, st: &mut RouterState, gid: usize, shard: usize, index: u64) {
         let g = &mut st.groups[gid];
-        g.stamped -= 1;
-        let newest_of_active = matches!(
-            g.active,
-            Some(a) if a.shard == shard && a.used > 0 && a.lease.start + a.used - 1 == index
-        );
-        if newest_of_active {
-            let mut active = g.active.take().expect("matched Some above");
-            active.used -= 1;
-            g.alloc.reclaim(IndexLease::new(
-                active.lease.start + active.used,
-                active.lease.len - active.used,
-            ));
-        } else {
-            g.alloc.reclaim(IndexLease::new(index, 1));
+        g.indices.release(index);
+        if g.block.is_some_and(|(seat, _)| seat == shard) {
+            g.block = None;
         }
     }
 
-    /// Marks shard `idx` evicted, reclaiming the unstamped remainder of
-    /// its active lease so those coordinates are re-issued (and re-routed)
-    /// before any fresh index — eviction never shifts a surviving
-    /// coordinate. Returns `false` when the seat was already retired (a
+    /// Marks shard `idx` evicted; [`FleetHandle::claim`] routes around it
+    /// from then on. Returns `false` when the seat was already retired (a
     /// concurrent caller owns the rescue).
     fn retire_slot(&self, shards: &[Arc<ShardSlot>], idx: usize) -> bool {
-        if shards[idx].evicted.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        let mut st = self.inner.state.lock().unwrap();
-        let g = &mut st.groups[shards[idx].group];
-        if let Some(active) = g.active {
-            if active.shard == idx {
-                g.active = None;
-                g.alloc.reclaim(IndexLease::new(
-                    active.lease.start + active.used,
-                    active.lease.len - active.used,
-                ));
-            }
-        }
-        true
+        !shards[idx].evicted.swap(true, Ordering::AcqRel)
     }
 
     /// Retires shard `idx` and re-routes every request stranded on it
@@ -741,9 +682,9 @@ impl FleetHandle {
     }
 
     /// Submits one image to the fleet: claims the next global stream index
-    /// from the active lease (allocating and routing a fresh lease if
-    /// needed) and forwards the stamped request to the lease's shard.
-    /// Blocks only on that shard's backpressure.
+    /// and forwards the stamped request to the current routing block's
+    /// shard (starting a new block under the policy when the current one
+    /// is used up). Blocks only on that shard's backpressure.
     ///
     /// A shard that refuses because its link died is **evicted**: its
     /// index is released, its stranded requests are rescued onto
@@ -815,8 +756,9 @@ impl FleetHandle {
     }
 
     /// QoS-aware submission: the typed replacement for [`FleetHandle::submit`]
-    /// under load. The request claims the next global stream index, then
-    /// passes the fleet-ingress admission checks in order:
+    /// under load. The request claims the next global stream index and its
+    /// routing block's shard, then passes the fleet-ingress admission
+    /// checks in order:
     ///
     /// 1. **Pacer** — the chosen shard's congestion window
     ///    ([`AimdPacer`], fed by the shard's pressure mark on every probe).
@@ -933,11 +875,11 @@ impl FleetHandle {
 
     /// Submits a run of images stamped with **contiguous** global indices,
     /// claimed atomically — the fleet counterpart of
-    /// `ServeHandle::submit_many`. Routing still happens at lease
-    /// granularity: a run longer than the remaining lease spans leases
-    /// (and possibly shards), but its indices — and therefore its results
-    /// — are exactly the ones a loop of [`FleetHandle::submit`] calls
-    /// would produce.
+    /// `ServeHandle::submit_many`. Routing still happens in routing
+    /// blocks: a run longer than the rest of the current block spans
+    /// blocks (and possibly shards), but its indices — and therefore its
+    /// results — are exactly the ones a loop of [`FleetHandle::submit`]
+    /// calls would produce.
     ///
     /// A shard dying mid-run is evicted like in [`FleetHandle::submit`]:
     /// the failed and unsent indices are released, the dead shard's
@@ -968,10 +910,10 @@ impl FleetHandle {
                     match self.claim(&mut st, gid, &shards) {
                         Ok(r) => routes.push(r),
                         Err(e) => {
-                            // No live shard: roll the whole batch back,
-                            // newest first so lease-cursor rollbacks
-                            // compose.
-                            for &(shard, index) in routes.iter().rev() {
+                            // No live shard: roll the whole batch back. Each
+                            // index returns to the free set on its own, so
+                            // the order of the releases does not matter.
+                            for &(shard, index) in &routes {
                                 shards[shard].submitting.fetch_sub(1, Ordering::SeqCst);
                                 self.unclaim_locked(&mut st, gid, shard, index);
                             }
@@ -993,8 +935,8 @@ impl FleetHandle {
                     Ok(p) => pendings.push(p),
                     Err(e) => {
                         // Release the failed index and the whole unsent
-                        // tail, newest first.
-                        for &(shard, index) in routes[i..].iter().rev() {
+                        // tail.
+                        for &(shard, index) in &routes[i..] {
                             self.unclaim(gid, shard, index);
                         }
                         if shards[shard].transport.is_closed() && !self.fleet_is_dead(&shards) {
@@ -1012,9 +954,9 @@ impl FleetHandle {
 
     /// Blocks until every accepted request on every shard has reached a
     /// terminal outcome — including requests stranded on dead shards,
-    /// which are rescued onto survivors first — then reclaims the active
-    /// lease's unused indices so they are re-issued (and re-routed) before
-    /// any fresh index.
+    /// which are rescued onto survivors first — then ends every group's
+    /// routing block, so the next request starts a new block under the
+    /// routing policy.
     pub fn drain(&self) {
         let shards = self.shards_snapshot();
         // Loop: a transport can park orphans *during* its drain (reconnect
@@ -1032,14 +974,8 @@ impl FleetHandle {
                 break;
             }
         }
-        let mut st = self.inner.state.lock().unwrap();
-        for g in &mut st.groups {
-            if let Some(active) = g.active.take() {
-                g.alloc.reclaim(IndexLease::new(
-                    active.lease.start + active.used,
-                    active.lease.len - active.used,
-                ));
-            }
+        for g in &mut self.inner.state.lock().unwrap().groups {
+            g.block = None;
         }
     }
 
@@ -1104,9 +1040,8 @@ impl FleetHandle {
     /// cleared: a joiner added after a reprogram starts from the same
     /// fresh conductances as everyone else.
     ///
-    /// The drain also reclaims the active lease, so no outstanding lease
-    /// survives the rewind: the next submission claims a fresh lease
-    /// starting at index 0.
+    /// The rewind resets every group's index allocator and routing block:
+    /// the next submission claims index 0 and starts a new block.
     ///
     /// # Errors
     /// [`ServeError::Exec`] / [`ServeError::Remote`] if any shard fails to
@@ -1122,9 +1057,8 @@ impl FleetHandle {
         }
         let mut st = self.inner.state.lock().unwrap();
         for g in &mut st.groups {
-            g.alloc.rewind();
-            g.active = None;
-            g.stamped = 0;
+            g.indices = StreamIndices::default();
+            g.block = None;
         }
         st.drift_log.clear();
         Ok(())
@@ -1143,11 +1077,11 @@ impl FleetHandle {
     /// from the fleet seed via the transport's control surface, the drift
     /// history recorded since the last reprogram is replayed so its
     /// conductances match the incumbents' bit-for-bit, and the shard then
-    /// enters the routing rotation, where it is granted fresh leases like
+    /// enters the routing rotation, where it receives routing blocks like
     /// any other seat.
     ///
     /// Joining never shifts a coordinate: the joiner only serves indices
-    /// from leases routed after it joined, and identical programming plus
+    /// claimed after it joined, and identical programming plus
     /// identical drift history keeps its logits bit-identical to every
     /// other replica — the fleet invariance is preserved across elastic
     /// scale-up.
@@ -1225,8 +1159,7 @@ impl FleetHandle {
     }
 
     /// Gracefully decommissions seat `idx`: the seat leaves the routing
-    /// rotation, the unstamped remainder of its active lease returns to
-    /// its group's allocator (those coordinates re-route, never skip),
+    /// rotation (a routing block in progress on it moves to another seat),
     /// in-flight work finishes on the shard, and the transport is shut
     /// down — no request is cancelled, no coordinate shifts, no logit
     /// changes. The counterpart of [`FleetHandle::add_shard`] for elastic
@@ -1268,24 +1201,14 @@ impl FleetHandle {
     }
 
     /// Takes seat `idx` out of rotation and waits until it is fully quiet:
-    /// sets the draining flag and reclaims its active-lease remainder
-    /// under the router lock, waits out claims already in flight, then
-    /// drains the transport.
+    /// sets the draining flag under the router lock — so every claim that
+    /// still saw the seat routable has already opened its submit window —
+    /// waits out those claims, then drains the transport.
     fn quiesce_slot(&self, shards: &[Arc<ShardSlot>], idx: usize) {
         let slot = &shards[idx];
         {
-            let mut st = self.inner.state.lock().unwrap();
+            let _st = self.inner.state.lock().unwrap();
             slot.draining.store(true, Ordering::SeqCst);
-            let g = &mut st.groups[slot.group];
-            if let Some(active) = g.active {
-                if active.shard == idx {
-                    g.active = None;
-                    g.alloc.reclaim(IndexLease::new(
-                        active.lease.start + active.used,
-                        active.lease.len - active.used,
-                    ));
-                }
-            }
         }
         self.wait_submits(slot);
         slot.transport.drain();
@@ -1367,7 +1290,7 @@ impl FleetHandle {
             .unwrap()
             .groups
             .iter()
-            .map(|g| g.stamped)
+            .map(|g| g.indices.outstanding())
             .sum()
     }
 
@@ -1378,7 +1301,9 @@ impl FleetHandle {
     /// [`ServeError::UnknownModel`] when no group serves `model_id`.
     pub fn images_routed_for(&self, model_id: &str) -> Result<u64, ServeError> {
         let gid = self.resolve_model(model_id)?;
-        Ok(self.inner.state.lock().unwrap().groups[gid].stamped)
+        Ok(self.inner.state.lock().unwrap().groups[gid]
+            .indices
+            .outstanding())
     }
 
     /// The registered model ids, in group order (group 0 first — the
@@ -1421,8 +1346,8 @@ impl FleetHandle {
         self.inner.policy.route
     }
 
-    /// The fleet's lease length (global indices claimed and routed per
-    /// block).
+    /// The fleet's routing block length (consecutive requests routed to
+    /// one shard).
     pub fn lease_len(&self) -> u64 {
         self.inner.policy.lease_len.max(1)
     }
@@ -1537,8 +1462,8 @@ mod tests {
         f.drain();
         assert_eq!(f.images_routed(), 9);
         assert_eq!(f.lease_len(), 1);
-        // Even spread: single-threaded round-robin at lease 1 gives each
-        // shard 3.
+        // Even spread: single-threaded round-robin at block length 1 gives
+        // each shard 3.
         let mut all: Vec<(u64, f32)> = Vec::new();
         for (s, log) in logs.iter().enumerate() {
             let l = log.lock().unwrap();
@@ -1558,8 +1483,8 @@ mod tests {
         assert!(f.is_closed());
     }
 
-    /// Lease blocks route whole: consecutive requests share the lease's
-    /// shard, and the next lease moves on round-robin.
+    /// Routing blocks route whole: consecutive requests share the block's
+    /// shard, and the next block moves on round-robin.
     #[test]
     fn leases_route_in_blocks() {
         let (f, logs, _) = fleet(
@@ -1581,20 +1506,20 @@ mod tests {
         f.shutdown();
     }
 
-    /// Drain reclaims the active lease's tail: the stream continues
-    /// contiguously (no holes) and the reclaimed block is re-routed.
+    /// Drain ends the routing block: the stream continues contiguously (no
+    /// holes) and the next block is re-routed.
     #[test]
     fn drain_reclaims_partial_leases() {
         let (f, logs, _) = fleet(
             2,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
         );
-        // One request consumes index 0 of lease [0,4) on shard 0.
+        // One request takes index 0 and starts a block of 4 on shard 0.
         f.submit(tensor(0.0)).unwrap().wait().unwrap();
-        f.drain(); // reclaims [1,4)
+        f.drain(); // ends the block
         assert_eq!(f.images_routed(), 1);
-        // The next requests re-issue the reclaimed block — on the *next*
-        // round-robin shard — keeping the stream contiguous at 1, 2, …
+        // The next requests start a new block — on the *next* round-robin
+        // shard — keeping the stream contiguous at 1, 2, …
         let pendings: Vec<Pending> = (1..5)
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
@@ -1608,6 +1533,57 @@ mod tests {
         let l1: Vec<u64> = logs[1].lock().unwrap().iter().map(|&(i, _)| i).collect();
         assert_eq!(l0, vec![0], "shard 0 stamped only the pre-drain request");
         assert_eq!(l1, vec![1, 2, 3, 4], "reclaimed block re-routed to shard 1");
+        f.shutdown();
+    }
+
+    /// The largest block length is just a block that never runs out: the
+    /// stream still numbers `0, 1, 2, …` across a drain.
+    #[test]
+    fn huge_block_length_keeps_the_stream_contiguous() {
+        let (f, logs, _) = fleet(
+            2,
+            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(u64::MAX),
+        );
+        f.submit(tensor(0.0)).unwrap().wait().unwrap();
+        f.drain();
+        let pendings: Vec<Pending> = (1..4)
+            .map(|i| f.submit(tensor(i as f32)).unwrap())
+            .collect();
+        for (k, p) in pendings.into_iter().enumerate() {
+            let k = (k + 1) as f32;
+            assert_eq!(p.wait().unwrap().data(), &[k * 1000.0 + k]);
+        }
+        f.drain();
+        assert_eq!(f.images_routed(), 4);
+        let l0: Vec<u64> = logs[0].lock().unwrap().iter().map(|&(i, _)| i).collect();
+        let l1: Vec<u64> = logs[1].lock().unwrap().iter().map(|&(i, _)| i).collect();
+        assert_eq!(l0, vec![0]);
+        assert_eq!(l1, vec![1, 2, 3], "the drain ended the first block");
+        f.shutdown();
+    }
+
+    /// A released index is re-issued before any other, even mid-block, and
+    /// the block on the refusing seat ends, so the re-issue re-routes.
+    #[test]
+    fn released_index_is_reissued_first() {
+        let (f, _, _) = fleet(
+            2,
+            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
+        );
+        let shards = f.shards_snapshot();
+        let claim = || {
+            let (shard, index) = f
+                .claim(&mut f.inner.state.lock().unwrap(), 0, &shards)
+                .unwrap();
+            drop(SubmitPermit(&shards[shard]));
+            (shard, index)
+        };
+        assert_eq!(claim(), (0, 0));
+        assert_eq!(claim(), (0, 1));
+        f.unclaim(0, 0, 0);
+        assert_eq!(claim(), (1, 0));
+        assert_eq!(claim(), (1, 2));
+        assert_eq!(f.images_routed(), 3);
         f.shutdown();
     }
 
@@ -1639,8 +1615,8 @@ mod tests {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
         }
         f.drain();
-        // Lease-granular routing: [0,3) on shard 0, [3,6) on shard 1 — the
-        // second block landed whole on the second lease.
+        // Block-granular routing: [0,3) on shard 0, [3,6) on shard 1 — the
+        // second run landed whole in the second routing block.
         let l0 = logs[0].lock().unwrap().clone();
         let l1 = logs[1].lock().unwrap().clone();
         assert_eq!(l0, vec![(0, 0.0), (1, 1.0), (2, 2.0)]);
@@ -1745,23 +1721,22 @@ mod tests {
         f.shutdown();
     }
 
-    /// Reprogram with an outstanding (partially consumed) lease: the
-    /// drain-reclaim quiesces it, the rewind restarts at 0, and the next
-    /// lease is a fresh block from the start of the stream.
+    /// Reprogram mid-block: the rewind restarts the stream at 0, and the
+    /// next request starts a new routing block.
     #[test]
     fn reprogram_rewinds_with_outstanding_leases() {
         let (f, logs, _) = fleet(
             2,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(64),
         );
-        // Consume 2 of the 64-index lease.
+        // Two requests of a 64-request block.
         for i in 0..2 {
             f.submit(tensor(i as f32)).unwrap().wait().unwrap();
         }
         assert_eq!(f.images_routed(), 2);
         f.reprogram().unwrap();
         assert_eq!(f.images_routed(), 0);
-        // Replay: indices restart at 0 (fresh lease, next shard in the
+        // Replay: indices restart at 0 (new block, next shard in the
         // rotation).
         let p = f.submit(tensor(9.0)).unwrap();
         assert_eq!(p.wait().unwrap().data(), &[9.0]);
@@ -1855,7 +1830,7 @@ mod tests {
         )
         .unwrap();
         // Indices 0–2 land on shard 0; index 3 starts the refusing shard's
-        // lease and fails — eviction re-routes [3,6) to the survivor.
+        // block and fails — eviction re-routes 3 and 4 to the survivor.
         let pendings = f.submit_block((0..5).map(|i| tensor(i as f32))).unwrap();
         assert_eq!(pendings.len(), 5);
         assert_eq!(f.live_shard_count(), 1);
@@ -1947,9 +1922,10 @@ mod tests {
             local_shard(&log, &control),
         ];
         let f = FleetHandle::new(shards, FleetPolicy::new(RoutePolicy::RoundRobin)).unwrap();
-        // Round-robin at lease 1: indices 0 and 2 park on the dying shard;
-        // its third lease (index 4) is refused, triggering eviction — the
-        // rescue re-submits 0 and 2 on the survivor, and 4 retries there.
+        // Round-robin at block length 1: indices 0 and 2 park on the dying
+        // shard; its third request (index 4) is refused, triggering
+        // eviction — the rescue re-submits 0 and 2 on the survivor, and 4
+        // retries there.
         let pendings: Vec<Pending> = (0..6)
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
@@ -1963,7 +1939,7 @@ mod tests {
         }
         f.drain();
         assert_eq!(f.images_routed(), 6);
-        // The survivor served the whole stream: its own leases plus the
+        // The survivor served the whole stream: its own blocks plus the
         // rescued coordinates, each exactly once.
         let mut seen: Vec<u64> = log.lock().unwrap().iter().map(|&(i, _)| i).collect();
         seen.sort_unstable();
@@ -1990,8 +1966,8 @@ mod tests {
 
     /// The live-join path: a shard added to a running fleet is programmed
     /// from the fleet seed, receives the recorded drift history, and
-    /// enters the rotation with fresh leases — serving part of the stream
-    /// without shifting anyone's coordinates.
+    /// enters the rotation — serving part of the stream without shifting
+    /// anyone's coordinates.
     #[test]
     fn late_joiner_is_programmed_drifted_and_enters_rotation() {
         let log0: ShardLog = Arc::default();
@@ -2444,8 +2420,8 @@ mod tests {
         f.shutdown();
     }
 
-    /// Lease exhaustion mid-`submit_block`: a block bigger than the lease
-    /// spans fresh leases without gaps or duplicates.
+    /// A `submit_block` run longer than the routing block spans several
+    /// blocks without gaps or duplicates.
     #[test]
     fn lease_exhaustion_mid_block_keeps_indices_contiguous() {
         let (f, logs, _) = fleet(

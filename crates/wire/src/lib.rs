@@ -5,8 +5,7 @@
 //! shape the 64-core PCM chip and the heterogeneous IMC cluster papers use
 //! for their compute fabrics: replicas behind a small set of serializable
 //! commands. This crate defines that interface's *wire form*: the
-//! [`Frame`] enum (requests, replies, and control frames), the
-//! [`IndexLease`] blocks the router allocates stream indices in, and a
+//! [`Frame`] enum (requests, replies, and control frames) and a
 //! hand-rolled little-endian byte codec ([`write_frame`] /
 //! [`read_frame`]) — no serde, consistent with the workspace's
 //! shims-only dependency policy.
@@ -107,9 +106,9 @@ impl NoiseSpec {
 /// Two transports with **equal** specs are replicas — interchangeable
 /// members of one model group whose logits at a given stream coordinate
 /// are bit-identical. Two transports with different `model_id`s serve
-/// different streams and must never share a lease. The router's registry
-/// enforces both rules; a heterogeneous fleet is simply a fleet whose
-/// specs differ across groups.
+/// different streams: a request of one never runs on the other. The
+/// router's registry enforces both rules; a heterogeneous fleet is simply
+/// a fleet whose specs differ across groups.
 ///
 /// The spec is also a *rebuild recipe*: reprogramming a shard from
 /// `(xbar_cfg, seed)` and replaying the fleet drift log reproduces its
@@ -263,16 +262,10 @@ impl QosClass {
     }
 }
 
-/// A contiguous block of global stream indices `[start, start + len)`,
-/// claimed by the router's lease allocator and routed whole to one shard.
-///
-/// Leases are the unit of routing *and* of index allocation: the router
-/// claims a lease once, then stamps requests from it without any shared
-/// counter traffic — a remote shard never pays a round-trip per request.
-/// Unused indices of a partially consumed lease are reclaimed on drain and
-/// re-issued (lowest first) before any fresh indices, so the global stream
-/// stays exactly `0, 1, 2, …` in submission order — the property the
-/// fleet invariance rests on.
+/// A contiguous block of global stream indices `[start, start + len)`:
+/// the payload of [`Frame::Lease`], a no-op frame that no client sends
+/// and servers ignore. Every request carries its own index, so a shard
+/// needs no block of indices to serve it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexLease {
     /// First index of the block.
@@ -409,10 +402,8 @@ pub enum Frame {
     Request(ShardRequest),
     /// Server → client: one completed request.
     Reply(ShardReply),
-    /// Client → server (no reply): subsequent requests draw their indices
-    /// from this lease block. Servers accept it and ignore it, and no
-    /// client sends it any more: leases stay inside the router, and every
-    /// request carries its own index.
+    /// Client → server (no reply): a no-op that no client sends and
+    /// servers ignore — every request carries its own index.
     Lease(IndexLease),
     /// Client → server: finish every accepted request.
     Drain,

@@ -4,9 +4,8 @@
 //! replica programmed from the same seed, exactly what two remote hosts
 //! would run — then assembles a **mixed fleet** through
 //! `Platform::serve_fleet_with`: one in-process shard (`local_shard`,
-//! zero-copy) plus the two TCP transports, with lease-based index blocks
-//! (lease length 4) so the router stamps requests without per-request
-//! index traffic.
+//! zero-copy) plus the two TCP transports, with a routing block length of
+//! 4, so each seat receives runs of 4 consecutive requests.
 //!
 //! The payoff is the fleet invariance, extended across placement: the
 //! served logits are **bit-identical** to a solo `Session::infer_one`
@@ -74,7 +73,7 @@ fn main() -> Result<(), Error> {
         FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
     )?;
     println!(
-        "fleet: {} shards (1 local + 2 tcp), lease length {}",
+        "fleet: {} shards (1 local + 2 tcp), routing block length {}",
         fleet.shard_count(),
         fleet.lease_len()
     );

@@ -166,8 +166,8 @@ impl Platform {
     /// changes a logit of a request that completes.
     ///
     /// This is the all-local convenience path; to mix transports (local
-    /// shards, remote [`aimc_serve::TcpTransport`]s) or tune the lease
-    /// length, assemble the transports yourself and use
+    /// shards, remote [`aimc_serve::TcpTransport`]s) or tune the routing
+    /// block length, assemble the transports yourself and use
     /// [`Platform::serve_fleet_with`].
     ///
     /// # Errors
@@ -248,8 +248,8 @@ impl Platform {
     /// The fleet invariance carries over verbatim: provided every shard's
     /// replica is programmed from the same seed, the logits of request *k*
     /// are bit-identical to a solo [`Session::infer_one`] stream — for any
-    /// transport mix, any lease length, and any routing policy. With
-    /// several groups the invariance holds per model id.
+    /// transport mix, any routing block length, and any routing policy.
+    /// With several groups the invariance holds per model id.
     ///
     /// # Errors
     /// [`Error::NoShards`] if `transports` is empty;
