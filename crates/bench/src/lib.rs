@@ -1,8 +1,8 @@
 //! # aimc-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §2 for the
-//! experiment index) plus criterion microbenchmarks. This library crate
-//! holds the shared setup used by all of them, built on the
+//! experiment index) plus the `mvm_kernels` microbenchmark. This library
+//! crate holds the shared setup used by all of them, built on the
 //! [`Platform`]/[`Session`] facade API.
 //!
 //! ## Example
