@@ -541,7 +541,7 @@ impl FleetHandle {
             }
             _ => {
                 let seat = self.pick_shard(g, shards).ok_or(ServeError::ShutDown)?;
-                g.block = Some((seat, self.inner.policy.lease_len.max(1) - 1));
+                g.block = Some((seat, self.lease_len() - 1));
                 seat
             }
         };

@@ -3,7 +3,7 @@
 //! request that completes returns logits bit-identical to a solo
 //! `Session::infer_one` stream of the same images — while connections are
 //! severed mid-stream (reconnect-and-replay), a shard is killed
-//! permanently mid-lease (eviction + orphan rescue on survivors, at the
+//! permanently mid-block (eviction + orphan rescue on survivors, at the
 //! original coordinates), or a shard joins mid-stream (programmed from
 //! the fleet seed and replayed through the drift history).
 //!
@@ -253,8 +253,8 @@ proptest! {
     }
 }
 
-/// A permanently killed shard mid-lease never shifts a surviving
-/// coordinate: lease 4 puts the whole first block on the doomed shard,
+/// A permanently killed shard mid-block never shifts a surviving
+/// coordinate: blocks of 4 put the whole first block on the doomed shard,
 /// the sever lands inside it, and the stranded requests re-run at their
 /// original coordinates on the survivor — so the noisy-analog logits stay
 /// bit-identical to solo, which they could not if any index moved.
@@ -266,7 +266,7 @@ fn permanent_kill_mid_lease_is_invisible() {
     let platform = platform();
     let batch = BatchPolicy::new(2, Duration::from_millis(1));
     // Frame 1 is the protocol Hello, frame 2 the registry's spec probe,
-    // frame 3 the first request of the first lease block; the sever
+    // frame 3 the first request of the first routing block; the sever
     // truncates frame 4, the block's second request. Redials are refused:
     // a permanently dead host.
     let transports: Vec<Box<dyn ShardTransport>> = vec![

@@ -192,8 +192,8 @@ proptest! {
 /// The invariance survives fleet-wide drift and reprogramming on a
 /// **mixed local + remote** fleet: every replica — wherever it lives —
 /// transitions at the same drained stream position, the reprogram rewinds
-/// the lease allocator to zero (with a partially consumed lease
-/// outstanding), and the replayed stream matches the solo session's.
+/// the stream to zero (in the middle of a routing block), and the
+/// replayed stream matches the solo session's.
 #[test]
 fn mixed_fleet_across_drift_and_reprogram_matches_solo() {
     let backend = noisy_backend();
@@ -217,8 +217,8 @@ fn mixed_fleet_across_drift_and_reprogram_matches_solo() {
             .map(|x| solo.infer_one(x, backend.clone()).unwrap()),
     );
 
-    // Mixed fleet: local, remote, local — lease 4, so the reprogram runs
-    // with a partially consumed lease outstanding.
+    // Mixed fleet: local, remote, local — blocks of 4, so the reprogram
+    // runs in the middle of a block.
     let platform = platform();
     let tf = build_fleet(
         &platform,
@@ -243,9 +243,9 @@ fn mixed_fleet_across_drift_and_reprogram_matches_solo() {
     assert_eq!(want[0], want[6], "reprogram did not rewind the stream");
 }
 
-/// Lease length 1 degenerates to the PR 4 per-request router **exactly**:
-/// the same stream through `serve_fleet` (per-request counter semantics)
-/// and through an all-local lease-1 `serve_fleet_with` produces identical
+/// Block length 1 is the per-request router **exactly**: the same stream
+/// through `serve_fleet` (per-request counter semantics) and through an
+/// all-local `serve_fleet_with` at block length 1 produces identical
 /// logits and identical per-shard request counts under round-robin.
 #[test]
 fn lease_one_degenerates_to_per_request_routing() {
@@ -288,9 +288,9 @@ fn lease_one_degenerates_to_per_request_routing() {
     assert_eq!(ref_counts, got_counts, "lease 1 changed the routing");
 }
 
-/// Drained partial leases reclaim across phases: a lease longer than each
-/// burst leaves unused indices at every drain, which must be re-issued so
-/// the stream stays contiguous — and therefore bit-identical to solo.
+/// A routing block longer than each burst ends at every drain, and the
+/// next burst continues the stream exactly where it stopped, so the stream
+/// stays contiguous — and therefore bit-identical to solo.
 #[test]
 fn drain_reclaim_keeps_the_stream_solo_identical() {
     let backend = noisy_backend();
@@ -307,8 +307,8 @@ fn drain_reclaim_keeps_the_stream_solo_identical() {
         &backend,
     );
     let mut got = Vec::new();
-    // Bursts of 2/2/3 with a drain between each: every drain reclaims the
-    // 64-lease's tail and the next burst re-claims from exactly there.
+    // Bursts of 2/2/3 with a drain between each: every drain ends the
+    // 64-request block and the next burst continues from exactly there.
     for chunk in [&images[..2], &images[2..4], &images[4..]] {
         got.extend(fleet_logits(&tf.fleet, chunk));
         tf.fleet.drain();
