@@ -790,15 +790,6 @@ impl Executor for AimcExecutor {
         self.try_infer_batch_indexed(items, par)
     }
 
-    fn infer_batch_at(
-        &self,
-        inputs: &[Tensor],
-        base_image_index: u64,
-        par: Parallelism,
-    ) -> Result<Vec<Tensor>, ExecError> {
-        self.try_infer_batch_at(inputs, base_image_index, par)
-    }
-
     fn images_seen(&self) -> u64 {
         AimcExecutor::images_seen(self)
     }
@@ -1215,7 +1206,7 @@ mod tests {
         assert_eq!(exec.images_seen(), 8);
     }
 
-    /// `infer_batch_at` advances the counter past the batch, so later
+    /// `try_infer_batch_at` advances the counter past the batch, so later
     /// counter-claiming calls never reuse coordinates.
     #[test]
     fn explicit_base_advances_the_counter() {

@@ -120,29 +120,6 @@ pub trait Executor: Sync {
         try_map_indexed(par, items, |_, (_, x)| self.infer(x))
     }
 
-    /// Runs a batch whose first image sits at the **explicit** global
-    /// stream coordinate `base_image_index` (image `i` of the batch is
-    /// image `base_image_index + i` of the request stream) — the contiguous
-    /// convenience over [`Executor::infer_batch_indexed`]: a single-session
-    /// micro-batch scheduler numbers requests in arrival order and
-    /// dispatches them in stream order, so its batches are contiguous runs.
-    ///
-    /// # Errors
-    /// The error of the lowest-indexed failing image, if any.
-    fn infer_batch_at(
-        &self,
-        inputs: &[Tensor],
-        base_image_index: u64,
-        par: Parallelism,
-    ) -> Result<Vec<Tensor>, ExecError> {
-        let items: Vec<(u64, &Tensor)> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| (base_image_index + i as u64, x))
-            .collect();
-        self.infer_batch_indexed(&items, par)
-    }
-
     /// Images consumed from the backend's request stream so far — the next
     /// coordinate a counter-claiming call would use (0 for stateless
     /// backends, which have no stream state).
@@ -330,11 +307,6 @@ mod tests {
             .infer_batch_indexed(&shuffled, Parallelism::Threads(2))
             .unwrap();
         assert_eq!(solo, got);
-        // The contiguous wrapper routes through the indexed entry point.
-        let at = exec
-            .infer_batch_at(&images, 5, Parallelism::Serial)
-            .unwrap();
-        assert_eq!(solo, at);
     }
 
     #[test]

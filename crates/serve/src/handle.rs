@@ -24,7 +24,8 @@ pub enum ServeError {
     /// The request was accepted but dropped before execution (worker died
     /// or the batch runner broke its contract).
     Canceled,
-    /// The batch containing this request failed in the executor.
+    /// The executor failed this request: its batch failed, or its seat
+    /// refused the image before queueing it (a malformed input).
     Exec(ExecError),
     /// A remote shard reported a failure over the wire; the message is the
     /// rendered error (typed errors do not cross hosts).
@@ -116,7 +117,7 @@ pub(crate) fn pending_pair() -> (Pending, Arc<CompletionSlot>) {
 }
 
 /// The caller's side of one submitted request (returned by
-/// [`ServeHandle::submit`]).
+/// [`ServeHandle::submit_at`] and every fleet submit call).
 #[derive(Debug)]
 pub struct Pending {
     slot: Arc<CompletionSlot>,
@@ -188,10 +189,8 @@ impl Drop for Ticket {
     }
 }
 
-/// One queued request, stamped with its global stream index at submission
-/// time — either from the handle's own arrival counter
-/// ([`ServeHandle::submit`]) or by an external router that owns a
-/// fleet-wide numbering ([`ServeHandle::submit_at`]).
+/// One queued request, stamped with the global stream index its fleet
+/// router claimed for it ([`ServeHandle::submit_at`]).
 #[derive(Debug)]
 pub(crate) struct Request {
     pub(crate) image: Tensor,
@@ -231,16 +230,6 @@ struct StateInner {
     submitted: u64,
     completed: u64,
     rejected: u64,
-    /// Next stream index [`ServeHandle::submit`] will stamp — requests are
-    /// numbered in submission order, under the same lock as `submitted`.
-    /// External stamps ([`ServeHandle::submit_at`]) push it forward so a
-    /// later internal submission never re-stamps an externally used index.
-    next_index: u64,
-    /// One past the highest index stamped by the handle's **own** counter
-    /// (`submit`/`submit_many`). External indices below this watermark
-    /// collide with internally stamped requests — `submit_at` rejects them
-    /// with a debug assertion.
-    internal_watermark: u64,
     batches: u64,
     /// Total images dispatched to the runner (unlike the bounded wait
     /// ring, this never saturates).
@@ -277,8 +266,6 @@ impl Default for StateInner {
             submitted: 0,
             completed: 0,
             rejected: 0,
-            next_index: 0,
-            internal_watermark: 0,
             batches: 0,
             dispatched: 0,
             max_batch_observed: 0,
@@ -368,7 +355,7 @@ impl SharedState {
 /// Point-in-time serving statistics (see [`ServeHandle::stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
-    /// Requests accepted by [`ServeHandle::submit`].
+    /// Requests accepted into the queue.
     pub submitted: u64,
     /// Requests that reached a terminal outcome (logits, error, or cancel).
     pub completed: u64,
@@ -446,9 +433,12 @@ impl ServeHandle {
         }
     }
 
-    /// Submits one image for inference, returning its completion handle.
-    /// The request is stamped with the handle's next stream index (arrival
-    /// order), so batches evaluate it at a stable global coordinate.
+    /// Submits one image stamped with the global stream index `index`,
+    /// returning its completion handle. The index comes from a fleet
+    /// router ([`FleetHandle`](crate::FleetHandle)), the only numbering
+    /// authority: a shard carries whatever (possibly non-contiguous) slice
+    /// of the stream the router handed it, in any order, and the handle
+    /// never compares indices with each other.
     ///
     /// Blocks only when the bounded queue is full (backpressure); the
     /// actual inference is asynchronous — claim the result later via
@@ -456,32 +446,17 @@ impl ServeHandle {
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
-    pub fn submit(&self, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_inner(image, None, QosClass::default())
+    pub fn submit_at(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
+        self.submit_inner(image, index, QosClass::default())
     }
 
-    /// Submits one image with explicit QoS annotations, returning a typed
-    /// [`Admission`] instead of blocking semantics: the request is either
-    /// admitted (with its completion handle), shed with a
-    /// [`ShedReason`], or rejected as
-    /// [`Admission::DeadlineInfeasible`] when the estimated queue wait
-    /// already exceeds its deadline.
-    ///
-    /// Admission happens **before** a stream index is stamped, so a shed
-    /// request never occupies a coordinate — the admitted subset of the
-    /// stream is contiguous and bit-identical to a solo run.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
-    pub fn submit_qos(&self, image: Tensor, class: QosClass) -> Result<Admission, ServeError> {
-        self.submit_gated(image, None, class, true)
-    }
-
-    /// The fleet-router variant of [`ServeHandle::submit_qos`]: QoS-gated
-    /// admission at an externally owned stream index (see
-    /// [`ServeHandle::submit_at`] for the index contract). The router
-    /// must claim the index only *after* a successful admission (or roll
-    /// it back), so shed requests never hole the global numbering.
+    /// [`ServeHandle::submit_at`] with explicit QoS annotations, returning
+    /// a typed [`Admission`] instead of blocking: the request is either
+    /// admitted (with its completion handle), shed with a [`ShedReason`],
+    /// or rejected as [`Admission::DeadlineInfeasible`] when the estimated
+    /// queue wait already exceeds its deadline. A router releases the
+    /// index of a request that was not admitted, so shed requests never
+    /// hole the global numbering.
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
@@ -491,42 +466,7 @@ impl ServeHandle {
         image: Tensor,
         class: QosClass,
     ) -> Result<Admission, ServeError> {
-        self.submit_gated(image, Some(index), class, true)
-    }
-
-    /// Submits one image stamped with an **externally owned** stream index
-    /// instead of the handle's own counter — the entry point a fleet
-    /// router uses after claiming `index` from its global arrival counter
-    /// (see [`FleetHandle::submit`](crate::FleetHandle)).
-    ///
-    /// A shard fed through `submit_at` carries whatever (possibly
-    /// non-contiguous) slice of the global stream the router handed it.
-    /// Only use it on handles whose runner honors stamped indices (a
-    /// runner wrapping a counter-claiming backend, like the platform
-    /// session's solo analog handle, ignores them by design).
-    ///
-    /// # Mixing with the handle-owned counter
-    ///
-    /// [`ServeHandle::submit`] stamps from the handle's own counter, so a
-    /// caller that mixes `submit` and `submit_at` on one handle is merging
-    /// two numbering authorities — a coordinate-aliasing race unless they
-    /// are kept disjoint. The contract: **an external index must be at or
-    /// above the internal watermark** (one past the highest index the
-    /// handle's own counter has stamped). `submit_at` enforces it with a
-    /// debug assertion, and pushes the internal counter past the external
-    /// index so later `submit` calls stay disjoint in the other direction.
-    /// Externally stamped indices may otherwise arrive in any order
-    /// (concurrent routers reorder); the handle never compares them to
-    /// each other.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
-    ///
-    /// # Panics
-    /// In debug builds, if `index` is below the internal watermark (see
-    /// above).
-    pub fn submit_at(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_inner(image, Some(index), QosClass::default())
+        self.submit_gated(image, index, class, true)
     }
 
     /// Ungated, class-annotated submission at an external index: used for
@@ -539,14 +479,14 @@ impl ServeHandle {
         image: Tensor,
         class: QosClass,
     ) -> Result<Pending, ServeError> {
-        self.submit_inner(image, Some(index), class)
+        self.submit_inner(image, index, class)
     }
 
-    /// Ungated admission: preserves the pre-QoS blocking contract.
+    /// Ungated admission: blocks on backpressure instead of shedding.
     fn submit_inner(
         &self,
         image: Tensor,
-        index: Option<u64>,
+        index: u64,
         class: QosClass,
     ) -> Result<Pending, ServeError> {
         match self.submit_gated(image, index, class, false)? {
@@ -558,12 +498,12 @@ impl ServeHandle {
     fn submit_gated(
         &self,
         image: Tensor,
-        index: Option<u64>,
+        index: u64,
         class: QosClass,
         gated: bool,
     ) -> Result<Admission, ServeError> {
         let rank = class.priority.rank();
-        let index = {
+        {
             let mut st = self.shared.inner.lock().unwrap();
             if st.closed {
                 st.rejected += 1;
@@ -594,46 +534,7 @@ impl ServeHandle {
             if st.submitted - st.completed >= st.ecn_threshold {
                 st.qos.ecn_marks += 1;
             }
-            match index {
-                Some(i) => {
-                    #[cfg(debug_assertions)]
-                    if i < st.internal_watermark {
-                        // Coordinate-aliasing bug in the caller. Leave the
-                        // state coherent (and the lock unpoisoned — a live
-                        // worker shares it) before surfacing it.
-                        let watermark = st.internal_watermark;
-                        st.submitted -= 1;
-                        st.rejected += 1;
-                        st.class_in_flight[rank] -= 1;
-                        st.qos.classes[rank].admitted -= 1;
-                        drop(st);
-                        panic!(
-                            "submit_at({i}) collides with the handle-owned counter: indices \
-                             below {watermark} were already stamped by submit/submit_many on \
-                             this handle — external numbering must stay at or above the \
-                             internal watermark"
-                        );
-                    }
-                    // Future internal stamps skip past the external index,
-                    // so the two numbering sources stay disjoint.
-                    st.next_index = st.next_index.max(i + 1);
-                    i
-                }
-                None => {
-                    let i = st.next_index;
-                    st.next_index += 1;
-                    st.internal_watermark = st.next_index;
-                    i
-                }
-            }
-        };
-        let (request, pending) = self.make_request(image, index, class);
-        self.send_or_roll_back(request, 1, class)?;
-        Ok(Admission::Admitted(pending))
-    }
-
-    /// Builds one stamped request plus its caller-side completion handle.
-    fn make_request(&self, image: Tensor, index: u64, class: QosClass) -> (Request, Pending) {
+        }
         let slot = Arc::new(CompletionSlot::default());
         let now = Instant::now();
         let request = Request {
@@ -649,89 +550,25 @@ impl ServeHandle {
             },
             submitted_at: now,
         };
-        (request, Pending { slot })
-    }
-
-    /// Sends one request; on failure (the worker is gone — shutdown raced
-    /// ahead) rolls `unsent` submissions back and refuses. Stamped indices
-    /// are not rolled back — once the worker is gone every later
-    /// submission fails too, so the hole sits strictly after the last
-    /// evaluated coordinate and never shifts the stream.
-    fn send_or_roll_back(
-        &self,
-        request: Request,
-        unsent: u64,
-        class: QosClass,
-    ) -> Result<(), ServeError> {
         if let Err(e) = self.tx.send(Msg::Request(request)) {
+            // The worker is gone (shutdown raced ahead): roll the
+            // submission back and refuse.
             if let Msg::Request(req) = e.0 {
                 req.ticket.defuse();
             }
             {
                 let mut st = self.shared.inner.lock().unwrap();
-                st.submitted -= unsent;
-                st.rejected += unsent;
-                let rank = class.priority.rank();
-                st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(unsent);
-                st.qos.classes[rank].admitted =
-                    st.qos.classes[rank].admitted.saturating_sub(unsent);
+                st.submitted -= 1;
+                st.rejected += 1;
+                st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
+                st.qos.classes[rank].admitted = st.qos.classes[rank].admitted.saturating_sub(1);
             }
             // The rollback can be what lets `completed == submitted`: a
             // drain blocked on the old count must re-check.
             self.shared.cv.notify_all();
             return Err(ServeError::ShutDown);
         }
-        Ok(())
-    }
-
-    /// Submits a whole run of images in one call, taking the queue lock
-    /// **once** for the entire run: the images are stamped with contiguous
-    /// stream indices as a block, exactly as the equivalent loop of
-    /// [`ServeHandle::submit`] calls would stamp them from a single thread
-    /// — but without per-image lock traffic, and atomically with respect
-    /// to concurrent submitters (no interleaving inside the block).
-    ///
-    /// Blocks on the bounded queue like `submit` does (backpressure is per
-    /// image, so a run larger than `queue_depth` is fine — the worker
-    /// drains while this call feeds).
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if the handle is shut down at entry, or if
-    /// shutdown races the run mid-way (already-enqueued images of the run
-    /// still complete, but their completion handles are discarded with the
-    /// error).
-    pub fn submit_many(
-        &self,
-        images: impl IntoIterator<Item = Tensor>,
-    ) -> Result<Vec<Pending>, ServeError> {
-        let images: Vec<Tensor> = images.into_iter().collect();
-        let n = images.len() as u64;
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let base = {
-            let mut st = self.shared.inner.lock().unwrap();
-            if st.closed {
-                st.rejected += n;
-                return Err(ServeError::ShutDown);
-            }
-            st.submitted += n;
-            let rank = QosClass::default().priority.rank();
-            st.class_in_flight[rank] += n;
-            st.qos.classes[rank].admitted += n;
-            let base = st.next_index;
-            st.next_index += n;
-            st.internal_watermark = st.next_index;
-            base
-        };
-        let mut pendings = Vec::with_capacity(images.len());
-        for (i, image) in images.into_iter().enumerate() {
-            let (request, pending) = self.make_request(image, base + i as u64, QosClass::default());
-            // Shutdown racing the run rolls back the whole unsent tail.
-            self.send_or_roll_back(request, n - i as u64, QosClass::default())?;
-            pendings.push(pending);
-        }
-        Ok(pendings)
+        Ok(Admission::Admitted(Pending { slot }))
     }
 
     /// Requests accepted but not yet completed — the router's load signal
@@ -920,46 +757,5 @@ mod tests {
             .to_string()
             .contains("boom"));
         assert!(ServeError::NoShards.to_string().contains("at least one"));
-    }
-
-    fn echo_handle() -> ServeHandle {
-        crate::spawn(
-            crate::BatchPolicy::new(1, Duration::from_millis(1)),
-            |_idx: &[u64], inputs: &[Tensor]| Ok(inputs.to_vec()),
-        )
-    }
-
-    /// The mixing contract: external indices below the handle-owned
-    /// counter's watermark are a coordinate-aliasing bug, caught by the
-    /// debug assertion (so the test exists only where the check does).
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "collides with the handle-owned counter")]
-    fn submit_at_below_internal_watermark_is_rejected() {
-        let handle = echo_handle();
-        let _ = handle.submit(tensor(0.0)).unwrap(); // stamps index 0
-        let _ = handle.submit_at(0, tensor(1.0)); // aliases coordinate 0
-    }
-
-    /// The legal mixed pattern: external stamps at/above the watermark are
-    /// accepted and push the internal counter past themselves, so a later
-    /// `submit` never re-stamps an externally used index.
-    #[test]
-    fn submit_at_above_watermark_keeps_numbering_disjoint() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&seen);
-        let handle = crate::spawn(
-            crate::BatchPolicy::new(1, Duration::from_millis(1)),
-            move |idx: &[u64], inputs: &[Tensor]| {
-                log.lock().unwrap().extend_from_slice(idx);
-                Ok(inputs.to_vec())
-            },
-        );
-        handle.submit(tensor(0.0)).unwrap().wait().unwrap(); // index 0
-        handle.submit_at(5, tensor(1.0)).unwrap().wait().unwrap();
-        // Internal counter resumes past the external stamp.
-        handle.submit(tensor(2.0)).unwrap().wait().unwrap(); // index 6
-        handle.shutdown();
-        assert_eq!(*seen.lock().unwrap(), vec![0, 5, 6]);
     }
 }

@@ -6,14 +6,15 @@
 //! counterpart for *serving*: it accepts **single-image requests** on a
 //! bounded MPSC queue, coalesces them into micro-batches under a
 //! [`BatchPolicy`] latency budget, and drives a [`BatchRunner`] (typically
-//! `Executor::infer_batch_at` behind the `aimc-platform` session) — with
-//! one hard guarantee on top of PR 2's thread-count invariance:
+//! `Executor::infer_batch_indexed` behind the `aimc-platform` facade) —
+//! with one hard guarantee on top of PR 2's thread-count invariance:
 //!
-//! > **Batch-composition invariance.** Requests are numbered in arrival
-//! > order and each batch carries the stream index of its first image, so
-//! > for a fixed seed the logits of request *k* are bit-identical no
-//! > matter how the stream was chopped into micro-batches — max_batch 1,
-//! > 16, or anything the wait budget produced under load.
+//! > **Batch-composition invariance.** A fleet router numbers requests in
+//! > arrival order and every request carries its stream index into its
+//! > batch, so for a fixed seed the logits of request *k* are
+//! > bit-identical no matter how the stream was chopped into
+//! > micro-batches — max_batch 1, 16, or anything the wait budget
+//! > produced under load.
 //!
 //! ## Anatomy
 //!
@@ -24,15 +25,16 @@
 //!   budget is unit-testable under a fake clock.
 //! * [`spawn`] — wires a bounded channel, the coalescer, and a worker
 //!   thread around a [`BatchRunner`]; returns a clone-able [`ServeHandle`].
-//! * [`ServeHandle::submit`] — enqueues one image, returning a [`Pending`]
-//!   completion handle; [`ServeHandle::drain`] / [`ServeHandle::shutdown`]
-//!   flush and stop the worker. [`ServeHandle::submit_many`] stamps a
-//!   whole run under one lock acquisition.
-//! * [`FleetHandle`] — the two-tier *sharded* ingress: a router that owns
-//!   the global stream numbering (one lowest-first index per request),
-//!   stamps every request with its global index, and routes blocks of
-//!   consecutive requests ([`FleetPolicy`]) to N shards — with the
-//!   invariance generalized to any shard count.
+//! * [`ServeHandle::submit_at`] — enqueues one image at the stream index a
+//!   router stamped, returning a [`Pending`] completion handle;
+//!   [`ServeHandle::drain`] / [`ServeHandle::shutdown`] flush and stop the
+//!   worker. A `ServeHandle` never numbers requests itself.
+//! * [`FleetHandle`] — the serving ingress: a router that owns the global
+//!   stream numbering (one lowest-first index per request), stamps every
+//!   request with its global index, and routes blocks of consecutive
+//!   requests ([`FleetPolicy`]) to N shards — with the invariance
+//!   generalized to any shard count. A single session's server is a
+//!   one-seat fleet, so every request takes this path.
 //! * [`ShardTransport`] — the only interface the router speaks: submit an
 //!   indexed request, probe load, drain/shutdown, fan shard control.
 //!   [`LocalTransport`] is the in-process zero-copy path;
@@ -56,7 +58,7 @@
 //! };
 //! let handle = spawn(BatchPolicy::new(4, Duration::from_millis(1)), runner);
 //! let pending = handle
-//!     .submit(Tensor::from_vec(Shape::new(1, 1, 1), vec![21.0]))
+//!     .submit_at(0, Tensor::from_vec(Shape::new(1, 1, 1), vec![21.0]))
 //!     .unwrap();
 //! assert_eq!(pending.wait().unwrap().data(), &[42.0]);
 //! handle.shutdown();
@@ -114,10 +116,10 @@ pub struct BatchPolicy {
     /// waits before the batch is dispatched anyway.
     pub max_wait: Duration,
     /// Bound of the request queue: once this many requests are in flight
-    /// between submitters and the worker, [`ServeHandle::submit`] blocks
-    /// (backpressure, never unbounded growth) and
-    /// [`ServeHandle::submit_qos`] sheds with
-    /// [`ShedReason::QueueFull`](qos::ShedReason::QueueFull).
+    /// between submitters and the worker, [`ServeHandle::submit_at`]
+    /// blocks (backpressure, never unbounded growth) and
+    /// [`ServeHandle::submit_at_qos`] sheds with
+    /// [`ShedReason::QueueFull`].
     pub queue_depth: usize,
     /// Admission-control knobs: per-class budgets, coalescer ordering,
     /// ECN threshold. The default is fully permissive FIFO, preserving

@@ -113,16 +113,14 @@ impl Admission {
 /// How the coalescer orders queued requests into batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QosOrdering {
-    /// Strict arrival order — the pre-QoS behavior, and the only legal
-    /// ordering for runners that number the stream themselves (the solo
-    /// `Session::serve` analog path).
+    /// Strict arrival order — the pre-QoS behavior.
     #[default]
     Fifo,
     /// Earliest deadline first within each priority band: all `High`
     /// requests dispatch before any `Normal`, ties broken by deadline
-    /// then arrival. Safe only where stamped global indices are honored
-    /// (the fleet shard runners), because reordering dispatch never moves
-    /// a request's stream coordinate.
+    /// then arrival. Legal on every serving path: the router stamps each
+    /// request's stream coordinate at submission, so reordering dispatch
+    /// never moves a coordinate.
     EdfWithinPriority,
 }
 

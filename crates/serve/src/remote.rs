@@ -659,6 +659,12 @@ impl Drop for RemoteInner {
 /// [`aimc_wire::duplex`] pipe in tests — whose link death cancels
 /// outstanding requests instead of replaying. Clone-able; clones share
 /// the connection.
+///
+/// A request the server refuses, such as a malformed image, fails alone
+/// through its [`Pending`]. But the transport hands out the `Pending`
+/// before the server replies, so the router cannot release the refused
+/// request's index: on a TCP seat that coordinate stays used, and the
+/// stream's later requests are numbered past it.
 #[derive(Clone)]
 pub struct TcpTransport {
     inner: Arc<RemoteInner>,

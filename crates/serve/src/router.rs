@@ -597,10 +597,12 @@ impl FleetHandle {
     /// `Pending` resolves with the logits of the same stream index, and
     /// churn never shifts a coordinate. Only same-group members qualify:
     /// another group's replicas hold different conductances and would
-    /// compute different bits. A survivor that refuses mid-rescue is
-    /// itself retired (its strays join the worklist); with no survivor
-    /// left the orphans are cancelled — the terminal outcome the
-    /// settlement guarantee requires.
+    /// compute different bits. A survivor that refuses an orphan while
+    /// staying open refused the request itself (a malformed image), so the
+    /// orphan settles with that refusal and the survivor keeps serving. A
+    /// survivor that refuses because it closed is retired (its strays join
+    /// the worklist); with no survivor left the orphans are cancelled —
+    /// the terminal outcome the settlement guarantee requires.
     fn rescue(&self, shards: &[Arc<ShardSlot>], gid: usize, orphans: Vec<Orphan>) {
         let mut work = orphans;
         'orphans: while let Some(orphan) = work.pop() {
@@ -638,6 +640,7 @@ impl FleetHandle {
                             .expect("spawn rescue bridge");
                         self.inner.rescues.lock().unwrap().push(bridge);
                     }
+                    Err(e) if !survivor.transport.is_closed() => orphan.slot.fulfill(Err(e)),
                     Err(_) => {
                         if self.retire_slot(shards, i) {
                             work.extend(shards[i].transport.take_orphans());
@@ -693,9 +696,10 @@ impl FleetHandle {
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] — or once
-    /// no live shard remains. A refused request's index is always released
-    /// back to the allocator, so the stream keeps no hole and later
-    /// requests stay solo-identical.
+    /// no live shard remains; [`ServeError::Exec`] when the seat refuses
+    /// the image itself (a local seat checks its input shape). A refused
+    /// request's index is always released back to the allocator, so the
+    /// stream keeps no hole and later requests stay solo-identical.
     pub fn submit(&self, image: Tensor) -> Result<Pending, ServeError> {
         self.submit_routed(0, image)
     }
@@ -874,11 +878,10 @@ impl FleetHandle {
     }
 
     /// Submits a run of images stamped with **contiguous** global indices,
-    /// claimed atomically — the fleet counterpart of
-    /// `ServeHandle::submit_many`. Routing still happens in routing
-    /// blocks: a run longer than the rest of the current block spans
-    /// blocks (and possibly shards), but its indices — and therefore its
-    /// results — are exactly the ones a loop of [`FleetHandle::submit`]
+    /// claimed atomically under one router lock. Routing still happens in
+    /// routing blocks: a run longer than the rest of the current block
+    /// spans blocks (and possibly shards), but its indices — and therefore
+    /// its results — are exactly the ones a loop of [`FleetHandle::submit`]
     /// calls would produce.
     ///
     /// A shard dying mid-run is evicted like in [`FleetHandle::submit`]:
@@ -888,8 +891,9 @@ impl FleetHandle {
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] or once no
-    /// live shard remains (images already forwarded still complete, but
-    /// their completion handles are discarded with the error); the failed
+    /// live shard remains; [`ServeError::Exec`] when a seat refuses an
+    /// image of the run. Images already forwarded still complete, but
+    /// their completion handles are discarded with the error; the failed
     /// and unsent images' indices are released back to the allocator.
     pub fn submit_block(
         &self,
@@ -1961,6 +1965,66 @@ mod tests {
         f.drain();
         assert_eq!(p0.wait(), Err(ServeError::Canceled));
         assert_eq!(p1.wait(), Err(ServeError::Canceled));
+        f.shutdown();
+    }
+
+    /// A control whose replica takes only 1×1×1 images: its seat refuses
+    /// any other image before queueing it.
+    struct ScalarInputs;
+
+    impl ShardControl for ScalarInputs {
+        fn apply_drift(&self, _t_hours: f64) -> bool {
+            false
+        }
+        fn reprogram(&self) -> Result<(), ExecError> {
+            Ok(())
+        }
+        fn set_parallelism(&self, _par: Parallelism) {}
+        fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
+            let expected = Shape::new(1, 1, 1);
+            match image.shape() {
+                got if got == expected => Ok(()),
+                got => Err(ExecError::ShapeMismatch { expected, got }),
+            }
+        }
+    }
+
+    /// An orphan that an open survivor refuses for its own image settles
+    /// with that refusal, and the survivor stays in rotation: one
+    /// malformed orphan must not evict the healthy seats of its group.
+    #[test]
+    fn refused_orphan_settles_and_the_survivor_stays_live() {
+        let log: ShardLog = Arc::default();
+        let survivor = LocalTransport::new(
+            shard_handle(
+                Arc::clone(&log),
+                BatchPolicy::new(2, Duration::from_millis(1)),
+            ),
+            Box::new(ScalarInputs),
+        );
+        let shards: Vec<Box<dyn ShardTransport>> =
+            vec![Box::new(ParkingTransport::new(1)), Box::new(survivor)];
+        let f = FleetHandle::new(shards, FleetPolicy::new(RoutePolicy::RoundRobin)).unwrap();
+        // Index 0 parks a malformed image on the dying seat and index 1
+        // runs on the survivor. The third request kills the parking seat;
+        // the survivor refuses its orphan, and the request retries there
+        // at the released index 2.
+        let orphan = f.submit(Tensor::zeros(Shape::new(2, 1, 1))).unwrap();
+        let p1 = f.submit(tensor(1.0)).unwrap();
+        let p2 = f.submit(tensor(2.0)).unwrap();
+        assert!(matches!(
+            orphan.wait(),
+            Err(ServeError::Exec(ExecError::ShapeMismatch { .. }))
+        ));
+        assert_eq!(p1.wait().unwrap().data(), &[1001.0]);
+        assert_eq!(p2.wait().unwrap().data(), &[2002.0]);
+        assert_eq!(f.live_shard_count(), 1);
+        assert!(f.shard_health()[1].live, "the survivor was not retired");
+        let p3 = f.submit(tensor(3.0)).unwrap();
+        assert_eq!(p3.wait().unwrap().data(), &[3003.0]);
+        f.drain();
+        let seen: Vec<u64> = log.lock().unwrap().iter().map(|&(i, _)| i).collect();
+        assert_eq!(seen, vec![1, 2, 3]);
         f.shutdown();
     }
 

@@ -3,14 +3,13 @@
 //! One worker drains the queue in FIFO order (or earliest-deadline-first
 //! within priority bands under
 //! [`QosOrdering::EdfWithinPriority`](crate::QosOrdering)). Every request already
-//! carries its global stream index (stamped at submission — by the
-//! handle's own counter, or by a fleet router through
-//! `ServeHandle::submit_at`), and the worker hands the per-request
-//! indices to the runner alongside the images. The runner keys evaluation
-//! randomness to those indices (`Executor::infer_batch_indexed`) — the
-//! mechanism behind batch-composition invariance, and its fleet
-//! generalization: a shard's batches need not be contiguous in the global
-//! stream.
+//! carries its global stream index (stamped at submission by a fleet
+//! router, through [`ServeHandle::submit_at`]), and the worker hands the
+//! per-request indices to the runner alongside the images. The runner
+//! keys evaluation randomness to those indices
+//! (`Executor::infer_batch_indexed`) — the mechanism behind
+//! batch-composition invariance: a shard's batches need not be contiguous
+//! in the global stream, nor in stream order.
 
 use crate::handle::{Msg, Request, ServeError, ServeHandle, SharedState};
 use crate::qos::QosCoalescer;
@@ -23,11 +22,10 @@ use std::time::Instant;
 /// Executes one coalesced micro-batch.
 ///
 /// `indices[i]` is the global stream index of `inputs[i]` (the slices have
-/// equal length). With a solo handle the indices of a batch are contiguous
-/// and ascending; a fleet shard receives whatever slice of the global
-/// stream the router handed it. Runners that wrap a stateful backend must
-/// key per-image randomness to the global index (not the position within
-/// the batch) to preserve batch-composition invariance.
+/// equal length). A shard receives whatever slice of the global stream the
+/// router handed it. Runners that wrap a stateful backend must key
+/// per-image randomness to the global index (not the position within the
+/// batch) to preserve batch-composition invariance.
 ///
 /// Implemented for any `FnMut(&[u64], &[Tensor]) -> Result<Vec<Tensor>,
 /// ExecError>` closure.
@@ -217,7 +215,7 @@ mod tests {
             recording_runner(Arc::clone(&log)),
         );
         let pendings: Vec<Pending> = (0..10)
-            .map(|i| handle.submit(tensor(i as f32)).unwrap())
+            .map(|i| handle.submit_at(i, tensor(i as f32)).unwrap())
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[i as f32 + 0.5]);
@@ -226,8 +224,7 @@ mod tests {
 
         let log = log.lock().unwrap();
         // Batches cover the stream in order: concatenating them yields the
-        // submission sequence, and single-threaded submission stamps each
-        // request with exactly the count submitted before it.
+        // submission sequence, each request at the index it was stamped.
         let mut expect = 0u64;
         let mut flat = Vec::new();
         for (indices, tags) in log.iter() {
@@ -242,85 +239,6 @@ mod tests {
         assert_eq!(flat, want);
     }
 
-    /// `submit_many` stamps exactly the indices a loop of `submit` calls
-    /// would, interleaves correctly with surrounding single submissions,
-    /// and completes every request.
-    #[test]
-    fn submit_many_numbering_matches_a_submit_loop() {
-        // Reference: a loop of submit calls on one handle.
-        let ref_log = Arc::new(Mutex::new(Vec::new()));
-        let reference = spawn(
-            BatchPolicy::new(4, Duration::from_millis(2)),
-            recording_runner(Arc::clone(&ref_log)),
-        );
-        let ref_pendings: Vec<Pending> = (0..6)
-            .map(|i| reference.submit(tensor(i as f32)).unwrap())
-            .collect();
-        reference.shutdown();
-
-        // Same stream via submit → submit_many → submit.
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let handle = spawn(
-            BatchPolicy::new(4, Duration::from_millis(2)),
-            recording_runner(Arc::clone(&log)),
-        );
-        let mut pendings = vec![handle.submit(tensor(0.0)).unwrap()];
-        pendings.extend(
-            handle
-                .submit_many((1..5).map(|i| tensor(i as f32)))
-                .unwrap(),
-        );
-        assert_eq!(handle.submit_many(std::iter::empty()).unwrap().len(), 0);
-        pendings.push(handle.submit(tensor(5.0)).unwrap());
-        handle.shutdown();
-
-        for (i, (a, b)) in ref_pendings.into_iter().zip(pendings).enumerate() {
-            assert_eq!(
-                a.wait().unwrap().data(),
-                b.wait().unwrap().data(),
-                "request {i} diverged"
-            );
-        }
-        // Flattened (index, tag) pairs are identical streams: 0..6 in order.
-        let flatten = |l: &BatchLog| -> Vec<(u64, f32)> {
-            l.lock()
-                .unwrap()
-                .iter()
-                .flat_map(|(idx, tags)| idx.iter().copied().zip(tags.iter().copied()))
-                .collect::<Vec<_>>()
-        };
-        let want: Vec<(u64, f32)> = (0..6).map(|i| (i as u64, i as f32)).collect();
-        assert_eq!(flatten(&ref_log), want);
-        assert_eq!(flatten(&log), want);
-        assert_eq!(handle.stats().submitted, 6);
-        assert_eq!(handle.stats().completed, 6);
-        // Post-shutdown runs are refused and counted.
-        assert!(matches!(
-            handle.submit_many([tensor(9.0), tensor(10.0)]),
-            Err(ServeError::ShutDown)
-        ));
-        assert_eq!(handle.stats().rejected, 2);
-    }
-
-    /// `submit_many` larger than the queue bound must not deadlock: the
-    /// worker drains while the call feeds (backpressure per image).
-    #[test]
-    fn submit_many_survives_queue_backpressure() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let handle = spawn(
-            BatchPolicy::new(8, Duration::from_millis(1)).with_queue_depth(4),
-            recording_runner(Arc::clone(&log)),
-        );
-        let pendings = handle
-            .submit_many((0..64).map(|i| tensor(i as f32)))
-            .unwrap();
-        for (i, p) in pendings.into_iter().enumerate() {
-            assert_eq!(p.wait().unwrap().data(), &[i as f32 + 0.5]);
-        }
-        handle.shutdown();
-        assert_eq!(handle.in_flight(), 0);
-    }
-
     #[test]
     fn max_wait_flushes_partial_batches() {
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -329,7 +247,7 @@ mod tests {
             BatchPolicy::new(1000, Duration::from_millis(10)),
             recording_runner(Arc::clone(&log)),
         );
-        let p = handle.submit(tensor(7.0)).unwrap();
+        let p = handle.submit_at(0, tensor(7.0)).unwrap();
         // Must complete without ever filling the batch.
         assert_eq!(p.wait().unwrap().data(), &[7.5]);
         assert_eq!(handle.stats().batches, 1);
@@ -345,7 +263,7 @@ mod tests {
             recording_runner(Arc::clone(&log)),
         );
         let pendings: Vec<Pending> = (0..5)
-            .map(|i| handle.submit(tensor(i as f32)).unwrap())
+            .map(|i| handle.submit_at(i, tensor(i as f32)).unwrap())
             .collect();
         handle.shutdown();
         for (i, p) in pendings.into_iter().enumerate() {
@@ -353,7 +271,7 @@ mod tests {
         }
         // Post-shutdown submissions are refused and counted.
         assert!(matches!(
-            handle.submit(tensor(9.0)),
+            handle.submit_at(5, tensor(9.0)),
             Err(ServeError::ShutDown)
         ));
         assert!(handle.is_closed());
@@ -367,13 +285,13 @@ mod tests {
     fn shutdown_is_idempotent_across_clones() {
         let handle = spawn(BatchPolicy::default(), recording_runner(Default::default()));
         let clone = handle.clone();
-        let p = clone.submit(tensor(1.0)).unwrap();
+        let p = clone.submit_at(0, tensor(1.0)).unwrap();
         handle.shutdown();
         clone.shutdown();
         handle.shutdown();
         assert_eq!(p.wait().unwrap().data(), &[1.5]);
         assert!(matches!(
-            clone.submit(tensor(2.0)),
+            clone.submit_at(1, tensor(2.0)),
             Err(ServeError::ShutDown)
         ));
     }
@@ -389,12 +307,12 @@ mod tests {
             BatchPolicy::new(2, Duration::from_millis(1)),
             move |_idx: &[u64], _inputs: &[Tensor]| Err(e.clone()),
         );
-        let a = handle.submit(tensor(0.0)).unwrap();
-        let b = handle.submit(tensor(1.0)).unwrap();
+        let a = handle.submit_at(0, tensor(0.0)).unwrap();
+        let b = handle.submit_at(1, tensor(1.0)).unwrap();
         assert_eq!(a.wait(), Err(ServeError::Exec(bad.clone())));
         assert_eq!(b.wait(), Err(ServeError::Exec(bad)));
         // The scheduler survives failing batches.
-        let c = handle.submit(tensor(2.0)).unwrap();
+        let c = handle.submit_at(2, tensor(2.0)).unwrap();
         assert!(matches!(c.wait(), Err(ServeError::Exec(_))));
         handle.shutdown();
     }
@@ -405,7 +323,7 @@ mod tests {
             BatchPolicy::new(1, Duration::from_millis(1)),
             move |_idx: &[u64], _inputs: &[Tensor]| Ok(Vec::new()),
         );
-        let p = handle.submit(tensor(3.0)).unwrap();
+        let p = handle.submit_at(0, tensor(3.0)).unwrap();
         // debug_assert fires only in the worker thread's debug builds; the
         // observable contract is cancellation either way.
         assert_eq!(p.wait(), Err(ServeError::Canceled));
@@ -443,7 +361,7 @@ mod tests {
         let pendings: Vec<Pending> = (0..N)
             .map(|i| {
                 let h = if i % 2 == 0 { &handle } else { &clone };
-                h.submit(tensor(i as f32)).unwrap()
+                h.submit_at(i, tensor(i as f32)).unwrap()
             })
             .collect();
         handle.drain();

@@ -82,6 +82,17 @@ pub trait ShardControl: Send + Sync {
     /// Updates the thread budget this shard's batches snapshot at
     /// dispatch. Never changes results.
     fn set_parallelism(&self, par: Parallelism);
+
+    /// Checks one image before it is queued, so a malformed request is
+    /// refused alone instead of failing the micro-batch it would join.
+    /// The default accepts every image.
+    ///
+    /// # Errors
+    /// [`ExecError::ShapeMismatch`] when the replica cannot take `image`.
+    fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
+        let _ = image;
+        Ok(())
+    }
 }
 
 /// One shard of a serving fleet, wherever it lives: the only interface the
@@ -98,7 +109,10 @@ pub trait ShardTransport: Send + Sync {
     /// the completion handle.
     ///
     /// # Errors
-    /// [`ServeError::ShutDown`] once the shard no longer accepts requests.
+    /// [`ServeError::ShutDown`] once the shard no longer accepts requests;
+    /// [`ServeError::Exec`] when the shard refuses the image itself (a
+    /// [`LocalTransport`] checks it against its replica's input shape).
+    /// Either way the router releases the index.
     fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError>;
 
     /// QoS-gated submission at a stamped index: the shard applies its
@@ -210,7 +224,9 @@ pub trait ShardTransport: Send + Sync {
 ///
 /// This is the zero-copy fast path — `submit_indexed` moves the tensor
 /// straight into the shard's bounded queue; nothing touches the wire
-/// codec.
+/// codec. Every submission first passes [`ShardControl::check_input`]: a
+/// refused image never reaches the queue, so it fails no neighbour, and
+/// the router releases its index.
 pub struct LocalTransport {
     handle: ServeHandle,
     control: Box<dyn ShardControl>,
@@ -246,16 +262,11 @@ impl LocalTransport {
             reprograms: AtomicU64::new(0),
         }
     }
-
-    /// The wrapped scheduler handle (e.g. to share it with non-fleet
-    /// submitters).
-    pub fn handle(&self) -> &ServeHandle {
-        &self.handle
-    }
 }
 
 impl ShardTransport for LocalTransport {
     fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
+        self.control.check_input(&image)?;
         self.handle.submit_at(index, image)
     }
 
@@ -265,6 +276,7 @@ impl ShardTransport for LocalTransport {
         image: Tensor,
         class: QosClass,
     ) -> Result<Admission, ServeError> {
+        self.control.check_input(&image)?;
         self.handle.submit_at_qos(index, image, class)
     }
 
@@ -274,6 +286,7 @@ impl ShardTransport for LocalTransport {
         image: Tensor,
         class: QosClass,
     ) -> Result<Pending, ServeError> {
+        self.control.check_input(&image)?;
         self.handle.submit_at_admitted(index, image, class)
     }
 

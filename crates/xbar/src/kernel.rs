@@ -451,7 +451,7 @@ fn axpy_masked_rows(
     }
 }
 
-/// Patches per batched parallel-DAC evaluation (see [`dac_packed_batch`]):
+/// Patches per batched parallel-DAC evaluation (see `dac_packed_batch`):
 /// four independent accumulator chains hide FP-add latency, and each
 /// conductance row loaded from L2 is used four times.
 pub const DAC_BATCH: usize = 4;

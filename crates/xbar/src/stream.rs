@@ -34,7 +34,7 @@
 //! assumed: the executors pass `image_index · patches_per_layer + patch`,
 //! where `image_index` is a *global stream coordinate* assigned by the
 //! serving layer. A long-lived server can push that product far beyond
-//! 2^40 — [`derive`] is a bijective mix composed with XOR, so distinct
+//! 2^40 — [`derive()`] is a bijective mix composed with XOR, so distinct
 //! tags can only collide through the XOR of two finalized values, which
 //! the neighbourhood audits in `tests/proptests.rs` check at
 //! serving-scale bases.

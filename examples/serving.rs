@@ -1,8 +1,9 @@
 //! The serving layer in action: an async micro-batch scheduler in front of
-//! a programmed analog session.
+//! a programmed analog session. `Session::serve` returns a one-seat fleet
+//! whose router stamps every request with its stream coordinate.
 //!
 //! Part 1 drives the scheduler from two concurrent submitter threads
-//! (clone-able `ServeHandle`) and prints the coalescing statistics.
+//! (clone-able `FleetHandle`) and prints the coalescing statistics.
 //! Part 2 demonstrates the *batch-composition invariance* guarantee: the
 //! same deterministic request stream served under different `max_batch`
 //! policies produces logits bit-identical to solo `Session::infer_one`
@@ -62,7 +63,7 @@ fn main() -> Result<(), Error> {
         .collect();
     let done: usize = submitters.into_iter().map(|t| t.join().unwrap()).sum();
     handle.shutdown();
-    let stats = handle.stats();
+    let stats = handle.stats().aggregate();
     println!(
         "served {done} requests from 2 threads in {:.2}s: {} batches, mean batch {:.2}, \
          queue wait p50 {:?} / p95 {:?}",
@@ -96,7 +97,7 @@ fn main() -> Result<(), Error> {
         h.shutdown();
         println!(
             "max_batch {max_batch:>2}: {} batches, bit-identical to solo: {}",
-            h.stats().batches,
+            h.stats().aggregate().batches,
             logits == reference
         );
         assert_eq!(logits, reference, "batch-composition invariance violated");

@@ -187,7 +187,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Element-count specification accepted by [`vec`].
+    /// Element-count specification accepted by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -232,7 +232,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -37,13 +37,13 @@
 use crate::error::{BuildError, Error};
 use aimc_core::{map_network, ArchConfig, MappingStrategy, SystemMapping};
 use aimc_dnn::{
-    he_init, AimcExecutor, ExecError, Executor, GoldenExecutor, Graph, Tensor, Weights,
+    he_init, AimcExecutor, ExecError, Executor, GoldenExecutor, Graph, Shape, Tensor, Weights,
 };
 use aimc_parallel::Parallelism;
 use aimc_runtime::{simulate, AreaModel, EnergyModel, Headline, RunReport, Waterfall};
 use aimc_serve::{
-    BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, QosOrdering, RoutePolicy, ServeError,
-    ServeHandle, ShardControl, ShardServer, ShardSpec, ShardTransport,
+    BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, RoutePolicy, ServeError, ShardControl,
+    ShardServer, ShardSpec, ShardTransport,
 };
 use aimc_xbar::XbarConfig;
 use std::collections::hash_map::Entry;
@@ -307,29 +307,20 @@ impl Platform {
         policy: BatchPolicy,
         backend: &Backend,
     ) -> Result<LocalTransport, Error> {
-        let spec = backend.shard_spec(model_id);
         let inner = &self.inner;
         let weights = inner.weights.clone().ok_or(Error::NoWeights)?;
         let graph = Arc::clone(&inner.graph);
         // Per-shard thread-budget cell, snapshotted per batch; fleet-wide
         // retunes fan through each shard's control.
         let par = Arc::new(ParCell(Mutex::new(inner.parallelism)));
-        match backend {
-            Backend::Golden => {
-                // Golden replicas are stateless; the executor is a cheap
-                // wrapper over the shared graph/weight Arcs.
-                let exec = Arc::new(GoldenExecutor::from_shared(graph, weights)?);
-                let p = Arc::clone(&par);
-                let runner: Box<aimc_serve::DynRunner> =
-                    Box::new(move |indices: &[u64], inputs: &[Tensor]| {
-                        exec.infer_batch_indexed(&zip_indexed(indices, inputs), p.get())
-                    });
-                Ok(LocalTransport::with_spec(
-                    aimc_serve::spawn(policy, runner),
-                    Box::new(GoldenShardControl { par }),
-                    spec,
-                ))
-            }
+        let replica = match backend {
+            // Golden replicas are stateless; the executor is a cheap
+            // wrapper over the shared graph/weight Arcs.
+            Backend::Golden => Replica::Golden(GoldenShardControl {
+                input: graph.input_shape(),
+                exec: Arc::new(GoldenExecutor::from_shared(graph, weights)?),
+                par,
+            }),
             Backend::Analog { seed, xbar_cfg } => {
                 // Same seed ⇒ every tile of every replica programs from
                 // the same derived stream ⇒ identical conductances.
@@ -340,32 +331,17 @@ impl Platform {
                     *seed,
                     par.get(),
                 )?;
-                let slot = Arc::new(RwLock::new(exec));
-                let s = Arc::clone(&slot);
-                let p = Arc::clone(&par);
-                let runner: Box<aimc_serve::DynRunner> =
-                    Box::new(move |indices: &[u64], inputs: &[Tensor]| {
-                        // Snapshot the thread budget once per batch;
-                        // read-lock the replica so fleet drift/reprogram
-                        // wait for in-flight batches.
-                        let par = p.get();
-                        let exec = s.read().unwrap();
-                        exec.try_infer_batch_indexed(&zip_indexed(indices, inputs), par)
-                    });
-                Ok(LocalTransport::with_spec(
-                    aimc_serve::spawn(policy, runner),
-                    Box::new(AnalogShardControl {
-                        slot,
-                        graph,
-                        weights,
-                        xbar_cfg: xbar_cfg.clone(),
-                        seed: *seed,
-                        par,
-                    }),
-                    spec,
-                ))
+                Replica::Analog(AnalogShardControl {
+                    slot: Arc::new(RwLock::new(exec)),
+                    graph,
+                    weights,
+                    xbar_cfg: xbar_cfg.clone(),
+                    seed: *seed,
+                    par,
+                })
             }
-        }
+        };
+        Ok(local_seat(policy, backend.shard_spec(model_id), replica))
     }
 
     /// Builds a wire-protocol server around one freshly programmed replica
@@ -433,9 +409,61 @@ impl ModelGroup {
     }
 }
 
+/// One programmed replica behind an in-process seat, as its fleet control:
+/// each control also holds the executor the seat's runner evaluates with.
+enum Replica {
+    Golden(GoldenShardControl),
+    Analog(AnalogShardControl),
+}
+
+/// Wraps one programmed replica as an in-process seat: a micro-batch
+/// scheduler under `policy` whose runner evaluates every batch at its
+/// router-stamped coordinates, plus the replica's fleet control. Both
+/// [`Platform::local_shard_for`] and [`Session::serve`] build their seats
+/// here, so each backend has one runner and one control.
+fn local_seat(policy: BatchPolicy, spec: ShardSpec, replica: Replica) -> LocalTransport {
+    let (runner, control): (Box<aimc_serve::DynRunner>, Box<dyn ShardControl>) = match replica {
+        Replica::Golden(control) => {
+            let (exec, par) = (Arc::clone(&control.exec), Arc::clone(&control.par));
+            (
+                Box::new(move |indices: &[u64], inputs: &[Tensor]| {
+                    exec.infer_batch_indexed(&zip_indexed(indices, inputs), par.get())
+                }),
+                Box::new(control),
+            )
+        }
+        Replica::Analog(control) => {
+            let (slot, par) = (Arc::clone(&control.slot), Arc::clone(&control.par));
+            (
+                Box::new(move |indices: &[u64], inputs: &[Tensor]| {
+                    // Snapshot the thread budget once per batch; read-lock
+                    // the replica so drift/reprogram wait for in-flight
+                    // batches.
+                    let par = par.get();
+                    let exec = slot.read().unwrap();
+                    exec.try_infer_batch_indexed(&zip_indexed(indices, inputs), par)
+                }),
+                Box::new(control),
+            )
+        }
+    };
+    LocalTransport::with_spec(aimc_serve::spawn(policy, runner), control, spec)
+}
+
+/// Refuses an image whose shape is not the graph's input shape, so the
+/// seat never queues it.
+fn check_shape(expected: Shape, image: &Tensor) -> Result<(), ExecError> {
+    match image.shape() {
+        got if got == expected => Ok(()),
+        got => Err(ExecError::ShapeMismatch { expected, got }),
+    }
+}
+
 /// Fleet control surface of one golden shard: stateless, so drift is a
 /// no-op and "reprogramming" needs no work.
 struct GoldenShardControl {
+    exec: Arc<GoldenExecutor>,
+    input: Shape,
     par: Arc<ParCell>,
 }
 
@@ -450,6 +478,10 @@ impl ShardControl for GoldenShardControl {
 
     fn set_parallelism(&self, par: Parallelism) {
         self.par.set(par);
+    }
+
+    fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
+        check_shape(self.input, image)
     }
 }
 
@@ -491,6 +523,10 @@ impl ShardControl for AnalogShardControl {
         // batch) — no slot write-lock, so mid-serve retunes never stall
         // behind in-flight batches.
         self.par.set(par);
+    }
+
+    fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
+        check_shape(self.graph.input_shape(), image)
     }
 }
 
@@ -650,10 +686,10 @@ impl Backend {
     }
 }
 
-/// Shared parallelism knob: the session and every live [`ServeHandle`]
-/// runner read the same cell, so [`Session::set_parallelism`] takes effect
-/// for in-flight serving — snapshotted once per dispatched batch, never
-/// mid-batch.
+/// Shared parallelism knob: the session and the runner of every seat
+/// [`Session::serve`] built read the same cell, so
+/// [`Session::set_parallelism`] takes effect for in-flight serving —
+/// snapshotted once per dispatched batch, never mid-batch.
 #[derive(Debug)]
 struct ParCell(Mutex<Parallelism>);
 
@@ -678,9 +714,15 @@ impl ParCell {
 /// drifted) conductances. Crossbars are re-written only when a *different*
 /// analog backend is requested or [`Session::reprogram`] forces it.
 ///
-/// The backend slots are shared (`Arc`) with any [`ServeHandle`] created
-/// by [`Session::serve`], so serving, [`Session::apply_drift`], and
-/// [`Session::reprogram`] all act on the *same* crossbars.
+/// The backend slots are shared (`Arc`) with the one-seat fleet that
+/// [`Session::serve`] returns, so serving, [`Session::apply_drift`],
+/// [`Session::reprogram`] and the handle's own transitions all act on the
+/// *same* crossbars. The handle's router owns the served stream's
+/// numbering: it starts at coordinate 0 on its own, `Session::reprogram`
+/// does not rewind it, direct [`Session::infer`] calls beside a live
+/// handle (or two live handles on one backend) can evaluate the same
+/// coordinates, and [`FleetHandle::add_shard`] replays only the drift
+/// applied through the handle (see [`Session::serve`]).
 pub struct Session {
     platform: Platform,
     runs: HashMap<usize, RunReport>,
@@ -693,7 +735,7 @@ pub struct Session {
     analog: Option<(Backend, Arc<RwLock<AimcExecutor>>)>,
     programs: usize,
     /// Thread budget for programming and functional inference (shared
-    /// with serve runners).
+    /// with the runners of served seats).
     parallelism: Arc<ParCell>,
 }
 
@@ -783,6 +825,10 @@ impl Session {
     /// executor — e.g. to model freshly-written conductances after
     /// [`Session::apply_drift`].
     ///
+    /// A live handle from [`Session::serve`] serves the new crossbars but
+    /// keeps its numbering; [`FleetHandle::reprogram`] rewinds a served
+    /// stream to coordinate 0.
+    ///
     /// # Errors
     /// Same conditions as [`Session::program`].
     pub fn reprogram(&mut self, backend: &Backend) -> Result<(), Error> {
@@ -802,9 +848,12 @@ impl Session {
     /// session's thread budget — bit-identical to a serial deployment,
     /// since every tile programs from its own derived RNG stream.
     ///
-    /// The analog slot's `Arc` is reused when one exists, so live
-    /// [`ServeHandle`]s transparently serve the freshly written crossbars
-    /// (and their reset image-coordinate counter).
+    /// The analog slot's `Arc` is reused when it holds the same backend,
+    /// so live handles from [`Session::serve`] transparently serve the
+    /// freshly written crossbars — but their routers keep numbering where
+    /// they were. A different backend gets a fresh slot: a live handle
+    /// keeps serving, drifting and reprogramming the replica it was
+    /// started on, which its seat's control knows how to rewrite.
     fn write_crossbars(&mut self, backend: &Backend) -> Result<(), Error> {
         let Backend::Analog { seed, xbar_cfg } = backend else {
             unreachable!("caller matched Backend::Analog");
@@ -817,12 +866,11 @@ impl Session {
             *seed,
             self.parallelism.get(),
         )?;
-        match &mut self.analog {
-            Some((slot_backend, slot)) => {
-                *slot_backend = backend.clone();
+        match &self.analog {
+            Some((slot_backend, slot)) if slot_backend == backend => {
                 *slot.write().unwrap() = exec;
             }
-            None => self.analog = Some((backend.clone(), Arc::new(RwLock::new(exec)))),
+            _ => self.analog = Some((backend.clone(), Arc::new(RwLock::new(exec)))),
         }
         self.programs += 1;
         Ok(())
@@ -850,8 +898,8 @@ impl Session {
     /// Overrides the thread budget inherited from the platform (applies to
     /// subsequent programming and inference; never changes results).
     ///
-    /// The knob is shared with every [`ServeHandle`] spawned from this
-    /// session: in-flight serving picks the new setting up **per batch**
+    /// The knob is shared with every handle [`Session::serve`] returned:
+    /// in-flight serving picks the new setting up **per batch**
     /// (a batch snapshots the budget once at dispatch, so no batch ever
     /// mixes thread budgets mid-flight — and results are bit-identical
     /// either way).
@@ -902,81 +950,76 @@ impl Session {
 
     /// Starts an asynchronous micro-batch server over the **active**
     /// backend (program one first via [`Session::program`] or any infer
-    /// call): single-image requests submitted through the returned
-    /// [`ServeHandle`] are coalesced under `policy` and driven through the
-    /// batched executor path.
+    /// call). The server is a one-seat fleet: its only seat serves this
+    /// session's own programmed replica, built by the same function as the
+    /// seats of [`Platform::local_shard_for`], so a session's requests
+    /// take the same path as every fleet's. Single-image requests
+    /// submitted through the returned [`FleetHandle`] are coalesced under
+    /// `policy`.
     ///
-    /// **Batch-composition invariance.** Requests are numbered in arrival
-    /// order and evaluated at that stable global image coordinate
-    /// ([`Executor::infer_batch_at`]), so for a fixed seed the logits of
-    /// request *k* are bit-identical to a solo [`Session::infer_one`]
-    /// stream of the same images — no matter how the scheduler chopped the
+    /// **Batch-composition invariance.** The handle's router numbers
+    /// requests in arrival order and each request is evaluated at that
+    /// stamped coordinate ([`Executor::infer_batch_indexed`]), so for a
+    /// fixed seed the logits of request *k* are bit-identical to a solo
+    /// [`Session::infer_one`] stream of the same images on freshly
+    /// programmed crossbars — no matter how the scheduler chopped the
     /// stream into batches (`max_batch` 1, 16, or whatever the latency
-    /// budget produced).
+    /// budget produced), under FIFO and EDF ordering alike.
     ///
     /// The handle shares this session's state rather than snapshotting it:
     ///
-    /// * the analog slot — [`Session::apply_drift`] and
-    ///   [`Session::reprogram`] act on the crossbars the handle serves
-    ///   (drain the handle first for a deterministic transition point);
-    /// * the thread budget — [`Session::set_parallelism`] applies to
-    ///   in-flight serving, snapshotted once per dispatched batch.
+    /// * the backend slot — [`Session::apply_drift`] acts on the crossbars
+    ///   the handle serves (drain the handle first for a deterministic
+    ///   transition point), as do [`FleetHandle::apply_drift`] and
+    ///   [`FleetHandle::reprogram`]. Programming a *different* analog
+    ///   backend gives the session fresh crossbars and leaves the handle
+    ///   on its own;
+    /// * the thread budget — [`Session::set_parallelism`] and
+    ///   [`FleetHandle::set_parallelism`] apply to in-flight serving,
+    ///   snapshotted once per dispatched batch.
     ///
-    /// Call [`ServeHandle::shutdown`] when done. Interleaving direct
-    /// [`Session::infer`] calls with live serving is safe (coordinate
-    /// ranges are claimed atomically, never aliased) but the interleaving
-    /// order is scheduling-dependent — drain first for reproducible
-    /// streams.
+    /// Four things follow from the router owning the numbering:
     ///
-    /// **Not a fleet shard.** On a handle returned here, the *backend's
-    /// own counter* is the stream authority (that is what makes drift /
-    /// reprogram transitions match a solo stream), so the analog runner
-    /// ignores externally stamped indices: do not use
-    /// [`ServeHandle::submit_at`] on this handle — route through
-    /// [`Platform::serve_fleet`] when an external router should own the
-    /// numbering. For the same reason the analog path clamps the QoS
-    /// batch ordering to FIFO: the runner numbers requests in dispatch
-    /// order, so EDF reordering would move a request's stream coordinate
-    /// (and therefore its logits). Class annotations, admission gating,
-    /// and per-class stats still apply in full; fleet shards — which
-    /// honor stamped indices — keep EDF available.
+    /// * a served stream numbers from coordinate 0 on its own, whatever
+    ///   the session evaluated before;
+    /// * [`Session::reprogram`] rewrites the crossbars but does not rewind
+    ///   a live handle — [`FleetHandle::reprogram`] rewrites them *and*
+    ///   rewinds the served stream to 0, like a solo reprogram;
+    /// * direct [`Session::infer`] calls beside a live handle, or two live
+    ///   handles on one backend, can evaluate the same coordinates;
+    /// * [`FleetHandle::add_shard`] replays onto a joiner only the drift
+    ///   applied through the handle, not [`Session::apply_drift`].
+    ///
+    /// Call [`FleetHandle::shutdown`] when done.
     ///
     /// # Errors
     /// [`Error::NoBackend`] if no functional backend is programmed yet.
-    pub fn serve(&mut self, mut policy: BatchPolicy) -> Result<ServeHandle, Error> {
-        let active = self.active.clone().ok_or(Error::NoBackend)?;
+    pub fn serve(&self, policy: BatchPolicy) -> Result<FleetHandle, Error> {
+        let active = self.active.as_ref().ok_or(Error::NoBackend)?;
+        let (graph, weights) = self.shared_graph_weights()?;
         let par = Arc::clone(&self.parallelism);
-        let runner: Box<aimc_serve::DynRunner> = match active {
-            Backend::Golden => {
-                let exec = Arc::clone(self.golden.as_ref().expect("programmed golden"));
-                Box::new(move |indices: &[u64], inputs: &[Tensor]| {
-                    exec.infer_batch_indexed(&zip_indexed(indices, inputs), par.get())
-                })
-            }
-            Backend::Analog { .. } => {
-                // The runner below numbers the stream itself, so only
-                // arrival-order dispatch keeps coordinates solo-identical.
-                policy.qos.ordering = QosOrdering::Fifo;
-                let slot = Arc::clone(&self.analog.as_ref().expect("programmed analog").1);
-                Box::new(move |_indices: &[u64], inputs: &[Tensor]| {
-                    // Snapshot the thread budget once per batch.
-                    let par = par.get();
-                    let exec = slot.read().unwrap();
-                    // The executor's own image counter — not the handle's
-                    // stamped indices — is the stream authority here: it
-                    // survives drift untouched and resets with
-                    // reprogramming, exactly like a solo-infer stream
-                    // through the same transitions (fleet shards are the
-                    // opposite: the router owns the numbering). The batch
-                    // claims its coordinates atomically, so even a
-                    // concurrent counter-claiming infer can never alias
-                    // one, and only after every input passed the shape
-                    // check, so a rejected batch shifts no later stream.
-                    exec.try_infer_batch(inputs, par)
-                })
-            }
+        let replica = match active {
+            Backend::Golden => Replica::Golden(GoldenShardControl {
+                exec: Arc::clone(self.golden.as_ref().expect("programmed golden")),
+                input: graph.input_shape(),
+                par,
+            }),
+            Backend::Analog { seed, xbar_cfg } => Replica::Analog(AnalogShardControl {
+                slot: Arc::clone(&self.analog.as_ref().expect("programmed analog").1),
+                graph,
+                weights,
+                xbar_cfg: xbar_cfg.clone(),
+                seed: *seed,
+                par,
+            }),
         };
-        Ok(aimc_serve::spawn(policy, runner))
+        let seat = local_seat(
+            policy,
+            active.shard_spec(ShardSpec::DEFAULT_MODEL_ID),
+            replica,
+        );
+        self.platform
+            .serve_fleet_with(vec![Box::new(seat)], FleetPolicy::default())
     }
 
     /// Applies PCM conductance drift (`t_hours` since programming) to the
@@ -1005,6 +1048,7 @@ impl Session {
     /// How many times crossbars have been written in this session — stays
     /// at 1 across repeated same-backend [`Session::infer`] calls *and*
     /// across interleaved golden checks (the golden slot is independent).
+    /// A served handle's own [`FleetHandle::reprogram`] is not counted.
     pub fn programming_count(&self) -> usize {
         self.programs
     }

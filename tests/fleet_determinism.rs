@@ -283,3 +283,35 @@ fn fleet_error_paths_and_shard_clamp() {
     );
     fleet.shutdown();
 }
+
+/// A malformed image is refused alone on a local seat: the seat checks it
+/// before queueing, so it cannot fail the micro-batch it would have
+/// joined, and the router releases its index — the good requests around
+/// it keep solo coordinates 0 and 1.
+#[test]
+fn malformed_request_fails_alone_on_a_local_seat() {
+    let backend = noisy_backend();
+    let images = random_images(2, 37);
+    let want = solo_logits(&backend, &images);
+
+    // max_batch 3 and an hour-long wait: good, bad, good would share one
+    // batch if the bad image were queued.
+    let fleet = platform()
+        .serve_fleet(
+            1,
+            BatchPolicy::new(3, Duration::from_secs(3600)),
+            RoutePolicy::RoundRobin,
+            &backend,
+        )
+        .unwrap();
+    let first = fleet.submit(images[0].clone()).unwrap();
+    assert!(matches!(
+        fleet.submit(Tensor::zeros(Shape::new(3, 4, 4))),
+        Err(ServeError::Exec(ExecError::ShapeMismatch { .. }))
+    ));
+    let second = fleet.submit(images[1].clone()).unwrap();
+    assert_eq!(fleet.images_routed(), 2, "the refused index was released");
+    // Shutdown dispatches the partial batch.
+    fleet.shutdown();
+    assert_eq!(vec![first.wait().unwrap(), second.wait().unwrap()], want);
+}

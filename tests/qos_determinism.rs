@@ -254,13 +254,12 @@ proptest! {
     }
 }
 
-/// EDF reordering on the *solo* `Session::serve` handle must be inert:
-/// that runner numbers the stream itself (dispatch order), so the facade
-/// clamps the ordering to FIFO — and the logits stay bit-identical to a
-/// solo stream even when the caller asked for EDF with adversarial
-/// priorities (low first, high last).
+/// EDF reordering on a `Session::serve` handle moves no coordinate: the
+/// handle's router stamps each request at submission, so the seat may
+/// dispatch in EDF order with adversarial priorities (low first, high
+/// last) and the logits stay bit-identical to a solo stream.
 #[test]
-fn session_serve_clamps_edf_to_fifo() {
+fn session_serve_keeps_edf_solo_identical() {
     let backend = noisy_backend();
     let images = random_images(6, 31);
     let want = solo_logits(&backend, &images);

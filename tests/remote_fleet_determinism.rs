@@ -360,3 +360,42 @@ fn mixed_fleet_stats_aggregate_over_the_wire() {
     );
     tf.shutdown();
 }
+
+/// A malformed image sent to a TCP seat fails alone: the server's local
+/// seat refuses it before queueing, so the good requests around it share
+/// a micro-batch and complete with solo logits. The refusal travels back
+/// through the request's `Pending`, after the router stamped it, so on a
+/// TCP seat the bad request keeps its coordinate (1) and the good ones run
+/// at 0, 2 and 3.
+#[test]
+fn malformed_request_fails_alone_on_a_tcp_seat() {
+    let backend = noisy_backend();
+    // images[1] only stands in for the bad request in the solo stream:
+    // noise is keyed to the coordinate, so its content touches no other
+    // request's logits.
+    let images = random_images(4, 41);
+    let want = solo_logits(&backend, &images);
+
+    let platform = platform();
+    // max_batch 3 and an hour-long wait: only a full batch dispatches.
+    let tf = build_fleet(
+        &platform,
+        1,
+        Mix::AllTcp,
+        FleetPolicy::default(),
+        BatchPolicy::new(3, Duration::from_secs(3600)),
+        &backend,
+    );
+    let first = tf.fleet.submit(images[0].clone()).unwrap();
+    let bad = tf.fleet.submit(Tensor::zeros(Shape::new(3, 4, 4))).unwrap();
+    let rest: Vec<Pending> = images[2..]
+        .iter()
+        .map(|x| tf.fleet.submit(x.clone()).unwrap())
+        .collect();
+    assert!(bad.wait().is_err(), "the server refused the bad image");
+    let mut got = vec![first.wait().unwrap()];
+    got.extend(rest.into_iter().map(|p| p.wait().unwrap()));
+    assert_eq!(tf.fleet.images_routed(), 4, "the refused index stays used");
+    tf.shutdown();
+    assert_eq!(got, vec![want[0].clone(), want[2].clone(), want[3].clone()]);
+}

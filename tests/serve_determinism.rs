@@ -64,7 +64,8 @@ fn solo_logits(backend: &Backend, images: &[Tensor]) -> Vec<Tensor> {
 }
 
 /// Served stream: submit every image in order (with optional inter-arrival
-/// jitter) through one `ServeHandle` and wait for all completions.
+/// jitter) through one `Session::serve` handle and wait for all
+/// completions.
 fn served_logits(
     session: &mut Session,
     backend: &Backend,
@@ -120,8 +121,8 @@ proptest! {
 
 /// The invariance survives drift and reprogramming: a served stream with
 /// transitions between phases matches a solo stream through the same
-/// transitions — the executor's image-coordinate counter (untouched by
-/// drift, reset by reprogramming) is the shared stream authority.
+/// transitions — the handle's router numbering (untouched by drift,
+/// rewound by the handle's reprogram) is the shared stream authority.
 #[test]
 fn serving_across_drift_and_reprogram_matches_solo() {
     let backend = noisy_backend();
@@ -167,7 +168,7 @@ fn serving_across_drift_and_reprogram_matches_solo() {
         .collect();
     got.extend(pendings.into_iter().map(|p| p.wait().unwrap()));
     handle.drain();
-    s.reprogram(&backend).unwrap();
+    handle.reprogram().unwrap();
     assert_eq!(s.images_seen(), 0, "reprogram resets the image stream");
     let pendings: Vec<Pending> = a
         .iter()
@@ -277,7 +278,7 @@ fn serve_requires_a_programmed_backend_and_reports_stats() {
         p.wait().unwrap();
     }
     handle.shutdown();
-    let stats = handle.stats();
+    let stats = handle.stats().aggregate();
     assert_eq!(stats.submitted, 5);
     assert_eq!(stats.completed, 5);
     assert!(
@@ -306,11 +307,85 @@ fn rejected_inputs_shift_no_stream() {
     let handle = s
         .serve(BatchPolicy::new(1, Duration::from_millis(1)))
         .unwrap();
-    assert!(handle.submit(bad).unwrap().wait().is_err());
+    assert!(matches!(
+        handle.submit(bad),
+        Err(ServeError::Exec(ExecError::ShapeMismatch { .. }))
+    ));
     let got: Vec<Tensor> = images
         .iter()
         .map(|x| handle.submit(x.clone()).unwrap().wait().unwrap())
         .collect();
     handle.shutdown();
     assert_eq!(got, want, "a rejected request shifted the stream");
+}
+
+/// ResNet-18/CIFAR on full-size `hermes_256` arrays: eight images served
+/// one per batch on one thread, then eight per batch on two threads, both
+/// equal one solo `infer_one` stream — neither the batch composition nor
+/// the thread budget changes a logit of the paper's network.
+#[test]
+fn resnet18_served_batches_match_solo() {
+    let platform = Platform::builder()
+        .graph(resnet18_cifar(10))
+        .arch(ArchConfig::small(8, 8))
+        .he_weights(42)
+        .build()
+        .unwrap();
+    let backend = Backend::analog(7, XbarConfig::hermes_256());
+    let shape = Shape::new(3, 32, 32);
+    let mut rng = StdRng::seed_from_u64(9);
+    let images: Vec<Tensor> = (0..8)
+        .map(|_| {
+            Tensor::from_vec(
+                shape,
+                (0..shape.numel())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut s = platform.session();
+    let want: Vec<Tensor> = images
+        .iter()
+        .map(|x| s.infer_one(x, backend.clone()).unwrap())
+        .collect();
+
+    // Each served stream numbers from coordinate 0 on its own, so both
+    // replay the solo stream's coordinates on the same crossbars.
+    for (max_batch, par) in [(1, Parallelism::Serial), (8, Parallelism::Threads(2))] {
+        s.set_parallelism(par);
+        let handle = s
+            .serve(BatchPolicy::new(max_batch, Duration::from_millis(5)))
+            .unwrap();
+        let pendings: Vec<Pending> = images
+            .iter()
+            .map(|x| handle.submit(x.clone()).unwrap())
+            .collect();
+        let got: Vec<Tensor> = pendings.into_iter().map(|p| p.wait().unwrap()).collect();
+        handle.shutdown();
+        assert_eq!(want, got, "max_batch {max_batch} under {par:?} diverged");
+    }
+}
+
+/// A live handle keeps the replica it was started on: programming another
+/// analog backend gives the session fresh crossbars, so the handle's
+/// reprogram rewrites its own replica and never the session's new one.
+#[test]
+fn handle_keeps_its_replica_when_the_session_switches_backend() {
+    let images = random_images(2, 43);
+    let other = Backend::analog(8, XbarConfig::hermes_256().with_size(32, 4));
+    let mut s = session();
+    s.program(&noisy_backend()).unwrap();
+    let handle = s
+        .serve(BatchPolicy::new(1, Duration::from_millis(1)))
+        .unwrap();
+    s.program(&other).unwrap();
+    handle.reprogram().unwrap();
+    let served = handle.submit(images[0].clone()).unwrap().wait().unwrap();
+    handle.shutdown();
+    assert_eq!(served, solo_logits(&noisy_backend(), &images[..1])[0]);
+    assert_eq!(
+        s.infer_one(&images[1], other.clone()).unwrap(),
+        solo_logits(&other, &images[1..])[0]
+    );
 }
