@@ -32,10 +32,17 @@
 //! Events are drained from an [`OrderedEventQueue`] keyed by
 //! `(time, event, insertion seq)` where link-free events sort before
 //! arrivals and arrivals sort by `(link, message id)`. Message ids are
-//! assigned in injection order. Two runs that inject the same transactions
-//! in the same order therefore produce bit-identical completions and link
-//! statistics, regardless of how the caller interleaves
-//! [`Fabric::advance_before`] windows.
+//! assigned in injection order and never reused; a delivered message's hop
+//! list is recycled, but its id is not. Two runs that inject the same
+//! transactions in the same order therefore produce bit-identical
+//! completions and link statistics, regardless of how the caller
+//! interleaves [`Fabric::advance_before`] windows.
+//!
+//! Only events that can change state are queued. Every link hop costs one
+//! arrival. A link's release is queued only while a burst waits on it,
+//! keyed by the link's free time, and starts that burst's service. A lone
+//! transfer therefore costs one event per link hop, and contention adds
+//! one release per burst that waited.
 
 use crate::config::NocConfig;
 use crate::network::{Endpoint, LinkId, TxnKind};
@@ -85,7 +92,9 @@ struct FabLink {
 /// the instant the link becomes available.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum FabEv {
-    /// A link finished serving a burst; the head of its FIFO may start.
+    /// A link finished serving a burst and the head of its FIFO starts.
+    /// Queued only while a burst waits: exactly when the link is busy and
+    /// its FIFO is not empty, so every release starts a service.
     Free { link: u32 },
     /// A message head arrived at `link` and joins its FIFO.
     Arrive { link: u32, msg: u32 },
@@ -123,7 +132,9 @@ pub struct FabricReport {
     pub routed_bytes: u64,
     /// Bytes actually served, summed over all links.
     pub link_bytes: u64,
-    /// Fabric events processed.
+    /// Fabric events processed, a measure of host cost rather than of the
+    /// modeled platform: one arrival per link hop, plus one release per
+    /// burst that waited for a busy link.
     pub events: u64,
 }
 
@@ -188,7 +199,10 @@ pub struct Fabric {
     /// Dense tree + HBM channel links, plus the controller at index
     /// `topo.n_links()`.
     links: Vec<FabLink>,
+    /// Every injected message, indexed by its id (injection order).
     msgs: Vec<Msg>,
+    /// Emptied hop lists of delivered messages, for injections to reuse.
+    hop_pool: Vec<Vec<MsgHop>>,
     queue: OrderedEventQueue<FabEv>,
     completions: Vec<(SimTime, u64)>,
     completed: u64,
@@ -208,6 +222,7 @@ impl Fabric {
             topo,
             links,
             msgs: Vec::new(),
+            hop_pool: Vec::new(),
             queue: OrderedEventQueue::new(),
             completions: Vec::new(),
             completed: 0,
@@ -270,53 +285,59 @@ impl Fabric {
         bytes: usize,
         tail_last: bool,
     ) {
-        let route = self.topo.route(from, to);
-        let n = route.hops.len();
-        for (i, h) in route.hops.iter().enumerate() {
+        self.topo.for_each_hop(from, to, |h| {
             out.push(MsgHop {
                 link: Some(h.index as u32),
                 bytes,
                 occ: self.cycles(bytes.max(1).div_ceil(h.width_bytes) as u64),
                 lat: self.cycles(h.latency_cycles),
-                tail_to_next: tail_last && i == n - 1,
-            });
+                tail_to_next: false,
+            })
+        });
+        if tail_last {
+            out.last_mut().expect("routes are never empty").tail_to_next = true;
         }
     }
 
-    /// Builds the full hop sequence of one transaction, mirroring the leg
-    /// structure of the reservation oracle's `Noc::transfer` exactly.
-    fn build_hops(&self, kind: TxnKind, src: Endpoint, dst: Endpoint, bytes: usize) -> Vec<MsgHop> {
+    /// Appends the full hop sequence of one transaction to `hops`, mirroring
+    /// the leg structure of the reservation oracle's `Noc::transfer` exactly.
+    fn build_hops(
+        &self,
+        hops: &mut Vec<MsgHop>,
+        kind: TxnKind,
+        src: Endpoint,
+        dst: Endpoint,
+        bytes: usize,
+    ) {
         let protocol = self.topo.config().model_protocol_overhead;
-        let mut hops = Vec::new();
         match kind {
             TxnKind::Write => {
                 if src == Endpoint::Hbm {
                     hops.push(self.ctrl_hop(bytes));
                 }
                 let to_hbm = dst == Endpoint::Hbm;
-                self.payload_hops(&mut hops, src, dst, bytes, !to_hbm);
+                self.payload_hops(hops, src, dst, bytes, !to_hbm);
                 if to_hbm {
                     hops.push(self.ctrl_hop(bytes));
                 }
                 if protocol {
                     // 1-beat response back to the initiator.
-                    self.payload_hops(&mut hops, dst, src, 1, true);
+                    self.payload_hops(hops, dst, src, 1, true);
                 }
             }
             TxnKind::Read => {
                 if protocol {
                     // 1-beat request to the target.
-                    self.payload_hops(&mut hops, src, dst, 1, true);
+                    self.payload_hops(hops, src, dst, 1, true);
                 }
                 if dst == Endpoint::Hbm {
                     hops.push(self.ctrl_hop(bytes));
                 } else {
                     hops.push(self.tcdm_hop());
                 }
-                self.payload_hops(&mut hops, dst, src, bytes, true);
+                self.payload_hops(hops, dst, src, bytes, true);
             }
         }
-        hops
     }
 
     /// Injects one transaction whose burst enters the network at `t`, to be
@@ -337,7 +358,8 @@ impl Fabric {
         bytes: usize,
         tag: u64,
     ) {
-        let hops = self.build_hops(kind, src, dst, bytes);
+        let mut hops = self.hop_pool.pop().unwrap_or_default();
+        self.build_hops(&mut hops, kind, src, dst, bytes);
         self.routed_bytes += hops
             .iter()
             .filter(|h| h.link.is_some())
@@ -357,8 +379,10 @@ impl Fabric {
                 None => {
                     self.completed += 1;
                     let tag = self.msgs[mid].tag;
-                    // The hop list is dead weight once delivered.
-                    self.msgs[mid].hops = Vec::new();
+                    // A delivered message's hop list serves a later one.
+                    let mut hops = std::mem::take(&mut self.msgs[mid].hops);
+                    hops.clear();
+                    self.hop_pool.push(hops);
                     self.completions.push((t, tag));
                     return;
                 }
@@ -382,7 +406,8 @@ impl Fabric {
         }
     }
 
-    /// Starts serving the head of `link`'s FIFO at `now`, if any.
+    /// Starts serving the head of `link`'s FIFO at `now`, if any, and queues
+    /// the link's release if bursts still wait behind it.
     fn start_service(&mut self, link: usize, now: SimTime) {
         let Some(msg) = self.links[link].waiting.pop_front() else {
             return;
@@ -395,8 +420,10 @@ impl Fabric {
         l.bytes += hop.bytes as u64;
         l.transactions += 1;
         l.free_at = now + hop.occ;
-        self.queue
-            .push(l.free_at, FabEv::Free { link: link as u32 });
+        if !l.waiting.is_empty() {
+            self.queue
+                .push(l.free_at, FabEv::Free { link: link as u32 });
+        }
         let depart = if hop.tail_to_next {
             now + hop.lat + hop.occ
         } else {
@@ -411,9 +438,11 @@ impl Fabric {
         match ev {
             FabEv::Free { link } => {
                 let link = link as usize;
-                if !self.links[link].waiting.is_empty() && self.links[link].free_at <= t {
-                    self.start_service(link, t);
-                }
+                debug_assert!(
+                    !self.links[link].waiting.is_empty() && self.links[link].free_at == t,
+                    "a release is queued only while a burst waits"
+                );
+                self.start_service(link, t);
             }
             FabEv::Arrive { link, msg } => {
                 let li = link as usize;
@@ -423,6 +452,9 @@ impl Fabric {
                 l.waiting.push_back(msg);
                 if l.free_at <= t {
                     self.start_service(li, t);
+                } else if l.waiting.len() == 1 {
+                    // The first burst to wait on the busy link.
+                    self.queue.push(l.free_at, FabEv::Free { link });
                 }
             }
         }
@@ -811,6 +843,62 @@ mod tests {
         let up = rep.link(LinkId::Up { level: 1, child: 0 }).unwrap();
         assert_eq!(up.peak_queued, 1);
         assert_eq!(rep.routed_bytes, rep.link_bytes);
+    }
+
+    /// Link hops served: one burst per link (or controller) crossing.
+    fn link_hops(rep: &FabricReport) -> u64 {
+        rep.links.iter().map(|l| l.transactions).sum()
+    }
+
+    #[test]
+    fn a_lone_transfer_costs_one_event_per_link_hop() {
+        // A 64 B write to the L1 neighbour and its 1-beat response: four
+        // link hops, each an arrival at a free link with no release to wait
+        // for.
+        let mut fab = Fabric::new(NocConfig::paper_512());
+        fab.inject(
+            SimTime::ZERO,
+            TxnKind::Write,
+            Endpoint::Cluster(0),
+            Endpoint::Cluster(1),
+            64,
+            0,
+        );
+        fab.advance_all();
+        let rep = fab.report();
+        assert_eq!(link_hops(&rep), 4);
+        assert_eq!(rep.events, 4);
+    }
+
+    #[test]
+    fn a_contended_burst_costs_one_release_per_wait() {
+        // Sixteen concurrent HBM writes queue on the shared links: every
+        // link hop costs its arrival, and a release event is processed only
+        // for a burst that waited behind another.
+        let mut fab = Fabric::new(NocConfig::paper_512());
+        for i in 0..16u64 {
+            fab.inject(
+                SimTime::ZERO,
+                TxnKind::Write,
+                Endpoint::Cluster(i as usize * 32),
+                Endpoint::Hbm,
+                4096,
+                i,
+            );
+        }
+        fab.advance_all();
+        let rep = fab.report();
+        let hops = link_hops(&rep);
+        assert_eq!(
+            hops,
+            16 * 11,
+            "5 hops to the memory, 1 at the controller, 5 back"
+        );
+        assert!(
+            hops < rep.events && rep.events < 2 * hops,
+            "{} events for {hops} link hops",
+            rep.events
+        );
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! endpoints.
 //!
 //! [`Topology`] is the single source of routing truth for the hop-by-hop
-//! [`crate::Fabric`], which flies in-flight messages down a [`Route`]'s hops
-//! one event at a time, and for the test-only reservation oracle, which
-//! walks the same hops reserving bandwidth analytically. A route runs *up*
-//! the tree from the source cluster to the lowest common ancestor router
-//! (Sec. II-3 of the paper), then *down* to the destination; the HBM hangs
-//! off the wrapper as a leaf — traffic to or from it crosses the full up (or
-//! down) segment plus the dedicated wrapper↔controller channel
-//! ([`LinkId::HbmUp`] / [`LinkId::HbmDown`]).
+//! [`crate::Fabric`], which builds each message's hop list from a route's
+//! hops and flies it one event at a time, and for the test-only
+//! reservation oracle, which walks the same hops of a [`Route`] reserving
+//! bandwidth analytically. A route runs *up* the tree from the source
+//! cluster to the lowest common ancestor router (Sec. II-3 of the paper),
+//! then *down* to the destination; the HBM hangs off the wrapper as a leaf
+//! — traffic to or from it crosses the full up (or down) segment plus the
+//! dedicated wrapper↔controller channel ([`LinkId::HbmUp`] /
+//! [`LinkId::HbmDown`]).
 //!
 //! Every directed link also gets a dense index (`0..n_links`), so per-link
 //! state and statistics live in flat arrays instead of hash maps.
@@ -227,6 +228,18 @@ impl Topology {
     /// # Panics
     /// Panics if a cluster index is out of range.
     pub fn route(&self, src: Endpoint, dst: Endpoint) -> Route {
+        let mut hops = Vec::new();
+        self.for_each_hop(src, dst, |h| hops.push(h));
+        Route { hops }
+    }
+
+    /// Calls `f` on each hop of [`Topology::route`]`(src, dst)` in
+    /// traversal order, without collecting them: the routing itself, which
+    /// the fabric runs once per transaction leg.
+    ///
+    /// # Panics
+    /// Panics if a cluster index is out of range.
+    pub(crate) fn for_each_hop(&self, src: Endpoint, dst: Endpoint, mut f: impl FnMut(Hop)) {
         if let Endpoint::Cluster(i) = src {
             assert!(i < self.cfg.n_clusters(), "source cluster out of range");
         }
@@ -247,10 +260,9 @@ impl Topology {
             (Endpoint::Hbm, Endpoint::Hbm) => (None, 0, 0, None),
         };
 
-        let mut hops = Vec::with_capacity(up_to_level + down_from_level + 1);
         if let Some(a) = up_from {
             for level in 1..=up_to_level {
-                hops.push(self.tree_hop(level, self.cfg.ancestor(a, level - 1), true));
+                f(self.tree_hop(level, self.cfg.ancestor(a, level - 1), true));
             }
         }
         // The HBM channel crossing mirrors the wrapper's leaf position: any
@@ -258,16 +270,15 @@ impl Topology {
         // two channel directions (toward the controller when the memory is
         // the destination).
         match (src, dst) {
-            (_, Endpoint::Hbm) => hops.push(self.hbm_hop(true)),
-            (Endpoint::Hbm, _) => hops.push(self.hbm_hop(false)),
+            (_, Endpoint::Hbm) => f(self.hbm_hop(true)),
+            (Endpoint::Hbm, _) => f(self.hbm_hop(false)),
             _ => {}
         }
         if let Some(b) = down_to {
             for level in (1..=down_from_level).rev() {
-                hops.push(self.tree_hop(level, self.cfg.ancestor(b, level - 1), false));
+                f(self.tree_hop(level, self.cfg.ancestor(b, level - 1), false));
             }
         }
-        Route { hops }
     }
 }
 

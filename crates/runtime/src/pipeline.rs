@@ -41,6 +41,16 @@
 //! traffic by 4 cycles versus a zero-lookahead engine, which is both
 //! physically honest and well under the ~100-cycle chunk synchronization
 //! overhead.
+//!
+//! Only fire attempts that can fire are queued. Each fire queues the
+//! lane's next attempt at its `free_at`, so a busy lane always holds one,
+//! and deliveries and credit wakes queue attempts only for lanes that are
+//! free by the attempt's time and have chunks left. Skipping the others
+//! leaves the makespan (the later of the last output's arrival and the
+//! last stage event) unchanged: each skipped attempt lies at or before one
+//! that stays queued, either the lane's own or that of the consumer whose
+//! fire sent the credit wake, which comes at least [`CHUNK_SYNC_CYCLES`]
+//! after that fire while the wake comes [`LOOKAHEAD_CYCLES`] after it.
 
 use crate::power::EnergyTallies;
 use aimc_core::{stage_chunk_timing, ArchConfig, EdgeKind, ResidualRoute, SystemMapping};
@@ -166,6 +176,15 @@ struct LaneRt {
     last_busy_end: SimTime,
     analog_busy: SimTime,
     digital_busy: SimTime,
+}
+
+impl LaneRt {
+    /// Whether a fire attempt at `t` needs queueing: the lane is free by
+    /// then and has chunks left. A busy lane's last fire already queued an
+    /// attempt at `free_at`, and a finished lane never fires again.
+    fn wants_attempt(&self, t: SimTime, total_chunks: u64) -> bool {
+        self.free_at <= t && self.next_chunk < total_chunks
+    }
 }
 
 /// Immutable per-stage configuration.
@@ -310,8 +329,10 @@ pub struct RunReport {
     pub hbm_busy: SimTime,
     /// Bytes through the HBM controller.
     pub hbm_bytes: u64,
-    /// Simulator events processed across all stage queues and the fabric
-    /// (cost metric).
+    /// Simulator events processed, a measure of host cost rather than of
+    /// the modeled platform: the stage events of the one pipeline queue
+    /// (chunk completions, input deliveries and the fire attempts that
+    /// could fire) plus the fabric's [`FabricReport::events`].
     pub events: u64,
     /// Every chunk execution, sorted by `(start, stage, chunk)` (timeline
     /// reconstruction).
@@ -616,8 +637,11 @@ pub fn simulate(
         eng.wakes.sort_unstable();
         eng.wakes.dedup();
         for (t, s) in eng.wakes.drain(..) {
-            for lane in 0..eng.cfgs[s as usize].n_lanes as u32 {
-                eng.queue.push(t, (s, Ev::TryFire { lane }));
+            let total = eng.cfgs[s as usize].total_chunks;
+            for (lane, ln) in eng.stages[s as usize].lanes.iter().enumerate() {
+                if ln.wants_attempt(t, total) {
+                    eng.queue.push(t, (s, Ev::TryFire { lane: lane as u32 }));
+                }
             }
         }
         for sid in eng.fired.drain(..) {
@@ -849,8 +873,11 @@ impl Engine<'_> {
                 let es = &mut st.edges[edge as usize];
                 EdgeState::advance(&mut es.delivered, &mut es.watermark, pchunk);
                 request_skip_reads(sid, st, cfg, mapping, now, &mut self.reqs);
-                for lane in 0..cfg.n_lanes as u32 {
-                    self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
+                for (lane, ln) in st.lanes.iter().enumerate() {
+                    if ln.wants_attempt(now, cfg.total_chunks) {
+                        let lane = lane as u32;
+                        self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
+                    }
                 }
             }
 
@@ -863,16 +890,18 @@ impl Engine<'_> {
             Ev::SkipReadDone { edge, cchunk } => {
                 st.edges[edge as usize].skip_delivered[cchunk as usize] = true;
                 let lane = (cchunk % cfg.n_lanes as u64) as u32;
-                self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
+                if st.lanes[lane as usize].wants_attempt(now, cfg.total_chunks) {
+                    self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
+                }
             }
         }
     }
 
     /// Fires the lane's next chunk if its inputs are in, its consumers have
     /// credit and the lane is free. Every way out that can still fire later
-    /// has something to wake it: a re-queued attempt when the lane frees,
-    /// `Delivered` or `SkipReadDone` for inputs, a consumer's credit wake
-    /// for credit.
+    /// has something to wake it: the attempt the lane's last fire queued at
+    /// `free_at` while it is busy, `Delivered` or `SkipReadDone` for inputs,
+    /// a consumer's credit wake for credit.
     fn try_fire(&mut self, now: SimTime, sid: usize, lane: u32) {
         let cfg = &self.cfgs[sid];
         let st = &mut self.stages[sid];
@@ -882,9 +911,7 @@ impl Engine<'_> {
             return;
         }
         if st.lanes[l].free_at > now {
-            // Re-check when the lane frees up.
-            self.queue
-                .push(st.lanes[l].free_at, (sid as u32, Ev::TryFire { lane }));
+            // The fire that set `free_at` queued the re-check for then.
             return;
         }
         // Input readiness.

@@ -120,29 +120,29 @@ macro_rules! pins {
 // digest, modeled digest)`.
 pins! {
     pin_resnet18_naive_b2: resnet18(256, 256, 1000), Naive, 2
-        => (4_843_338_000, 73_472, 0x52a4_53f4_5b45_89e3, 0xe520_103d_08c6_1b24);
+        => (4_843_338_000, 43_184, 0x5e6e_95d0_68fb_c9dd, 0xe520_103d_08c6_1b24);
     pin_resnet18_naive_b16: resnet18(256, 256, 1000), Naive, 16
-        => (34_702_090_000, 645_246, 0x1f15_5786_a931_f855, 0xc608_1442_e6ba_1667);
+        => (34_702_090_000, 346_018, 0x023f_2e23_fbad_d3c0, 0xc608_1442_e6ba_1667);
     pin_resnet18_balanced_b2: resnet18(256, 256, 1000), Balanced, 2
-        => (1_463_865_000, 84_836, 0xc0b3_38fd_b791_75e9, 0x51a1_d412_df5e_0e32);
+        => (1_463_865_000, 48_833, 0x7ca5_37c4_057a_2e1c, 0x51a1_d412_df5e_0e32);
     pin_resnet18_balanced_b16: resnet18(256, 256, 1000), Balanced, 16
-        => (10_424_539_000, 676_622, 0xc699_bb8e_b52a_48b3, 0x8dfc_94d4_8ee6_e0c7);
+        => (10_424_539_000, 395_670, 0x6dd6_910f_ebdb_359f, 0x8dfc_94d4_8ee6_e0c7);
     pin_resnet18_on_chip_b2: resnet18(256, 256, 1000), OnChipResiduals, 2
-        => (708_770_000, 90_357, 0xa043_2f69_e2e5_e00a, 0x55e1_8004_a7ef_fa15);
+        => (708_770_000, 49_283, 0x8665_72e4_8275_3899, 0x55e1_8004_a7ef_fa15);
     pin_resnet18_on_chip_b16: resnet18(256, 256, 1000), OnChipResiduals, 16
-        => (2_575_134_000, 786_091, 0x5ece_c67e_2761_b3fd, 0x4f4d_8b29_f697_8cad);
+        => (2_575_134_000, 394_832, 0x44bb_3578_289a_8a38, 0x4f4d_8b29_f697_8cad);
     pin_cifar_naive_b2: resnet18_cifar(10), Naive, 2
-        => (390_428_000, 29_070, 0x44cd_3046_6f19_a8bb, 0xa1d1_9dbe_c182_80e0);
+        => (390_428_000, 14_325, 0x9ec1_f637_c4a7_ad40, 0xa1d1_9dbe_c182_80e0);
     pin_cifar_naive_b16: resnet18_cifar(10), Naive, 16
-        => (2_293_084_000, 547_841, 0x43c6_99a0_dcf6_0799, 0x4943_d193_8bc6_9957);
+        => (2_293_084_000, 115_003, 0xc8f9_fd9e_9308_0287, 0x4943_d193_8bc6_9957);
     pin_cifar_balanced_b2: resnet18_cifar(10), Balanced, 2
-        => (111_779_000, 40_426, 0xdc93_c31b_c896_a4ce, 0x16ed_7ac3_c34d_0cd4);
+        => (111_779_000, 18_931, 0xdd4f_dcbf_b453_405b, 0x16ed_7ac3_c34d_0cd4);
     pin_cifar_balanced_b16: resnet18_cifar(10), Balanced, 16
-        => (642_633_000, 315_206, 0x1756_1584_300a_1cab, 0x72eb_1b6a_a98c_e9d3);
+        => (642_633_000, 180_336, 0x1932_72ae_dcf8_a401, 0x72eb_1b6a_a98c_e9d3);
     pin_cifar_on_chip_b2: resnet18_cifar(10), OnChipResiduals, 2
-        => (97_986_000, 44_809, 0x5e34_b7b9_97dc_0ede, 0x18c0_0129_2c99_4264);
+        => (97_986_000, 18_971, 0x48c0_eb7f_039e_a0e4, 0x18c0_0129_2c99_4264);
     pin_cifar_on_chip_b16: resnet18_cifar(10), OnChipResiduals, 16
-        => (289_224_000, 378_588, 0x3cee_2c7e_435b_39dd, 0x8b2c_0bce_1ee6_d180);
+        => (289_224_000, 158_833, 0x6490_5e53_5662_420b, 0x8b2c_0bce_1ee6_d180);
 }
 
 #[test]
