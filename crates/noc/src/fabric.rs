@@ -453,7 +453,8 @@ impl Fabric {
                 if l.free_at <= t {
                     self.start_service(li, t);
                 } else if l.waiting.len() == 1 {
-                    // The first burst to wait on the busy link.
+                    // The first burst to wait on the busy link queues its
+                    // release.
                     self.queue.push(l.free_at, FabEv::Free { link });
                 }
             }
