@@ -1385,7 +1385,7 @@ mod tests {
     use super::*;
     use crate::handle::pending_pair;
     use crate::transport::{LocalTransport, ShardControl};
-    use crate::{spawn, BatchPolicy};
+    use crate::{spawn, BatchPolicy, QosPolicy};
     use aimc_dnn::{ExecError, Shape};
     use std::time::Duration;
 
@@ -2138,36 +2138,132 @@ mod tests {
         f.shutdown();
     }
 
+    /// A gate the test opens and closes. A gated runner parks each batch
+    /// while the gate is closed, so in-flight occupancy is deterministic
+    /// at each admission check.
+    #[derive(Clone, Default)]
+    struct Gate(Arc<(Mutex<bool>, std::sync::Condvar)>);
+
+    impl Gate {
+        fn set(&self, open: bool) {
+            let (lock, cv) = &*self.0;
+            *lock.lock().unwrap() = open;
+            cv.notify_all();
+        }
+
+        fn wait_open(&self) {
+            let (lock, cv) = &*self.0;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }
+    }
+
+    /// A one-seat fleet over a local seat whose runner echoes
+    /// `index·1000 + tag` once the returned gate is open.
+    fn gated_fleet(batch: BatchPolicy, policy: FleetPolicy) -> (FleetHandle, Gate) {
+        let gate = Gate::default();
+        let runner_gate = gate.clone();
+        let handle = spawn(batch, move |indices: &[u64], inputs: &[Tensor]| {
+            runner_gate.wait_open();
+            Ok(indices
+                .iter()
+                .zip(inputs)
+                .map(|(&idx, t)| tensor(idx as f32 * 1000.0 + t.data()[0]))
+                .collect())
+        });
+        let shards: Vec<Box<dyn ShardTransport>> = vec![Box::new(LocalTransport::new(
+            handle,
+            Box::new(ControlHandle(Arc::default())),
+        ))];
+        (FleetHandle::new(shards, policy).unwrap(), gate)
+    }
+
+    /// A seat at its queue bound sheds a classed request with `QueueFull`
+    /// and releases its index; a class-less request waits on backpressure
+    /// instead and takes the released coordinate.
+    #[test]
+    fn seat_queue_bound_sheds_a_classed_request() {
+        let (f, gate) = gated_fleet(
+            BatchPolicy::new(1, Duration::from_micros(100)).with_queue_depth(1),
+            FleetPolicy::default(),
+        );
+        let p0 = f.submit(tensor(0.0)).unwrap();
+        let shed = f.submit_qos(tensor(1.0), QosClass::default()).unwrap();
+        assert_eq!(shed.shed_reason(), Some(ShedReason::QueueFull));
+        assert_eq!(f.images_routed(), 1, "the shed released its index");
+        let p1 = f.submit(tensor(2.0)).unwrap();
+        gate.set(true);
+        assert_eq!(p0.wait().unwrap().data(), &[0.0]);
+        assert_eq!(p1.wait().unwrap().data(), &[1002.0]);
+        f.drain();
+        let agg = f.stats().aggregate();
+        assert_eq!(agg.qos.class(Priority::Normal).shed_queue_full, 1);
+        assert_eq!(agg.qos.shed_total(), 1);
+        assert_eq!(agg.qos.admitted_total(), 2);
+        f.shutdown();
+    }
+
+    /// A seat's own class budget sheds the class with `ClassBudget`, and
+    /// the next request takes the released coordinate 0.
+    #[test]
+    fn seat_class_budget_sheds_and_releases_the_index() {
+        let (f, gate) = gated_fleet(
+            BatchPolicy::new(1, Duration::from_micros(100))
+                .with_qos(QosPolicy::default().with_class_budget(Priority::Low, 0)),
+            FleetPolicy::default(),
+        );
+        let shed = f.submit_qos(tensor(1.0), QosClass::low()).unwrap();
+        assert_eq!(shed.shed_reason(), Some(ShedReason::ClassBudget));
+        assert_eq!(f.images_routed(), 0, "the shed released its index");
+        let p = f.submit(tensor(2.0)).unwrap();
+        gate.set(true);
+        assert_eq!(p.wait().unwrap().data(), &[2.0]);
+        f.drain();
+        let agg = f.stats().aggregate();
+        assert_eq!(agg.qos.class(Priority::Low).shed_class_budget, 1);
+        assert_eq!(agg.qos.shed_total(), 1);
+        assert_eq!(agg.qos.admitted_total(), 1);
+        f.shutdown();
+    }
+
+    /// A deadline the seat's backlog cannot meet is refused as infeasible
+    /// before the request queues, and its index is released.
+    #[test]
+    fn infeasible_deadline_is_refused_and_releases_the_index() {
+        let (f, gate) = gated_fleet(
+            BatchPolicy::new(1, Duration::from_micros(100)),
+            FleetPolicy::default(),
+        );
+        // One completed batch gives the seat a service estimate.
+        gate.set(true);
+        let p0 = f.submit(tensor(0.0)).unwrap();
+        assert_eq!(p0.wait().unwrap().data(), &[0.0]);
+        gate.set(false);
+        let p1 = f.submit(tensor(1.0)).unwrap();
+        let class = QosClass::default().with_deadline(Duration::from_nanos(1));
+        match f.submit_qos(tensor(2.0), class).unwrap() {
+            Admission::DeadlineInfeasible { estimated_wait } => {
+                assert!(estimated_wait > Duration::from_nanos(1));
+            }
+            other => panic!("expected an infeasible deadline, got {other:?}"),
+        }
+        assert_eq!(f.images_routed(), 2, "the refusal released its index");
+        gate.set(true);
+        assert_eq!(p1.wait().unwrap().data(), &[1001.0]);
+        f.drain();
+        let agg = f.stats().aggregate();
+        assert_eq!(agg.qos.class(Priority::Normal).infeasible, 1);
+        assert_eq!(agg.qos.admitted_total(), 2);
+        f.shutdown();
+    }
+
     /// The pacer's window throttles best-effort traffic while High
     /// bypasses it — but nothing bypasses the hard in-flight cap. Every
     /// shed releases its index, so admitted requests stay contiguous.
     #[test]
     fn pacer_sheds_normal_but_high_bypasses_the_window() {
-        use std::sync::Condvar;
-
-        // A runner that parks every batch until the test releases it, so
-        // in-flight occupancy is deterministic at each admission check.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let runner_gate = Arc::clone(&gate);
-        let handle = spawn(
-            BatchPolicy::new(4, Duration::from_micros(100)),
-            move |indices: &[u64], inputs: &[Tensor]| {
-                let (lock, cv) = &*runner_gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-                Ok(indices
-                    .iter()
-                    .zip(inputs)
-                    .map(|(&idx, t)| tensor(idx as f32 * 1000.0 + t.data()[0]))
-                    .collect())
-            },
-        );
-        let shards: Vec<Box<dyn ShardTransport>> = vec![Box::new(LocalTransport::new(
-            handle,
-            Box::new(ControlHandle(Arc::default())),
-        ))];
         let pacer = PacerConfig {
             enabled: true,
             min_window: 1,
@@ -2175,7 +2271,10 @@ mod tests {
             hard_limit: 2,
             decrease_cooldown: Duration::ZERO,
         };
-        let f = FleetHandle::new(shards, FleetPolicy::default().with_pacer(pacer)).unwrap();
+        let (f, gate) = gated_fleet(
+            BatchPolicy::new(4, Duration::from_micros(100)),
+            FleetPolicy::default().with_pacer(pacer),
+        );
 
         // Empty shard: window 1 admits the first request (index 0).
         let p0 = f
@@ -2198,9 +2297,7 @@ mod tests {
         assert_eq!(shed.shed_reason(), Some(ShedReason::Overload));
 
         // Release the runner: survivors ran at contiguous coordinates.
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        gate.set(true);
         assert_eq!(p0.wait().unwrap().data(), &[0.0]);
         assert_eq!(p1.wait().unwrap().data(), &[1.0 * 1000.0 + 2.0]);
         f.drain();
