@@ -33,8 +33,8 @@
 use aimc_core::ArchConfig;
 use aimc_dnn::{ConvCfg, Graph, GraphBuilder, Shape, Tensor};
 use aimc_platform::serve::{
-    Admission, BatchPolicy, FleetHandle, FleetPolicy, PacerConfig, Pending, Priority, QosClass,
-    QosOrdering, QosPolicy, RoutePolicy, ShardTransport, ShedReason, TcpTransport,
+    BatchPolicy, FleetHandle, FleetPolicy, PacerConfig, Pending, Priority, QosClass, QosOrdering,
+    QosPolicy, Request, RoutePolicy, ServeError, ShardTransport, ShedReason, TcpTransport,
 };
 use aimc_platform::{Backend, Error, Platform};
 use aimc_xbar::XbarConfig;
@@ -169,18 +169,16 @@ fn run_load_point(
         };
         let tally = &mut tallies[class.priority.rank()];
         tally.offered += 1;
-        match fleet
-            .submit_qos(images[i % images.len()].clone(), class)
-            .expect("fleet is open")
-        {
-            Admission::Admitted(p) => {
+        match fleet.submit(Request::new(images[i % images.len()].clone()).class(class)) {
+            Ok(p) => {
                 tally.admitted += 1;
                 pendings.push(p);
             }
-            Admission::Shed(ShedReason::Overload) => tally.shed_overload += 1,
-            Admission::Shed(ShedReason::ClassBudget) => tally.shed_class_budget += 1,
-            Admission::Shed(ShedReason::QueueFull) => tally.shed_queue_full += 1,
-            Admission::DeadlineInfeasible { .. } => tally.infeasible += 1,
+            Err(ServeError::Shed(ShedReason::Overload)) => tally.shed_overload += 1,
+            Err(ServeError::Shed(ShedReason::ClassBudget)) => tally.shed_class_budget += 1,
+            Err(ServeError::Shed(ShedReason::QueueFull)) => tally.shed_queue_full += 1,
+            Err(ServeError::DeadlineInfeasible { .. }) => tally.infeasible += 1,
+            Err(e) => panic!("fleet is open: {e}"),
         }
     }
     for p in pendings {
@@ -241,19 +239,17 @@ fn invariance_leg(platform: &Platform, mix: &str, images: &[Tensor]) -> Result<b
             2 => QosClass::default().with_deadline(Duration::from_secs(60)),
             _ => QosClass::low().with_deadline(Duration::from_secs(60)),
         };
-        match fleet
-            .submit_qos(image.clone(), class)
-            .expect("fleet is open")
-        {
-            Admission::Admitted(p) => {
+        match fleet.submit(Request::new(image.clone()).class(class)) {
+            Ok(p) => {
                 ok &= class.priority != Priority::Low;
                 admitted_images.push(image.clone());
                 pendings.push(p);
             }
-            Admission::Shed(reason) => {
+            Err(ServeError::Shed(reason)) => {
                 ok &= class.priority == Priority::Low && reason == ShedReason::ClassBudget;
             }
-            Admission::DeadlineInfeasible { .. } => ok = false,
+            Err(ServeError::DeadlineInfeasible { .. }) => ok = false,
+            Err(e) => panic!("fleet is open: {e}"),
         }
     }
     let got: Vec<Tensor> = pendings
@@ -327,9 +323,7 @@ fn main() -> Result<(), Error> {
         let fleet = overload_fleet(&platform, batch_policy(max_wait))?;
         for i in 0..n_unloaded {
             fleet
-                .submit_qos(images[i % images.len()].clone(), QosClass::high())
-                .expect("fleet is open")
-                .admitted()
+                .submit(Request::new(images[i % images.len()].clone()).class(QosClass::high()))
                 .expect("idle fleet admits high priority")
                 .wait()
                 .expect("request completes");

@@ -26,7 +26,7 @@
 use aimc_core::ArchConfig;
 use aimc_dnn::{resnet18_cifar, Shape, Tensor};
 use aimc_platform::serve::{
-    BatchPolicy, FleetHandle, Pending, RecalHandle, RecalPolicy, RoutePolicy,
+    BatchPolicy, FleetHandle, Pending, RecalHandle, RecalPolicy, Request, RoutePolicy,
 };
 use aimc_platform::{Backend, Error, ModelGroup, Platform};
 use aimc_xbar::XbarConfig;
@@ -110,7 +110,11 @@ fn run_hetero_stream(
     let submit_half = |images: &[Tensor], model: &str, from: usize, to: usize| -> Vec<Pending> {
         images[from..to]
             .iter()
-            .map(|x| fleet.submit_to(model, x.clone()).expect("fleet is open"))
+            .map(|x| {
+                fleet
+                    .submit(Request::new(x.clone()).to(model))
+                    .expect("fleet is open")
+            })
             .collect()
     };
     let t0 = Instant::now();

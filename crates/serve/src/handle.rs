@@ -1,5 +1,6 @@
-//! Request/completion plumbing: the clone-able [`ServeHandle`] submitter,
-//! per-request [`Pending`] completion handles, and [`ServeStats`].
+//! Request/completion plumbing: the clone-able [`ServeHandle`] of one
+//! seat's scheduler, per-request [`Pending`] completion handles, and
+//! [`ServeStats`].
 //!
 //! Every accepted request is guaranteed a terminal outcome: the worker
 //! fulfills it with logits or an execution error, and if a request is ever
@@ -7,7 +8,7 @@
 //! `Drop` posts [`ServeError::Canceled`] — so [`Pending::wait`] and
 //! [`ServeHandle::drain`] can never hang on a lost request.
 
-use crate::qos::{Admission, Priority, QosClass, QosStats, ShardLoad, ShedReason};
+use crate::qos::{Priority, QosClass, QosStats, ShardLoad, ShedReason};
 use crate::BatchPolicy;
 use aimc_dnn::{ExecError, Tensor};
 use std::sync::mpsc::SyncSender;
@@ -44,6 +45,17 @@ pub enum ServeError {
     LiveFloor,
     /// A maintenance operation named a shard id no seat ever held.
     UnknownShard(usize),
+    /// A classed request was refused at admission, before it queued; its
+    /// stream index was released.
+    Shed(ShedReason),
+    /// A classed request's deadline is shorter than the wait its seat's
+    /// backlog predicts ([`ShardLoad::estimated_wait`]), so it was refused
+    /// before it queued; its stream index was released.
+    DeadlineInfeasible {
+        /// The wait estimated from the seat's occupancy and service-time
+        /// EWMA.
+        estimated_wait: Duration,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -70,6 +82,11 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownShard(idx) => {
                 write!(f, "no shard seat has id {idx}")
             }
+            ServeError::Shed(reason) => write!(f, "request shed at admission: {reason}"),
+            ServeError::DeadlineInfeasible { estimated_wait } => write!(
+                f,
+                "deadline infeasible: the estimated wait is {estimated_wait:?}"
+            ),
         }
     }
 }
@@ -117,7 +134,7 @@ pub(crate) fn pending_pair() -> (Pending, Arc<CompletionSlot>) {
 }
 
 /// The caller's side of one submitted request (returned by
-/// [`ServeHandle::submit_at`] and every fleet submit call).
+/// [`FleetHandle::submit`](crate::FleetHandle::submit)).
 #[derive(Debug)]
 pub struct Pending {
     slot: Arc<CompletionSlot>,
@@ -192,7 +209,7 @@ impl Drop for Ticket {
 /// One queued request, stamped with the global stream index its fleet
 /// router claimed for it ([`ServeHandle::submit_at`]).
 #[derive(Debug)]
-pub(crate) struct Request {
+pub(crate) struct Queued {
     pub(crate) image: Tensor,
     pub(crate) index: u64,
     pub(crate) class: QosClass,
@@ -203,7 +220,7 @@ pub(crate) struct Request {
 /// Messages on the bounded request channel.
 #[derive(Debug)]
 pub(crate) enum Msg {
-    Request(Request),
+    Request(Queued),
     /// Wake-up sentinel: drain what is queued, then exit.
     Shutdown,
 }
@@ -248,7 +265,8 @@ struct StateInner {
     /// Overwrite positions of the per-class latency sample rings.
     latency_cursors: [usize; Priority::COUNT],
     /// EWMA of per-image execution time in nanoseconds (0 until the
-    /// first batch completes); feeds deadline-feasibility estimates.
+    /// first batch completes); feeds the router's deadline-feasibility
+    /// check through [`ServeHandle::load`].
     est_image_ns: u64,
     /// Admission limits, copied from the policy at spawn. The defaults
     /// are fully permissive so state built outside [`spawn`]
@@ -406,8 +424,11 @@ impl ServeStats {
     }
 }
 
-/// Clone-able submitter for a running micro-batch scheduler (see
-/// [`spawn`](crate::spawn)).
+/// Clone-able handle of a running micro-batch scheduler (see
+/// [`spawn`](crate::spawn)). Requests reach it only through a fleet seat
+/// ([`LocalTransport`](crate::LocalTransport) behind a
+/// [`FleetHandle`](crate::FleetHandle)), which stamps each with its
+/// stream index.
 ///
 /// All clones feed the same bounded queue and the same worker; any clone
 /// may [`ServeHandle::drain`] or [`ServeHandle::shutdown`]. Completion
@@ -433,75 +454,28 @@ impl ServeHandle {
         }
     }
 
-    /// Submits one image stamped with the global stream index `index`,
-    /// returning its completion handle. The index comes from a fleet
-    /// router ([`FleetHandle`](crate::FleetHandle)), the only numbering
-    /// authority: a shard carries whatever (possibly non-contiguous) slice
-    /// of the stream the router handed it, in any order, and the handle
-    /// never compares indices with each other.
+    /// Enqueues one image stamped with the global stream index `index`
+    /// and its class, returning its completion handle. The index comes
+    /// from a fleet router, the only numbering authority: a seat carries
+    /// whatever (possibly non-contiguous) slice of the stream the router
+    /// handed it, in any order, and never compares indices.
     ///
-    /// Blocks only when the bounded queue is full (backpressure); the
-    /// actual inference is asynchronous — claim the result later via
-    /// [`Pending::wait`].
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
-    pub fn submit_at(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_inner(image, index, QosClass::default())
-    }
-
-    /// [`ServeHandle::submit_at`] with explicit QoS annotations, returning
-    /// a typed [`Admission`] instead of blocking: the request is either
-    /// admitted (with its completion handle), shed with a [`ShedReason`],
-    /// or rejected as [`Admission::DeadlineInfeasible`] when the estimated
-    /// queue wait already exceeds its deadline. A router releases the
-    /// index of a request that was not admitted, so shed requests never
-    /// hole the global numbering.
+    /// With `shed` unset the call blocks while the bounded queue is full
+    /// (backpressure). With `shed` set it refuses instead, as
+    /// [`ServeError::Shed`]: at the queue bound with
+    /// [`ShedReason::QueueFull`], and at the class's in-flight budget with
+    /// [`ShedReason::ClassBudget`].
     ///
     /// # Errors
-    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
-    pub fn submit_at_qos(
+    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first;
+    /// [`ServeError::Shed`] as above.
+    pub(crate) fn submit_at(
         &self,
         index: u64,
         image: Tensor,
         class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        self.submit_gated(image, index, class, true)
-    }
-
-    /// Ungated, class-annotated submission at an external index: used for
-    /// requests that were already admitted at a fleet ingress (protocol
-    /// servers), where a local shed would hole the global numbering. The
-    /// class still drives EDF composition and deadline accounting.
-    pub(crate) fn submit_at_admitted(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
+        shed: bool,
     ) -> Result<Pending, ServeError> {
-        self.submit_inner(image, index, class)
-    }
-
-    /// Ungated admission: blocks on backpressure instead of shedding.
-    fn submit_inner(
-        &self,
-        image: Tensor,
-        index: u64,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        match self.submit_gated(image, index, class, false)? {
-            Admission::Admitted(p) => Ok(p),
-            _ => unreachable!("ungated submission never sheds"),
-        }
-    }
-
-    fn submit_gated(
-        &self,
-        image: Tensor,
-        index: u64,
-        class: QosClass,
-        gated: bool,
-    ) -> Result<Admission, ServeError> {
         let rank = class.priority.rank();
         {
             let mut st = self.shared.inner.lock().unwrap();
@@ -509,23 +483,17 @@ impl ServeHandle {
                 st.rejected += 1;
                 return Err(ServeError::ShutDown);
             }
-            if gated {
-                let in_flight = st.submitted - st.completed;
-                if in_flight >= st.queue_depth {
-                    st.qos.classes[rank].note_shed(ShedReason::QueueFull);
-                    return Ok(Admission::Shed(ShedReason::QueueFull));
-                }
-                if st.class_in_flight[rank] >= st.class_budgets[rank] as u64 {
-                    st.qos.classes[rank].note_shed(ShedReason::ClassBudget);
-                    return Ok(Admission::Shed(ShedReason::ClassBudget));
-                }
-                if let (Some(deadline), true) = (class.deadline, st.est_image_ns > 0) {
-                    let estimated_wait =
-                        Duration::from_nanos(in_flight.saturating_mul(st.est_image_ns));
-                    if estimated_wait > deadline {
-                        st.qos.classes[rank].infeasible += 1;
-                        return Ok(Admission::DeadlineInfeasible { estimated_wait });
-                    }
+            if shed {
+                let reason = if st.submitted - st.completed >= st.queue_depth {
+                    Some(ShedReason::QueueFull)
+                } else if st.class_in_flight[rank] >= st.class_budgets[rank] as u64 {
+                    Some(ShedReason::ClassBudget)
+                } else {
+                    None
+                };
+                if let Some(reason) = reason {
+                    st.qos.classes[rank].note_shed(reason);
+                    return Err(ServeError::Shed(reason));
                 }
             }
             st.submitted += 1;
@@ -537,7 +505,7 @@ impl ServeHandle {
         }
         let slot = Arc::new(CompletionSlot::default());
         let now = Instant::now();
-        let request = Request {
+        let request = Queued {
             image,
             index,
             class,
@@ -568,7 +536,7 @@ impl ServeHandle {
             self.shared.cv.notify_all();
             return Err(ServeError::ShutDown);
         }
-        Ok(Admission::Admitted(Pending { slot }))
+        Ok(Pending { slot })
     }
 
     /// Requests accepted but not yet completed — the router's load signal

@@ -24,30 +24,50 @@
 //!   triggers a flush). It takes explicit `now` timestamps, so the latency
 //!   budget is unit-testable under a fake clock.
 //! * [`spawn`] — wires a bounded channel, the coalescer, and a worker
-//!   thread around a [`BatchRunner`]; returns a clone-able [`ServeHandle`].
-//! * [`ServeHandle::submit_at`] — enqueues one image at the stream index a
-//!   router stamped, returning a [`Pending`] completion handle;
-//!   [`ServeHandle::drain`] / [`ServeHandle::shutdown`] flush and stop the
-//!   worker. A `ServeHandle` never numbers requests itself.
+//!   thread around a [`BatchRunner`]; returns a clone-able [`ServeHandle`]
+//!   that drains, shuts down and reports on that worker. A `ServeHandle`
+//!   takes requests only from a fleet seat and never numbers them itself.
 //! * [`FleetHandle`] — the serving ingress: a router that owns the global
 //!   stream numbering (one lowest-first index per request), stamps every
 //!   request with its global index, and routes blocks of consecutive
 //!   requests ([`FleetPolicy`]) to N shards — with the invariance
-//!   generalized to any shard count. A single session's server is a
-//!   one-seat fleet, so every request takes this path.
-//! * [`ShardTransport`] — the only interface the router speaks: submit an
-//!   indexed request, probe load, drain/shutdown, fan shard control.
-//!   [`LocalTransport`] is the in-process zero-copy path;
-//!   [`TcpTransport`] + [`ShardServer`] speak the `aimc-wire` protocol so
-//!   shards can live on other hosts — with the invariance extended
-//!   verbatim to any transport mix.
+//!   generalized to any shard count. [`FleetHandle::submit`] is the one
+//!   way in: it takes a [`Request`] (or a bare image), optionally
+//!   addressed to a model and given a QoS class, and returns a
+//!   [`Pending`] completion handle or a typed [`ServeError`]. A single
+//!   session's server is a one-seat fleet, so every request takes this
+//!   path.
+//! * [`ShardTransport`] — the only interface the router speaks: submit a
+//!   stamped request (with or without the shard's own admission checks),
+//!   probe load, drain/shutdown, fan shard control. [`LocalTransport`] is
+//!   the in-process zero-copy path; [`TcpTransport`] + [`ShardServer`]
+//!   speak the `aimc-wire` protocol so shards can live on other hosts —
+//!   with the invariance extended verbatim to any transport mix.
 //!
 //! ## Example
 //!
+//! A one-seat fleet over a toy runner:
+//!
 //! ```
-//! use aimc_serve::{spawn, BatchPolicy};
-//! use aimc_dnn::{Shape, Tensor};
+//! use aimc_dnn::{ExecError, Shape, Tensor};
+//! use aimc_parallel::Parallelism;
+//! use aimc_serve::{
+//!     spawn, BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, ShardControl,
+//!     ShardTransport,
+//! };
 //! use std::time::Duration;
+//!
+//! // A replica with nothing to drift, reprogram or parallelize.
+//! struct Fixed;
+//! impl ShardControl for Fixed {
+//!     fn apply_drift(&self, _t_hours: f64) -> bool {
+//!         false
+//!     }
+//!     fn reprogram(&self) -> Result<(), ExecError> {
+//!         Ok(())
+//!     }
+//!     fn set_parallelism(&self, _par: Parallelism) {}
+//! }
 //!
 //! // A toy runner: doubles the first element of every image.
 //! let runner = |_indices: &[u64], inputs: &[Tensor]| {
@@ -57,11 +77,13 @@
 //!         .collect())
 //! };
 //! let handle = spawn(BatchPolicy::new(4, Duration::from_millis(1)), runner);
-//! let pending = handle
-//!     .submit_at(0, Tensor::from_vec(Shape::new(1, 1, 1), vec![21.0]))
+//! let seat: Box<dyn ShardTransport> = Box::new(LocalTransport::new(handle, Box::new(Fixed)));
+//! let fleet = FleetHandle::new(vec![seat], FleetPolicy::default()).unwrap();
+//! let pending = fleet
+//!     .submit(Tensor::from_vec(Shape::new(1, 1, 1), vec![21.0]))
 //!     .unwrap();
 //! assert_eq!(pending.wait().unwrap().data(), &[42.0]);
-//! handle.shutdown();
+//! fleet.shutdown();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -81,12 +103,12 @@ pub use aimc_wire::{NoiseSpec, ShardSpec};
 pub use coalesce::Coalescer;
 pub use handle::{Pending, ServeError, ServeHandle, ServeStats};
 pub use qos::{
-    Admission, AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosCoalescer, QosOrdering,
-    QosPolicy, QosStats, ShardLoad, ShedReason,
+    AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosCoalescer, QosOrdering, QosPolicy,
+    QosStats, ShardLoad, ShedReason,
 };
 pub use recal::{RecalHandle, RecalPolicy, RecalStats};
 pub use remote::{Connect, RetryPolicy, ShardServer, TcpTransport};
-pub use router::{FleetHandle, FleetPolicy, FleetStats, RoutePolicy, ShardHealth};
+pub use router::{FleetHandle, FleetPolicy, FleetStats, Request, RoutePolicy, ShardHealth};
 pub use scheduler::{spawn, BatchRunner};
 pub use transport::{LocalTransport, Orphan, ShardControl, ShardTransport};
 
@@ -116,10 +138,9 @@ pub struct BatchPolicy {
     /// waits before the batch is dispatched anyway.
     pub max_wait: Duration,
     /// Bound of the request queue: once this many requests are in flight
-    /// between submitters and the worker, [`ServeHandle::submit_at`]
-    /// blocks (backpressure, never unbounded growth) and
-    /// [`ServeHandle::submit_at_qos`] sheds with
-    /// [`ShedReason::QueueFull`].
+    /// between submitters and the worker, a request without a class waits
+    /// (backpressure, never unbounded growth) and a classed request
+    /// ([`Request::class`]) is shed with [`ShedReason::QueueFull`].
     pub queue_depth: usize,
     /// Admission-control knobs: per-class budgets, coalescer ordering,
     /// ECN threshold. The default is fully permissive FIFO, preserving

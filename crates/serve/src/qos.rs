@@ -2,11 +2,15 @@
 //! shedding, and congestion-signal pacing.
 //!
 //! The serving layer's only overload behavior used to be a blocking
-//! bounded queue. This module replaces that with **typed admission
-//! decisions** at the ingress: every request carries a
-//! [`QosClass`] (priority + optional deadline) and every submit returns an
-//! [`Admission`] — admitted with a completion handle, shed with a
-//! [`ShedReason`], or rejected as infeasible before any work is queued.
+//! bounded queue. This module adds **typed admission decisions** at the
+//! ingress: a request that carries a [`QosClass`] (priority + optional
+//! deadline) is either admitted with a completion handle or refused before
+//! any work is queued — shed with
+//! [`ServeError::Shed`](crate::ServeError::Shed) and its [`ShedReason`],
+//! or rejected as
+//! [`ServeError::DeadlineInfeasible`](crate::ServeError::DeadlineInfeasible).
+//! A request without a class is never refused at admission: it waits on
+//! backpressure instead.
 //!
 //! Invariance discipline: admission control happens **before** a global
 //! stream index is claimed (or is rolled back synchronously, the same
@@ -40,8 +44,6 @@ use std::time::Duration;
 
 pub use aimc_wire::{Priority, QosClass};
 
-use crate::handle::Pending;
-
 /// Why a request was shed at admission.
 ///
 /// Every reason is *typed* so callers can react differently: retry later
@@ -67,46 +69,6 @@ impl fmt::Display for ShedReason {
             ShedReason::ClassBudget => "class_budget",
             ShedReason::Overload => "overload",
         })
-    }
-}
-
-/// The outcome of a QoS-aware submit: the typed replacement for the
-/// blocking-or-error contract of the plain `submit`.
-#[derive(Debug)]
-pub enum Admission {
-    /// The request was admitted; await the logits on the handle.
-    Admitted(Pending),
-    /// The request was refused before any stream index was claimed.
-    Shed(ShedReason),
-    /// The request carried a deadline that cannot be met even if admitted
-    /// right now (estimated queue wait already exceeds it).
-    DeadlineInfeasible {
-        /// The wait the admission controller estimated from queue depth
-        /// and the shard's service-time EWMA.
-        estimated_wait: Duration,
-    },
-}
-
-impl Admission {
-    /// Whether the request was admitted.
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, Admission::Admitted(_))
-    }
-
-    /// The completion handle, if admitted.
-    pub fn admitted(self) -> Option<Pending> {
-        match self {
-            Admission::Admitted(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The shed reason, if shed.
-    pub fn shed_reason(&self) -> Option<ShedReason> {
-        match self {
-            Admission::Shed(r) => Some(*r),
-            _ => None,
-        }
     }
 }
 
@@ -194,7 +156,9 @@ pub struct ShardLoad {
 impl ShardLoad {
     /// The wait a newly admitted request would see, estimated from queue
     /// occupancy and the service-time EWMA. `None` until an estimate
-    /// exists.
+    /// exists. The fleet router refuses a classed request whose deadline
+    /// is shorter than this wait — the serving path's only
+    /// deadline-feasibility check.
     pub fn estimated_wait(&self) -> Option<Duration> {
         (self.est_image_ns > 0)
             .then(|| Duration::from_nanos(self.in_flight.saturating_mul(self.est_image_ns)))
@@ -321,7 +285,8 @@ pub struct ClassStats {
     pub shed_class_budget: u64,
     /// Sheds with [`ShedReason::Overload`].
     pub shed_overload: u64,
-    /// Rejections as [`Admission::DeadlineInfeasible`].
+    /// Rejections as
+    /// [`ServeError::DeadlineInfeasible`](crate::ServeError::DeadlineInfeasible).
     pub infeasible: u64,
     /// Admitted requests that completed *after* their deadline. Misses
     /// are counted, never culled — dropping a stamped request would hole

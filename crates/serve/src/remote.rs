@@ -27,8 +27,8 @@
 //!
 //! Backpressure is the shard's own bounded queue: when it fills, the
 //! server stops reading frames, its `BufReader` fills (at most 8 KiB),
-//! then the byte stream fills, and the client's `submit_indexed` blocks
-//! in `write` — the same push-back a local submitter feels, propagated
+//! then the byte stream fills, and the client's `submit` blocks in
+//! `write` — the same push-back a local submitter feels, propagated
 //! through the pipe.
 //!
 //! Socket work per request is kept small:
@@ -65,7 +65,7 @@
 //! coordinate, so eviction never shifts an index.
 
 use crate::handle::{pending_pair, CompletionSlot, Pending, ServeError, ServeStats};
-use crate::qos::{Admission, Priority, QosClass, ShardLoad};
+use crate::qos::{Priority, QosClass, ShardLoad};
 use crate::transport::{Orphan, ShardTransport};
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
@@ -238,7 +238,7 @@ impl ShardServer {
                     global_index,
                     class,
                     image,
-                }) => match self.shard.submit_admitted(global_index, image, class) {
+                }) => match self.shard.submit(global_index, image, class) {
                     Ok(pending) => {
                         let _ = tx.send((global_index, pending));
                     }
@@ -347,12 +347,15 @@ fn reply_error(e: ServeError) -> ReplyError {
         ServeError::Canceled => ReplyError::Canceled,
         ServeError::Exec(err) => ReplyError::Exec(err.to_string()),
         ServeError::Remote(msg) => ReplyError::Exec(msg),
-        // Registry errors never originate on a shard host, but the mapping
-        // must stay total: render them like any other execution failure.
+        // Registry and admission errors never originate on a shard host
+        // (its requests arrive admitted), but the mapping must stay total:
+        // render them like any other execution failure.
         e @ (ServeError::UnknownModel(_)
         | ServeError::SpecMismatch(_)
         | ServeError::LiveFloor
-        | ServeError::UnknownShard(_)) => ReplyError::Exec(e.to_string()),
+        | ServeError::UnknownShard(_)
+        | ServeError::Shed(_)
+        | ServeError::DeadlineInfeasible { .. }) => ReplyError::Exec(e.to_string()),
     }
 }
 
@@ -537,10 +540,6 @@ struct RemoteState {
     /// period; `None` once the pipeline empties (so idle gaps never
     /// pollute the estimate).
     last_reply_at: Option<Instant>,
-    /// Client-side deadline-infeasibility rejections per class — decided
-    /// here before any frame is written, so the server never sees them;
-    /// folded into [`ShardTransport::stats`] alongside the server ledger.
-    infeasible: [u64; Priority::COUNT],
     /// Whether the link currently has a live writer. `false` during an
     /// outage (between link death and a successful replay); submissions
     /// wait on `state_cv` for it rather than racing the reconnect.
@@ -741,7 +740,6 @@ impl TcpTransport {
                 pressure: false,
                 est_image_ns: 0,
                 last_reply_at: None,
-                infeasible: [0; Priority::COUNT],
                 link_up: true,
                 orphans: Vec::new(),
             }),
@@ -1006,16 +1004,7 @@ fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<LinkRead
 }
 
 impl ShardTransport for TcpTransport {
-    fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_admitted(index, image, QosClass::default())
-    }
-
-    fn submit_admitted(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
+    fn submit(&self, index: u64, image: Tensor, class: QosClass) -> Result<Pending, ServeError> {
         let (pending, slot) = pending_pair();
         let rank = class.priority.rank();
         {
@@ -1077,33 +1066,6 @@ impl ShardTransport for TcpTransport {
             return Err(ServeError::ShutDown);
         }
         Ok(pending)
-    }
-
-    fn submit_qos(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        // Client-side deadline feasibility from the local occupancy count
-        // and the inter-reply service estimate — no round trip, and the
-        // refusal happens before any frame is written, so the router can
-        // roll the index back synchronously. Queue/budget shedding for
-        // remote shards is the router's job (it owns the fleet budgets
-        // and the AIMD pacer); the server never sheds admitted work.
-        if let Some(deadline) = class.deadline {
-            let mut st = self.inner.state.lock().unwrap();
-            if st.est_image_ns > 0 {
-                let estimated_wait =
-                    Duration::from_nanos((st.pending.len() as u64).saturating_mul(st.est_image_ns));
-                if estimated_wait > deadline {
-                    st.infeasible[class.priority.rank()] += 1;
-                    return Ok(Admission::DeadlineInfeasible { estimated_wait });
-                }
-            }
-        }
-        self.submit_admitted(index, image, class)
-            .map(Admission::Admitted)
     }
 
     fn load(&self) -> ShardLoad {
@@ -1171,12 +1133,8 @@ impl ShardTransport for TcpTransport {
         }
         let st = self.inner.state.lock().unwrap();
         let mut stats = st.last_stats.clone();
-        // Client-side refusals and infeasibility rejections the server
-        // never saw.
+        // Client-side refusals the server never saw.
         stats.rejected += st.rejected;
-        for (class, &n) in stats.qos.classes.iter_mut().zip(&st.infeasible) {
-            class.infeasible += n;
-        }
         stats
     }
 
@@ -1344,7 +1302,10 @@ mod tests {
     fn requests_round_trip_with_their_coordinates() {
         let (t, server) = piped_shard(Arc::default());
         let pendings: Vec<Pending> = (0..6)
-            .map(|i| t.submit_indexed(10 + i, tensor(i as f32)).unwrap())
+            .map(|i| {
+                t.submit(10 + i, tensor(i as f32), QosClass::default())
+                    .unwrap()
+            })
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(
@@ -1364,7 +1325,7 @@ mod tests {
         // Post-shutdown submissions are refused client-side and merged
         // into the cached statistics.
         assert!(matches!(
-            t.submit_indexed(99, tensor(0.0)),
+            t.submit(99, tensor(0.0), QosClass::default()),
             Err(ServeError::ShutDown)
         ));
         let stats = t.stats();
@@ -1385,7 +1346,7 @@ mod tests {
         // The spec probe answers over the *live* link (regression: a Spec
         // reply must land in the control mailbox, not sever the link).
         assert_eq!(t.spec(), ShardSpec::default());
-        let p = t.submit_indexed(0, tensor(5.0)).unwrap();
+        let p = t.submit(0, tensor(5.0), QosClass::default()).unwrap();
         assert_eq!(p.wait().unwrap().data(), &[5.0]);
         t.shutdown();
         server.join().unwrap();
@@ -1428,7 +1389,7 @@ mod tests {
             }
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
-        let p = t.submit_indexed(0, tensor(1.0)).unwrap();
+        let p = t.submit(0, tensor(1.0), QosClass::default()).unwrap();
         assert_eq!(t.in_flight(), 1);
         // Sever the connection while the request sits in the coalescer.
         client_end.close();
@@ -1469,9 +1430,9 @@ mod tests {
             }
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
-        let p0 = t.submit_indexed(0, tensor(0.0)).unwrap();
-        let _p1 = t.submit_indexed(1, tensor(1.0)).unwrap();
-        let _p2 = t.submit_indexed(2, tensor(2.0)).unwrap();
+        let p0 = t.submit(0, tensor(0.0), QosClass::default()).unwrap();
+        let _p1 = t.submit(1, tensor(1.0), QosClass::default()).unwrap();
+        let _p2 = t.submit(2, tensor(2.0), QosClass::default()).unwrap();
         p0.wait().unwrap();
         // Kill the connection while requests 1 and 2 (slow) still queue
         // behind the replier.
@@ -1707,7 +1668,10 @@ mod tests {
         )
         .unwrap();
         let pendings: Vec<Pending> = (0..8)
-            .map(|i| t.submit_indexed(i, tensor(i as f32 * 0.5)).unwrap())
+            .map(|i| {
+                t.submit(i, tensor(i as f32 * 0.5), QosClass::default())
+                    .unwrap()
+            })
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(
@@ -1753,8 +1717,8 @@ mod tests {
             RetryPolicy::new(2, Duration::from_millis(5)),
         )
         .unwrap();
-        let p0 = t.submit_indexed(0, tensor(0.5)).unwrap();
-        let p1 = t.submit_indexed(1, tensor(1.5)).unwrap(); // severs the link
+        let p0 = t.submit(0, tensor(0.5), QosClass::default()).unwrap();
+        let p1 = t.submit(1, tensor(1.5), QosClass::default()).unwrap(); // severs the link
         let deadline = Instant::now() + Duration::from_secs(10);
         while !t.is_closed() {
             assert!(Instant::now() < deadline, "retry budget never exhausted");
@@ -1792,8 +1756,8 @@ mod tests {
         };
         let a = TcpTransport::connect(addr).unwrap();
         let b = TcpTransport::connect(addr).unwrap();
-        let pa = a.submit_indexed(0, tensor(1.0)).unwrap();
-        let pb = b.submit_indexed(1, tensor(2.0)).unwrap();
+        let pa = a.submit(0, tensor(1.0), QosClass::default()).unwrap();
+        let pb = b.submit(1, tensor(2.0), QosClass::default()).unwrap();
         assert_eq!(pa.wait().unwrap().data(), &[1.0]);
         assert_eq!(pb.wait().unwrap().data(), &[1002.0]);
         b.shutdown();

@@ -19,12 +19,12 @@
 //! transports by `model_id` into **model groups**. Each group owns its own
 //! index allocator and routing cursors, so each model keeps its own
 //! bit-identical global stream `0, 1, 2, …`;
-//! requests route by model id ([`FleetHandle::submit_to`]) and never cross
-//! groups. Two transports claiming one model id with different device
-//! recipes are refused ([`ServeError::SpecMismatch`]) — they would compute
-//! different bits for the same coordinates. The classic single-model API
-//! ([`FleetHandle::submit`] etc.) targets the first group, so homogeneous
-//! fleets behave exactly as before the registry existed.
+//! requests route by model id ([`Request::to`]) and never cross groups.
+//! Two transports claiming one model id with different device recipes are
+//! refused ([`ServeError::SpecMismatch`]) — they would compute different
+//! bits for the same coordinates. A request without a model id targets the
+//! first group, so homogeneous fleets behave exactly as before the registry
+//! existed.
 //!
 //! > **Fleet invariance.** Because every request carries its global
 //! > coordinate and every replica of its model group holds bit-identical
@@ -70,7 +70,7 @@
 
 use crate::handle::{Pending, ServeError, ServeStats};
 use crate::indices::StreamIndices;
-use crate::qos::{Admission, AimdPacer, PacerConfig, Priority, QosClass, QosStats, ShedReason};
+use crate::qos::{AimdPacer, PacerConfig, Priority, QosClass, QosStats, ShedReason};
 use crate::transport::{Orphan, ShardTransport};
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
@@ -192,9 +192,9 @@ pub struct FleetStats {
     /// [`ShardHealth::drift_age`]), so it is comparable across local and
     /// remote transports.
     pub shards: Vec<ServeStats>,
-    /// The router's own QoS ledger: sheds decided at the fleet ingress
-    /// (pacer overload, fleet class budgets) plus congestion marks the
-    /// router observed. Disjoint from the shard ledgers — every admission
+    /// The router's own QoS ledger: refusals decided at the fleet ingress
+    /// (pacer overload, fleet class budgets, infeasible deadlines) plus
+    /// congestion marks the router observed. Disjoint from the shard ledgers — every admission
     /// outcome is counted exactly once, by the component that decided it.
     pub router: QosStats,
     /// One [`ShardHealth`] row per seat, in shard-id order.
@@ -271,8 +271,8 @@ impl GroupState {
 #[derive(Debug)]
 struct RouterState {
     /// The registry: one group per distinct model id, in first-appearance
-    /// order. Group 0 is the assembly's first model — the target of the
-    /// un-addressed (single-model) submission API.
+    /// order. Group 0 is the assembly's first model — the target of every
+    /// request without a model id.
     groups: Vec<GroupState>,
     /// Drift transitions applied since the last reprogram, in order —
     /// replayed onto late joiners and recalibrated shards so their
@@ -362,9 +362,9 @@ struct FleetInner {
     /// Epoch of the pacers' fake-clock timestamps (cooldown bookkeeping).
     epoch: Instant,
     /// Router-side QoS ledger: only decisions made *here* (pacer
-    /// overload, fleet class budgets) — shard-decided outcomes live in
-    /// the shard ledgers, so [`FleetStats::aggregate`] never double
-    /// counts.
+    /// overload, fleet class budgets, infeasible deadlines) —
+    /// shard-decided outcomes live in the shard ledgers, so
+    /// [`FleetStats::aggregate`] never double counts.
     qos: Mutex<QosStats>,
     /// Bridge threads forwarding rescued orphans' results into their
     /// original completion slots; joined by drain/shutdown so a rescued
@@ -386,6 +386,52 @@ impl std::fmt::Debug for FleetInner {
     }
 }
 
+/// One request to a fleet: an image plus the two choices a caller may make
+/// about it — which model's stream it joins, and whether it carries a QoS
+/// class. A bare [`Tensor`] converts into a request with neither, so
+/// `fleet.submit(image)` is the plain single-model call.
+#[derive(Debug, Clone)]
+pub struct Request {
+    image: Tensor,
+    model: Option<String>,
+    class: Option<QosClass>,
+}
+
+impl Request {
+    /// A request for `image` on the first model group's stream, without a
+    /// class: never refused at admission, it waits on backpressure.
+    pub fn new(image: Tensor) -> Self {
+        Request {
+            image,
+            model: None,
+            class: None,
+        }
+    }
+
+    /// Addresses the request to the model group serving `model_id`: it
+    /// joins **that model's** global stream and runs on a member of its
+    /// shard group — never on another model's replicas.
+    pub fn to(mut self, model_id: impl Into<String>) -> Self {
+        self.model = Some(model_id.into());
+        self
+    }
+
+    /// Gives the request a QoS class. A classed request passes admission
+    /// control and is refused rather than queued when the fleet or its
+    /// shard cannot take it (see [`FleetHandle::submit`]); the class also
+    /// drives EDF batch composition and deadline-miss accounting.
+    pub fn class(mut self, class: QosClass) -> Self {
+        self.class = Some(class);
+        self
+    }
+}
+
+impl From<Tensor> for Request {
+    fn from(image: Tensor) -> Self {
+        Request::new(image)
+    }
+}
+
 /// Clone-able ingress of a serving fleet: N shard transports behind one
 /// router-owned global request stream (see the module docs and
 /// `Platform::serve_fleet` / `Platform::serve_fleet_with` in the
@@ -404,8 +450,8 @@ impl FleetHandle {
     ///
     /// Each transport is probed for its [`ShardSpec`] and registered into
     /// the model group of its `model_id` (groups are created in
-    /// first-appearance order, so group 0 — the target of the un-addressed
-    /// submission API — is the first transport's model). Spec-less
+    /// first-appearance order, so group 0 — the target of every request
+    /// without a model id — is the first transport's model). Spec-less
     /// transports report [`ShardSpec::default`] and form one homogeneous
     /// group, exactly as before the registry existed.
     ///
@@ -556,14 +602,7 @@ impl FleetHandle {
     /// on the refusing shard it ends, so the re-issue **re-routes** under
     /// the policy instead of re-hitting that shard.
     fn unclaim(&self, gid: usize, shard: usize, index: u64) {
-        let mut st = self.inner.state.lock().unwrap();
-        self.unclaim_locked(&mut st, gid, shard, index);
-    }
-
-    /// [`FleetHandle::unclaim`] with the router lock already held (the
-    /// block-submission path rolls back mid-claim).
-    fn unclaim_locked(&self, st: &mut RouterState, gid: usize, shard: usize, index: u64) {
-        let g = &mut st.groups[gid];
+        let g = &mut self.inner.state.lock().unwrap().groups[gid];
         g.indices.release(index);
         if g.block.is_some_and(|(seat, _)| seat == shard) {
             g.block = None;
@@ -625,11 +664,10 @@ impl FleetHandle {
                     survivor.submitting.fetch_sub(1, Ordering::SeqCst);
                     continue;
                 }
-                let sent = survivor.transport.submit_admitted(
-                    orphan.index,
-                    orphan.image.clone(),
-                    orphan.class,
-                );
+                let sent =
+                    survivor
+                        .transport
+                        .submit(orphan.index, orphan.image.clone(), orphan.class);
                 survivor.submitting.fetch_sub(1, Ordering::SeqCst);
                 match sent {
                     Ok(p) => {
@@ -684,35 +722,101 @@ impl FleetHandle {
         }
     }
 
-    /// Submits one image to the fleet: claims the next global stream index
-    /// and forwards the stamped request to the current routing block's
-    /// shard (starting a new block under the policy when the current one
-    /// is used up). Blocks only on that shard's backpressure.
+    /// Submits one request to the fleet — the only way in. The request
+    /// claims the next index of its model group's global stream (group 0
+    /// without [`Request::to`]) and is forwarded, stamped, to the current
+    /// routing block's shard (a new block starts under the policy when the
+    /// current one is used up).
     ///
-    /// A shard that refuses because its link died is **evicted**: its
-    /// index is released, its stranded requests are rescued onto
-    /// survivors, and the submission retries on another shard — so one
-    /// dead replica costs retransmission, not errors.
+    /// A request **without a class** must be accepted: it waits only on
+    /// that shard's backpressure. A request **with a class**
+    /// ([`Request::class`]) passes admission control first and is refused,
+    /// before it queues, when one of these checks fails, in order:
+    ///
+    /// 1. **Pacer** — the shard's congestion window ([`AimdPacer`], fed by
+    ///    the shard's pressure mark on every probe). A closed window sheds
+    ///    with [`ShedReason::Overload`] — [`Priority::High`] requests
+    ///    bypass the window (but never the hard in-flight cap), so pacing
+    ///    throttles best-effort traffic first.
+    /// 2. **Fleet class budget** — the class's fleet-wide in-flight count
+    ///    against [`FleetPolicy::class_budgets`]; over budget sheds with
+    ///    [`ShedReason::ClassBudget`].
+    /// 3. **Deadline** — the shard's
+    ///    [`ShardLoad::estimated_wait`](crate::ShardLoad::estimated_wait)
+    ///    against the class deadline; a longer wait is
+    ///    [`ServeError::DeadlineInfeasible`].
+    /// 4. **Shard admission** — [`ShardTransport::try_submit`]: a local
+    ///    shard's queue bound ([`ShedReason::QueueFull`]) and its own class
+    ///    budget ([`ShedReason::ClassBudget`]).
+    ///
+    /// The pacer, the fleet budgets and the deadline check read one probe
+    /// of the shard's load, taken just before the request is forwarded.
+    /// The pacer and fleet class budgets are fleet-wide: overload is a
+    /// host-resource property, not a per-model one.
+    ///
+    /// Every refusal releases the claimed index back to the allocator, so
+    /// the requests that run always occupy the contiguous prefix
+    /// `0, 1, 2, …` and stay bit-identical to a solo run — admission
+    /// changes **which** requests run, never **what** one computes. A
+    /// shard that refuses because its link died is **evicted**: its
+    /// stranded requests are rescued onto survivors and the submission
+    /// retries on another shard, so one dead replica costs retransmission,
+    /// not errors.
     ///
     /// # Errors
-    /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] — or once
-    /// no live shard remains; [`ServeError::Exec`] when the seat refuses
-    /// the image itself (a local seat checks its input shape). A refused
-    /// request's index is always released back to the allocator, so the
-    /// stream keeps no hole and later requests stay solo-identical.
-    pub fn submit(&self, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_routed(0, image)
+    /// [`ServeError::Shed`] or [`ServeError::DeadlineInfeasible`] when a
+    /// classed request is refused at admission;
+    /// [`ServeError::UnknownModel`] when no group serves the request's
+    /// model id; [`ServeError::ShutDown`] after [`FleetHandle::shutdown`]
+    /// or once no live shard remains; [`ServeError::Exec`] when the seat
+    /// refuses the image itself (a local seat checks its input shape).
+    pub fn submit(&self, request: impl Into<Request>) -> Result<Pending, ServeError> {
+        self.route(request.into())
     }
 
-    /// [`FleetHandle::submit`] addressed to a model id: the request joins
-    /// **that model's** global stream and runs on a member of its shard
-    /// group — never on another model's replicas.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownModel`] when no group serves `model_id`;
-    /// otherwise as [`FleetHandle::submit`].
-    pub fn submit_to(&self, model_id: &str, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_routed(self.resolve_model(model_id)?, image)
+    /// The one submission loop behind [`FleetHandle::submit`]. It is not
+    /// generic, so it compiles once, in this crate.
+    fn route(&self, request: Request) -> Result<Pending, ServeError> {
+        let Request {
+            image,
+            model,
+            class,
+        } = request;
+        let gid = match model {
+            Some(id) => self.resolve_model(&id)?,
+            None => 0,
+        };
+        loop {
+            let shards = self.shards_snapshot();
+            let (shard, index) = {
+                let mut st = self.inner.state.lock().unwrap();
+                self.claim(&mut st, gid, &shards)?
+            };
+            let slot = &shards[shard];
+            let _permit = SubmitPermit(slot);
+            let sent = match class {
+                None => slot
+                    .transport
+                    .submit(index, image.clone(), QosClass::default()),
+                Some(class) => self
+                    .admit(&shards, shard, class)
+                    .and_then(|()| slot.transport.try_submit(index, image.clone(), class)),
+            };
+            let e = match sent {
+                Ok(p) => return Ok(p),
+                Err(e) => e,
+            };
+            self.unclaim(gid, shard, index);
+            let refused = matches!(
+                e,
+                ServeError::Shed(_) | ServeError::DeadlineInfeasible { .. }
+            );
+            if !refused && slot.transport.is_closed() && !self.fleet_is_dead(&shards) {
+                self.evict_and_rescue(&shards, shard);
+                continue;
+            }
+            return Err(e);
+        }
     }
 
     /// Resolves a model id to its group index in the registry.
@@ -727,233 +831,61 @@ impl FleetHandle {
             .ok_or_else(|| ServeError::UnknownModel(model_id.to_string()))
     }
 
-    fn submit_routed(&self, gid: usize, image: Tensor) -> Result<Pending, ServeError> {
-        loop {
-            let shards = self.shards_snapshot();
-            let (shard, index) = {
-                let mut st = self.inner.state.lock().unwrap();
-                self.claim(&mut st, gid, &shards)?
-            };
-            let _permit = SubmitPermit(&shards[shard]);
-            match shards[shard].transport.submit_indexed(index, image.clone()) {
-                Ok(p) => return Ok(p),
-                Err(e) => {
-                    self.unclaim(gid, shard, index);
-                    if shards[shard].transport.is_closed() && !self.fleet_is_dead(&shards) {
-                        self.evict_and_rescue(&shards, shard);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Records one router-decided shed in the fleet-ingress ledger.
-    fn note_shed(&self, class: QosClass, reason: ShedReason) {
-        self.inner
-            .qos
-            .lock()
-            .unwrap()
-            .class_mut(class.priority)
-            .note_shed(reason);
-    }
-
-    /// QoS-aware submission: the typed replacement for [`FleetHandle::submit`]
-    /// under load. The request claims the next global stream index and its
-    /// routing block's shard, then passes the fleet-ingress admission
-    /// checks in order:
-    ///
-    /// 1. **Pacer** — the chosen shard's congestion window
-    ///    ([`AimdPacer`], fed by the shard's pressure mark on every probe).
-    ///    A closed window sheds with [`ShedReason::Overload`] —
-    ///    [`Priority::High`] requests bypass the window (but never the
-    ///    hard in-flight cap), so pacing throttles best-effort traffic
-    ///    first.
-    /// 2. **Fleet class budget** — the class's fleet-wide in-flight count
-    ///    against [`FleetPolicy::class_budgets`]; over budget sheds with
-    ///    [`ShedReason::ClassBudget`].
-    /// 3. **Shard admission** — [`ShardTransport::submit_qos`]: the
-    ///    shard's own queue bound, class budgets, and deadline
-    ///    feasibility.
-    ///
-    /// Every shed synchronously releases the claimed index back to the
-    /// allocator (the PR 5 refused-submission discipline), so admitted
-    /// requests always occupy the contiguous prefix `0, 1, 2, …` and stay
-    /// bit-identical to a solo run — shedding changes **which** requests
-    /// run, never **what** an admitted request computes. A shard whose
-    /// link died is evicted and the submission retries, exactly as in
-    /// [`FleetHandle::submit`].
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] or once no
-    /// live shard remains (the index is released, as for `submit`).
-    pub fn submit_qos(&self, image: Tensor, class: QosClass) -> Result<Admission, ServeError> {
-        self.submit_qos_routed(0, image, class)
-    }
-
-    /// [`FleetHandle::submit_qos`] addressed to a model id — the same
-    /// admission pipeline over **that model's** stream and shard group.
-    /// The pacer and fleet class budgets stay fleet-wide: overload is a
-    /// host-resource property, not a per-model one.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownModel`] when no group serves `model_id`;
-    /// otherwise as [`FleetHandle::submit_qos`].
-    pub fn submit_qos_to(
+    /// The router's admission checks of a classed request routed to seat
+    /// `shard` (steps 1–3 of [`FleetHandle::submit`]), read from one probe
+    /// of the seat's load. Each refusal is counted in the router's ledger.
+    fn admit(
         &self,
-        model_id: &str,
-        image: Tensor,
+        shards: &[Arc<ShardSlot>],
+        shard: usize,
         class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        self.submit_qos_routed(self.resolve_model(model_id)?, image, class)
-    }
-
-    fn submit_qos_routed(
-        &self,
-        gid: usize,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        loop {
-            let shards = self.shards_snapshot();
-            let (shard, index) = {
-                let mut st = self.inner.state.lock().unwrap();
-                self.claim(&mut st, gid, &shards)?
-            };
-            let slot = &shards[shard];
-            let _permit = SubmitPermit(slot);
-            // Probe the shard's congestion signal and drive its pacer
-            // before committing the request.
-            let load = slot.transport.load();
-            let in_flight = usize::try_from(load.in_flight).unwrap_or(usize::MAX);
-            let pacer_cfg = self.inner.policy.pacer;
-            let window = {
-                let mut pacer = slot.pacer.lock().unwrap();
-                pacer.observe(load.pressure, self.inner.epoch.elapsed());
-                pacer.window()
-            };
-            if load.pressure {
-                self.inner.qos.lock().unwrap().ecn_marks += 1;
-            }
-            let over_hard_limit = in_flight >= pacer_cfg.hard_limit;
-            let over_window = pacer_cfg.enabled && in_flight >= window;
-            if over_hard_limit || (over_window && class.priority != Priority::High) {
-                self.unclaim(gid, shard, index);
-                self.note_shed(class, ShedReason::Overload);
-                return Ok(Admission::Shed(ShedReason::Overload));
-            }
-            let budget = self.inner.policy.class_budgets[class.priority.rank()];
-            if budget != usize::MAX {
-                let mut class_in_flight = load.per_class[class.priority.rank()];
-                for (i, s) in shards.iter().enumerate() {
-                    if i != shard && s.live() {
-                        class_in_flight += s.transport.load().per_class[class.priority.rank()];
-                    }
-                }
-                if class_in_flight >= budget as u64 {
-                    self.unclaim(gid, shard, index);
-                    self.note_shed(class, ShedReason::ClassBudget);
-                    return Ok(Admission::Shed(ShedReason::ClassBudget));
+    ) -> Result<(), ServeError> {
+        let slot = &shards[shard];
+        let load = slot.transport.load();
+        let in_flight = usize::try_from(load.in_flight).unwrap_or(usize::MAX);
+        let pacer_cfg = self.inner.policy.pacer;
+        let window = {
+            let mut pacer = slot.pacer.lock().unwrap();
+            pacer.observe(load.pressure, self.inner.epoch.elapsed());
+            pacer.window()
+        };
+        if load.pressure {
+            self.inner.qos.lock().unwrap().ecn_marks += 1;
+        }
+        let over_hard_limit = in_flight >= pacer_cfg.hard_limit;
+        let over_window = pacer_cfg.enabled && in_flight >= window;
+        if over_hard_limit || (over_window && class.priority != Priority::High) {
+            return Err(self.shed(class, ShedReason::Overload));
+        }
+        let rank = class.priority.rank();
+        let budget = self.inner.policy.class_budgets[rank];
+        if budget != usize::MAX {
+            let mut class_in_flight = load.per_class[rank];
+            for (i, s) in shards.iter().enumerate() {
+                if i != shard && s.live() {
+                    class_in_flight += s.transport.load().per_class[rank];
                 }
             }
-            match slot.transport.submit_qos(index, image.clone(), class) {
-                Ok(Admission::Admitted(p)) => return Ok(Admission::Admitted(p)),
-                Ok(refused) => {
-                    // The shard shed (and counted it in its own ledger):
-                    // release the index so the stream keeps no hole.
-                    self.unclaim(gid, shard, index);
-                    return Ok(refused);
-                }
-                Err(e) => {
-                    self.unclaim(gid, shard, index);
-                    if slot.transport.is_closed() && !self.fleet_is_dead(&shards) {
-                        self.evict_and_rescue(&shards, shard);
-                        continue;
-                    }
-                    return Err(e);
-                }
+            if class_in_flight >= budget as u64 {
+                return Err(self.shed(class, ShedReason::ClassBudget));
             }
         }
+        if let (Some(deadline), Some(estimated_wait)) = (class.deadline, load.estimated_wait()) {
+            if estimated_wait > deadline {
+                let mut ledger = self.inner.qos.lock().unwrap();
+                ledger.class_mut(class.priority).infeasible += 1;
+                return Err(ServeError::DeadlineInfeasible { estimated_wait });
+            }
+        }
+        Ok(())
     }
 
-    /// Submits a run of images stamped with **contiguous** global indices,
-    /// claimed atomically under one router lock. Routing still happens in
-    /// routing blocks: a run longer than the rest of the current block
-    /// spans blocks (and possibly shards), but its indices — and therefore
-    /// its results — are exactly the ones a loop of [`FleetHandle::submit`]
-    /// calls would produce.
-    ///
-    /// A shard dying mid-run is evicted like in [`FleetHandle::submit`]:
-    /// the failed and unsent indices are released, the dead shard's
-    /// strays are rescued, and the remainder of the run re-claims — so
-    /// the block still completes with contiguous coordinates.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] or once no
-    /// live shard remains; [`ServeError::Exec`] when a seat refuses an
-    /// image of the run. Images already forwarded still complete, but
-    /// their completion handles are discarded with the error; the failed
-    /// and unsent images' indices are released back to the allocator.
-    pub fn submit_block(
-        &self,
-        images: impl IntoIterator<Item = Tensor>,
-    ) -> Result<Vec<Pending>, ServeError> {
-        let gid = 0;
-        let mut images: Vec<Tensor> = images.into_iter().collect();
-        let mut pendings = Vec::with_capacity(images.len());
-        'retry: loop {
-            if images.is_empty() {
-                return Ok(pendings);
-            }
-            let shards = self.shards_snapshot();
-            let routes: Vec<(usize, u64)> = {
-                let mut st = self.inner.state.lock().unwrap();
-                let mut routes = Vec::with_capacity(images.len());
-                for _ in &images {
-                    match self.claim(&mut st, gid, &shards) {
-                        Ok(r) => routes.push(r),
-                        Err(e) => {
-                            // No live shard: roll the whole batch back. Each
-                            // index returns to the free set on its own, so
-                            // the order of the releases does not matter.
-                            for &(shard, index) in &routes {
-                                shards[shard].submitting.fetch_sub(1, Ordering::SeqCst);
-                                self.unclaim_locked(&mut st, gid, shard, index);
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                routes
-            };
-            let _permits: Vec<SubmitPermit<'_>> = routes
-                .iter()
-                .map(|&(shard, _)| SubmitPermit(&shards[shard]))
-                .collect();
-            for (i, &(shard, index)) in routes.iter().enumerate() {
-                match shards[shard]
-                    .transport
-                    .submit_indexed(index, images[i].clone())
-                {
-                    Ok(p) => pendings.push(p),
-                    Err(e) => {
-                        // Release the failed index and the whole unsent
-                        // tail.
-                        for &(shard, index) in &routes[i..] {
-                            self.unclaim(gid, shard, index);
-                        }
-                        if shards[shard].transport.is_closed() && !self.fleet_is_dead(&shards) {
-                            self.evict_and_rescue(&shards, shard);
-                            images.drain(..i);
-                            continue 'retry;
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(pendings);
-        }
+    /// Counts one router-decided shed in the fleet-ingress ledger and
+    /// returns it as the request's error.
+    fn shed(&self, class: QosClass, reason: ShedReason) -> ServeError {
+        let mut ledger = self.inner.qos.lock().unwrap();
+        ledger.class_mut(class.priority).note_shed(reason);
+        ServeError::Shed(reason)
     }
 
     /// Blocks until every accepted request on every shard has reached a
@@ -1311,7 +1243,7 @@ impl FleetHandle {
     }
 
     /// The registered model ids, in group order (group 0 first — the
-    /// target of the un-addressed submission API).
+    /// target of every request without a model id).
     pub fn model_ids(&self) -> Vec<String> {
         self.inner
             .state
@@ -1606,15 +1538,19 @@ mod tests {
         f.shutdown();
     }
 
+    /// Two runs of submissions from one submitter take contiguous
+    /// coordinates and route block by block.
     #[test]
-    fn submit_block_spans_leases_with_contiguous_indices() {
+    fn submitted_runs_span_routing_blocks_with_contiguous_indices() {
         let (f, logs, _) = fleet(
             2,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(3),
         );
-        let a = f.submit_block((0..3).map(|i| tensor(i as f32))).unwrap();
-        let b = f.submit_block((3..5).map(|i| tensor(i as f32))).unwrap();
-        assert_eq!(f.submit_block(std::iter::empty()).unwrap().len(), 0);
+        let run = |range: std::ops::Range<usize>| -> Vec<Pending> {
+            range.map(|i| f.submit(tensor(i as f32)).unwrap()).collect()
+        };
+        let a = run(0..3);
+        let b = run(3..5);
         for (k, p) in a.into_iter().chain(b).enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
         }
@@ -1764,7 +1700,12 @@ mod tests {
     struct RefusingTransport;
 
     impl ShardTransport for RefusingTransport {
-        fn submit_indexed(&self, _index: u64, _image: Tensor) -> Result<Pending, ServeError> {
+        fn submit(
+            &self,
+            _index: u64,
+            _image: Tensor,
+            _class: QosClass,
+        ) -> Result<Pending, ServeError> {
             Err(ServeError::ShutDown)
         }
         fn in_flight(&self) -> u64 {
@@ -1818,10 +1759,10 @@ mod tests {
         f.shutdown();
     }
 
-    /// A shard dying mid-`submit_block` releases the failed index and the
-    /// unsent tail, evicts the dead shard, and re-claims the remainder —
-    /// the block completes whole, at contiguous coordinates, on the
-    /// survivors.
+    /// A shard dying in the middle of a run of submissions is evicted at
+    /// the first request routed to it, which releases its index and
+    /// retries on a survivor — the run completes whole, at contiguous
+    /// coordinates.
     #[test]
     fn block_survives_mid_run_eviction() {
         let log: ShardLog = Arc::default();
@@ -1835,8 +1776,9 @@ mod tests {
         .unwrap();
         // Indices 0–2 land on shard 0; index 3 starts the refusing shard's
         // block and fails — eviction re-routes 3 and 4 to the survivor.
-        let pendings = f.submit_block((0..5).map(|i| tensor(i as f32))).unwrap();
-        assert_eq!(pendings.len(), 5);
+        let pendings: Vec<Pending> = (0..5)
+            .map(|i| f.submit(tensor(i as f32)).unwrap())
+            .collect();
         assert_eq!(f.live_shard_count(), 1);
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
@@ -1871,7 +1813,12 @@ mod tests {
     }
 
     impl ShardTransport for ParkingTransport {
-        fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
+        fn submit(
+            &self,
+            index: u64,
+            image: Tensor,
+            class: QosClass,
+        ) -> Result<Pending, ServeError> {
             let mut accepted = self.accepted.lock().unwrap();
             if *accepted < self.accept {
                 *accepted += 1;
@@ -1879,7 +1826,7 @@ mod tests {
                 self.parked.lock().unwrap().push(Orphan {
                     index,
                     image,
-                    class: QosClass::default(),
+                    class,
                     slot,
                 });
                 Ok(pending)
@@ -2115,15 +2062,16 @@ mod tests {
         let policy = FleetPolicy::default().with_class_budget(Priority::Low, 0);
         let f = FleetHandle::new(shards, policy).unwrap();
 
-        let shed = f.submit_qos(tensor(7.0), QosClass::low()).unwrap();
-        assert_eq!(shed.shed_reason(), Some(ShedReason::ClassBudget));
+        let shed = f.submit(Request::new(tensor(7.0)).class(QosClass::low()));
+        assert!(matches!(
+            shed,
+            Err(ServeError::Shed(ShedReason::ClassBudget))
+        ));
         assert_eq!(f.images_routed(), 0, "shed before any index survived");
 
         // The next admitted request claims the released coordinate 0.
         let p = f
-            .submit_qos(tensor(9.0), QosClass::default())
-            .unwrap()
-            .admitted()
+            .submit(Request::new(tensor(9.0)).class(QosClass::default()))
             .expect("normal class is unbudgeted");
         assert_eq!(p.wait().unwrap().data(), &[9.0]);
 
@@ -2190,8 +2138,8 @@ mod tests {
             FleetPolicy::default(),
         );
         let p0 = f.submit(tensor(0.0)).unwrap();
-        let shed = f.submit_qos(tensor(1.0), QosClass::default()).unwrap();
-        assert_eq!(shed.shed_reason(), Some(ShedReason::QueueFull));
+        let shed = f.submit(Request::new(tensor(1.0)).class(QosClass::default()));
+        assert!(matches!(shed, Err(ServeError::Shed(ShedReason::QueueFull))));
         assert_eq!(f.images_routed(), 1, "the shed released its index");
         let p1 = f.submit(tensor(2.0)).unwrap();
         gate.set(true);
@@ -2214,8 +2162,11 @@ mod tests {
                 .with_qos(QosPolicy::default().with_class_budget(Priority::Low, 0)),
             FleetPolicy::default(),
         );
-        let shed = f.submit_qos(tensor(1.0), QosClass::low()).unwrap();
-        assert_eq!(shed.shed_reason(), Some(ShedReason::ClassBudget));
+        let shed = f.submit(Request::new(tensor(1.0)).class(QosClass::low()));
+        assert!(matches!(
+            shed,
+            Err(ServeError::Shed(ShedReason::ClassBudget))
+        ));
         assert_eq!(f.images_routed(), 0, "the shed released its index");
         let p = f.submit(tensor(2.0)).unwrap();
         gate.set(true);
@@ -2243,8 +2194,8 @@ mod tests {
         gate.set(false);
         let p1 = f.submit(tensor(1.0)).unwrap();
         let class = QosClass::default().with_deadline(Duration::from_nanos(1));
-        match f.submit_qos(tensor(2.0), class).unwrap() {
-            Admission::DeadlineInfeasible { estimated_wait } => {
+        match f.submit(Request::new(tensor(2.0)).class(class)) {
+            Err(ServeError::DeadlineInfeasible { estimated_wait }) => {
                 assert!(estimated_wait > Duration::from_nanos(1));
             }
             other => panic!("expected an infeasible deadline, got {other:?}"),
@@ -2278,23 +2229,19 @@ mod tests {
 
         // Empty shard: window 1 admits the first request (index 0).
         let p0 = f
-            .submit_qos(tensor(0.0), QosClass::default())
-            .unwrap()
-            .admitted()
+            .submit(Request::new(tensor(0.0)).class(QosClass::default()))
             .expect("idle shard admits");
         // One in flight ≥ window 1: Normal sheds with Overload.
-        let shed = f.submit_qos(tensor(1.0), QosClass::default()).unwrap();
-        assert_eq!(shed.shed_reason(), Some(ShedReason::Overload));
+        let shed = f.submit(Request::new(tensor(1.0)).class(QosClass::default()));
+        assert!(matches!(shed, Err(ServeError::Shed(ShedReason::Overload))));
         // High bypasses the window (1 < hard limit 2): admitted at the
         // released coordinate 1.
         let p1 = f
-            .submit_qos(tensor(2.0), QosClass::high())
-            .unwrap()
-            .admitted()
+            .submit(Request::new(tensor(2.0)).class(QosClass::high()))
             .expect("high priority bypasses the pacer window");
         // Two in flight = hard limit: even High sheds.
-        let shed = f.submit_qos(tensor(3.0), QosClass::high()).unwrap();
-        assert_eq!(shed.shed_reason(), Some(ShedReason::Overload));
+        let shed = f.submit(Request::new(tensor(3.0)).class(QosClass::high()));
+        assert!(matches!(shed, Err(ServeError::Shed(ShedReason::Overload))));
 
         // Release the runner: survivors ran at contiguous coordinates.
         gate.set(true);
@@ -2391,10 +2338,13 @@ mod tests {
         assert_eq!(f.model_ids(), vec!["alpha".to_string(), "beta".to_string()]);
 
         let a: Vec<Pending> = (0..4)
-            .map(|i| f.submit_to("alpha", tensor(i as f32)).unwrap())
+            .map(|i| {
+                f.submit(Request::new(tensor(i as f32)).to("alpha"))
+                    .unwrap()
+            })
             .collect();
         let b: Vec<Pending> = (0..3)
-            .map(|i| f.submit_to("beta", tensor(i as f32)).unwrap())
+            .map(|i| f.submit(Request::new(tensor(i as f32)).to("beta")).unwrap())
             .collect();
         // Each model's stream starts at 0 — coordinates are per group, so
         // both models stay solo-identical.
@@ -2422,7 +2372,7 @@ mod tests {
         assert_eq!(p.wait().unwrap().data(), &[4.0 * 1000.0 + 9.0]);
 
         assert!(matches!(
-            f.submit_to("gamma", tensor(0.0)),
+            f.submit(Request::new(tensor(0.0)).to("gamma")),
             Err(ServeError::UnknownModel(id)) if id == "gamma"
         ));
         assert!(matches!(
@@ -2466,7 +2416,7 @@ mod tests {
         f.add_shard(spec_shard(&logs[2], &control, ShardSpec::golden("beta")))
             .unwrap();
         assert_eq!(f.model_ids(), vec!["alpha".to_string(), "beta".to_string()]);
-        let p = f.submit_to("beta", tensor(1.0)).unwrap();
+        let p = f.submit(Request::new(tensor(1.0)).to("beta")).unwrap();
         assert_eq!(p.wait().unwrap().data(), &[1.0]);
         f.shutdown();
     }
@@ -2581,7 +2531,7 @@ mod tests {
         f.shutdown();
     }
 
-    /// A `submit_block` run longer than the routing block spans several
+    /// A run of submissions longer than the routing block spans several
     /// blocks without gaps or duplicates.
     #[test]
     fn lease_exhaustion_mid_block_keeps_indices_contiguous() {
@@ -2589,7 +2539,9 @@ mod tests {
             3,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(2),
         );
-        let pendings = f.submit_block((0..7).map(|i| tensor(i as f32))).unwrap();
+        let pendings: Vec<Pending> = (0..7)
+            .map(|i| f.submit(tensor(i as f32)).unwrap())
+            .collect();
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
         }

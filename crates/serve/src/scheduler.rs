@@ -4,14 +4,14 @@
 //! within priority bands under
 //! [`QosOrdering::EdfWithinPriority`](crate::QosOrdering)). Every request already
 //! carries its global stream index (stamped at submission by a fleet
-//! router, through [`ServeHandle::submit_at`]), and the worker hands the
-//! per-request indices to the runner alongside the images. The runner
-//! keys evaluation randomness to those indices
+//! router, through its seat's [`ShardTransport`](crate::ShardTransport)),
+//! and the worker hands the per-request indices to the runner alongside
+//! the images. The runner keys evaluation randomness to those indices
 //! (`Executor::infer_batch_indexed`) — the mechanism behind
 //! batch-composition invariance: a shard's batches need not be contiguous
 //! in the global stream, nor in stream order.
 
-use crate::handle::{Msg, Request, ServeError, ServeHandle, SharedState};
+use crate::handle::{Msg, Queued, ServeError, ServeHandle, SharedState};
 use crate::qos::QosCoalescer;
 use crate::BatchPolicy;
 use aimc_dnn::{ExecError, Tensor};
@@ -73,12 +73,12 @@ fn worker_loop<R: BatchRunner>(
     mut runner: R,
 ) {
     let epoch = Instant::now();
-    let mut coal: QosCoalescer<Request> =
+    let mut coal: QosCoalescer<Queued> =
         QosCoalescer::new(policy.max_batch, policy.max_wait, policy.qos.ordering);
     // Queues a request with its EDF key: the absolute completion deadline
     // in the epoch clock domain (relative deadlines are anchored to the
     // *submission* instant, not the dequeue instant).
-    let push = |coal: &mut QosCoalescer<Request>, req: Request| {
+    let push = |coal: &mut QosCoalescer<Queued>, req: Queued| {
         let deadline = req
             .class
             .deadline
@@ -137,7 +137,7 @@ fn worker_loop<R: BatchRunner>(
 }
 
 /// Dispatches one coalesced batch (if any) and fulfills its tickets.
-fn flush<R: BatchRunner>(coal: &mut QosCoalescer<Request>, runner: &mut R, shared: &SharedState) {
+fn flush<R: BatchRunner>(coal: &mut QosCoalescer<Queued>, runner: &mut R, shared: &SharedState) {
     let reqs = coal.take_batch();
     if reqs.is_empty() {
         return;
@@ -184,6 +184,7 @@ fn flush<R: BatchRunner>(coal: &mut QosCoalescer<Request>, runner: &mut R, share
 mod tests {
     use super::*;
     use crate::handle::Pending;
+    use crate::QosClass;
     use aimc_dnn::Shape;
     use std::sync::Mutex;
     use std::time::Duration;
@@ -215,7 +216,11 @@ mod tests {
             recording_runner(Arc::clone(&log)),
         );
         let pendings: Vec<Pending> = (0..10)
-            .map(|i| handle.submit_at(i, tensor(i as f32)).unwrap())
+            .map(|i| {
+                handle
+                    .submit_at(i, tensor(i as f32), QosClass::default(), false)
+                    .unwrap()
+            })
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[i as f32 + 0.5]);
@@ -247,7 +252,9 @@ mod tests {
             BatchPolicy::new(1000, Duration::from_millis(10)),
             recording_runner(Arc::clone(&log)),
         );
-        let p = handle.submit_at(0, tensor(7.0)).unwrap();
+        let p = handle
+            .submit_at(0, tensor(7.0), QosClass::default(), false)
+            .unwrap();
         // Must complete without ever filling the batch.
         assert_eq!(p.wait().unwrap().data(), &[7.5]);
         assert_eq!(handle.stats().batches, 1);
@@ -263,7 +270,11 @@ mod tests {
             recording_runner(Arc::clone(&log)),
         );
         let pendings: Vec<Pending> = (0..5)
-            .map(|i| handle.submit_at(i, tensor(i as f32)).unwrap())
+            .map(|i| {
+                handle
+                    .submit_at(i, tensor(i as f32), QosClass::default(), false)
+                    .unwrap()
+            })
             .collect();
         handle.shutdown();
         for (i, p) in pendings.into_iter().enumerate() {
@@ -271,7 +282,7 @@ mod tests {
         }
         // Post-shutdown submissions are refused and counted.
         assert!(matches!(
-            handle.submit_at(5, tensor(9.0)),
+            handle.submit_at(5, tensor(9.0), QosClass::default(), false),
             Err(ServeError::ShutDown)
         ));
         assert!(handle.is_closed());
@@ -285,13 +296,15 @@ mod tests {
     fn shutdown_is_idempotent_across_clones() {
         let handle = spawn(BatchPolicy::default(), recording_runner(Default::default()));
         let clone = handle.clone();
-        let p = clone.submit_at(0, tensor(1.0)).unwrap();
+        let p = clone
+            .submit_at(0, tensor(1.0), QosClass::default(), false)
+            .unwrap();
         handle.shutdown();
         clone.shutdown();
         handle.shutdown();
         assert_eq!(p.wait().unwrap().data(), &[1.5]);
         assert!(matches!(
-            clone.submit_at(1, tensor(2.0)),
+            clone.submit_at(1, tensor(2.0), QosClass::default(), false),
             Err(ServeError::ShutDown)
         ));
     }
@@ -307,12 +320,18 @@ mod tests {
             BatchPolicy::new(2, Duration::from_millis(1)),
             move |_idx: &[u64], _inputs: &[Tensor]| Err(e.clone()),
         );
-        let a = handle.submit_at(0, tensor(0.0)).unwrap();
-        let b = handle.submit_at(1, tensor(1.0)).unwrap();
+        let a = handle
+            .submit_at(0, tensor(0.0), QosClass::default(), false)
+            .unwrap();
+        let b = handle
+            .submit_at(1, tensor(1.0), QosClass::default(), false)
+            .unwrap();
         assert_eq!(a.wait(), Err(ServeError::Exec(bad.clone())));
         assert_eq!(b.wait(), Err(ServeError::Exec(bad)));
         // The scheduler survives failing batches.
-        let c = handle.submit_at(2, tensor(2.0)).unwrap();
+        let c = handle
+            .submit_at(2, tensor(2.0), QosClass::default(), false)
+            .unwrap();
         assert!(matches!(c.wait(), Err(ServeError::Exec(_))));
         handle.shutdown();
     }
@@ -323,7 +342,9 @@ mod tests {
             BatchPolicy::new(1, Duration::from_millis(1)),
             move |_idx: &[u64], _inputs: &[Tensor]| Ok(Vec::new()),
         );
-        let p = handle.submit_at(0, tensor(3.0)).unwrap();
+        let p = handle
+            .submit_at(0, tensor(3.0), QosClass::default(), false)
+            .unwrap();
         // debug_assert fires only in the worker thread's debug builds; the
         // observable contract is cancellation either way.
         assert_eq!(p.wait(), Err(ServeError::Canceled));
@@ -361,7 +382,8 @@ mod tests {
         let pendings: Vec<Pending> = (0..N)
             .map(|i| {
                 let h = if i % 2 == 0 { &handle } else { &clone };
-                h.submit_at(i, tensor(i as f32)).unwrap()
+                h.submit_at(i, tensor(i as f32), QosClass::default(), false)
+                    .unwrap()
             })
             .collect();
         handle.drain();

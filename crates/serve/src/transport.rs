@@ -1,10 +1,10 @@
 //! The transport boundary between the fleet router and its shards.
 //!
 //! The router never touches a concrete scheduler or executor: it speaks
-//! only to [`ShardTransport`] — submit an indexed request, probe load,
-//! drain/shutdown, and fan the [`ShardControl`] operations (drift,
-//! reprogram, thread budget). Where a shard *lives* is a transport
-//! implementation detail:
+//! only to [`ShardTransport`] — submit a stamped request (with or without
+//! the shard's own admission checks), probe load, drain/shutdown, and fan
+//! the [`ShardControl`] operations (drift, reprogram, thread budget).
+//! Where a shard *lives* is a transport implementation detail:
 //!
 //! * [`LocalTransport`] wraps an in-process [`ServeHandle`] — the
 //!   zero-copy fast path (tensors move, nothing is serialized);
@@ -18,7 +18,7 @@
 //! solo session.
 
 use crate::handle::{CompletionSlot, Pending, ServeError, ServeHandle, ServeStats};
-use crate::qos::{Admission, QosClass, ShardLoad};
+use crate::qos::{QosClass, ShardLoad};
 use aimc_dnn::{ExecError, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_wire::ShardSpec;
@@ -105,55 +105,39 @@ pub trait ShardControl: Send + Sync {
 /// (logits, error, or cancellation) — so [`ShardTransport::drain`] never
 /// hangs.
 pub trait ShardTransport: Send + Sync {
-    /// Submits one image stamped with its global stream index, returning
-    /// the completion handle.
+    /// Submits one image stamped with its global stream index and class,
+    /// returning the completion handle. The shard must accept the request
+    /// — it waits on its own backpressure rather than shed — and the class
+    /// drives EDF batch composition and deadline-miss accounting. The
+    /// router submits class-less requests (as [`QosClass::default`]) and
+    /// rescued orphans this way; protocol servers submit every request
+    /// that arrives over the wire this way, because the client's router
+    /// already admitted it.
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] once the shard no longer accepts requests;
     /// [`ServeError::Exec`] when the shard refuses the image itself (a
     /// [`LocalTransport`] checks it against its replica's input shape).
     /// Either way the router releases the index.
-    fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError>;
+    fn submit(&self, index: u64, image: Tensor, class: QosClass) -> Result<Pending, ServeError>;
 
-    /// QoS-gated submission at a stamped index: the shard applies its
-    /// admission checks (queue bound, class budget, deadline feasibility)
-    /// and returns a typed [`Admission`] — so the router can roll the
-    /// index back when the shard sheds, keeping the global numbering
-    /// hole-free. The class annotations also drive EDF batch composition
-    /// and deadline-miss accounting on the shard.
-    ///
-    /// The default forwards to [`ShardTransport::submit_indexed`]
-    /// (always-admit), so pre-QoS transports keep working unchanged.
+    /// [`ShardTransport::submit`] under the shard's own admission checks,
+    /// which the router applies to classed requests after its fleet-wide
+    /// ones: a [`LocalTransport`] sheds at its queue bound and at the
+    /// class's in-flight budget. The router releases the index of a shed
+    /// request, keeping the global numbering hole-free. The default admits
+    /// every request through [`ShardTransport::submit`].
     ///
     /// # Errors
-    /// [`ServeError::ShutDown`] once the shard no longer accepts requests.
-    fn submit_qos(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        let _ = class;
-        self.submit_indexed(index, image).map(Admission::Admitted)
-    }
-
-    /// Class-annotated submission of a request that was **already
-    /// admitted** at the fleet ingress: the shard must accept it (no
-    /// shedding — a post-admission drop would hole the global stream
-    /// numbering), but the class still drives EDF batch composition and
-    /// deadline-miss accounting. Protocol servers use this for requests
-    /// arriving over the wire. The default drops the annotations.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] once the shard no longer accepts requests.
-    fn submit_admitted(
+    /// [`ServeError::Shed`] when the shard sheds the request; otherwise as
+    /// [`ShardTransport::submit`].
+    fn try_submit(
         &self,
         index: u64,
         image: Tensor,
         class: QosClass,
     ) -> Result<Pending, ServeError> {
-        let _ = class;
-        self.submit_indexed(index, image)
+        self.submit(index, image, class)
     }
 
     /// The shard's congestion signal: occupancy, per-class counts, the
@@ -222,7 +206,7 @@ pub trait ShardTransport: Send + Sync {
 /// The in-process transport: a micro-batch scheduler ([`ServeHandle`])
 /// plus its backend control, behind the [`ShardTransport`] boundary.
 ///
-/// This is the zero-copy fast path — `submit_indexed` moves the tensor
+/// This is the zero-copy fast path — a submission moves the tensor
 /// straight into the shard's bounded queue; nothing touches the wire
 /// codec. Every submission first passes [`ShardControl::check_input`]: a
 /// refused image never reaches the queue, so it fails no neighbour, and
@@ -265,29 +249,19 @@ impl LocalTransport {
 }
 
 impl ShardTransport for LocalTransport {
-    fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
+    fn submit(&self, index: u64, image: Tensor, class: QosClass) -> Result<Pending, ServeError> {
         self.control.check_input(&image)?;
-        self.handle.submit_at(index, image)
+        self.handle.submit_at(index, image, class, false)
     }
 
-    fn submit_qos(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        self.control.check_input(&image)?;
-        self.handle.submit_at_qos(index, image, class)
-    }
-
-    fn submit_admitted(
+    fn try_submit(
         &self,
         index: u64,
         image: Tensor,
         class: QosClass,
     ) -> Result<Pending, ServeError> {
         self.control.check_input(&image)?;
-        self.handle.submit_at_admitted(index, image, class)
+        self.handle.submit_at(index, image, class, true)
     }
 
     fn load(&self) -> ShardLoad {

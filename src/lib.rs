@@ -104,9 +104,9 @@ pub mod prelude {
         RunReport, SimError, Waterfall,
     };
     pub use aimc_serve::{
-        Admission, AimdPacer, BatchPolicy, ClassStats, Connect, FleetHandle, FleetPolicy,
-        FleetStats, LocalTransport, NoiseSpec, Orphan, PacerConfig, Pending, Priority, QosClass,
-        QosOrdering, QosPolicy, QosStats, RecalHandle, RecalPolicy, RecalStats, RetryPolicy,
+        AimdPacer, BatchPolicy, ClassStats, Connect, FleetHandle, FleetPolicy, FleetStats,
+        LocalTransport, NoiseSpec, Orphan, PacerConfig, Pending, Priority, QosClass, QosOrdering,
+        QosPolicy, QosStats, RecalHandle, RecalPolicy, RecalStats, Request, RetryPolicy,
         RoutePolicy, ServeError, ServeHandle, ServeStats, ShardHealth, ShardLoad, ShardServer,
         ShardSpec, ShardTransport, ShedReason, TcpTransport,
     };

@@ -194,9 +194,9 @@ impl Platform {
     /// models at once, each model group its own replica set. For every
     /// [`ModelGroup`] the platform builds `replicas` in-process shards
     /// from the group's backend, all carrying the group's
-    /// [`ShardSpec`] — the router's registry then routes
-    /// [`FleetHandle::submit_to`]`(model_id, ..)` requests to a compatible
-    /// seat, with a **per-group** global stream counter, so each model's
+    /// [`ShardSpec`] — the router's registry then routes each request
+    /// addressed with [`Request::to`](aimc_serve::Request::to)`(model_id)`
+    /// to a compatible seat, with a **per-group** global stream counter, so each model's
     /// logits stay bit-identical to a solo session over that model's
     /// backend no matter how the groups interleave.
     ///
@@ -293,10 +293,10 @@ impl Platform {
     }
 
     /// [`Platform::local_shard`] with an explicit model id: the shard's
-    /// [`ShardSpec`] — the backend's crossbar config,
-    /// noise model, and seed under `model_id` — is what the fleet registry
-    /// groups seats by, what [`FleetHandle::submit_to`] routes on, and
-    /// what a recalibration reprograms from.
+    /// [`ShardSpec`] — the backend's crossbar config, noise model, and seed
+    /// under `model_id` — is what the fleet registry groups seats by, what
+    /// [`Request::to`](aimc_serve::Request::to) routes on, and what a
+    /// recalibration reprograms from.
     ///
     /// # Errors
     /// [`Error::NoWeights`] without functional weights; programming errors
@@ -390,7 +390,8 @@ impl Platform {
 /// from `backend`, all serving the model stream `model_id`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelGroup {
-    /// The model id requests address via [`FleetHandle::submit_to`].
+    /// The model id requests address via
+    /// [`Request::to`](aimc_serve::Request::to).
     pub model_id: String,
     /// The backend every replica of this group is programmed from.
     pub backend: Backend,

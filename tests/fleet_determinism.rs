@@ -191,8 +191,7 @@ fn set_parallelism_mid_fleet_serve_is_deterministic() {
     assert_eq!(want, got, "thread-budget changes must never change logits");
 }
 
-/// Aggregated fleet statistics are coherent with the routed stream, and
-/// `submit_block` slots into the same global numbering.
+/// Aggregated fleet statistics are coherent with the routed stream.
 #[test]
 fn fleet_stats_aggregate_matches_the_stream() {
     let backend = Backend::Golden;
@@ -209,14 +208,12 @@ fn fleet_stats_aggregate_matches_the_stream() {
         )
         .unwrap();
     assert_eq!(fleet.shard_count(), 3);
-    // Mix single submissions with a contiguous block: indices stay global
-    // and unique, so results still match the solo stream image for image.
-    let mut pendings: Vec<Pending> = images[..3]
+    // Indices stay global and unique, so results match the solo stream
+    // image for image.
+    let pendings: Vec<Pending> = images
         .iter()
         .map(|x| fleet.submit(x.clone()).unwrap())
         .collect();
-    pendings.extend(fleet.submit_block(images[3..8].iter().cloned()).unwrap());
-    pendings.push(fleet.submit(images[8].clone()).unwrap());
     let got: Vec<Tensor> = pendings.into_iter().map(|p| p.wait().unwrap()).collect();
     assert_eq!(want, got);
 

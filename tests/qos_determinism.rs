@@ -8,12 +8,16 @@
 //! the refused-submission rollback: every shed synchronously releases its
 //! claimed index).
 //!
-//! Shed patterns are made deterministic by restricting fleet class
-//! budgets to {0, unbounded}: a zero-budget class sheds every request
-//! with `ClassBudget`, independent of timing, while unbounded classes
-//! always admit (queue depth 64 ≫ the streams used here). Timing-driven
-//! shedding (pacer windows, deadline feasibility) is pinned by unit tests
-//! in `aimc-serve`; this suite pins the *invariance* under shedding.
+//! Every request here carries a class, so `FleetHandle::submit` either
+//! admits it or refuses it with a typed `ServeError::Shed`. Shed patterns
+//! are made deterministic by restricting fleet class budgets to
+//! {0, unbounded}: a zero-budget class sheds every request with
+//! `ClassBudget`, independent of timing, while unbounded classes always
+//! admit (queue depth 64 ≫ the streams used here). The other refusals
+//! (pacer windows, a seat's queue bound and class budget, infeasible
+//! deadlines) depend on occupancy and are pinned by the router's unit
+//! tests in `aimc-serve`; this suite pins the *invariance* under
+//! shedding.
 
 use aimc_platform::prelude::*;
 use aimc_platform::wire::duplex;
@@ -198,8 +202,8 @@ proptest! {
             let mut pendings = Vec::new();
             let mut expect_shed = [0u64; Priority::COUNT];
             for (image, class) in images.iter().zip(&classes) {
-                match tf.fleet.submit_qos(image.clone(), *class).unwrap() {
-                    Admission::Admitted(p) => {
+                match tf.fleet.submit(Request::new(image.clone()).class(*class)) {
+                    Ok(p) => {
                         prop_assert!(
                             !blocked(class.priority),
                             "zero-budget class {:?} was admitted", class.priority
@@ -207,7 +211,7 @@ proptest! {
                         admitted_images.push(image.clone());
                         pendings.push(p);
                     }
-                    Admission::Shed(reason) => {
+                    Err(ServeError::Shed(reason)) => {
                         prop_assert_eq!(reason, ShedReason::ClassBudget);
                         prop_assert!(
                             blocked(class.priority),
@@ -215,12 +219,13 @@ proptest! {
                         );
                         expect_shed[class.priority.rank()] += 1;
                     }
-                    Admission::DeadlineInfeasible { estimated_wait } => {
+                    Err(ServeError::DeadlineInfeasible { estimated_wait }) => {
                         prop_assert!(
                             false,
                             "60 s deadline judged infeasible (wait {estimated_wait:?})"
                         );
                     }
+                    Err(e) => panic!("the fleet is open: {e}"),
                 }
             }
             let got: Vec<Tensor> = pendings.into_iter().map(|p| p.wait().unwrap()).collect();
@@ -287,9 +292,7 @@ fn session_serve_keeps_edf_solo_identical() {
         .zip(classes)
         .map(|(x, class)| {
             handle
-                .submit_qos(x.clone(), class)
-                .unwrap()
-                .admitted()
+                .submit(Request::new(x.clone()).class(class))
                 .expect("permissive policy admits")
         })
         .collect();
@@ -323,12 +326,10 @@ fn remote_class_ledgers_cross_the_wire() {
             QosClass::low().with_deadline(Duration::from_nanos(1))
         };
         // Submit-then-wait: an empty pipeline estimates zero wait, so the
-        // client-side feasibility check stays inert even for the 1 ns
+        // router's feasibility check stays inert even for the 1 ns
         // deadline — what's under test is the *completion-side* ledger.
         tf.fleet
-            .submit_qos(image.clone(), class)
-            .unwrap()
-            .admitted()
+            .submit(Request::new(image.clone()).class(class))
             .expect("permissive fleet admits")
             .wait()
             .unwrap();

@@ -208,15 +208,19 @@ proptest! {
             let mut b_pend = Vec::new();
             if interleave {
                 for i in from..to {
-                    a_pend.push(fleet.submit_to("alpha", a_images[i].clone()).unwrap());
-                    b_pend.push(fleet.submit_to("beta", b_images[i].clone()).unwrap());
+                    a_pend.push(
+                        fleet.submit(Request::new(a_images[i].clone()).to("alpha")).unwrap(),
+                    );
+                    b_pend.push(
+                        fleet.submit(Request::new(b_images[i].clone()).to("beta")).unwrap(),
+                    );
                 }
             } else {
                 for img in &a_images[from..to] {
-                    a_pend.push(fleet.submit_to("alpha", img.clone()).unwrap());
+                    a_pend.push(fleet.submit(Request::new(img.clone()).to("alpha")).unwrap());
                 }
                 for img in &b_images[from..to] {
-                    b_pend.push(fleet.submit_to("beta", img.clone()).unwrap());
+                    b_pend.push(fleet.submit(Request::new(img.clone()).to("beta")).unwrap());
                 }
             }
             (a_pend, b_pend)
@@ -287,7 +291,7 @@ fn evict_then_rejoin_matches_solo() {
     got.extend(wait_all(
         images[..3]
             .iter()
-            .map(|x| fleet.submit_to("alpha", x.clone()).unwrap())
+            .map(|x| fleet.submit(Request::new(x.clone()).to("alpha")).unwrap())
             .collect(),
     ));
     assert!(fleet.apply_drift(500.0));
@@ -296,7 +300,7 @@ fn evict_then_rejoin_matches_solo() {
     got.extend(wait_all(
         images[3..6]
             .iter()
-            .map(|x| fleet.submit_to("alpha", x.clone()).unwrap())
+            .map(|x| fleet.submit(Request::new(x.clone()).to("alpha")).unwrap())
             .collect(),
     ));
     // The rejoiner: same spec (model id, config, seed), fresh host. The
@@ -308,7 +312,7 @@ fn evict_then_rejoin_matches_solo() {
     got.extend(wait_all(
         images[6..]
             .iter()
-            .map(|x| fleet.submit_to("alpha", x.clone()).unwrap())
+            .map(|x| fleet.submit(Request::new(x.clone()).to("alpha")).unwrap())
             .collect(),
     ));
     fleet.shutdown();
