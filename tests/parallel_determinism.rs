@@ -173,3 +173,30 @@ fn interleaved_golden_checks_do_not_perturb_analog_streams() {
     };
     assert_eq!(run(Parallelism::Serial), run(Parallelism::Threads(4)));
 }
+
+/// ResNet-18/CIFAR on full `hermes_256` arrays, the workload the small
+/// CNN above stands in for: serial, threaded and core-pinned
+/// `Session::infer` of one batch from one base return the same bits.
+#[test]
+fn resnet18_threaded_and_pinned_match_serial() {
+    let platform = Platform::builder()
+        .graph(resnet18_cifar(10))
+        .arch(ArchConfig::small(8, 8))
+        .he_weights(42)
+        .build()
+        .unwrap();
+    let images = random_images(Shape::new(3, 32, 32), 2, 9);
+    let backend = Backend::analog(7, XbarConfig::hermes_256());
+    let infer = |par: Parallelism| {
+        let mut s = platform.session();
+        s.set_parallelism(par);
+        s.infer(&images, backend.clone()).unwrap()
+    };
+    let serial = infer(Parallelism::Serial);
+    assert_eq!(serial, infer(Parallelism::Threads(2)), "threaded diverged");
+    assert_eq!(
+        serial,
+        infer(Parallelism::PinnedThreads(2)),
+        "pinned diverged"
+    );
+}
