@@ -8,15 +8,16 @@
 //!
 //! Remote shards run real `ShardServer`s speaking the `aimc-wire`
 //! protocol over in-memory duplex pipes — byte-for-byte the TCP protocol,
-//! minus the socket (the loopback-TCP path is exercised by the
-//! `remote_scaling` leg of the `shard_scaling` bench and by
-//! `examples/remote_fleet.rs`).
+//! minus the socket. `resnet18_fleets_over_loopback_tcp_match_solo` adds
+//! the socket: ResNet-18/CIFAR requests, 12 KiB frames each, cross real
+//! loopback TCP (so does `examples/remote_fleet.rs`).
 
 use aimc_platform::prelude::*;
 use aimc_platform::wire::duplex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::net::TcpListener;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -398,4 +399,73 @@ fn malformed_request_fails_alone_on_a_tcp_seat() {
     assert_eq!(tf.fleet.images_routed(), 4, "the refused index stays used");
     tf.shutdown();
     assert_eq!(got, vec![want[0].clone(), want[2].clone(), want[3].clone()]);
+}
+
+/// ResNet-18/CIFAR at full `hermes_256` arrays: a two-seat local fleet
+/// under least-queue-depth routing, and one local seat plus one
+/// `TcpTransport` to a `ShardServer` on loopback TCP under round-robin
+/// blocks of 4, both serve the stream bit-identical to solo `infer_one`.
+#[test]
+fn resnet18_fleets_over_loopback_tcp_match_solo() {
+    let platform = Platform::builder()
+        .graph(resnet18_cifar(10))
+        .arch(ArchConfig::small(8, 8))
+        .he_weights(42)
+        .build()
+        .unwrap();
+    let backend = Backend::analog(7, XbarConfig::hermes_256());
+    let shape = Shape::new(3, 32, 32);
+    let mut rng = StdRng::seed_from_u64(9);
+    let images: Vec<Tensor> = (0..8)
+        .map(|_| {
+            Tensor::from_vec(
+                shape,
+                (0..shape.numel())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut solo = platform.session();
+    let want: Vec<Tensor> = images
+        .iter()
+        .map(|x| solo.infer_one(x, backend.clone()).unwrap())
+        .collect();
+    let serve = |fleet: &FleetHandle| -> Vec<Tensor> {
+        let pendings: Vec<Pending> = images
+            .iter()
+            .map(|x| fleet.submit(x.clone()).unwrap())
+            .collect();
+        pendings.into_iter().map(|p| p.wait().unwrap()).collect()
+    };
+    let batch = BatchPolicy::new(4, Duration::from_millis(5));
+
+    let fleet = platform
+        .serve_fleet(2, batch, RoutePolicy::LeastQueueDepth, &backend)
+        .unwrap();
+    assert_eq!(want, serve(&fleet), "two local seats diverged from solo");
+    fleet.shutdown();
+
+    let server = platform.shard_server(batch, &backend).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_next(&listener).unwrap());
+    let transports: Vec<Box<dyn ShardTransport>> = vec![
+        Box::new(platform.local_shard(batch, &backend).unwrap()),
+        Box::new(TcpTransport::connect(addr).unwrap()),
+    ];
+    let fleet = platform
+        .serve_fleet_with(
+            transports,
+            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
+        )
+        .unwrap();
+    assert_eq!(want, serve(&fleet), "local + loopback-TCP fleet diverged");
+    let stats = fleet.stats();
+    assert_eq!(
+        stats.shards[1].submitted, 4,
+        "the TCP seat served one block"
+    );
+    fleet.shutdown();
+    server_thread.join().unwrap();
 }
