@@ -2366,8 +2366,8 @@ mod tests {
         alpha.sort_unstable();
         assert_eq!(alpha, vec![0, 1, 2, 3]);
 
-        // The un-addressed API is group 0 ("alpha") and continues its
-        // stream.
+        // A request without a model id joins group 0 ("alpha") and
+        // continues its stream.
         let p = f.submit(tensor(9.0)).unwrap();
         assert_eq!(p.wait().unwrap().data(), &[4.0 * 1000.0 + 9.0]);
 
