@@ -194,8 +194,9 @@ pub struct FleetStats {
     pub shards: Vec<ServeStats>,
     /// The router's own QoS ledger: refusals decided at the fleet ingress
     /// (pacer overload, fleet class budgets, infeasible deadlines) plus
-    /// congestion marks the router observed. Disjoint from the shard ledgers — every admission
-    /// outcome is counted exactly once, by the component that decided it.
+    /// congestion marks the router observed. Disjoint from the shard
+    /// ledgers — every admission outcome is counted exactly once, by the
+    /// component that decided it.
     pub router: QosStats,
     /// One [`ShardHealth`] row per seat, in shard-id order.
     pub health: Vec<ShardHealth>,
