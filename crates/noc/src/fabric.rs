@@ -29,14 +29,24 @@
 //!
 //! ## Determinism
 //!
-//! Events are drained from an [`OrderedEventQueue`] keyed by
-//! `(time, event, insertion seq)` where link-free events sort before
-//! arrivals and arrivals sort by `(link, message id)`. Message ids are
-//! assigned in injection order and never reused; a delivered message's hop
-//! list is recycled, but its id is not. Two runs that inject the same
-//! transactions in the same order therefore produce bit-identical
-//! completions and link statistics, regardless of how the caller
-//! interleaves [`Fabric::advance_before`] windows.
+//! Events are drained from an [`OrderedEventQueue`] in `(time, key)` order,
+//! where the key packs an event into one `u64`: a variant bit, so that
+//! link-free events sort before arrivals, then the link, then the message
+//! id. Message ids are assigned in injection order and never reused, so the
+//! fabric's pop order is a pure function of its set of pending
+//! `(time, event)` pairs. Two runs that inject the same transactions in the
+//! same order therefore produce bit-identical completions and link
+//! statistics, however the caller slices the run into
+//! [`Fabric::next_completion_before`] calls.
+//!
+//! Only messages in flight are stored. They sit in a power-of-two ring
+//! indexed by `id & (len - 1)` that starts at the oldest undelivered id and
+//! doubles when the span up to the newest id fills it, so the table is
+//! sized by that span, not by the run's length. A delivered message's hop
+//! list goes back to a pool for later injections, so hop lists number the
+//! most messages ever in flight. The key holds 32 bits of message id, so
+//! [`Fabric::inject`] panics on a transaction past the 2^32nd rather than
+//! let ids wrap.
 //!
 //! Only events that can change state are queued. Every link hop costs one
 //! arrival. A link's release is queued only while a burst waits on it,
@@ -47,7 +57,7 @@
 use crate::config::NocConfig;
 use crate::network::{Endpoint, LinkId, TxnKind};
 use crate::topology::Topology;
-use aimc_sim::{Cycles, OrderedEventQueue, SimTime};
+use aimc_sim::{Cycles, EventKey, OrderedEventQueue, SimTime};
 use std::collections::VecDeque;
 
 /// One step of an in-flight message: either a (possibly queued) link
@@ -69,12 +79,18 @@ struct MsgHop {
     tail_to_next: bool,
 }
 
-#[derive(Debug)]
+/// One slot of the message ring. A message in flight has hops left to
+/// cross; a delivered one has handed its hop list back to the pool, so an
+/// empty list marks a free slot.
+#[derive(Debug, Default)]
 struct Msg {
     hops: Vec<MsgHop>,
     next: usize,
     tag: u64,
 }
+
+/// The message ring's first size.
+const MIN_RING: usize = 16;
 
 #[derive(Debug, Clone, Default)]
 struct FabLink {
@@ -89,7 +105,8 @@ struct FabLink {
 
 /// Fabric events. Variant order matters: at equal times a link must free
 /// *before* new arrivals join its FIFO, so a queued burst starts at exactly
-/// the instant the link becomes available.
+/// the instant the link becomes available. The key keeps this derived
+/// order: variant in bit 63, link in bits 32..63, message id in bits 0..32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum FabEv {
     /// A link finished serving a burst and the head of its FIFO starts.
@@ -98,6 +115,32 @@ enum FabEv {
     Free { link: u32 },
     /// A message head arrived at `link` and joins its FIFO.
     Arrive { link: u32, msg: u32 },
+}
+
+/// Links the key's 31-bit link field can name.
+const MAX_LINKS: usize = 1 << 31;
+
+impl EventKey for FabEv {
+    #[inline]
+    fn key(self) -> u64 {
+        match self {
+            FabEv::Free { link } => u64::from(link) << 32,
+            FabEv::Arrive { link, msg } => 1 << 63 | u64::from(link) << 32 | u64::from(msg),
+        }
+    }
+
+    #[inline]
+    fn from_key(key: u64) -> Self {
+        let link = (key >> 32) as u32 & (MAX_LINKS - 1) as u32;
+        if key >> 63 == 0 {
+            FabEv::Free { link }
+        } else {
+            FabEv::Arrive {
+                link,
+                msg: key as u32,
+            }
+        }
+    }
 }
 
 /// Usage snapshot of one directed link (or the HBM controller).
@@ -177,10 +220,11 @@ impl FabricReport {
 /// The event-driven hop-by-hop interconnect engine.
 ///
 /// Transactions enter with [`Fabric::inject`] (in nondecreasing time order)
-/// and complete asynchronously; [`Fabric::advance_before`] runs the event
-/// loop up to a horizon and returns `(completion_time, tag)` pairs, which is
-/// what lets a windowed event loop overlap NoC flight time with compute
-/// events.
+/// and complete asynchronously; [`Fabric::next_completion_before`] runs the
+/// event loop up to a horizon and hands back one `(completion_time, tag)`
+/// pair at a time, which is what lets a windowed event loop overlap NoC
+/// flight time with compute events and stop at the first completion that
+/// matters to it.
 ///
 /// # Examples
 /// ```
@@ -199,12 +243,16 @@ pub struct Fabric {
     /// Dense tree + HBM channel links, plus the controller at index
     /// `topo.n_links()`.
     links: Vec<FabLink>,
-    /// Every injected message, indexed by its id (injection order).
+    /// The message ring: message `id` sits at `id & (msgs.len() - 1)`, and
+    /// ids `oldest..injected` always fit.
     msgs: Vec<Msg>,
     /// Emptied hop lists of delivered messages, for injections to reuse.
     hop_pool: Vec<Vec<MsgHop>>,
+    /// The oldest undelivered message id, where the ring starts.
+    oldest: u64,
+    /// Transactions injected so far, which is also the next message id.
+    injected: u64,
     queue: OrderedEventQueue<FabEv>,
-    completions: Vec<(SimTime, u64)>,
     completed: u64,
     routed_bytes: u64,
     events: u64,
@@ -214,17 +262,24 @@ impl Fabric {
     /// Builds the fabric for `cfg`.
     ///
     /// # Panics
-    /// Panics if the configuration fails [`NocConfig::validate`].
+    /// Panics if the configuration fails [`NocConfig::validate`], or has
+    /// more links than the event key's 31-bit link field can name.
     pub fn new(cfg: NocConfig) -> Self {
         let topo = Topology::new(cfg);
+        assert!(
+            topo.n_links() < MAX_LINKS,
+            "{} links overflow the fabric's 31-bit event-key link field",
+            topo.n_links() + 1
+        );
         let links = vec![FabLink::default(); topo.n_links() + 1];
         Fabric {
             topo,
             links,
             msgs: Vec::new(),
             hop_pool: Vec::new(),
+            oldest: 0,
+            injected: 0,
             queue: OrderedEventQueue::new(),
-            completions: Vec::new(),
             completed: 0,
             routed_bytes: 0,
             events: 0,
@@ -341,14 +396,17 @@ impl Fabric {
     }
 
     /// Injects one transaction whose burst enters the network at `t`, to be
-    /// reported back as `(completion_time, tag)` by the advance methods.
+    /// reported back as `(completion_time, tag)` by
+    /// [`Fabric::next_completion_before`].
     ///
     /// Injections must be in nondecreasing order with respect to already
     /// processed events (`t` may not be earlier than the last horizon the
     /// fabric advanced past).
     ///
     /// # Panics
-    /// Panics if a cluster index is out of range or `t` violates causality.
+    /// Panics if a cluster index is out of range, if `t` violates causality,
+    /// or on a transaction past the 2^32nd, whose id would not fit the
+    /// event key.
     pub fn inject(
         &mut self,
         t: SimTime,
@@ -358,6 +416,12 @@ impl Fabric {
         bytes: usize,
         tag: u64,
     ) {
+        let id = u32::try_from(self.injected)
+            .expect("fabric message ids overflow the event key's 32-bit field");
+        if self.injected - self.oldest == self.msgs.len() as u64 {
+            self.grow();
+        }
+        let slot = self.slot(id);
         let mut hops = self.hop_pool.pop().unwrap_or_default();
         self.build_hops(&mut hops, kind, src, dst, bytes);
         self.routed_bytes += hops
@@ -365,55 +429,80 @@ impl Fabric {
             .filter(|h| h.link.is_some())
             .map(|h| h.bytes as u64)
             .sum::<u64>();
-        let id = self.msgs.len() as u32;
-        self.msgs.push(Msg { hops, next: 0, tag });
-        self.dispatch(id as usize, t);
+        self.msgs[slot] = Msg { hops, next: 0, tag };
+        self.injected += 1;
+        let done = self.dispatch(id, t);
+        debug_assert!(done.is_none(), "every transaction crosses a link");
+    }
+
+    /// The ring slot of message `id`.
+    #[inline]
+    fn slot(&self, id: u32) -> usize {
+        id as usize & (self.msgs.len() - 1)
+    }
+
+    /// Doubles the message ring, moving each slot of the span
+    /// `oldest..oldest + len` to its place in the larger ring.
+    fn grow(&mut self) {
+        let mut old = std::mem::take(&mut self.msgs);
+        let len = (2 * old.len()).max(MIN_RING);
+        self.msgs.resize_with(len, Msg::default);
+        for id in self.oldest..self.oldest + old.len() as u64 {
+            let from = id as usize & (old.len() - 1);
+            self.msgs[id as usize & (len - 1)] = std::mem::take(&mut old[from]);
+        }
     }
 
     /// Moves a message from its current hop onward: skips through pure
-    /// delays, then either schedules the next link arrival or completes.
-    fn dispatch(&mut self, mid: usize, mut t: SimTime) {
+    /// delays, then either schedules the next link arrival or completes and
+    /// returns the completion.
+    fn dispatch(&mut self, id: u32, mut t: SimTime) -> Option<(SimTime, u64)> {
+        let slot = self.slot(id);
+        let msg = &mut self.msgs[slot];
         loop {
-            let next = self.msgs[mid].next;
-            match self.msgs[mid].hops.get(next).copied() {
+            match msg.hops.get(msg.next) {
                 None => {
-                    self.completed += 1;
-                    let tag = self.msgs[mid].tag;
-                    // A delivered message's hop list serves a later one.
-                    let mut hops = std::mem::take(&mut self.msgs[mid].hops);
+                    // Delivered: the hop list serves a later message.
+                    let mut hops = std::mem::take(&mut msg.hops);
                     hops.clear();
                     self.hop_pool.push(hops);
-                    self.completions.push((t, tag));
-                    return;
+                    let tag = msg.tag;
+                    self.completed += 1;
+                    if u64::from(id) == self.oldest {
+                        self.retire_delivered();
+                    }
+                    return Some((t, tag));
                 }
-                Some(hop) => match hop.link {
-                    Some(link) => {
-                        self.queue.push(
-                            t,
-                            FabEv::Arrive {
-                                link,
-                                msg: mid as u32,
-                            },
-                        );
-                        return;
-                    }
-                    None => {
-                        t += hop.lat;
-                        self.msgs[mid].next += 1;
-                    }
-                },
+                Some(&MsgHop {
+                    link: Some(link), ..
+                }) => {
+                    self.queue.push(t, FabEv::Arrive { link, msg: id });
+                    return None;
+                }
+                Some(&MsgHop { lat, .. }) => {
+                    t += lat;
+                    msg.next += 1;
+                }
             }
         }
     }
 
+    /// Moves the ring's start past delivered messages.
+    fn retire_delivered(&mut self) {
+        while self.oldest < self.injected
+            && self.msgs[self.slot(self.oldest as u32)].hops.is_empty()
+        {
+            self.oldest += 1;
+        }
+    }
+
     /// Starts serving the head of `link`'s FIFO at `now`, if any, and queues
-    /// the link's release if bursts still wait behind it.
-    fn start_service(&mut self, link: usize, now: SimTime) {
-        let Some(msg) = self.links[link].waiting.pop_front() else {
-            return;
-        };
-        let mid = msg as usize;
-        let hop = self.msgs[mid].hops[self.msgs[mid].next];
+    /// the link's release if bursts still wait behind it. Returns the
+    /// message's completion if that was its last hop.
+    fn start_service(&mut self, link: usize, now: SimTime) -> Option<(SimTime, u64)> {
+        let id = self.links[link].waiting.pop_front()?;
+        let slot = self.slot(id);
+        let hop = self.msgs[slot].hops[self.msgs[slot].next];
         let l = &mut self.links[link];
         l.queued -= 1;
         l.busy_ps += hop.occ.as_ps();
@@ -429,11 +518,12 @@ impl Fabric {
         } else {
             now + hop.lat
         };
-        self.msgs[mid].next += 1;
-        self.dispatch(mid, depart);
+        self.msgs[slot].next += 1;
+        self.dispatch(id, depart)
     }
 
-    fn handle(&mut self, t: SimTime, ev: FabEv) {
+    /// Processes one event; returns the transaction it completed, if any.
+    fn handle(&mut self, t: SimTime, ev: FabEv) -> Option<(SimTime, u64)> {
         self.events += 1;
         match ev {
             FabEv::Free { link } => {
@@ -442,7 +532,7 @@ impl Fabric {
                     !self.links[link].waiting.is_empty() && self.links[link].free_at == t,
                     "a release is queued only while a burst waits"
                 );
-                self.start_service(link, t);
+                self.start_service(link, t)
             }
             FabEv::Arrive { link, msg } => {
                 let li = link as usize;
@@ -451,37 +541,36 @@ impl Fabric {
                 l.peak_queued = l.peak_queued.max(l.queued);
                 l.waiting.push_back(msg);
                 if l.free_at <= t {
-                    self.start_service(li, t);
-                } else if l.waiting.len() == 1 {
+                    return self.start_service(li, t);
+                }
+                if l.waiting.len() == 1 {
                     // The first burst to wait on the busy link queues its
                     // release.
                     self.queue.push(l.free_at, FabEv::Free { link });
                 }
+                None
             }
         }
     }
 
-    /// Runs the event loop on all events strictly before `horizon` and
-    /// returns the transactions that completed, as `(time, tag)` pairs in
-    /// deterministic event order.
-    pub fn advance_before(&mut self, horizon: SimTime) -> Vec<(SimTime, u64)> {
+    /// Runs events strictly before `horizon` until one of them completes a
+    /// transaction, and returns that completion as `(time, tag)`; `None`
+    /// once no event before `horizon` is left. Completions come back in
+    /// deterministic event order. A completion's time can lie at or past
+    /// `horizon`: the event that starts a burst's last hop is before it, the
+    /// burst's arrival need not be.
+    pub fn next_completion_before(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
         while let Some((t, ev)) = self.queue.pop_before(horizon) {
-            self.handle(t, ev);
+            if let Some(done) = self.handle(t, ev) {
+                return Some(done);
+            }
         }
-        std::mem::take(&mut self.completions)
+        None
     }
 
     /// Drains every remaining event and returns the completions.
     pub fn advance_all(&mut self) -> Vec<(SimTime, u64)> {
-        while let Some((t, ev)) = self.queue.pop() {
-            self.handle(t, ev);
-        }
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Time of the next pending fabric event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        std::iter::from_fn(|| self.next_completion_before(SimTime::MAX)).collect()
     }
 
     /// Whether every injected transaction has been delivered.
@@ -491,7 +580,7 @@ impl Fabric {
 
     /// Transactions injected so far.
     pub fn transactions(&self) -> u64 {
-        self.msgs.len() as u64
+        self.injected
     }
 
     /// Total busy time of the HBM controller.
@@ -526,7 +615,7 @@ impl Fabric {
             .collect();
         FabricReport {
             links,
-            injected: self.msgs.len() as u64,
+            injected: self.injected,
             completed: self.completed,
             routed_bytes: self.routed_bytes,
             link_bytes: self.links.iter().map(|l| l.bytes).sum(),
@@ -789,34 +878,125 @@ mod tests {
         );
     }
 
-    #[test]
-    fn windowed_advance_is_equivalent_to_drain() {
-        let inject_all = |fab: &mut Fabric| {
-            for i in 0..20u64 {
-                fab.inject(
-                    SimTime::from_ns(i * 3),
-                    TxnKind::Write,
-                    Endpoint::Cluster((i as usize * 7) % 16),
-                    Endpoint::Cluster(8),
-                    512,
-                    i,
-                );
-            }
+    /// The i-th transfer of a mixed workload: writes and reads between
+    /// scattered clusters and to the HBM, of varied sizes.
+    fn mixed(i: u64) -> (TxnKind, Endpoint, Endpoint, usize) {
+        let kind = if i.is_multiple_of(4) {
+            TxnKind::Read
+        } else {
+            TxnKind::Write
         };
-        let mut all = Fabric::new(NocConfig::paper_512());
-        inject_all(&mut all);
-        let drained = all.advance_all();
+        let src = Endpoint::Cluster((i as usize * 31) % 512);
+        let dst = if i.is_multiple_of(6) {
+            Endpoint::Hbm
+        } else {
+            Endpoint::Cluster((i as usize * 13 + 5) % 512)
+        };
+        (kind, src, dst, (i as usize % 7 + 1) * 64)
+    }
 
-        let mut windowed = Fabric::new(NocConfig::paper_512());
-        inject_all(&mut windowed);
-        let mut got = Vec::new();
-        let mut h = SimTime::from_ns(10);
-        while !windowed.is_idle() {
-            got.extend(windowed.advance_before(h));
-            h += SimTime::from_ns(10);
+    #[test]
+    fn message_ring_is_bounded_by_messages_in_flight() {
+        // 10,000 transfers, a new one injected only when one completes, so
+        // at most 16 are ever in flight; the ring spans the oldest
+        // undelivered id to the newest and must stay small.
+        let mut fab = Fabric::new(NocConfig::paper_512());
+        let mut next = 0u64;
+        let mut inject = |fab: &mut Fabric, t: SimTime| {
+            let (kind, src, dst, bytes) = mixed(next);
+            fab.inject(t, kind, src, dst, bytes, next);
+            next += 1;
+        };
+        for _ in 0..16 {
+            inject(&mut fab, SimTime::ZERO);
         }
-        assert_eq!(got, drained);
-        assert_eq!(windowed.report(), all.report());
+        let mut done = 0u64;
+        while let Some((t, _)) = fab.next_completion_before(SimTime::MAX) {
+            done += 1;
+            assert!(fab.transactions() - done <= 16);
+            if fab.transactions() < 10_000 {
+                inject(&mut fab, t);
+            }
+            assert!(fab.msgs.len() <= 64, "ring grew to {}", fab.msgs.len());
+        }
+        assert_eq!(done, 10_000);
+        assert!(fab.is_idle());
+        let rep = fab.report();
+        assert_eq!((rep.injected, rep.completed), (10_000, 10_000));
+        assert_eq!(rep.routed_bytes, rep.link_bytes);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// An event from raw draws. A narrow event's link is one of four,
+        /// so pairs often share a link and the message-id tie-break is
+        /// exercised; a wide one reaches the top bit of the link field.
+        fn fab_ev((free, link, msg, narrow): (bool, u32, u32, bool)) -> FabEv {
+            let link = if narrow { link % 4 } else { link };
+            if free {
+                FabEv::Free { link }
+            } else {
+                FabEv::Arrive { link, msg }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A fabric event's key orders like its derived `Ord` (releases
+            /// before arrivals, then link, then message id) and decodes back
+            /// to the event.
+            #[test]
+            fn fab_event_key_matches_derived_order(
+                a in (any::<bool>(), 0u32..1 << 31, any::<u32>(), any::<bool>()),
+                b in (any::<bool>(), 0u32..1 << 31, any::<u32>(), any::<bool>()),
+            ) {
+                let (a, b) = (fab_ev(a), fab_ev(b));
+                prop_assert_eq!(a.key().cmp(&b.key()), a.cmp(&b));
+                prop_assert_eq!(FabEv::from_key(a.key()), a);
+                prop_assert_eq!(FabEv::from_key(b.key()), b);
+            }
+
+            /// Taking completions one at a time below random horizons, with
+            /// each transfer injected just before the horizon that passes
+            /// its start, returns exactly what one drain returns.
+            #[test]
+            fn completions_before_random_horizons_equal_advance_all(
+                n in 1u64..60,
+                start_step_ns in 0u64..8,
+                horizon_steps_ns in proptest::collection::vec(1u64..40, 1..32),
+            ) {
+                let start = |i: u64| SimTime::from_ns(i * start_step_ns);
+                let mut all = Fabric::new(NocConfig::paper_512());
+                for i in 0..n {
+                    let (kind, src, dst, bytes) = mixed(i);
+                    all.inject(start(i), kind, src, dst, bytes, i);
+                }
+                let drained = all.advance_all();
+
+                let mut sliced = Fabric::new(NocConfig::paper_512());
+                let mut got = Vec::new();
+                let (mut next, mut horizon) = (0u64, SimTime::ZERO);
+                for step in horizon_steps_ns.iter().cycle() {
+                    if next == n && sliced.is_idle() {
+                        break;
+                    }
+                    horizon += SimTime::from_ns(*step);
+                    while next < n && start(next) < horizon {
+                        let (kind, src, dst, bytes) = mixed(next);
+                        sliced.inject(start(next), kind, src, dst, bytes, next);
+                        next += 1;
+                    }
+                    while let Some(done) = sliced.next_completion_before(horizon) {
+                        got.push(done);
+                    }
+                }
+                prop_assert_eq!(got, drained);
+                prop_assert_eq!(sliced.report(), all.report());
+            }
+        }
     }
 
     #[test]
@@ -928,24 +1108,8 @@ mod tests {
         let run = || {
             let mut fab = Fabric::new(NocConfig::paper_512());
             for i in 0..60u64 {
-                let kind = if i % 4 == 0 {
-                    TxnKind::Read
-                } else {
-                    TxnKind::Write
-                };
-                let dst = if i % 6 == 0 {
-                    Endpoint::Hbm
-                } else {
-                    Endpoint::Cluster((i as usize * 13 + 5) % 512)
-                };
-                fab.inject(
-                    SimTime::from_ns(i / 2),
-                    kind,
-                    Endpoint::Cluster((i as usize * 31) % 512),
-                    dst,
-                    (i as usize % 7 + 1) * 64,
-                    i,
-                );
+                let (kind, src, dst, bytes) = mixed(i);
+                fab.inject(SimTime::from_ns(i / 2), kind, src, dst, bytes, i);
             }
             (fab.advance_all(), fab.report())
         };

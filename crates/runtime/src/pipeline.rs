@@ -22,9 +22,13 @@
 //!
 //! ## Event engine: one queue, conservative windows
 //!
-//! One [`OrderedEventQueue`] holds every stage's events, keyed by
-//! `(time, stage, event)`, and the loop advances global time in *windows*
-//! of [`LOOKAHEAD_CYCLES`] cycles on a fixed grid. Within a window a stage
+//! One [`OrderedEventQueue`] holds every stage's events. Each event packs
+//! into one `u64` key (stage in 16 bits, variant in 3, edge or lane in 13,
+//! chunk in 32) whose integer order is the event's derived order, so
+//! equal-time events pop by `(stage, event)`; [`simulate`] refuses a run
+//! whose stages, lanes, edges or chunks overflow those fields with
+//! [`SimError::TooLarge`]. The loop advances global time in *windows* of
+//! [`LOOKAHEAD_CYCLES`] cycles on a fixed grid. Within a window a stage
 //! changes only its own state; it reads other stages' progress from a
 //! snapshot taken at the window barrier, and its cross-stage effects wait
 //! for that barrier:
@@ -35,6 +39,15 @@
 //! * **credit wakes** (a consumer fired, freeing producer credit) land one
 //!   window later (the credit-return latency), by which point the barrier
 //!   snapshot already reflects the fire.
+//!
+//! Only windows that hold a stage event are run. Between them the fabric
+//! flies event by event, up to the end of the window of the earliest stage
+//! event, and a completed transfer that delivers into an earlier window
+//! pulls that horizon in. Skipping the windows in between is exact: a
+//! window without a stage event issues no DMA request and no credit wake
+//! and fires nothing, so its barrier would do nothing, and the fabric's pop
+//! order is a pure function of its pending `(time, event)` set however its
+//! run is sliced.
 //!
 //! The run is a pure function of `(graph, mapping, arch, batch)`. The
 //! window is not free fidelity-wise: issue and wake latencies shift DMA
@@ -58,7 +71,7 @@ use aimc_dnn::Graph;
 use aimc_noc::{Endpoint, Fabric, FabricReport, TxnKind};
 use aimc_sim::{
     stats::{Activity, ActivityTracker},
-    Cycles, OrderedEventQueue, SimTime,
+    Cycles, EventKey, OrderedEventQueue, SimTime,
 };
 use std::fmt;
 
@@ -76,11 +89,10 @@ const SKIP_SLACK_IMAGES: u64 = 2;
 /// window.
 const LOOKAHEAD_CYCLES: u64 = 4;
 
-/// Per-stage events. The `Ord` implementation (variant order, then fields)
-/// is part of the determinism contract: a stage's equal-time events drain
-/// in a fixed order — deliveries and state updates first, completions
-/// next, fire attempts last so they observe every update at their
-/// timestamp.
+/// Per-stage events. The derived order (variant order, then fields) is
+/// part of the determinism contract: a stage's equal-time events drain in a
+/// fixed order — deliveries and state updates first, completions next,
+/// fire attempts last so they observe every update at their timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     Delivered { edge: u32, pchunk: u64 },
@@ -88,6 +100,75 @@ enum Ev {
     SkipReadDone { edge: u32, cchunk: u64 },
     ChunkDone { lane: u32, chunk: u64 },
     TryFire { lane: u32 },
+}
+
+/// One queued event of one stage; equal-time events pop in the derived
+/// `(stage, event)` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct StageEv {
+    stage: u32,
+    ev: Ev,
+}
+
+/// Stage `sid`'s event `ev`, as the queue holds it.
+fn stage_ev(sid: usize, ev: Ev) -> StageEv {
+    StageEv {
+        stage: sid as u32,
+        ev,
+    }
+}
+
+/// Key field widths: stage, then edge or lane, then chunk; the 3 bits
+/// between stage and edge or lane hold the variant. [`validate`] refuses
+/// runs whose ids overflow them.
+const STAGE_BITS: u32 = 16;
+const FIELD_BITS: u32 = 13;
+const CHUNK_BITS: u32 = 32;
+
+impl EventKey for StageEv {
+    #[inline]
+    fn key(self) -> u64 {
+        let (variant, field, chunk) = match self.ev {
+            Ev::Delivered { edge, pchunk } => (0, edge, pchunk),
+            Ev::SkipStored { edge, pchunk } => (1, edge, pchunk),
+            Ev::SkipReadDone { edge, cchunk } => (2, edge, cchunk),
+            Ev::ChunkDone { lane, chunk } => (3, lane, chunk),
+            Ev::TryFire { lane } => (4, lane, 0),
+        };
+        debug_assert!(
+            self.stage >> STAGE_BITS == 0 && field >> FIELD_BITS == 0 && chunk >> CHUNK_BITS == 0
+        );
+        u64::from(self.stage) << (64 - STAGE_BITS)
+            | variant << (FIELD_BITS + CHUNK_BITS)
+            | u64::from(field) << CHUNK_BITS
+            | chunk
+    }
+
+    #[inline]
+    fn from_key(key: u64) -> Self {
+        let field = (key >> CHUNK_BITS) as u32 & ((1 << FIELD_BITS) - 1);
+        let chunk = key & ((1 << CHUNK_BITS) - 1);
+        let ev = match (key >> (FIELD_BITS + CHUNK_BITS)) & 0b111 {
+            0 => Ev::Delivered {
+                edge: field,
+                pchunk: chunk,
+            },
+            1 => Ev::SkipStored {
+                edge: field,
+                pchunk: chunk,
+            },
+            2 => Ev::SkipReadDone {
+                edge: field,
+                cchunk: chunk,
+            },
+            3 => Ev::ChunkDone { lane: field, chunk },
+            _ => Ev::TryFire { lane: field },
+        };
+        StageEv {
+            stage: (key >> (64 - STAGE_BITS)) as u32,
+            ev,
+        }
+    }
 }
 
 /// What to do when a fabric transaction (all its parts) completes.
@@ -229,7 +310,7 @@ struct Engine<'a> {
     window: SimTime,
     cfgs: Vec<StageCfg>,
     stages: Vec<StageState>,
-    queue: OrderedEventQueue<(u32, Ev)>,
+    queue: OrderedEventQueue<StageEv>,
     /// Each stage's `next_fire` as of the last barrier: what producers'
     /// credit checks read.
     snaps: Vec<u64>,
@@ -291,6 +372,9 @@ pub enum SimError {
     ZeroBatch,
     /// The mapping does not describe the graph it is being simulated with.
     MappingMismatch(String),
+    /// The run has more stages, lanes, edges or chunks than the event
+    /// key's fields can number.
+    TooLarge(String),
 }
 
 impl fmt::Display for SimError {
@@ -298,6 +382,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::ZeroBatch => write!(f, "batch must be positive"),
             SimError::MappingMismatch(why) => write!(f, "mapping/graph mismatch: {why}"),
+            SimError::TooLarge(why) => write!(f, "run too large for the event key: {why}"),
         }
     }
 }
@@ -393,6 +478,31 @@ fn validate(graph: &Graph, mapping: &SystemMapping, batch: usize) -> Result<(), 
                     e.from
                 )));
             }
+        }
+    }
+    // Every stage event packs its ids into one key (see `StageEv`).
+    let fits = |n: usize, bits: u32| n as u64 <= 1 << bits;
+    let too_large = |why: String| Err(SimError::TooLarge(why));
+    if !fits(n_stages, STAGE_BITS) {
+        return too_large(format!("{n_stages} stages, at most {}", 1u64 << STAGE_BITS));
+    }
+    for (sid, s) in mapping.stages.iter().enumerate() {
+        let (lanes, edges) = (s.lanes, s.producers.len());
+        if !fits(lanes, FIELD_BITS) || !fits(edges, FIELD_BITS) {
+            return too_large(format!(
+                "stage {sid} has {lanes} lanes and {edges} input edges, at most {} each",
+                1u64 << FIELD_BITS
+            ));
+        }
+        let per_image = s.tiling.chunks_per_image;
+        if !batch
+            .checked_mul(per_image)
+            .is_some_and(|c| fits(c, CHUNK_BITS))
+        {
+            return too_large(format!(
+                "stage {sid} has {batch} images of {per_image} chunks, at most {} chunks",
+                1u64 << CHUNK_BITS
+            ));
         }
     }
     Ok(())
@@ -503,7 +613,7 @@ pub fn simulate(
             .map(|_| ActivityTracker::new(SimTime::ZERO))
             .collect();
         for l in 0..s.lanes {
-            queue.push(SimTime::ZERO, (sid as u32, Ev::TryFire { lane: l as u32 }));
+            queue.push(SimTime::ZERO, stage_ev(sid, Ev::TryFire { lane: l as u32 }));
         }
         cfgs.push(StageCfg {
             total_chunks,
@@ -574,18 +684,17 @@ pub fn simulate(
     };
 
     // ---- Event loop ----------------------------------------------------------
+    // The end of the lookahead-grid window that holds `t`.
+    let window_end = |t: SimTime| SimTime::from_ps((t.as_ps() / window_ps) * window_ps) + window;
     loop {
-        // The next window is wherever the earliest pending work sits, a
-        // stage event or a fabric event, aligned to the lookahead grid.
-        let next = [eng.queue.peek_time(), fabric.next_event_time()];
-        let Some(t0) = next.into_iter().flatten().min() else {
-            break;
-        };
-        let horizon = SimTime::from_ps((t0.as_ps() / window_ps) * window_ps) + window;
+        // The next window is the one of the earliest stage event; the
+        // windows before it hold only fabric events.
+        let mut horizon = eng.queue.peek_time().map_or(SimTime::MAX, window_end);
 
         // Barrier: fly the fabric up to the horizon and deliver completed
-        // transfers into their stages at exact completion times.
-        for (t, tag) in fabric.advance_before(horizon) {
+        // transfers into their stages at exact completion times. A delivery
+        // into an earlier window pulls the horizon in to that window.
+        while let Some((t, tag)) = fabric.next_completion_before(horizon) {
             let p = &mut pending[tag as usize];
             p.remaining -= 1;
             p.max_t = p.max_t.max(t);
@@ -594,7 +703,10 @@ pub fn simulate(
             }
             free_tags.push(tag);
             match p.deliver {
-                Deliver::Edge { stage, ev } => eng.queue.push(p.max_t, (stage, ev)),
+                Deliver::Edge { stage, ev } => {
+                    eng.queue.push(p.max_t, StageEv { stage, ev });
+                    horizon = horizon.min(window_end(p.max_t));
+                }
                 Deliver::Final { chunk } => {
                     let img = (chunk / final_chunks_per_image) as usize;
                     final_done_per_image[img] += 1;
@@ -605,10 +717,15 @@ pub fn simulate(
                 }
             }
         }
+        if eng.queue.is_empty() {
+            // With no stage event left the horizon stayed open, so the
+            // fabric has drained.
+            break;
+        }
 
         // The window: every stage event before the horizon.
-        while let Some((now, (sid, ev))) = eng.queue.pop_before(horizon) {
-            eng.handle(now, sid as usize, ev);
+        while let Some((now, StageEv { stage, ev })) = eng.queue.pop_before(horizon) {
+            eng.handle(now, stage as usize, ev);
         }
 
         // Barrier: the window's DMA requests enter the fabric one window
@@ -640,7 +757,9 @@ pub fn simulate(
             let total = eng.cfgs[s as usize].total_chunks;
             for (lane, ln) in eng.stages[s as usize].lanes.iter().enumerate() {
                 if ln.wants_attempt(t, total) {
-                    eng.queue.push(t, (s, Ev::TryFire { lane: lane as u32 }));
+                    let lane = lane as u32;
+                    eng.queue
+                        .push(t, stage_ev(s as usize, Ev::TryFire { lane }));
                 }
             }
         }
@@ -876,7 +995,7 @@ impl Engine<'_> {
                 for (lane, ln) in st.lanes.iter().enumerate() {
                     if ln.wants_attempt(now, cfg.total_chunks) {
                         let lane = lane as u32;
-                        self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
+                        self.queue.push(now, stage_ev(sid, Ev::TryFire { lane }));
                     }
                 }
             }
@@ -891,7 +1010,7 @@ impl Engine<'_> {
                 st.edges[edge as usize].skip_delivered[cchunk as usize] = true;
                 let lane = (cchunk % cfg.n_lanes as u64) as u32;
                 if st.lanes[lane as usize].wants_attempt(now, cfg.total_chunks) {
-                    self.queue.push(now, (sid as u32, Ev::TryFire { lane }));
+                    self.queue.push(now, stage_ev(sid, Ev::TryFire { lane }));
                 }
             }
         }
@@ -965,7 +1084,7 @@ impl Engine<'_> {
         });
         self.queue.push(
             start + cfg.latency,
-            (sid as u32, Ev::ChunkDone { lane, chunk: k }),
+            stage_ev(sid, Ev::ChunkDone { lane, chunk: k }),
         );
 
         // Activity attribution on the lane's clusters: waits are
@@ -1003,7 +1122,7 @@ impl Engine<'_> {
 
         // The lane might have another ready chunk only after free_at.
         self.queue
-            .push(st.lanes[l].free_at, (sid as u32, Ev::TryFire { lane }));
+            .push(st.lanes[l].free_at, stage_ev(sid, Ev::TryFire { lane }));
     }
 }
 
@@ -1247,6 +1366,72 @@ mod tests {
         let arch = ArchConfig::small(4, 8);
         let m = map_network(&g, &arch, MappingStrategy::Naive).unwrap();
         assert_eq!(simulate(&g, &m, &arch, 0).unwrap_err(), SimError::ZeroBatch);
+    }
+
+    #[test]
+    fn rejects_runs_that_overflow_the_event_key() {
+        let g = small_graph();
+        let arch = ArchConfig::small(4, 8);
+        let m = map_network(&g, &arch, MappingStrategy::Naive).unwrap();
+        // 2^32 images give every stage more chunks than the key's 32-bit
+        // chunk field numbers; the run is refused before anything is sized.
+        let err = simulate(&g, &m, &arch, 1 << 32).unwrap_err();
+        assert!(matches!(err, SimError::TooLarge(_)), "{err:?}");
+        assert!(err.to_string().contains("event key"), "{err}");
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A stage event from raw draws: `variant` picks the `Ev` variant,
+        /// `field` is its edge or lane and `chunk` its chunk. A narrow
+        /// event's ids are below 4, so pairs often tie on the upper key
+        /// fields and the lower ones break the tie; a wide one reaches the
+        /// top bit of every field.
+        fn stage_event(
+            (stage, variant, field, chunk, narrow): (u32, u8, u32, u64, bool),
+        ) -> StageEv {
+            let (stage, field, chunk) = if narrow {
+                (stage % 4, field % 4, chunk % 4)
+            } else {
+                (stage, field, chunk)
+            };
+            let ev = match variant {
+                0 => Ev::Delivered {
+                    edge: field,
+                    pchunk: chunk,
+                },
+                1 => Ev::SkipStored {
+                    edge: field,
+                    pchunk: chunk,
+                },
+                2 => Ev::SkipReadDone {
+                    edge: field,
+                    cchunk: chunk,
+                },
+                3 => Ev::ChunkDone { lane: field, chunk },
+                _ => Ev::TryFire { lane: field },
+            };
+            stage_ev(stage as usize, ev)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A stage event's key orders like the derived
+            /// `(stage, event)` order and decodes back to the event.
+            #[test]
+            fn stage_event_key_matches_derived_order(
+                a in (0u32..1 << STAGE_BITS, 0u8..5, 0u32..1 << FIELD_BITS, 0u64..1 << CHUNK_BITS, any::<bool>()),
+                b in (0u32..1 << STAGE_BITS, 0u8..5, 0u32..1 << FIELD_BITS, 0u64..1 << CHUNK_BITS, any::<bool>()),
+            ) {
+                let (a, b) = (stage_event(a), stage_event(b));
+                prop_assert_eq!(a.key().cmp(&b.key()), a.cmp(&b));
+                prop_assert_eq!(StageEv::from_key(a.key()), a);
+                prop_assert_eq!(StageEv::from_key(b.key()), b);
+            }
+        }
     }
 
     #[test]

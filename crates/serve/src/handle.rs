@@ -183,9 +183,9 @@ pub(crate) struct Ticket {
 
 impl Ticket {
     pub(crate) fn fulfill(mut self, outcome: Result<Tensor, ServeError>) {
-        self.slot.fulfill(outcome);
         self.done = true;
-        self.shared.note_completed(self.class, self.submitted_at);
+        self.shared
+            .complete(&self.slot, outcome, self.class, self.submitted_at);
     }
 
     /// Discards the obligation without any completion bookkeeping — only
@@ -198,10 +198,10 @@ impl Ticket {
 impl Drop for Ticket {
     fn drop(&mut self) {
         if !self.done {
-            self.slot.fulfill(Err(ServeError::Canceled));
             // A canceled request never ran: count the completion (and
             // free its class slot) but record no latency sample.
-            self.shared.note_completed(self.class, None);
+            self.shared
+                .complete(&self.slot, Err(ServeError::Canceled), self.class, None);
         }
     }
 }
@@ -317,7 +317,19 @@ impl SharedState {
         }
     }
 
-    fn note_completed(&self, class: QosClass, submitted_at: Option<Instant>) {
+    /// Settles one request: counts its completion, frees its class slot
+    /// and records its latency, then fills the caller's `slot`, all under
+    /// the state lock (lock order: state, then slot). So a caller whose
+    /// [`Pending::wait`] returned is no longer counted against the seat,
+    /// and a drain that sees every request completed sees every slot
+    /// filled.
+    fn complete(
+        &self,
+        slot: &CompletionSlot,
+        outcome: Result<Tensor, ServeError>,
+        class: QosClass,
+        submitted_at: Option<Instant>,
+    ) {
         let mut st = self.inner.lock().unwrap();
         st.completed += 1;
         let rank = class.priority.rank();
@@ -335,6 +347,8 @@ impl SharedState {
                 st.latency_cursors[rank] = (cursor + 1) % LATENCY_SAMPLE_CAP;
             }
         }
+        slot.fulfill(outcome);
+        drop(st);
         self.cv.notify_all();
     }
 

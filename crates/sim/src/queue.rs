@@ -1,62 +1,91 @@
 //! The discrete-event queue at the heart of the simulator.
 //!
 //! [`OrderedEventQueue`] pops events in time order and equal-time events in
-//! **payload order** (`E: Ord`): the pop sequence is a pure function of the
-//! *set* of inserted `(time, event)` pairs, independent of insertion order.
-//! Callers state their tie-break rules in the payload's `Ord` — the pipeline
-//! simulator keys its events by `(stage, event)`, the fabric serves link
-//! releases before arrivals — so a run never depends on the order in which
-//! handlers happened to push.
+//! **key order**: every payload encodes itself as one `u64` ([`EventKey`]),
+//! and the integer order of the keys is the order in which equal-time events
+//! pop. The pop sequence is therefore a pure function of the *set* of
+//! inserted `(time, event)` pairs, independent of insertion order. Callers
+//! state their tie-break rules in the key layout — the pipeline simulator
+//! keys its events by `(stage, event)`, the fabric serves link releases
+//! before arrivals — so a run never depends on the order in which handlers
+//! happened to push.
 //!
 //! Determinism matters — every figure in the evaluation must be exactly
 //! reproducible run-to-run, and tie-breaking by heap order would make results
 //! depend on allocation details.
 //!
 //! The queue is intentionally payload-generic: the platform layer
-//! (`aimc-runtime`) defines its own event enum and dispatch loop, keeping this
-//! kernel reusable for other architectures.
+//! (`aimc-runtime`) defines its own event enum, key layout and dispatch loop,
+//! keeping this kernel reusable for other architectures. A heap entry is one
+//! `u128`, the time above the key, so ordering two events is one integer
+//! compare whatever the payload.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 
-/// Internal heap entry; ordered by
-/// `(time, event, seq)` ascending. `seq` only separates *identical*
-/// `(time, event)` pairs, so the pop order remains insertion-independent.
-struct Entry<E> {
-    time: SimTime,
-    event: E,
-    seq: u64,
+/// An event payload that encodes itself as one integer key.
+///
+/// Equal-time events pop in ascending key order, so the layout is the
+/// tie-break rule: it must order events as the model needs, and two
+/// different events must never share a key. `from_key` inverts `key`:
+/// `E::from_key(e.key()) == e` for every event the model can create. A
+/// layout whose fields can overflow their bits must be guarded by its
+/// caller, since release builds do not check the shifts.
+///
+/// # Examples
+/// ```
+/// use aimc_sim::EventKey;
+///
+/// /// Releases sort before arrivals; arrivals sort by port.
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Ev { Release, Arrive { port: u32 } }
+///
+/// impl EventKey for Ev {
+///     fn key(self) -> u64 {
+///         match self {
+///             Ev::Release => 0,
+///             Ev::Arrive { port } => 1 << 32 | u64::from(port),
+///         }
+///     }
+///     fn from_key(key: u64) -> Self {
+///         match key >> 32 {
+///             0 => Ev::Release,
+///             _ => Ev::Arrive { port: key as u32 },
+///         }
+///     }
+/// }
+///
+/// let ev = Ev::Arrive { port: 7 };
+/// assert_eq!(Ev::from_key(ev.key()), ev);
+/// assert!(Ev::Release.key() < ev.key());
+/// ```
+pub trait EventKey: Copy {
+    /// The integer this event sorts by among equal-time events.
+    fn key(self) -> u64;
+    /// The event that `key` encodes.
+    fn from_key(key: u64) -> Self;
 }
 
-impl<E: Ord> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.event == other.event && self.seq == other.seq
+/// A bare integer is its own key.
+impl EventKey for u64 {
+    #[inline]
+    fn key(self) -> u64 {
+        self
     }
-}
-impl<E: Ord> Eq for Entry<E> {}
-impl<E: Ord> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E: Ord> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.event.cmp(&self.event))
-            .then_with(|| other.seq.cmp(&self.seq))
+    #[inline]
+    fn from_key(key: u64) -> Self {
+        key
     }
 }
 
 /// A discrete-event queue whose pop order is a pure function of the inserted
 /// multiset.
 ///
-/// Equal-time events pop in the payload's `Ord` order, **not** insertion
-/// order; two identical `(time, event)` entries pop in insertion order, which
-/// is unobservable because the entries are indistinguishable. Consequently
+/// Events pop by `(time, key)` ascending — equal-time events in key order,
+/// **not** insertion order. Two identical `(time, key)` entries are
+/// indistinguishable, so their relative order is unobservable. Consequently
 /// any interleaving of `push` calls replays identically.
 ///
 /// # Examples
@@ -64,29 +93,37 @@ impl<E: Ord> Ord for Entry<E> {
 /// use aimc_sim::{OrderedEventQueue, SimTime};
 /// let mut a = OrderedEventQueue::new();
 /// let mut b = OrderedEventQueue::new();
-/// a.push(SimTime::from_ns(5), "x");
-/// a.push(SimTime::from_ns(5), "a");
-/// b.push(SimTime::from_ns(5), "a"); // reversed insertion order
-/// b.push(SimTime::from_ns(5), "x");
-/// assert_eq!(a.pop(), b.pop()); // both: (5 ns, "a")
-/// assert_eq!(a.pop(), b.pop()); // both: (5 ns, "x")
+/// a.push(SimTime::from_ns(5), 9u64);
+/// a.push(SimTime::from_ns(5), 1u64);
+/// b.push(SimTime::from_ns(5), 1u64); // reversed insertion order
+/// b.push(SimTime::from_ns(5), 9u64);
+/// assert_eq!(a.pop(), b.pop()); // both: (5 ns, 1)
+/// assert_eq!(a.pop(), b.pop()); // both: (5 ns, 9)
 /// ```
-#[derive(Default)]
-pub struct OrderedEventQueue<E: Ord> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
+pub struct OrderedEventQueue<E: EventKey> {
+    /// One `u128` per event, the time in picoseconds above the key, so an
+    /// integer compare orders by `(time, key)`; `Reverse` turns the
+    /// max-heap into a min-heap.
+    heap: BinaryHeap<Reverse<u128>>,
     now: SimTime,
     popped: u64,
+    event: PhantomData<E>,
 }
 
-impl<E: Ord> OrderedEventQueue<E> {
+impl<E: EventKey> Default for OrderedEventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E: EventKey> OrderedEventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         OrderedEventQueue {
             heap: BinaryHeap::new(),
-            seq: 0,
             now: SimTime::ZERO,
             popped: 0,
+            event: PhantomData,
         }
     }
 
@@ -119,6 +156,7 @@ impl<E: Ord> OrderedEventQueue<E> {
     /// # Panics
     /// Panics if `at` is earlier than the current simulation time: causality
     /// violations are always bugs in the model, never recoverable conditions.
+    #[inline]
     pub fn push(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
@@ -126,42 +164,44 @@ impl<E: Ord> OrderedEventQueue<E> {
             at,
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            event,
-            seq,
-        });
+        self.heap.push(Reverse(
+            u128::from(at.as_ps()) << 64 | u128::from(event.key()),
+        ));
     }
 
     /// Pops the earliest event, advancing the local time to it.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
+        let Reverse(entry) = self.heap.pop()?;
+        let time = SimTime::from_ps((entry >> 64) as u64);
+        debug_assert!(time >= self.now);
+        self.now = time;
         self.popped += 1;
-        Some((entry.time, entry.event))
+        Some((time, E::from_key(entry as u64)))
     }
 
     /// Pops the earliest event only if it is strictly before `horizon` — the
     /// primitive of a windowed event loop: everything before the window
     /// boundary is processed now, events at or past it belong to the next
     /// window.
+    #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.heap.peek() {
-            Some(e) if e.time < horizon => self.pop(),
+        match self.peek_time() {
+            Some(t) if t < horizon => self.pop(),
             _ => None,
         }
     }
 
     /// Returns the timestamp of the next pending event, if any.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap
+            .peek()
+            .map(|Reverse(entry)| SimTime::from_ps((entry >> 64) as u64))
     }
 }
 
-impl<E: Ord> std::fmt::Debug for OrderedEventQueue<E> {
+impl<E: EventKey> std::fmt::Debug for OrderedEventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrderedEventQueue")
             .field("now", &self.now)
@@ -178,10 +218,10 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = OrderedEventQueue::new();
-        q.push(SimTime::from_ns(30), 1);
+        q.push(SimTime::from_ns(30), 1u64);
         q.push(SimTime::from_ns(10), 3);
         q.push(SimTime::from_ns(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![3, 2, 1]);
     }
 
@@ -189,31 +229,31 @@ mod tests {
     fn now_tracks_popped_time() {
         let mut q = OrderedEventQueue::new();
         assert_eq!(q.now(), SimTime::ZERO);
-        q.push(SimTime::from_ns(42), ());
+        q.push(SimTime::from_ns(42), 0u64);
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(42));
         assert_eq!(q.events_processed(), 1);
     }
 
-    fn drain<E: Ord>(mut q: OrderedEventQueue<E>) -> Vec<(SimTime, E)> {
+    fn drain<E: EventKey>(mut q: OrderedEventQueue<E>) -> Vec<(SimTime, E)> {
         std::iter::from_fn(move || q.pop()).collect()
     }
 
     #[test]
-    fn ordered_queue_ties_break_by_payload_not_insertion() {
+    fn ordered_queue_ties_break_by_key_not_insertion() {
         let mut q = OrderedEventQueue::new();
-        q.push(SimTime::from_ns(7), "zeta");
-        q.push(SimTime::from_ns(7), "alpha");
-        q.push(SimTime::from_ns(3), "late-pushed-early-time");
-        let order: Vec<&str> = drain(q).into_iter().map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["late-pushed-early-time", "alpha", "zeta"]);
+        q.push(SimTime::from_ns(7), 26u64);
+        q.push(SimTime::from_ns(7), 1);
+        q.push(SimTime::from_ns(3), 99);
+        let order: Vec<u64> = drain(q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec![99, 1, 26]);
     }
 
     #[test]
     fn ordered_queue_pop_before_is_exclusive() {
         let mut q = OrderedEventQueue::new();
-        q.push(SimTime::from_ns(10), 1u32);
-        q.push(SimTime::from_ns(20), 2u32);
+        q.push(SimTime::from_ns(10), 1u64);
+        q.push(SimTime::from_ns(20), 2u64);
         assert_eq!(
             q.pop_before(SimTime::from_ns(20)),
             Some((SimTime::from_ns(10), 1))
@@ -228,14 +268,14 @@ mod tests {
     #[should_panic(expected = "causality violation")]
     fn ordered_queue_rejects_past_events() {
         let mut q = OrderedEventQueue::new();
-        q.push(SimTime::from_ns(10), ());
+        q.push(SimTime::from_ns(10), 0u64);
         q.pop();
-        q.push(SimTime::from_ns(5), ());
+        q.push(SimTime::from_ns(5), 0u64);
     }
 
     #[test]
     fn ordered_queue_debug_is_nonempty() {
-        let q: OrderedEventQueue<u8> = OrderedEventQueue::new();
+        let q: OrderedEventQueue<u64> = OrderedEventQueue::new();
         assert!(!format!("{:?}", q).is_empty());
     }
 
@@ -243,22 +283,54 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// A two-variant event with a derived order, as model events are:
+        /// a `Low` sorts before every `High`, then by field.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Ev {
+            Low(u8),
+            High(u8),
+        }
+
+        impl EventKey for Ev {
+            fn key(self) -> u64 {
+                match self {
+                    Ev::Low(x) => u64::from(x),
+                    Ev::High(x) => 1 << 8 | u64::from(x),
+                }
+            }
+            fn from_key(key: u64) -> Self {
+                match key >> 8 {
+                    0 => Ev::Low(key as u8),
+                    _ => Ev::High(key as u8),
+                }
+            }
+        }
+
+        fn ev(raw: u16) -> Ev {
+            if raw & 1 == 0 {
+                Ev::Low((raw >> 1) as u8)
+            } else {
+                Ev::High((raw >> 1) as u8)
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// The pop order of an [`OrderedEventQueue`] is a pure function
             /// of the inserted multiset: inserting the same `(time, event)`
             /// pairs ascending, descending, or interleaved (even-index
-            /// entries first) yields bit-identical pop sequences.
+            /// entries first) yields bit-identical pop sequences, sorted by
+            /// `(time, event)` in the event's derived order.
             #[test]
             fn ordered_pop_is_insertion_order_independent(
                 times in proptest::collection::vec(0u64..50, 1..40),
-                payloads in proptest::collection::vec(0u8..8, 1..40),
+                raws in proptest::collection::vec(0u16..16, 1..40),
             ) {
-                let entries: Vec<(SimTime, u8)> = times
+                let entries: Vec<(SimTime, Ev)> = times
                     .iter()
-                    .zip(&payloads)
-                    .map(|(&t, &p)| (SimTime::from_ns(t), p))
+                    .zip(&raws)
+                    .map(|(&t, &r)| (SimTime::from_ns(t), ev(r)))
                     .collect();
                 let mut sorted = entries.clone();
                 sorted.sort();
@@ -271,7 +343,7 @@ mod tests {
                     .copied()
                     .collect();
 
-                let fill = |src: &[(SimTime, u8)]| {
+                let fill = |src: &[(SimTime, Ev)]| {
                     let mut q = OrderedEventQueue::new();
                     for &(t, e) in src {
                         q.push(t, e);
@@ -282,10 +354,7 @@ mod tests {
                 prop_assert_eq!(fill(&entries), reference.clone());
                 prop_assert_eq!(fill(&reversed), reference.clone());
                 prop_assert_eq!(fill(&interleaved), reference.clone());
-                // And the sequence is itself sorted by (time, payload).
-                let mut expect = sorted;
-                expect.sort();
-                prop_assert_eq!(reference, expect);
+                prop_assert_eq!(reference, sorted);
             }
         }
     }

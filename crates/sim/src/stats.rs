@@ -1,7 +1,6 @@
-//! Measurement utilities: scalar accumulators, histograms and the
-//! state-occupancy tracker used for the per-cluster execution-time
-//! breakdowns of Fig. 5B/C/D (computation / communication / synchronization /
-//! sleep).
+//! Measurement utilities: a scalar accumulator and the state-occupancy
+//! tracker used for the per-cluster execution-time breakdowns of Fig. 5B/C/D
+//! (computation / communication / synchronization / sleep).
 
 use crate::time::SimTime;
 
@@ -216,71 +215,6 @@ impl ActivityTracker {
     }
 }
 
-/// A fixed-bin linear histogram over `[lo, hi)` with out-of-range clamping,
-/// used for latency distributions in the NoC tests and benches.
-///
-/// # Examples
-/// ```
-/// use aimc_sim::stats::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.add(0.5);
-/// h.add(9.9);
-/// h.add(42.0); // clamps into the last bin
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.bin_count(4), 2);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_bins` equal bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `hi <= lo` or `n_bins == 0`.
-    pub fn new(lo: f64, hi: f64, n_bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(n_bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; n_bins],
-        }
-    }
-
-    /// Adds a sample, clamping out-of-range values into the edge bins.
-    pub fn add(&mut self, x: f64) {
-        let n = self.bins.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.bins[idx.min(n - 1)] += 1;
-    }
-
-    /// Count in bin `i`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn n_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,27 +274,5 @@ mod tests {
             names,
             vec!["compute", "communication", "synchronization", "sleep"]
         );
-    }
-
-    #[test]
-    fn histogram_bins_and_clamps() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        h.add(-5.0);
-        h.add(0.0);
-        h.add(55.0);
-        h.add(99.999);
-        h.add(100.0);
-        h.add(1e9);
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(5), 1);
-        assert_eq!(h.bin_count(9), 3);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.n_bins(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

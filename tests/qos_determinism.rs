@@ -301,6 +301,37 @@ fn session_serve_keeps_edf_solo_identical() {
     assert_eq!(want, got, "EDF leaked into the self-numbering solo runner");
 }
 
+/// A caller whose `wait()` returned is no longer counted against its seat,
+/// so a classed request sent right after is judged on an idle seat. At
+/// queue depth 1 any stale count sheds it `QueueFull`; the seat settles its
+/// counters before it fills the caller's slot, so no round sheds. (Filling
+/// the slot first shed all but a few of 500 rounds in a debug build.)
+#[test]
+fn a_returned_wait_leaves_the_seat_idle_for_a_classed_request() {
+    let mut session = platform().session();
+    session.program(&Backend::Golden).unwrap();
+    let handle = session
+        .serve(BatchPolicy::new(1, Duration::from_micros(100)).with_queue_depth(1))
+        .unwrap();
+    let image = random_images(1, 41).remove(0);
+    let mut shed = 0;
+    for _ in 0..1_000 {
+        handle.submit(image.clone()).unwrap().wait().unwrap();
+        match handle.submit(Request::new(image.clone()).class(QosClass::high())) {
+            Ok(p) => {
+                p.wait().unwrap();
+            }
+            Err(ServeError::Shed(_)) => shed += 1,
+            Err(e) => panic!("classed request refused: {e}"),
+        }
+    }
+    handle.shutdown();
+    assert_eq!(
+        shed, 0,
+        "{shed} of 1,000 classed requests shed on an idle seat"
+    );
+}
+
 /// Per-class ledgers cross the wire: a remote shard's admission counters,
 /// deadline misses, and latency samples come back through `Stats` frames
 /// and pool into the fleet aggregate.
