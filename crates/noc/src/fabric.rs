@@ -899,7 +899,9 @@ mod tests {
     fn message_ring_is_bounded_by_messages_in_flight() {
         // 10,000 transfers, a new one injected only when one completes, so
         // at most 16 are ever in flight; the ring spans the oldest
-        // undelivered id to the newest and must stay small.
+        // undelivered id to the newest and must stay small. The first
+        // transfer is delivered alone, so the ring grows from a start that
+        // is not a multiple of its size and must re-place wrapped ids.
         let mut fab = Fabric::new(NocConfig::paper_512());
         let mut next = 0u64;
         let mut inject = |fab: &mut Fabric, t: SimTime| {
@@ -907,19 +909,26 @@ mod tests {
             fab.inject(t, kind, src, dst, bytes, next);
             next += 1;
         };
+        inject(&mut fab, SimTime::ZERO);
+        let mut done = fab.advance_all();
         for _ in 0..16 {
-            inject(&mut fab, SimTime::ZERO);
+            inject(&mut fab, done[0].0);
         }
-        let mut done = 0u64;
-        while let Some((t, _)) = fab.next_completion_before(SimTime::MAX) {
-            done += 1;
-            assert!(fab.transactions() - done <= 16);
+        let mut peak = 0;
+        while let Some((t, tag)) = fab.next_completion_before(SimTime::MAX) {
+            done.push((t, tag));
+            assert!(fab.transactions() - done.len() as u64 <= 16);
             if fab.transactions() < 10_000 {
                 inject(&mut fab, t);
             }
-            assert!(fab.msgs.len() <= 64, "ring grew to {}", fab.msgs.len());
+            peak = peak.max(fab.msgs.len());
         }
-        assert_eq!(done, 10_000);
+        assert!(peak <= 64, "ring grew to {peak}");
+        assert!(peak > MIN_RING, "the ring never grew");
+        // Every transfer completed once, under its own tag.
+        let mut tags: Vec<u64> = done.iter().map(|&(_, tag)| tag).collect();
+        tags.sort_unstable();
+        assert!(tags.into_iter().eq(0..10_000));
         assert!(fab.is_idle());
         let rep = fab.report();
         assert_eq!((rep.injected, rep.completed), (10_000, 10_000));
