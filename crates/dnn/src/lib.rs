@@ -3,8 +3,8 @@
 //! Everything the platform needs to know about the workloads it executes:
 //! tensors, layer definitions with shape/MAC/parameter inference, the network
 //! DAG (Fig. 2A of the paper), a ResNet-18 builder matching the paper's
-//! layer numbering, deterministic synthetic weights, int8 quantization, and
-//! two functional executors:
+//! layer numbering, deterministic synthetic weights, and two functional
+//! executors:
 //!
 //! * [`GoldenExecutor`] / [`execute_golden`] — digital f32 ground truth;
 //! * [`AimcExecutor`] — the same graph with convolutions/FC evaluated on the
@@ -38,7 +38,6 @@ mod executor;
 mod graph;
 mod layer;
 pub mod ops;
-pub mod quant;
 mod resnet;
 mod tensor;
 mod weights;

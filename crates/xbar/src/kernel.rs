@@ -74,6 +74,22 @@
 //!   registers through the draw loop, which roughly doubles the cost of
 //!   each draw.
 //!
+//! ## Batch panels
+//!
+//! The batched kernel accumulates [`DAC_BATCH`] patches in lock-step, one
+//! row block and one column panel at a time. Each panel slices the
+//! block's conductance rows (`g[r0·cols..r1·cols]`) and each patch's
+//! quantized rows (`xq[p·rows + r0..p·rows + r1]`) once, before its row
+//! loop, and indexes only those slices. Indexed into `g` and `xq`
+//! directly, every row recomputed `r·cols + c0` and `p·rows + r` and
+//! checked each against its slice: the dense 16-column row loop wrapped
+//! its 8 FMAs in about 40 instructions, six of them bounds-check branches
+//! and four of them reloads of slice pointers spilled by the large
+//! `dac_packed_batch`. Zipped, the dense loop checks nothing per row and
+//! is unrolled by two rows (32 instructions for 16 FMAs), and a walk's
+//! four input reads share one check. Rows, row order, the `mul_add`s and
+//! the block continuation are unchanged, so no output bit moves.
+//!
 //! ## Zero allocation
 //!
 //! All kernel state lives in a caller-owned [`MvmScratch`] (plumbed into
@@ -479,6 +495,32 @@ fn for_each_set_row_range(mask: &[u64], r0: usize, r1: usize, mut f: impl FnMut(
     }
 }
 
+/// Row block `r0..r1` of a batch: the block's conductance rows and each
+/// patch's quantized inputs on them, each sliced once (see "Batch panels"
+/// in the module docs).
+#[inline(always)]
+fn block<'a>(
+    g: &'a [f64],
+    cols: usize,
+    xq: &'a [f64],
+    rows: usize,
+    (r0, r1): (usize, usize),
+) -> (&'a [f64], [&'a [f64]; DAC_BATCH]) {
+    let x = std::array::from_fn(|p| &xq[p * rows + r0..p * rows + r1]);
+    (&g[r0 * cols..r1 * cols], x)
+}
+
+/// `a[p][j] = x[p] · row[j] + a[p][j]` for every patch `p` and every
+/// column `j` of `row` (at most `W`).
+#[inline(always)]
+fn fma_row<const W: usize>(a: &mut [[f64; W]; DAC_BATCH], row: &[f64], x: [f64; DAC_BATCH]) {
+    for (ap, xr) in a.iter_mut().zip(x) {
+        for j in 0..row.len() {
+            ap[j] = xr.mul_add(row[j], ap[j]);
+        }
+    }
+}
+
 /// One `W`-column panel of `acc[p][c] += xq[p][r] · g[r][c]` for
 /// [`DAC_BATCH`] patches over the set rows of the *union* mask within the
 /// row block `r0..r1`, ascending row order.
@@ -508,14 +550,14 @@ fn axpy_panel_batch_walk<const W: usize>(
     for (p, ap) in a.iter_mut().enumerate() {
         ap.copy_from_slice(&acc[p * stride + c0..p * stride + c0 + W]);
     }
+    let (gb, [x0, x1, x2, x3]) = block(g, cols, xq, rows, (r0, r1));
     for_each_set_row_range(umask, r0, r1, |r| {
-        let row = &g[r * cols + c0..r * cols + c0 + W];
-        for (p, ap) in a.iter_mut().enumerate() {
-            let xr = xq[p * rows + r];
-            for j in 0..W {
-                ap[j] = xr.mul_add(row[j], ap[j]);
-            }
-        }
+        let i = r - r0;
+        fma_row(
+            &mut a,
+            &gb[i * cols + c0..][..W],
+            [x0[i], x1[i], x2[i], x3[i]],
+        );
     });
     for (p, ap) in a.iter().enumerate() {
         acc[p * stride + c0..p * stride + c0 + W].copy_from_slice(ap);
@@ -540,14 +582,10 @@ fn axpy_panel_batch_dense<const W: usize>(
     for (p, ap) in a.iter_mut().enumerate() {
         ap.copy_from_slice(&acc[p * stride + c0..p * stride + c0 + W]);
     }
-    for r in r0..r1 {
-        let row = &g[r * cols + c0..r * cols + c0 + W];
-        for (p, ap) in a.iter_mut().enumerate() {
-            let xr = xq[p * rows + r];
-            for j in 0..W {
-                ap[j] = xr.mul_add(row[j], ap[j]);
-            }
-        }
+    let (gb, [x0, x1, x2, x3]) = block(g, cols, xq, rows, (r0, r1));
+    let lanes = gb.chunks_exact(cols).zip(x0).zip(x1).zip(x2).zip(x3);
+    for ((((row, &v0), &v1), &v2), &v3) in lanes {
+        fma_row(&mut a, &row[c0..c0 + W], [v0, v1, v2, v3]);
     }
     for (p, ap) in a.iter().enumerate() {
         acc[p * stride + c0..p * stride + c0 + W].copy_from_slice(ap);
@@ -572,14 +610,14 @@ fn axpy_tail_batch_walk(
     for (p, ap) in a.iter_mut().enumerate() {
         ap[..w].copy_from_slice(&acc[p * stride + c0..p * stride + cols]);
     }
+    let (gb, [x0, x1, x2, x3]) = block(g, cols, xq, rows, (r0, r1));
     for_each_set_row_range(umask, r0, r1, |r| {
-        let row = &g[r * cols + c0..r * cols + cols];
-        for (p, ap) in a.iter_mut().enumerate() {
-            let xr = xq[p * rows + r];
-            for j in 0..w {
-                ap[j] = xr.mul_add(row[j], ap[j]);
-            }
-        }
+        let i = r - r0;
+        fma_row(
+            &mut a,
+            &gb[i * cols + c0..(i + 1) * cols],
+            [x0[i], x1[i], x2[i], x3[i]],
+        );
     });
     for (p, ap) in a.iter().enumerate() {
         acc[p * stride + c0..p * stride + cols].copy_from_slice(&ap[..w]);
@@ -1361,6 +1399,66 @@ mod tests {
         axpy_panel_dense::<16>(&g, cols, 32, rows, &xq, &mut dense);
         for (a, b) in walk.iter().zip(&dense) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The batched accumulation leaves every patch's f64 column sums
+        /// bit-identical to a single-patch accumulation of that patch.
+        ///
+        /// Checked before the ADC, because the ADC code grid and the f32
+        /// output hide a last-place change of a sum: a row block that
+        /// started its accumulators at zero, and added them in at its end,
+        /// would re-associate each sum yet pass the kernel's end-to-end
+        /// equivalence tests. Arrays up to 256×64 reach the 48-row blocks
+        /// (more than 40 KiB of conductances), and inputs with one row in
+        /// sixteen or in ten nonzero reach the walk panels.
+        #[test]
+        fn batched_axpy_matches_single_patch_sums_bitwise(
+            rows in 1usize..=256,
+            cols in 1usize..=64,
+            nonzero_i in 0usize..3,
+            seed in proptest::any::<u64>(),
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let nonzero = [1.0 / 16.0, 1.0 / 10.0, 6.0 / 7.0][nonzero_i];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let words = rows.div_ceil(64);
+            let mut xq = vec![0.0f64; DAC_BATCH * rows];
+            let mut masks = vec![0u64; DAC_BATCH * words];
+            for (i, x) in xq.iter_mut().enumerate() {
+                let (p, r) = (i / rows, i % rows);
+                if rng.gen_range(0.0f64..1.0) < nonzero {
+                    // A code on the 8-bit DAC grid; a zero code stays out
+                    // of the mask, as in the DAC stage.
+                    *x = rng.gen_range(-128i32..=128) as f64 / 127.5;
+                } else if rng.gen_range(0u32..2) == 0 {
+                    *x = -0.0;
+                }
+                if *x != 0.0 {
+                    masks[p * words + r / 64] |= 1 << (r % 64);
+                }
+            }
+            let umask: Vec<u64> = (0..words)
+                .map(|w| (0..DAC_BATCH).fold(0, |u, p| u | masks[p * words + w]))
+                .collect();
+            let stride = cols.next_multiple_of(8);
+            let mut batched = vec![0.0f64; DAC_BATCH * stride];
+            axpy_masked_rows_batch(&g, rows, cols, &umask, &xq, &mut batched, stride);
+            for p in 0..DAC_BATCH {
+                let mut single = vec![0.0f64; cols];
+                let mask = &masks[p * words..(p + 1) * words];
+                axpy_masked_rows(&g, rows, cols, mask, &xq[p * rows..(p + 1) * rows], &mut single);
+                let got = &batched[p * stride..p * stride + cols];
+                proptest::prop_assert!(
+                    single.iter().zip(got).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{rows}x{cols}: patch {p} sums diverged from its single accumulation"
+                );
+            }
         }
     }
 }

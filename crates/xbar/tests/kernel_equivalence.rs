@@ -112,21 +112,38 @@ proptest! {
     /// Batched evaluation ≡ the same patches run one at a time, bit for
     /// bit, for every batch size from 1 to 2·DAC_BATCH+1 (full quads,
     /// remainders, and mixes) and arbitrary non-contiguous invocations.
+    ///
+    /// Arrays up to 256×64 can hold more than 40 KiB of conductances; the
+    /// batch kernel then cuts their rows into 48-row blocks, each
+    /// continuing the sums of the block before. With one input row in
+    /// sixteen nonzero, the union of a quad's row masks stays under the
+    /// walk→dense switch (⅜ of rows) and the quad takes the walk panels;
+    /// one in ten straddles the switch, and six in seven takes the dense
+    /// sweep. The ADC and the f32 output hide a last-place change of a
+    /// sum, so the kernel's unit tests check the blocks' sums themselves.
     #[test]
     fn batched_dac_matches_single_calls_bitwise(
-        rows in 1usize..100,
-        cols in 1usize..40,
+        rows in 1usize..=256,
+        cols in 1usize..=64,
         k in 1usize..=(2 * DAC_BATCH + 1),
+        nonzero_i in 0usize..3,
         sigma_i in 0usize..2,
         seed in any::<u64>(),
         inv_base in any::<u64>(),
     ) {
+        let nonzero = [1.0 / 16.0, 1.0 / 10.0, 6.0 / 7.0][nonzero_i];
         let sigma = [0.0, 0.01][sigma_i];
         let xbar = programmed(rows, cols, 8, 8, sigma, seed);
         let mut xrng = StdRng::seed_from_u64(seed ^ 0xabcd);
         use rand::Rng;
         let xs: Vec<f32> = (0..k * rows)
-            .map(|i| if i % 7 == 3 { 0.0 } else { xrng.gen_range(-2.0f32..2.0) })
+            .map(|_| {
+                if xrng.gen_range(0.0f64..1.0) < nonzero {
+                    xrng.gen_range(-2.0f32..2.0)
+                } else {
+                    0.0
+                }
+            })
             .collect();
         // Non-contiguous, wrap-prone coordinates.
         let invocations: Vec<u64> =
