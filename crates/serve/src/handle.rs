@@ -1,19 +1,17 @@
-//! Request/completion plumbing: the clone-able [`ServeHandle`] of one
-//! seat's scheduler, per-request [`Pending`] completion handles, and
-//! [`ServeStats`].
+//! Request/completion plumbing: the [`Flight`] record one request travels
+//! in, its caller's [`Pending`] completion handle, the seat ledger that
+//! counts it, and [`ServeStats`].
 //!
-//! Every accepted request is guaranteed a terminal outcome: the worker
-//! fulfills it with logits or an execution error, and if a request is ever
-//! dropped unfulfilled (worker panic, teardown race) its [`Ticket`]'s
-//! `Drop` posts [`ServeError::Canceled`] — so [`Pending::wait`] and
-//! [`ServeHandle::drain`] can never hang on a lost request.
+//! Every accepted request is guaranteed a terminal outcome: whoever holds
+//! its flight fills it with logits or an error, and a flight dropped
+//! unfilled (worker panic, teardown race, dead link) posts
+//! [`ServeError::Canceled`] — so [`Pending::wait`] and a seat's drain can
+//! never hang on a lost request.
 
 use crate::qos::{Priority, QosClass, QosStats, ShardLoad, ShedReason};
 use crate::BatchPolicy;
 use aimc_dnn::{ExecError, Tensor};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A serving-layer failure attached to one request (or, for the fleet
@@ -99,9 +97,8 @@ impl From<ExecError> for ServeError {
     }
 }
 
-/// One-shot completion cell shared between a [`Pending`] and its
-/// fulfiller — a worker-side [`Ticket`], or a remote transport's reply
-/// reader.
+/// One-shot completion cell shared between a [`Pending`] and the [`Slot`]
+/// that fills it.
 #[derive(Debug, Default)]
 pub(crate) struct CompletionSlot {
     cell: Mutex<Option<Result<Tensor, ServeError>>>,
@@ -110,27 +107,13 @@ pub(crate) struct CompletionSlot {
 
 impl CompletionSlot {
     /// First writer wins; later fulfillments are ignored.
-    pub(crate) fn fulfill(&self, outcome: Result<Tensor, ServeError>) {
+    fn fulfill(&self, outcome: Result<Tensor, ServeError>) {
         let mut cell = self.cell.lock().unwrap();
         if cell.is_none() {
             *cell = Some(outcome);
             self.cv.notify_all();
         }
     }
-}
-
-/// Builds a detached completion pair: the caller-facing [`Pending`] plus
-/// the slot its fulfiller writes — for submitters that complete requests
-/// outside the worker/ticket machinery (the remote transport fulfills from
-/// wire replies).
-pub(crate) fn pending_pair() -> (Pending, Arc<CompletionSlot>) {
-    let slot = Arc::new(CompletionSlot::default());
-    (
-        Pending {
-            slot: Arc::clone(&slot),
-        },
-        slot,
-    )
 }
 
 /// The caller's side of one submitted request (returned by
@@ -163,69 +146,137 @@ impl Pending {
     }
 }
 
-/// Worker-side completion obligation for one request. Fulfilling consumes
-/// it; dropping it unfulfilled posts [`ServeError::Canceled`] and still
-/// counts the request as completed, so drains never deadlock.
+/// One request on its way from submit to reply: the stream coordinate its
+/// router claimed, its class, its image and its caller's completion slot.
+///
+/// A flight moves by value — into
+/// [`ShardTransport::submit`](crate::ShardTransport::submit), a seat's
+/// queue, a batch and the reply — so its image is never copied. A seat
+/// that refuses it hands the same flight back with the error, and a seat
+/// whose link died for good hands it back through
+/// [`ShardTransport::take_orphans`](crate::ShardTransport::take_orphans),
+/// so the router can re-submit it at the same coordinate. Whoever holds a
+/// flight settles it; a flight dropped unsettled settles as
+/// [`ServeError::Canceled`].
+pub struct Flight {
+    pub(crate) index: u64,
+    pub(crate) class: QosClass,
+    pub(crate) image: Tensor,
+    /// Whether a seat may shed the request at its own admission checks:
+    /// set by the router for a classed request, clear for a rescue or a
+    /// request that arrived over the wire (its router already admitted
+    /// it).
+    pub(crate) shed: bool,
+    pub(crate) slot: Slot,
+}
+
+impl std::fmt::Debug for Flight {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Flight")
+            .field("index", &self.index)
+            .field("class", &self.class)
+            .field("shed", &self.shed)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Flight {
+    /// A flight and the caller's handle on its outcome.
+    pub(crate) fn new(index: u64, class: QosClass, image: Tensor, shed: bool) -> (Self, Pending) {
+        let cell = Arc::new(CompletionSlot::default());
+        let pending = Pending {
+            slot: Arc::clone(&cell),
+        };
+        let slot = Slot {
+            cell: Some(cell),
+            ticket: None,
+        };
+        let flight = Flight {
+            index,
+            class,
+            image,
+            shed,
+            slot,
+        };
+        (flight, pending)
+    }
+
+    /// Fills the caller's slot with `outcome`.
+    pub(crate) fn settle(self, outcome: Result<Tensor, ServeError>) {
+        self.slot.fill(outcome);
+    }
+
+    /// When the seat holding the flight queued it, if one does.
+    pub(crate) fn enqueued_at(&self) -> Option<Instant> {
+        self.slot.ticket.as_ref().map(|t| t.enqueued_at)
+    }
+}
+
+/// The filling side of one request's [`CompletionSlot`]. A seat that
+/// accepts the request attaches its [`Ticket`], so the fill is counted in
+/// that seat's ledger first; dropped unfilled, the slot fills
+/// [`ServeError::Canceled`].
 #[derive(Debug)]
-pub(crate) struct Ticket {
-    slot: Arc<CompletionSlot>,
-    shared: Arc<SharedState>,
-    done: bool,
-    /// Class annotations for completion accounting: the priority band's
-    /// in-flight counter is decremented at the terminal outcome, and the
-    /// relative deadline (if any) is checked against the completion
-    /// latency — a miss is *counted*, never culled.
-    class: QosClass,
-    /// Submission instant; `None` for tickets whose submission
-    /// bookkeeping was never recorded (test fixtures).
-    submitted_at: Option<Instant>,
+pub(crate) struct Slot {
+    cell: Option<Arc<CompletionSlot>>,
+    pub(crate) ticket: Option<Ticket>,
 }
 
-impl Ticket {
-    pub(crate) fn fulfill(mut self, outcome: Result<Tensor, ServeError>) {
-        self.done = true;
-        self.shared
-            .complete(&self.slot, outcome, self.class, self.submitted_at);
+impl Slot {
+    pub(crate) fn fill(mut self, outcome: Result<Tensor, ServeError>) {
+        self.settle(outcome, true);
     }
 
-    /// Discards the obligation without any completion bookkeeping — only
-    /// for requests whose submission bookkeeping was already rolled back.
-    fn defuse(mut self) {
-        self.done = true;
-    }
-}
-
-impl Drop for Ticket {
-    fn drop(&mut self) {
-        if !self.done {
-            // A canceled request never ran: count the completion (and
-            // free its class slot) but record no latency sample.
-            self.shared
-                .complete(&self.slot, Err(ServeError::Canceled), self.class, None);
+    /// Fills the cell once, through the seat's ledger when a seat holds
+    /// the request. `ran` is false for a cancellation, which records no
+    /// latency sample.
+    fn settle(&mut self, outcome: Result<Tensor, ServeError>, ran: bool) {
+        let Some(cell) = self.cell.take() else { return };
+        match self.ticket.take() {
+            Some(t) => t
+                .shared
+                .complete(&cell, outcome, t.class, ran.then_some(t.enqueued_at)),
+            None => cell.fulfill(outcome),
         }
     }
 }
 
-/// One queued request, stamped with the global stream index its fleet
-/// router claimed for it ([`ServeHandle::submit_at`]).
-#[derive(Debug)]
-pub(crate) struct Queued {
-    pub(crate) image: Tensor,
-    pub(crate) index: u64,
-    pub(crate) class: QosClass,
-    pub(crate) ticket: Ticket,
-    pub(crate) submitted_at: Instant,
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.settle(Err(ServeError::Canceled), false);
+    }
 }
 
-/// Messages on the bounded request channel.
+/// A seat's accounting of one accepted request, carried in its flight's
+/// [`Slot`]: the seat's ledger, the class whose in-flight count the
+/// request holds, and the enqueue instant the queue-wait, latency and
+/// deadline-miss clocks start from.
 #[derive(Debug)]
-pub(crate) enum Msg {
-    Request(Queued),
-    /// Wake-up sentinel: drain what is queued, then exit.
-    Shutdown,
+pub(crate) struct Ticket {
+    shared: Arc<SharedState>,
+    class: QosClass,
+    enqueued_at: Instant,
 }
 
-/// Counters and latency samples shared between submitters and the worker.
+impl Ticket {
+    /// Undoes the admission of a request the seat never queued.
+    pub(crate) fn refund(self) {
+        let rank = self.class.priority.rank();
+        {
+            let mut st = self.shared.inner.lock().unwrap();
+            st.submitted -= 1;
+            st.rejected += 1;
+            st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
+            st.qos.classes[rank].admitted = st.qos.classes[rank].admitted.saturating_sub(1);
+        }
+        // The refund can be what lets `completed == submitted`: a drain
+        // blocked on the old count must re-check.
+        self.shared.cv.notify_all();
+    }
+}
+
+/// A seat's ledger: counters and latency samples shared between its
+/// submitters and its worker.
 #[derive(Debug, Default)]
 pub(crate) struct SharedState {
     inner: Mutex<StateInner>,
@@ -266,11 +317,10 @@ struct StateInner {
     latency_cursors: [usize; Priority::COUNT],
     /// EWMA of per-image execution time in nanoseconds (0 until the
     /// first batch completes); feeds the router's deadline-feasibility
-    /// check through [`ServeHandle::load`].
+    /// check through [`SharedState::load`].
     est_image_ns: u64,
     /// Admission limits, copied from the policy at spawn. The defaults
-    /// are fully permissive so state built outside [`spawn`]
-    /// (tests, remote completion tracking) never sheds.
+    /// are fully permissive, so a default ledger never sheds.
     queue_depth: u64,
     class_budgets: [usize; Priority::COUNT],
     /// Absolute in-flight count at which the queue reports ECN pressure.
@@ -301,8 +351,7 @@ impl Default for StateInner {
 }
 
 impl SharedState {
-    /// State wired to a policy's admission limits (used by
-    /// [`spawn`](crate::spawn); the `Default` state is fully permissive).
+    /// A ledger wired to a policy's admission limits.
     pub(crate) fn for_policy(policy: &BatchPolicy) -> Self {
         let mut inner = StateInner {
             queue_depth: policy.queue_depth as u64,
@@ -317,6 +366,51 @@ impl SharedState {
         }
     }
 
+    /// Admits one request of `class`, returning the ticket that counts it
+    /// until its flight is filled. With `shed` set the seat's own checks
+    /// apply: [`ShedReason::QueueFull`] at the queue bound and
+    /// [`ShedReason::ClassBudget`] at the class's in-flight budget.
+    ///
+    /// # Errors
+    /// [`ServeError::ShutDown`] once the seat is closed;
+    /// [`ServeError::Shed`] as above.
+    pub(crate) fn admit(
+        self: &Arc<Self>,
+        class: QosClass,
+        shed: bool,
+    ) -> Result<Ticket, ServeError> {
+        let rank = class.priority.rank();
+        let mut st = self.inner.lock().unwrap();
+        if st.closed {
+            st.rejected += 1;
+            return Err(ServeError::ShutDown);
+        }
+        if shed {
+            let reason = if st.submitted - st.completed >= st.queue_depth {
+                Some(ShedReason::QueueFull)
+            } else if st.class_in_flight[rank] >= st.class_budgets[rank] as u64 {
+                Some(ShedReason::ClassBudget)
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                st.qos.classes[rank].note_shed(reason);
+                return Err(ServeError::Shed(reason));
+            }
+        }
+        st.submitted += 1;
+        st.class_in_flight[rank] += 1;
+        st.qos.classes[rank].admitted += 1;
+        if st.submitted - st.completed >= st.ecn_threshold {
+            st.qos.ecn_marks += 1;
+        }
+        Ok(Ticket {
+            shared: Arc::clone(self),
+            class,
+            enqueued_at: Instant::now(),
+        })
+    }
+
     /// Settles one request: counts its completion, frees its class slot
     /// and records its latency, then fills the caller's `slot`, all under
     /// the state lock (lock order: state, then slot). So a caller whose
@@ -328,13 +422,13 @@ impl SharedState {
         slot: &CompletionSlot,
         outcome: Result<Tensor, ServeError>,
         class: QosClass,
-        submitted_at: Option<Instant>,
+        enqueued_at: Option<Instant>,
     ) {
         let mut st = self.inner.lock().unwrap();
         st.completed += 1;
         let rank = class.priority.rank();
         st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
-        if let Some(t0) = submitted_at {
+        if let Some(t0) = enqueued_at {
             let elapsed = t0.elapsed();
             if class.deadline.is_some_and(|d| elapsed > d) {
                 st.qos.classes[rank].deadline_misses += 1;
@@ -382,9 +476,58 @@ impl SharedState {
             }
         }
     }
+
+    /// The congestion signal the seat exports: occupancy (total and per
+    /// class), the ECN-style pressure bit, and the per-image service-time
+    /// estimate.
+    pub(crate) fn load(&self) -> ShardLoad {
+        let st = self.inner.lock().unwrap();
+        let in_flight = st.submitted - st.completed;
+        ShardLoad {
+            in_flight,
+            per_class: st.class_in_flight,
+            pressure: in_flight >= st.ecn_threshold,
+            est_image_ns: st.est_image_ns,
+        }
+    }
+
+    /// Blocks until every admitted request has reached a terminal outcome.
+    pub(crate) fn drain(&self) {
+        let mut st = self.inner.lock().unwrap();
+        while st.completed < st.submitted {
+            st = self.cv.wait(st).unwrap();
+        }
+    }
+
+    /// Closes the seat to new requests; returns whether it was open.
+    pub(crate) fn close(&self) -> bool {
+        !std::mem::replace(&mut self.inner.lock().unwrap().closed, true)
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        self.inner.lock().unwrap().closed
+    }
+
+    /// A snapshot of the seat's statistics.
+    pub(crate) fn stats(&self) -> ServeStats {
+        let st = self.inner.lock().unwrap();
+        ServeStats {
+            submitted: st.submitted,
+            completed: st.completed,
+            rejected: st.rejected,
+            batches: st.batches,
+            dispatched: st.dispatched,
+            max_batch_observed: st.max_batch_observed,
+            queue_waits: st.queue_waits.clone(),
+            qos: st.qos.clone(),
+            drift_age: 0,
+            reprograms: 0,
+        }
+    }
 }
 
-/// Point-in-time serving statistics (see [`ServeHandle::stats`]).
+/// Point-in-time serving statistics of one seat (see
+/// [`ShardTransport::stats`](crate::ShardTransport::stats)).
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Requests accepted into the queue.
@@ -407,8 +550,9 @@ pub struct ServeStats {
     /// latencies (see [`QosStats`]).
     pub qos: QosStats,
     /// Drift events applied since the shard was last (re)programmed — its
-    /// staleness in drift-log steps. Local `ServeHandle`s (no drift-aware
-    /// transport above them) always report 0; fleet transports fill it in.
+    /// staleness in drift-log steps, as the seat's transport counts them.
+    /// A fleet reports its router's view instead (see
+    /// [`ShardHealth::drift_age`](crate::ShardHealth::drift_age)).
     pub drift_age: u64,
     /// Times the shard has been reprogrammed from its seed since it
     /// started serving (cumulative).
@@ -438,199 +582,6 @@ impl ServeStats {
     }
 }
 
-/// Clone-able handle of a running micro-batch scheduler (see
-/// [`spawn`](crate::spawn)). Requests reach it only through a fleet seat
-/// ([`LocalTransport`](crate::LocalTransport) behind a
-/// [`FleetHandle`](crate::FleetHandle)), which stamps each with its
-/// stream index.
-///
-/// All clones feed the same bounded queue and the same worker; any clone
-/// may [`ServeHandle::drain`] or [`ServeHandle::shutdown`]. Completion
-/// order is FIFO in arrival order: the worker dispatches batches in queue
-/// order and fulfills each batch front-to-back.
-#[derive(Debug, Clone)]
-pub struct ServeHandle {
-    tx: SyncSender<Msg>,
-    shared: Arc<SharedState>,
-    worker: Arc<Mutex<Option<JoinHandle<()>>>>,
-}
-
-impl ServeHandle {
-    pub(crate) fn new(
-        tx: SyncSender<Msg>,
-        shared: Arc<SharedState>,
-        worker: JoinHandle<()>,
-    ) -> Self {
-        ServeHandle {
-            tx,
-            shared,
-            worker: Arc::new(Mutex::new(Some(worker))),
-        }
-    }
-
-    /// Enqueues one image stamped with the global stream index `index`
-    /// and its class, returning its completion handle. The index comes
-    /// from a fleet router, the only numbering authority: a seat carries
-    /// whatever (possibly non-contiguous) slice of the stream the router
-    /// handed it, in any order, and never compares indices.
-    ///
-    /// With `shed` unset the call blocks while the bounded queue is full
-    /// (backpressure). With `shed` set it refuses instead, as
-    /// [`ServeError::Shed`]: at the queue bound with
-    /// [`ShedReason::QueueFull`], and at the class's in-flight budget with
-    /// [`ShedReason::ClassBudget`].
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first;
-    /// [`ServeError::Shed`] as above.
-    pub(crate) fn submit_at(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-        shed: bool,
-    ) -> Result<Pending, ServeError> {
-        let rank = class.priority.rank();
-        {
-            let mut st = self.shared.inner.lock().unwrap();
-            if st.closed {
-                st.rejected += 1;
-                return Err(ServeError::ShutDown);
-            }
-            if shed {
-                let reason = if st.submitted - st.completed >= st.queue_depth {
-                    Some(ShedReason::QueueFull)
-                } else if st.class_in_flight[rank] >= st.class_budgets[rank] as u64 {
-                    Some(ShedReason::ClassBudget)
-                } else {
-                    None
-                };
-                if let Some(reason) = reason {
-                    st.qos.classes[rank].note_shed(reason);
-                    return Err(ServeError::Shed(reason));
-                }
-            }
-            st.submitted += 1;
-            st.class_in_flight[rank] += 1;
-            st.qos.classes[rank].admitted += 1;
-            if st.submitted - st.completed >= st.ecn_threshold {
-                st.qos.ecn_marks += 1;
-            }
-        }
-        let slot = Arc::new(CompletionSlot::default());
-        let now = Instant::now();
-        let request = Queued {
-            image,
-            index,
-            class,
-            ticket: Ticket {
-                slot: Arc::clone(&slot),
-                shared: Arc::clone(&self.shared),
-                done: false,
-                class,
-                submitted_at: Some(now),
-            },
-            submitted_at: now,
-        };
-        if let Err(e) = self.tx.send(Msg::Request(request)) {
-            // The worker is gone (shutdown raced ahead): roll the
-            // submission back and refuse.
-            if let Msg::Request(req) = e.0 {
-                req.ticket.defuse();
-            }
-            {
-                let mut st = self.shared.inner.lock().unwrap();
-                st.submitted -= 1;
-                st.rejected += 1;
-                st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
-                st.qos.classes[rank].admitted = st.qos.classes[rank].admitted.saturating_sub(1);
-            }
-            // The rollback can be what lets `completed == submitted`: a
-            // drain blocked on the old count must re-check.
-            self.shared.cv.notify_all();
-            return Err(ServeError::ShutDown);
-        }
-        Ok(Pending { slot })
-    }
-
-    /// Requests accepted but not yet completed — the router's load signal
-    /// for least-queue-depth shard selection.
-    pub fn in_flight(&self) -> u64 {
-        let st = self.shared.inner.lock().unwrap();
-        st.submitted - st.completed
-    }
-
-    /// The congestion signal this queue exports: occupancy (total and
-    /// per class), the ECN-style pressure bit, and the per-image
-    /// service-time estimate.
-    pub fn load(&self) -> ShardLoad {
-        let st = self.shared.inner.lock().unwrap();
-        let in_flight = st.submitted - st.completed;
-        ShardLoad {
-            in_flight,
-            per_class: st.class_in_flight,
-            pressure: in_flight >= st.ecn_threshold,
-            est_image_ns: st.est_image_ns,
-        }
-    }
-
-    /// Blocks until every accepted request has reached a terminal outcome
-    /// (the queue is empty and no batch is in flight).
-    pub fn drain(&self) {
-        let mut st = self.shared.inner.lock().unwrap();
-        while st.completed < st.submitted {
-            st = self.shared.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Stops accepting new requests, drains everything already accepted,
-    /// and joins the worker thread. Idempotent; safe to call from any
-    /// clone.
-    pub fn shutdown(&self) {
-        {
-            let mut st = self.shared.inner.lock().unwrap();
-            if st.closed {
-                // Another clone already initiated shutdown; just wait for
-                // completions below.
-                drop(st);
-                self.drain();
-                return;
-            }
-            st.closed = true;
-        }
-        // Wake the worker; if it already exited, the queue is being torn
-        // down and pending tickets cancel themselves.
-        let _ = self.tx.send(Msg::Shutdown);
-        let worker = self.worker.lock().unwrap().take();
-        if let Some(h) = worker {
-            let _ = h.join();
-        }
-        self.drain();
-    }
-
-    /// Whether [`ServeHandle::shutdown`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.shared.inner.lock().unwrap().closed
-    }
-
-    /// A snapshot of the serving statistics.
-    pub fn stats(&self) -> ServeStats {
-        let st = self.shared.inner.lock().unwrap();
-        ServeStats {
-            submitted: st.submitted,
-            completed: st.completed,
-            rejected: st.rejected,
-            batches: st.batches,
-            dispatched: st.dispatched,
-            max_batch_observed: st.max_batch_observed,
-            queue_waits: st.queue_waits.clone(),
-            qos: st.qos.clone(),
-            drift_age: 0,
-            reprograms: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,12 +593,9 @@ mod tests {
 
     #[test]
     fn pending_wait_returns_the_fulfilled_value() {
-        let slot = Arc::new(CompletionSlot::default());
-        let p = Pending {
-            slot: Arc::clone(&slot),
-        };
+        let (flight, p) = Flight::new(0, QosClass::default(), tensor(0.0), false);
         assert!(!p.is_ready());
-        slot.fulfill(Ok(tensor(1.0)));
+        flight.settle(Ok(tensor(1.0)));
         assert!(p.is_ready());
         assert_eq!(p.wait().unwrap().data(), &[1.0]);
     }
@@ -666,19 +614,9 @@ mod tests {
     #[test]
     fn dropped_ticket_cancels_and_counts_completion() {
         let shared = Arc::new(SharedState::default());
-        shared.inner.lock().unwrap().submitted = 1;
-        let slot = Arc::new(CompletionSlot::default());
-        let p = Pending {
-            slot: Arc::clone(&slot),
-        };
-        let ticket = Ticket {
-            slot,
-            shared: Arc::clone(&shared),
-            done: false,
-            class: QosClass::default(),
-            submitted_at: None,
-        };
-        drop(ticket);
+        let (mut flight, p) = Flight::new(0, QosClass::default(), tensor(0.0), false);
+        flight.slot.ticket = Some(shared.admit(QosClass::default(), false).unwrap());
+        drop(flight);
         assert_eq!(p.wait(), Err(ServeError::Canceled));
         assert_eq!(shared.inner.lock().unwrap().completed, 1);
     }

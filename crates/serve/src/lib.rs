@@ -5,7 +5,7 @@
 //! pipeline is amortized over many images. This crate is the host-side
 //! counterpart for *serving*: it accepts **single-image requests** on a
 //! bounded MPSC queue, coalesces them into micro-batches under a
-//! [`BatchPolicy`] latency budget, and drives a [`BatchRunner`] (typically
+//! [`BatchPolicy`] latency budget, and drives a batch runner (typically
 //! `Executor::infer_batch_indexed` behind the `aimc-platform` facade) —
 //! with one hard guarantee on top of PR 2's thread-count invariance:
 //!
@@ -20,13 +20,6 @@
 //!
 //! * [`BatchPolicy`] — the two serving knobs (`max_batch`, `max_wait`)
 //!   plus the queue bound.
-//! * [`Coalescer`] — the pure batching state machine (size *or* deadline
-//!   triggers a flush). It takes explicit `now` timestamps, so the latency
-//!   budget is unit-testable under a fake clock.
-//! * [`spawn`] — wires a bounded channel, the coalescer, and a worker
-//!   thread around a [`BatchRunner`]; returns a clone-able [`ServeHandle`]
-//!   that drains, shuts down and reports on that worker. A `ServeHandle`
-//!   takes requests only from a fleet seat and never numbers them itself.
 //! * [`FleetHandle`] — the serving ingress: a router that owns the global
 //!   stream numbering (one lowest-first index per request), stamps every
 //!   request with its global index, and routes blocks of consecutive
@@ -37,12 +30,18 @@
 //!   [`Pending`] completion handle or a typed [`ServeError`]. A single
 //!   session's server is a one-seat fleet, so every request takes this
 //!   path.
+//! * [`Flight`] — the one record of a request from submit to reply: its
+//!   stream index, class, image and completion slot. It moves by value
+//!   from the router to a seat, its queue, a batch and the reply, and a
+//!   refusal hands it back, so no image is copied on the way.
 //! * [`ShardTransport`] — the only interface the router speaks: submit a
-//!   stamped request (with or without the shard's own admission checks),
-//!   probe load, drain/shutdown, fan shard control. [`LocalTransport`] is
-//!   the in-process zero-copy path; [`TcpTransport`] + [`ShardServer`]
-//!   speak the `aimc-wire` protocol so shards can live on other hosts —
-//!   with the invariance extended verbatim to any transport mix.
+//!   flight, probe load, drain/shutdown, fan shard control.
+//!   [`LocalTransport::spawn`] starts the in-process zero-copy seat: a
+//!   bounded queue and one worker thread that batches requests under the
+//!   policy, earliest deadline first within priority bands if asked.
+//!   [`TcpTransport`] + [`ShardServer`] speak the `aimc-wire` protocol so
+//!   shards can live on other hosts — with the invariance extended
+//!   verbatim to any transport mix.
 //!
 //! ## Example
 //!
@@ -52,7 +51,7 @@
 //! use aimc_dnn::{ExecError, Shape, Tensor};
 //! use aimc_parallel::Parallelism;
 //! use aimc_serve::{
-//!     spawn, BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, ShardControl,
+//!     BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, ShardControl, ShardSpec,
 //!     ShardTransport,
 //! };
 //! use std::time::Duration;
@@ -76,9 +75,14 @@
 //!         .map(|t| Tensor::from_vec(t.shape(), t.data().iter().map(|v| v * 2.0).collect()))
 //!         .collect())
 //! };
-//! let handle = spawn(BatchPolicy::new(4, Duration::from_millis(1)), runner);
-//! let seat: Box<dyn ShardTransport> = Box::new(LocalTransport::new(handle, Box::new(Fixed)));
-//! let fleet = FleetHandle::new(vec![seat], FleetPolicy::default()).unwrap();
+//! let seat = LocalTransport::spawn(
+//!     BatchPolicy::new(4, Duration::from_millis(1)),
+//!     Box::new(runner),
+//!     Box::new(Fixed),
+//!     ShardSpec::default(),
+//! );
+//! let seats: Vec<Box<dyn ShardTransport>> = vec![Box::new(seat)];
+//! let fleet = FleetHandle::new(seats, FleetPolicy::default()).unwrap();
 //! let pending = fleet
 //!     .submit(Tensor::from_vec(Shape::new(1, 1, 1), vec![21.0]))
 //!     .unwrap();
@@ -89,7 +93,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coalesce;
 mod handle;
 mod indices;
 pub mod qos;
@@ -100,25 +103,23 @@ mod scheduler;
 mod transport;
 
 pub use aimc_wire::{NoiseSpec, ShardSpec};
-pub use coalesce::Coalescer;
-pub use handle::{Pending, ServeError, ServeHandle, ServeStats};
+pub use handle::{Flight, Pending, ServeError, ServeStats};
 pub use qos::{
-    AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosCoalescer, QosOrdering, QosPolicy,
-    QosStats, ShardLoad, ShedReason,
+    AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosOrdering, QosPolicy, QosStats,
+    ShardLoad, ShedReason,
 };
 pub use recal::{RecalHandle, RecalPolicy, RecalStats};
 pub use remote::{Connect, RetryPolicy, ShardServer, TcpTransport};
 pub use router::{FleetHandle, FleetPolicy, FleetStats, Request, RoutePolicy, ShardHealth};
-pub use scheduler::{spawn, BatchRunner};
-pub use transport::{LocalTransport, Orphan, ShardControl, ShardTransport};
+pub use transport::{LocalTransport, ShardControl, ShardTransport};
 
 use aimc_dnn::{ExecError, Tensor};
 use std::time::Duration;
 
-/// Object-safe runner type for adapters that pick the execution path at
-/// runtime (e.g. the platform session choosing a backend slot): a
-/// `Box<DynRunner>` is itself a [`BatchRunner`]. The first slice holds the
-/// global stream index of each input (same length as the input slice).
+/// The batch runner a [`LocalTransport`] drives (see
+/// [`LocalTransport::spawn`]): it takes the global stream index of each
+/// input (the first slice, same length as the second) and the inputs, and
+/// returns one output per input.
 pub type DynRunner = dyn FnMut(&[u64], &[Tensor]) -> Result<Vec<Tensor>, ExecError> + Send;
 
 /// The micro-batch scheduling policy: how many requests to coalesce and

@@ -25,10 +25,9 @@
 //!
 //! * [`QosPolicy`] — per-class in-flight budgets, coalescer ordering
 //!   ([`QosOrdering`]), and the ECN mark threshold.
-//! * [`QosCoalescer`] — the batching state machine with
-//!   earliest-deadline-first ordering *within* priority bands. Like
-//!   [`Coalescer`](crate::Coalescer) it owns no clock; tests drive it with
-//!   fake timestamps.
+//! * The seat's coalescer — the batching state machine, FIFO or
+//!   earliest-deadline-first *within* priority bands. It owns no clock;
+//!   tests drive it with fake timestamps.
 //! * [`ShardLoad`] — the congestion signal a shard exports: queue depth,
 //!   per-class occupancy, an ECN-style pressure bit (drop-tail threshold,
 //!   in the spirit of packet-switching queue disciplines), and a service-
@@ -259,12 +258,14 @@ impl AimdPacer {
     }
 
     /// Whether a shard at `in_flight` occupancy may accept one more
-    /// request under the current window and hard limit.
-    pub fn admits(&self, in_flight: usize) -> bool {
+    /// request of `priority`: never at the hard limit, and otherwise only
+    /// under the current window — which [`Priority::High`] bypasses, so
+    /// pacing throttles best-effort traffic first.
+    pub fn admits(&self, in_flight: usize, priority: Priority) -> bool {
         if in_flight >= self.config.hard_limit {
             return false;
         }
-        !self.config.enabled || in_flight < self.window as usize
+        !self.config.enabled || priority == Priority::High || in_flight < self.window as usize
     }
 
     /// The current congestion window, in requests.
@@ -390,21 +391,22 @@ struct QosEntry<T> {
     seq: u64,
 }
 
-/// A [`Coalescer`](crate::Coalescer) that can compose batches
-/// earliest-deadline-first within priority bands instead of strictly
-/// FIFO.
+/// A seat's batching state machine: it decides *when a batch is ready*
+/// and composes it FIFO or earliest-deadline-first within priority bands.
 ///
-/// Same fake-clock contract as the plain coalescer: `push` reports the
-/// size trigger, `is_due` the deadline trigger (`max_wait` after the
-/// *oldest queued* item arrived), and [`QosCoalescer::take_batch`]
-/// removes up to `max_batch` items in policy order — under
-/// [`QosOrdering::Fifo`] that is exactly the plain coalescer's batch.
+/// It owns no threads, no channels and no wall clock: callers tag every
+/// item with an explicit `now` (any monotonic [`Duration`] since an
+/// arbitrary epoch), so tests drive the latency budget with a fake clock.
+/// `push` reports the size trigger, [`QosCoalescer::deadline`] the
+/// deadline trigger (`max_wait` after the *oldest queued* item arrived),
+/// and [`QosCoalescer::take_batch`] removes up to `max_batch` items in
+/// policy order.
 ///
 /// Reordering here is safe only because batches are evaluated at their
 /// stamped global stream indices: dispatch order changes, stream
 /// coordinates (and therefore logits) do not.
 #[derive(Debug)]
-pub struct QosCoalescer<T> {
+pub(crate) struct QosCoalescer<T> {
     max_batch: usize,
     max_wait: Duration,
     ordering: QosOrdering,
@@ -427,7 +429,7 @@ impl<T> fmt::Debug for QosEntry<T> {
 impl<T> QosCoalescer<T> {
     /// A coalescer dispatching at `max_batch` items (clamped to ≥ 1) or
     /// `max_wait` after the oldest queued item, whichever comes first.
-    pub fn new(max_batch: usize, max_wait: Duration, ordering: QosOrdering) -> Self {
+    pub(crate) fn new(max_batch: usize, max_wait: Duration, ordering: QosOrdering) -> Self {
         QosCoalescer {
             max_batch: max_batch.max(1),
             max_wait,
@@ -440,7 +442,7 @@ impl<T> QosCoalescer<T> {
 
     /// Adds one item at time `now` with its class annotations; returns
     /// `true` when at least `max_batch` items are queued.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         item: T,
         priority: Priority,
@@ -462,30 +464,19 @@ impl<T> QosCoalescer<T> {
     }
 
     /// The instant the pending items must be flushed, if any are queued.
-    pub fn deadline(&self) -> Option<Duration> {
+    pub(crate) fn deadline(&self) -> Option<Duration> {
         self.deadline
     }
 
-    /// Whether the latency budget of the oldest queued item has expired
-    /// at time `now` (always `false` when empty).
-    pub fn is_due(&self, now: Duration) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
     /// Whether no items are queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
     /// Removes and returns up to `max_batch` items in policy order,
     /// leaving later arrivals queued (their flush deadline is recomputed
     /// from the oldest survivor).
-    pub fn take_batch(&mut self) -> Vec<T> {
+    pub(crate) fn take_batch(&mut self) -> Vec<T> {
         let n = self.items.len().min(self.max_batch);
         let picked: Vec<usize> = match self.ordering {
             QosOrdering::Fifo => (0..n).collect(),
@@ -519,21 +510,12 @@ impl<T> QosCoalescer<T> {
         self.deadline = self.items.iter().map(|e| e.arrived + self.max_wait).min();
         out
     }
-
-    /// Removes and returns **all** queued items in policy order (used by
-    /// shutdown drains).
-    pub fn take_all(&mut self) -> Vec<T> {
-        let saved = self.max_batch;
-        self.max_batch = usize::MAX;
-        let out = self.take_batch();
-        self.max_batch = saved;
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -548,6 +530,11 @@ mod tests {
         assert_eq!(c.take_batch(), vec!["a", "b"]);
         assert!(c.is_empty());
         assert_eq!(c.deadline(), None);
+
+        // max_batch 0 clamps to 1: every push fills a batch.
+        let mut c = QosCoalescer::new(0, ms(1), QosOrdering::Fifo);
+        assert!(c.push("a", Priority::Normal, None, ms(0)));
+        assert_eq!(c.take_batch(), vec!["a"]);
     }
 
     #[test]
@@ -561,9 +548,9 @@ mod tests {
         // Batch of 3: High first, then Normal by deadline (50 < 900);
         // the deadline-less Normal and the Low remain queued.
         assert_eq!(c.take_batch(), vec!["norm-late", "high", "norm-early"]);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.items.len(), 2);
         // Remainder flushes in the same discipline.
-        assert_eq!(c.take_all(), vec!["low-early", "norm-none"]);
+        assert_eq!(c.take_batch(), vec!["low-early", "norm-none"]);
     }
 
     #[test]
@@ -576,8 +563,13 @@ mod tests {
         // arrival-based budget.
         assert_eq!(c.take_batch(), vec![2]);
         assert_eq!(c.deadline(), Some(ms(10)));
-        assert!(c.is_due(ms(10)));
+        assert!(c.deadline().is_some_and(|d| ms(10) >= d));
         assert_eq!(c.take_batch(), vec![1]);
+
+        // A zero wait makes every partial batch due at its first arrival.
+        let mut c = QosCoalescer::new(8, Duration::ZERO, QosOrdering::EdfWithinPriority);
+        c.push(7, Priority::Normal, None, ms(3));
+        assert!(c.deadline().is_some_and(|d| ms(3) >= d));
     }
 
     #[test]
@@ -600,8 +592,8 @@ mod tests {
         };
         let mut p = AimdPacer::new(config);
         assert_eq!(p.window(), 16);
-        assert!(p.admits(15));
-        assert!(!p.admits(16));
+        assert!(p.admits(15, Priority::Normal));
+        assert!(!p.admits(16, Priority::Normal));
 
         p.observe(true, ms(0));
         assert_eq!(p.window(), 8, "multiplicative decrease halves");
@@ -623,8 +615,8 @@ mod tests {
             rounds >= 4,
             "w=4 must take ≥4 clean observations to reach 5"
         );
-        assert!(p.admits(4));
-        assert!(!p.admits(5));
+        assert!(p.admits(4, Priority::Normal));
+        assert!(!p.admits(5, Priority::Normal));
     }
 
     #[test]
@@ -645,8 +637,11 @@ mod tests {
             p.observe(false, ms(100));
         }
         assert_eq!(p.window(), 4, "window never grows past the ceiling");
-        assert!(!p.admits(3), "hard limit caps admission below the window");
-        assert!(p.admits(2));
+        assert!(
+            !p.admits(3, Priority::Normal),
+            "hard limit caps admission below the window"
+        );
+        assert!(p.admits(2, Priority::Normal));
     }
 
     #[test]
@@ -655,8 +650,8 @@ mod tests {
         for i in 0..50 {
             p.observe(true, ms(i));
         }
-        assert!(p.admits(9));
-        assert!(!p.admits(10));
+        assert!(p.admits(9, Priority::Normal));
+        assert!(!p.admits(10, Priority::Normal));
     }
 
     #[test]
@@ -711,5 +706,50 @@ mod tests {
         assert_eq!(load.estimated_wait(), None);
         load.est_image_ns = 1_000_000;
         assert_eq!(load.estimated_wait(), Some(ms(8)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For any arrival pattern and either ordering, a batch never
+        /// exceeds `max_batch`, and taking on every trigger (size or
+        /// deadline) loses no item; under FIFO nothing is reordered.
+        #[test]
+        fn batches_never_exceed_max_batch_and_preserve_fifo(
+            max_batch in 1usize..10,
+            max_wait_ms in 0u64..20,
+            gaps in prop::collection::vec(0u64..30, 1..60),
+            edf in any::<bool>(),
+        ) {
+            let ordering = if edf { QosOrdering::EdfWithinPriority } else { QosOrdering::Fifo };
+            let mut c = QosCoalescer::new(max_batch, ms(max_wait_ms), ordering);
+            let mut now = ms(0);
+            let mut batches: Vec<Vec<usize>> = Vec::new();
+            for (i, gap) in gaps.iter().enumerate() {
+                now += ms(*gap);
+                // Deadline trigger: flush anything overdue before admitting.
+                if c.deadline().is_some_and(|d| now >= d) {
+                    batches.push(c.take_batch());
+                }
+                let priority = [Priority::High, Priority::Normal, Priority::Low][i % 3];
+                let deadline = (i % 2 == 0).then(|| now + ms(*gap));
+                if c.push(i, priority, deadline, now) {
+                    batches.push(c.take_batch());
+                }
+            }
+            while !c.is_empty() {
+                batches.push(c.take_batch());
+            }
+            for b in &batches {
+                prop_assert!(!b.is_empty());
+                prop_assert!(b.len() <= max_batch, "batch of {} exceeds {}", b.len(), max_batch);
+            }
+            let mut flat: Vec<usize> = batches.into_iter().flatten().collect();
+            let want: Vec<usize> = (0..gaps.len()).collect();
+            if edf {
+                flat.sort_unstable();
+            }
+            prop_assert_eq!(flat, want);
+        }
     }
 }

@@ -44,8 +44,8 @@
 //!
 //! A transport built with [`TcpTransport::connect`] (or
 //! [`TcpTransport::with_connector`]) survives link death: every submitted
-//! request keeps its `(index, image)` pair buffered until its reply
-//! arrives, so when the connection drops the transport re-dials (bounded
+//! request keeps its [`Flight`] buffered until its reply arrives, so when
+//! the connection drops the transport re-dials (bounded
 //! attempts with backoff, per [`RetryPolicy`]), announces itself with
 //! `Hello { resumed: true }`, and retransmits every unacknowledged
 //! request in ascending index order — go-back-N. Each request carries its
@@ -59,14 +59,13 @@
 //! the seed), so the client resends one that was cut off mid-call.
 //!
 //! When the retry budget is exhausted the transport closes and parks its
-//! unacknowledged requests as [`Orphan`]s instead of cancelling them —
-//! the fleet router harvests those with
-//! [`ShardTransport::take_orphans`] and re-routes each at its original
-//! coordinate, so eviction never shifts an index.
+//! unacknowledged flights instead of cancelling them — the fleet router
+//! takes those back with [`ShardTransport::take_orphans`] and re-submits
+//! each at its original coordinate, so eviction never shifts an index.
 
-use crate::handle::{pending_pair, CompletionSlot, Pending, ServeError, ServeStats};
-use crate::qos::{Priority, QosClass, ShardLoad};
-use crate::transport::{Orphan, ShardTransport};
+use crate::handle::{Flight, Pending, ServeError, ServeStats};
+use crate::qos::{Priority, ShardLoad};
+use crate::transport::ShardTransport;
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
 use aimc_wire::{
@@ -238,16 +237,21 @@ impl ShardServer {
                     global_index,
                     class,
                     image,
-                }) => match self.shard.submit(global_index, image, class) {
-                    Ok(pending) => {
-                        let _ = tx.send((global_index, pending));
+                }) => {
+                    // The client's router already admitted the request, so
+                    // the shard must not shed it.
+                    let (flight, pending) = Flight::new(global_index, class, image, false);
+                    match self.shard.submit(flight) {
+                        Ok(()) => {
+                            let _ = tx.send((global_index, pending));
+                        }
+                        Err(refused) => reply(&Frame::Reply(ShardReply {
+                            global_index,
+                            marked: false,
+                            outcome: Err(reply_error(refused.1)),
+                        }))?,
                     }
-                    Err(e) => reply(&Frame::Reply(ShardReply {
-                        global_index,
-                        marked: false,
-                        outcome: Err(reply_error(e)),
-                    }))?,
-                },
+                }
                 // Requests carry their own indices; a lease frame (no
                 // current client sends one) adds nothing.
                 Frame::Lease(_) => {}
@@ -455,7 +459,7 @@ pub trait Connect: Send + Sync {
 /// Reconnect budget of a replay-capable transport: how many dials to
 /// attempt after a link death, with linearly growing backoff between
 /// them. Once the budget is exhausted the transport closes and parks its
-/// unacknowledged requests as [`Orphan`]s for the router to re-route.
+/// unacknowledged flights for the router to re-route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
@@ -498,15 +502,6 @@ impl Connect for TcpConnector {
     }
 }
 
-/// One submitted-but-unanswered request. The image is retained so a
-/// reconnect can retransmit it (go-back-N); it is dropped with the entry
-/// when the reply lands.
-struct PendingEntry {
-    slot: Arc<CompletionSlot>,
-    class: QosClass,
-    image: Tensor,
-}
-
 /// How a replay-capable transport re-establishes its link.
 struct ReplayConfig {
     connector: Box<dyn Connect>,
@@ -514,9 +509,10 @@ struct ReplayConfig {
 }
 
 struct RemoteState {
-    /// Requests submitted and not yet answered, by global index — the
-    /// go-back-N retransmission buffer.
-    pending: HashMap<u64, PendingEntry>,
+    /// Flights submitted and not yet answered, by global index — the
+    /// go-back-N retransmission buffer. A flight keeps its image so a
+    /// reconnect can retransmit it, and leaves when its reply lands.
+    pending: HashMap<u64, Flight>,
     /// Client-side refusals (the link was already closed) — the server
     /// never saw these, so they are merged into [`TcpTransport::stats`].
     rejected: u64,
@@ -544,9 +540,9 @@ struct RemoteState {
     /// outage (between link death and a successful replay); submissions
     /// wait on `state_cv` for it rather than racing the reconnect.
     link_up: bool,
-    /// Requests stranded by a permanent link death, awaiting
+    /// Flights stranded by a permanent link death, awaiting
     /// [`ShardTransport::take_orphans`].
-    orphans: Vec<Orphan>,
+    orphans: Vec<Flight>,
 }
 
 struct RemoteInner {
@@ -579,14 +575,12 @@ struct RemoteInner {
 
 impl RemoteInner {
     /// Marks the link permanently dead and cancels everything
-    /// outstanding.
+    /// outstanding (each flight dropped settles as canceled).
     fn close_link(&self) {
         self.closed.store(true, Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();
         st.link_up = false;
-        for (_, entry) in st.pending.drain() {
-            entry.slot.fulfill(Err(ServeError::Canceled));
-        }
+        st.pending.clear();
         st.class_in_flight = [0; Priority::COUNT];
         drop(st);
         // A reply parked by a link that died mid-control must not be
@@ -611,40 +605,20 @@ impl RemoteInner {
     }
 
     /// Permanent link death after a spent retry budget: closes the
-    /// transport but parks the unacknowledged requests as [`Orphan`]s —
-    /// the router re-routes them at their original coordinates instead of
-    /// surfacing cancellations.
+    /// transport but parks the unacknowledged flights — the router
+    /// re-routes them at their original coordinates instead of surfacing
+    /// cancellations.
     fn park_orphans(&self) {
         self.closed.store(true, Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();
         st.link_up = false;
-        let stranded: Vec<Orphan> = st
-            .pending
-            .drain()
-            .map(|(index, entry)| Orphan {
-                index,
-                image: entry.image,
-                class: entry.class,
-                slot: entry.slot,
-            })
-            .collect();
+        let stranded: Vec<Flight> = st.pending.drain().map(|(_, flight)| flight).collect();
         st.orphans.extend(stranded);
         st.class_in_flight = [0; Priority::COUNT];
         drop(st);
         *self.mailbox.lock().unwrap() = None;
         self.state_cv.notify_all();
         self.mailbox_cv.notify_all();
-    }
-}
-
-impl Drop for RemoteInner {
-    fn drop(&mut self) {
-        // Orphans nobody harvested settle as cancellations rather than
-        // hanging their callers forever.
-        let state = self.state.get_mut().unwrap();
-        for orphan in state.orphans.drain(..) {
-            orphan.slot.fulfill(Err(ServeError::Canceled));
-        }
     }
 }
 
@@ -660,10 +634,10 @@ impl Drop for RemoteInner {
 /// the connection.
 ///
 /// A request the server refuses, such as a malformed image, fails alone
-/// through its [`Pending`]. But the transport hands out the `Pending`
-/// before the server replies, so the router cannot release the refused
-/// request's index: on a TCP seat that coordinate stays used, and the
-/// stream's later requests are numbered past it.
+/// through its [`Pending`]. But the transport accepts the flight before
+/// the server replies, so the router cannot release the refused request's
+/// index: on a TCP seat that coordinate stays used, and the stream's later
+/// requests are numbered past it.
 #[derive(Clone)]
 pub struct TcpTransport {
     inner: Arc<RemoteInner>,
@@ -892,8 +866,8 @@ fn reader_loop(reader: &mut impl Read, inner: &RemoteInner) {
                 // A duplicate reply (the original raced a replayed
                 // re-execution) finds no entry and is dropped — both carry
                 // bit-identical logits, so either serves.
-                if let Some(entry) = st.pending.remove(&global_index) {
-                    let rank = entry.class.priority.rank();
+                if let Some(flight) = st.pending.remove(&global_index) {
+                    let rank = flight.class.priority.rank();
                     st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
                     // Level-triggered latch of the shard's pressure bit.
                     st.pressure = marked;
@@ -911,7 +885,7 @@ fn reader_loop(reader: &mut impl Read, inner: &RemoteInner) {
                         }
                     }
                     st.last_reply_at = (!st.pending.is_empty()).then_some(now);
-                    entry.slot.fulfill(outcome.map_err(serve_error));
+                    flight.settle(outcome.map_err(serve_error));
                 }
                 drop(st);
                 inner.state_cv.notify_all();
@@ -974,28 +948,24 @@ fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<LinkRead
         }
     }
     let mut current = inner.writer.lock().unwrap();
-    // Snapshot under the state lock; anything registered later writes its
+    // Encode under the state lock; anything registered later writes its
     // own frame once the writer lock frees (submissions wait for link_up,
     // which is still false here).
-    let mut backlog: Vec<(u64, QosClass, Tensor)> = inner
-        .state
-        .lock()
-        .unwrap()
-        .pending
-        .iter()
-        .map(|(&i, entry)| (i, entry.class, entry.image.clone()))
-        .collect();
-    backlog.sort_unstable_by_key(|&(i, ..)| i);
-    for (global_index, class, image) in backlog {
-        write_frame(
-            &mut writer,
-            &Frame::Request(ShardRequest {
-                global_index,
-                class,
-                image,
-            }),
-        )?;
+    let mut backlog = Vec::new();
+    {
+        let mut st = inner.state.lock().unwrap();
+        let mut indices: Vec<u64> = st.pending.keys().copied().collect();
+        indices.sort_unstable();
+        for index in indices {
+            if let Some(flight) = st.pending.remove(&index) {
+                let (flight, encoded) = encode_request(&mut backlog, flight);
+                st.pending.insert(index, flight);
+                encoded?;
+            }
+        }
     }
+    writer.write_all(&backlog)?;
+    writer.flush()?;
     *current = writer;
     drop(current);
     inner.state.lock().unwrap().link_up = true;
@@ -1003,69 +973,78 @@ fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<LinkRead
     Ok(reader)
 }
 
+/// Appends the request frame of `flight` to `buf`. The image moves into
+/// the frame and back, so nothing is copied.
+fn encode_request(buf: &mut Vec<u8>, mut flight: Flight) -> (Flight, io::Result<()>) {
+    let frame = Frame::Request(ShardRequest {
+        global_index: flight.index,
+        class: flight.class,
+        image: flight.image,
+    });
+    let encoded = append_frame(buf, &frame);
+    let Frame::Request(request) = frame else {
+        unreachable!("a request frame stays a request frame")
+    };
+    flight.image = request.image;
+    (flight, encoded)
+}
+
 impl ShardTransport for TcpTransport {
-    fn submit(&self, index: u64, image: Tensor, class: QosClass) -> Result<Pending, ServeError> {
-        let (pending, slot) = pending_pair();
-        let rank = class.priority.rank();
+    fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>> {
+        let (index, rank) = (flight.index, flight.class.priority.rank());
+        let mut bytes = Vec::new();
+        let (flight, encoded) = encode_request(&mut bytes, flight);
         {
             let mut st = self.inner.state.lock().unwrap();
             // During an outage, wait for the replay to finish rather than
             // racing it: registering mid-replay could miss both the
             // snapshot and the new writer.
-            while !st.link_up {
-                if self.is_link_closed() {
-                    st.rejected += 1;
-                    return Err(ServeError::ShutDown);
-                }
+            while !st.link_up && !self.is_link_closed() {
                 st = self.inner.state_cv.wait(st).unwrap();
             }
             if self.is_link_closed() {
                 st.rejected += 1;
-                return Err(ServeError::ShutDown);
+                return Err(Box::new((flight, ServeError::ShutDown)));
             }
             // Registered before the frame is written, so a reply can never
             // race past its slot — and so a link death between here and
-            // the write leaves the request in the replay buffer.
-            st.pending.insert(
-                index,
-                PendingEntry {
-                    slot,
-                    class,
-                    image: image.clone(),
-                },
-            );
+            // the write leaves the flight in the replay buffer.
+            st.pending.insert(index, flight);
             st.class_in_flight[rank] += 1;
         }
-        let frame = Frame::Request(ShardRequest {
-            global_index: index,
-            class,
-            image,
+        let written = encoded.and_then(|()| {
+            let mut w = self.inner.writer.lock().unwrap();
+            w.write_all(&bytes)?;
+            w.flush()
         });
-        let write_ok = write_frame(&mut *self.inner.writer.lock().unwrap(), &frame).is_ok();
-        if !write_ok {
-            if self.inner.replay.is_some() && !self.is_link_closed() {
-                // The link died mid-submit but is recoverable: the request
-                // is registered, so the reconnect replay retransmits it.
-                return Ok(pending);
-            }
-            // Permanently dead: roll the registration back and refuse. The
-            // entry may have moved to the orphan list if the park raced
-            // us — remove it from wherever it landed, since the caller
-            // sees an error and the index will be re-issued.
-            let mut st = self.inner.state.lock().unwrap();
-            if st.pending.remove(&index).is_some() {
-                st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
-            } else if let Some(pos) = st.orphans.iter().position(|o| o.index == index) {
-                st.orphans.swap_remove(pos);
-            }
-            st.rejected += 1;
-            drop(st);
-            if self.inner.replay.is_none() {
-                self.inner.close_link();
-            }
-            return Err(ServeError::ShutDown);
+        if written.is_ok() || (self.inner.replay.is_some() && !self.is_link_closed()) {
+            // Sent, or the link died mid-submit but is recoverable: the
+            // flight is registered, so the reconnect replay retransmits it.
+            return Ok(());
         }
-        Ok(pending)
+        // Permanently dead: take the flight back and refuse. It may have
+        // moved to the orphan list if the park raced us; if a close raced
+        // us, it was canceled with the link.
+        let mut st = self.inner.state.lock().unwrap();
+        let flight = match st.pending.remove(&index) {
+            Some(flight) => {
+                st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
+                Some(flight)
+            }
+            None => {
+                let pos = st.orphans.iter().position(|f| f.index == index);
+                pos.map(|pos| st.orphans.swap_remove(pos))
+            }
+        };
+        st.rejected += u64::from(flight.is_some());
+        drop(st);
+        if self.inner.replay.is_none() {
+            self.inner.close_link();
+        }
+        match flight {
+            Some(flight) => Err(Box::new((flight, ServeError::ShutDown))),
+            None => Ok(()),
+        }
     }
 
     fn load(&self) -> ShardLoad {
@@ -1111,17 +1090,14 @@ impl ShardTransport for TcpTransport {
         }
         self.wait_pending_empty();
         // Orphans nobody harvested settle as cancellations at shutdown.
-        let stranded = std::mem::take(&mut self.inner.state.lock().unwrap().orphans);
-        for orphan in stranded {
-            orphan.slot.fulfill(Err(ServeError::Canceled));
-        }
+        self.inner.state.lock().unwrap().orphans.clear();
     }
 
     fn is_closed(&self) -> bool {
         self.is_link_closed()
     }
 
-    fn take_orphans(&self) -> Vec<Orphan> {
+    fn take_orphans(&self) -> Vec<Flight> {
         std::mem::take(&mut self.inner.state.lock().unwrap().orphans)
     }
 
@@ -1178,8 +1154,10 @@ impl ShardTransport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qos::QosClass;
+    use crate::transport::testing::submit;
     use crate::transport::{LocalTransport, ShardControl};
-    use crate::{spawn, BatchPolicy, FleetHandle, FleetPolicy, RoutePolicy, ServeHandle};
+    use crate::{BatchPolicy, FleetHandle, FleetPolicy, RoutePolicy};
     use aimc_dnn::{ExecError, Shape};
     use aimc_wire::{duplex, FaultPlan, FaultyEnd};
     use std::collections::VecDeque;
@@ -1217,10 +1195,24 @@ mod tests {
         }
     }
 
+    /// A seat over `runner` under `policy`, with a recording control.
+    fn seat(
+        policy: BatchPolicy,
+        runner: impl FnMut(&[u64], &[Tensor]) -> Result<Vec<Tensor>, ExecError> + Send + 'static,
+        control: Arc<RecordingControl>,
+    ) -> Arc<LocalTransport> {
+        Arc::new(LocalTransport::spawn(
+            policy,
+            Box::new(runner),
+            Box::new(control),
+            ShardSpec::default(),
+        ))
+    }
+
     /// An echo shard: results encode (index, value) so tests can verify
     /// the coordinate each request ran at.
-    fn echo_handle() -> ServeHandle {
-        spawn(
+    fn echo_seat(control: Arc<RecordingControl>) -> Arc<LocalTransport> {
+        seat(
             BatchPolicy::new(2, Duration::from_millis(1)),
             |indices: &[u64], inputs: &[Tensor]| {
                 Ok(indices
@@ -1229,15 +1221,15 @@ mod tests {
                     .map(|(&i, t)| tensor(i as f32 * 1000.0 + t.data()[0]))
                     .collect())
             },
+            control,
         )
     }
 
-    /// An echo shard server (see [`echo_handle`]).
+    /// An echo shard server (see [`echo_seat`]).
     fn echo_server(control: Arc<RecordingControl>) -> ShardServer {
-        ShardServer::new(Box::new(LocalTransport::new(
-            echo_handle(),
-            Box::new(control),
-        )))
+        ShardServer {
+            shard: echo_seat(control),
+        }
     }
 
     /// An echo shard over a duplex pipe (the fixed-stream `over` path).
@@ -1302,10 +1294,7 @@ mod tests {
     fn requests_round_trip_with_their_coordinates() {
         let (t, server) = piped_shard(Arc::default());
         let pendings: Vec<Pending> = (0..6)
-            .map(|i| {
-                t.submit(10 + i, tensor(i as f32), QosClass::default())
-                    .unwrap()
-            })
+            .map(|i| submit(&t, 10 + i, tensor(i as f32), QosClass::default()).unwrap())
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(
@@ -1325,7 +1314,7 @@ mod tests {
         // Post-shutdown submissions are refused client-side and merged
         // into the cached statistics.
         assert!(matches!(
-            t.submit(99, tensor(0.0), QosClass::default()),
+            submit(&t, 99, tensor(0.0), QosClass::default()),
             Err(ServeError::ShutDown)
         ));
         let stats = t.stats();
@@ -1346,7 +1335,7 @@ mod tests {
         // The spec probe answers over the *live* link (regression: a Spec
         // reply must land in the control mailbox, not sever the link).
         assert_eq!(t.spec(), ShardSpec::default());
-        let p = t.submit(0, tensor(5.0), QosClass::default()).unwrap();
+        let p = submit(&t, 0, tensor(5.0), QosClass::default()).unwrap();
         assert_eq!(p.wait().unwrap().data(), &[5.0]);
         t.shutdown();
         server.join().unwrap();
@@ -1372,14 +1361,14 @@ mod tests {
     /// operations fail cleanly.
     #[test]
     fn dead_link_cancels_outstanding_requests() {
-        let handle = spawn(
+        let handle = seat(
             BatchPolicy::new(1, Duration::from_secs(3600)), // never flushes
             |_idx: &[u64], inputs: &[Tensor]| Ok(inputs.to_vec()),
+            Arc::default(),
         );
-        let server = ShardServer::new(Box::new(LocalTransport::new(
-            handle.clone(),
-            Box::new(Arc::new(RecordingControl::default())),
-        )));
+        let server = ShardServer {
+            shard: handle.clone(),
+        };
         let (client_end, server_end) = duplex();
         let server_thread = std::thread::spawn({
             let reader = server_end.clone();
@@ -1389,7 +1378,7 @@ mod tests {
             }
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
-        let p = t.submit(0, tensor(1.0), QosClass::default()).unwrap();
+        let p = submit(&t, 0, tensor(1.0), QosClass::default()).unwrap();
         assert_eq!(t.in_flight(), 1);
         // Sever the connection while the request sits in the coalescer.
         client_end.close();
@@ -1408,7 +1397,7 @@ mod tests {
     /// once all accepted requests' shard tickets settled.
     #[test]
     fn replier_waits_every_queued_reply_after_writer_death() {
-        let handle = spawn(
+        let handle = seat(
             BatchPolicy::new(1, Duration::ZERO),
             |indices: &[u64], inputs: &[Tensor]| {
                 if indices[0] > 0 {
@@ -1416,11 +1405,11 @@ mod tests {
                 }
                 Ok(inputs.to_vec())
             },
+            Arc::default(),
         );
-        let server = ShardServer::new(Box::new(LocalTransport::new(
-            handle.clone(),
-            Box::new(Arc::new(RecordingControl::default())),
-        )));
+        let server = ShardServer {
+            shard: handle.clone(),
+        };
         let (client_end, server_end) = duplex();
         let server_thread = std::thread::spawn({
             let reader = server_end.clone();
@@ -1430,9 +1419,9 @@ mod tests {
             }
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
-        let p0 = t.submit(0, tensor(0.0), QosClass::default()).unwrap();
-        let _p1 = t.submit(1, tensor(1.0), QosClass::default()).unwrap();
-        let _p2 = t.submit(2, tensor(2.0), QosClass::default()).unwrap();
+        let p0 = submit(&t, 0, tensor(0.0), QosClass::default()).unwrap();
+        let _p1 = submit(&t, 1, tensor(1.0), QosClass::default()).unwrap();
+        let _p2 = submit(&t, 2, tensor(2.0), QosClass::default()).unwrap();
         p0.wait().unwrap();
         // Kill the connection while requests 1 and 2 (slow) still queue
         // behind the replier.
@@ -1479,9 +1468,17 @@ mod tests {
         let (mut reader, mut writer) = (client_end.clone(), client_end.clone());
         write_frame(&mut writer, &Frame::Hello { resumed: false }).unwrap();
         assert_eq!(read_frame(&mut reader).unwrap(), Frame::HelloAck);
-        let local = LocalTransport::new(
-            echo_handle(),
+        let local = LocalTransport::spawn(
+            BatchPolicy::new(2, Duration::from_millis(1)),
+            Box::new(|indices: &[u64], inputs: &[Tensor]| {
+                Ok(indices
+                    .iter()
+                    .zip(inputs)
+                    .map(|(&i, t)| tensor(i as f32 * 1000.0 + t.data()[0]))
+                    .collect())
+            }),
             Box::new(Arc::new(RecordingControl::default())),
+            ShardSpec::default(),
         );
         let seats: Vec<Box<dyn ShardTransport>> = vec![
             Box::new(local),
@@ -1548,17 +1545,14 @@ mod tests {
     fn replier_coalesces_ready_replies_into_one_write() {
         let (tx, rx) = mpsc::channel();
         for i in 0..3 {
-            let (pending, slot) = pending_pair();
-            slot.fulfill(Ok(tensor(i as f32)));
+            let (flight, pending) = Flight::new(i, QosClass::default(), tensor(0.0), false);
+            flight.settle(Ok(tensor(i as f32)));
             tx.send((i, pending)).unwrap();
         }
         drop(tx);
-        let shard = LocalTransport::new(
-            echo_handle(),
-            Box::new(Arc::new(RecordingControl::default())),
-        );
+        let shard = echo_seat(Arc::default());
         let writer = Mutex::new(WriteLog::default());
-        reply_loop(&rx, &writer, &shard);
+        reply_loop(&rx, &writer, &*shard);
         shard.shutdown();
         let writes = writer.into_inner().unwrap().0;
         assert_eq!(writes.len(), 1, "three ready replies, one write");
@@ -1668,10 +1662,7 @@ mod tests {
         )
         .unwrap();
         let pendings: Vec<Pending> = (0..8)
-            .map(|i| {
-                t.submit(i, tensor(i as f32 * 0.5), QosClass::default())
-                    .unwrap()
-            })
+            .map(|i| submit(&t, i, tensor(i as f32 * 0.5), QosClass::default()).unwrap())
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(
@@ -1700,16 +1691,16 @@ mod tests {
     /// at their original coordinates — instead of cancelling them.
     #[test]
     fn reconnect_exhaustion_parks_orphans_for_rescue() {
-        let handle = spawn(
+        let handle = seat(
             // The batch never fills and the latency budget never fires, so
             // no reply is ever written: both requests stay unacknowledged.
             BatchPolicy::new(3, Duration::from_secs(3600)),
             |_idx: &[u64], inputs: &[Tensor]| Ok(inputs.to_vec()),
+            Arc::default(),
         );
-        let server = ShardServer::new(Box::new(LocalTransport::new(
-            handle.clone(),
-            Box::new(Arc::new(RecordingControl::default())),
-        )));
+        let server = ShardServer {
+            shard: handle.clone(),
+        };
         // One connection that dies after its 2nd frame, then a dead host.
         let connector = PipeConnector::new(server, vec![FaultPlan::new(1).sever_after(2)]);
         let t = TcpTransport::with_connector(
@@ -1717,25 +1708,25 @@ mod tests {
             RetryPolicy::new(2, Duration::from_millis(5)),
         )
         .unwrap();
-        let p0 = t.submit(0, tensor(0.5), QosClass::default()).unwrap();
-        let p1 = t.submit(1, tensor(1.5), QosClass::default()).unwrap(); // severs the link
+        let p0 = submit(&t, 0, tensor(0.5), QosClass::default()).unwrap();
+        let p1 = submit(&t, 1, tensor(1.5), QosClass::default()).unwrap(); // severs the link
         let deadline = Instant::now() + Duration::from_secs(10);
         while !t.is_closed() {
             assert!(Instant::now() < deadline, "retry budget never exhausted");
             std::thread::sleep(Duration::from_millis(1));
         }
         let mut orphans = t.take_orphans();
-        orphans.sort_by_key(|o| o.index());
+        orphans.sort_by_key(|o| o.index);
         assert_eq!(
-            orphans.iter().map(Orphan::index).collect::<Vec<_>>(),
+            orphans.iter().map(|o| o.index).collect::<Vec<_>>(),
             vec![0, 1]
         );
         assert_eq!(t.take_orphans().len(), 0, "orphans are taken exactly once");
         // A rescuer fulfills the parked slots; the original Pendings see
         // the results as if nothing happened.
         for orphan in orphans {
-            let v = tensor(orphan.index() as f32 * 7.0);
-            orphan.slot.fulfill(Ok(v));
+            let v = tensor(orphan.index as f32 * 7.0);
+            orphan.settle(Ok(v));
         }
         assert_eq!(p0.wait().unwrap().data(), &[0.0]);
         assert_eq!(p1.wait().unwrap().data(), &[7.0]);
@@ -1756,8 +1747,8 @@ mod tests {
         };
         let a = TcpTransport::connect(addr).unwrap();
         let b = TcpTransport::connect(addr).unwrap();
-        let pa = a.submit(0, tensor(1.0), QosClass::default()).unwrap();
-        let pb = b.submit(1, tensor(2.0), QosClass::default()).unwrap();
+        let pa = submit(&a, 0, tensor(1.0), QosClass::default()).unwrap();
+        let pb = submit(&b, 1, tensor(2.0), QosClass::default()).unwrap();
         assert_eq!(pa.wait().unwrap().data(), &[1.0]);
         assert_eq!(pb.wait().unwrap().data(), &[1002.0]);
         b.shutdown();

@@ -50,8 +50,8 @@
 //!
 //! * **Eviction.** A shard whose transport dies past its replay budget is
 //!   *retired*, not mourned: routing skips it from then on (a block in
-//!   progress moves to another seat), its stranded requests are harvested
-//!   as [`Orphan`]s and re-submitted **at their original coordinates** on
+//!   progress moves to another seat), its stranded [`Flight`]s are handed
+//!   back and re-submitted **at their original coordinates** on
 //!   survivors, and the failed submission releases its index and retries
 //!   on another shard. The caller observes nothing: the same `Pending`
 //!   resolves with the same logits.
@@ -68,16 +68,15 @@
 //! a stamp-and-forward layer. Shard-side coalescing, backpressure, and
 //! completion plumbing belong to the transports.
 
-use crate::handle::{Pending, ServeError, ServeStats};
+use crate::handle::{Flight, Pending, ServeError, ServeStats};
 use crate::indices::StreamIndices;
 use crate::qos::{AimdPacer, PacerConfig, Priority, QosClass, QosStats, ShedReason};
-use crate::transport::{Orphan, ShardTransport};
+use crate::transport::ShardTransport;
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
 use aimc_wire::ShardSpec;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// How the router picks the shard that receives each routing block of
@@ -367,10 +366,6 @@ struct FleetInner {
     /// shard-decided outcomes live in the shard ledgers, so
     /// [`FleetStats::aggregate`] never double counts.
     qos: Mutex<QosStats>,
-    /// Bridge threads forwarding rescued orphans' results into their
-    /// original completion slots; joined by drain/shutdown so a rescued
-    /// request settles before either returns.
-    rescues: Mutex<Vec<JoinHandle<()>>>,
     /// Serializes the fleet-mutating maintenance operations (drift,
     /// reprogram, join, removal, recalibration) against each other —
     /// submissions never take it, so serving continues while one shard is
@@ -500,7 +495,6 @@ impl FleetHandle {
                 }),
                 epoch: Instant::now(),
                 qos: Mutex::new(QosStats::default()),
-                rescues: Mutex::new(Vec::new()),
                 ops: Mutex::new(()),
             }),
         })
@@ -631,63 +625,53 @@ impl FleetHandle {
         );
     }
 
-    /// Re-submits harvested orphans **at their original coordinates** on
-    /// surviving members of their model group, bridging each survivor's
-    /// completion back into the orphan's original slot — so the caller's
-    /// `Pending` resolves with the logits of the same stream index, and
-    /// churn never shifts a coordinate. Only same-group members qualify:
-    /// another group's replicas hold different conductances and would
-    /// compute different bits. A survivor that refuses an orphan while
-    /// staying open refused the request itself (a malformed image), so the
-    /// orphan settles with that refusal and the survivor keeps serving. A
-    /// survivor that refuses because it closed is retired (its strays join
-    /// the worklist); with no survivor left the orphans are cancelled —
-    /// the terminal outcome the settlement guarantee requires.
-    fn rescue(&self, shards: &[Arc<ShardSlot>], gid: usize, orphans: Vec<Orphan>) {
-        let mut work = orphans;
-        'orphans: while let Some(orphan) = work.pop() {
-            loop {
-                let target = shards
-                    .iter()
-                    .enumerate()
-                    .find(|(_, s)| s.group == gid && s.routable() && !s.transport.is_closed());
-                let Some((i, survivor)) = target else {
-                    orphan.slot.fulfill(Err(ServeError::Canceled));
-                    continue 'orphans;
-                };
-                // Open the submit window, then re-check the draining flag:
-                // either a concurrent maintenance drain sees our window and
-                // waits for it, or we see its flag and pick another target
-                // — a rescued request can never land on mid-calibration
-                // conductances.
-                survivor.submitting.fetch_add(1, Ordering::SeqCst);
-                if survivor.draining.load(Ordering::SeqCst) {
-                    survivor.submitting.fetch_sub(1, Ordering::SeqCst);
+    /// Re-submits stranded flights **at their original coordinates** on
+    /// surviving members of their model group: a survivor fills each
+    /// caller's own slot, so the caller's `Pending` resolves with the
+    /// logits of the same stream index, and churn never shifts a
+    /// coordinate. Only same-group members qualify: another group's
+    /// replicas hold different conductances and would compute different
+    /// bits. A survivor that refuses a flight while staying open refused
+    /// the request itself (a malformed image), so the flight settles with
+    /// that refusal and the survivor keeps serving. A survivor that
+    /// refuses because it closed is retired (its strays join the
+    /// worklist); with no survivor left a flight is dropped, which settles
+    /// it as canceled — the terminal outcome the settlement guarantee
+    /// requires.
+    fn rescue(&self, shards: &[Arc<ShardSlot>], gid: usize, mut work: Vec<Flight>) {
+        while let Some(mut flight) = work.pop() {
+            // A rescue was admitted once already: no seat may shed it.
+            flight.shed = false;
+            let target = shards
+                .iter()
+                .enumerate()
+                .find(|(_, s)| s.group == gid && s.routable() && !s.transport.is_closed());
+            let Some((i, survivor)) = target else {
+                continue;
+            };
+            // Open the submit window, then re-check the draining flag:
+            // either a concurrent maintenance drain sees our window and
+            // waits for it, or we see its flag and pick another target — a
+            // rescued request can never land on mid-calibration
+            // conductances.
+            survivor.submitting.fetch_add(1, Ordering::SeqCst);
+            let permit = SubmitPermit(survivor);
+            if survivor.draining.load(Ordering::SeqCst) {
+                work.push(flight);
+                continue;
+            }
+            let sent = survivor.transport.submit(flight);
+            drop(permit);
+            if let Err(refused) = sent {
+                let (flight, e) = *refused;
+                if !survivor.transport.is_closed() {
+                    flight.settle(Err(e));
                     continue;
                 }
-                let sent =
-                    survivor
-                        .transport
-                        .submit(orphan.index, orphan.image.clone(), orphan.class);
-                survivor.submitting.fetch_sub(1, Ordering::SeqCst);
-                match sent {
-                    Ok(p) => {
-                        let slot = orphan.slot;
-                        let bridge = std::thread::Builder::new()
-                            .name("aimc-fleet-rescue".into())
-                            .spawn(move || slot.fulfill(p.wait()))
-                            .expect("spawn rescue bridge");
-                        self.inner.rescues.lock().unwrap().push(bridge);
-                    }
-                    Err(e) if !survivor.transport.is_closed() => orphan.slot.fulfill(Err(e)),
-                    Err(_) => {
-                        if self.retire_slot(shards, i) {
-                            work.extend(shards[i].transport.take_orphans());
-                        }
-                        work.push(orphan);
-                    }
+                if self.retire_slot(shards, i) {
+                    work.extend(shards[i].transport.take_orphans());
                 }
-                continue 'orphans;
+                work.push(flight);
             }
         }
     }
@@ -714,15 +698,6 @@ impl FleetHandle {
         swept
     }
 
-    /// Joins the rescue bridge threads, so every rescued request has
-    /// settled into its caller's slot.
-    fn join_rescues(&self) {
-        let bridges: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.rescues.lock().unwrap());
-        for b in bridges {
-            let _ = b.join();
-        }
-    }
-
     /// Submits one request to the fleet — the only way in. The request
     /// claims the next index of its model group's global stream (group 0
     /// without [`Request::to`]) and is forwarded, stamped, to the current
@@ -746,9 +721,10 @@ impl FleetHandle {
     ///    [`ShardLoad::estimated_wait`](crate::ShardLoad::estimated_wait)
     ///    against the class deadline; a longer wait is
     ///    [`ServeError::DeadlineInfeasible`].
-    /// 4. **Shard admission** — [`ShardTransport::try_submit`]: a local
-    ///    shard's queue bound ([`ShedReason::QueueFull`]) and its own class
-    ///    budget ([`ShedReason::ClassBudget`]).
+    /// 4. **Shard admission** — the seat's own checks in
+    ///    [`ShardTransport::submit`]: a local shard's queue bound
+    ///    ([`ShedReason::QueueFull`]) and its own class budget
+    ///    ([`ShedReason::ClassBudget`]).
     ///
     /// The pacer, the fleet budgets and the deadline check read one probe
     /// of the shard's load, taken just before the request is forwarded.
@@ -776,7 +752,9 @@ impl FleetHandle {
     }
 
     /// The one submission loop behind [`FleetHandle::submit`]. It is not
-    /// generic, so it compiles once, in this crate.
+    /// generic, so it compiles once, in this crate. The request's flight
+    /// is built once; each attempt stamps it with the index just claimed,
+    /// and a refusal hands it back for the next attempt.
     fn route(&self, request: Request) -> Result<Pending, ServeError> {
         let Request {
             image,
@@ -787,32 +765,31 @@ impl FleetHandle {
             Some(id) => self.resolve_model(&id)?,
             None => 0,
         };
+        let (mut flight, pending) =
+            Flight::new(0, class.unwrap_or_default(), image, class.is_some());
         loop {
             let shards = self.shards_snapshot();
             let (shard, index) = {
                 let mut st = self.inner.state.lock().unwrap();
                 self.claim(&mut st, gid, &shards)?
             };
+            flight.index = index;
             let slot = &shards[shard];
             let _permit = SubmitPermit(slot);
-            let sent = match class {
-                None => slot
-                    .transport
-                    .submit(index, image.clone(), QosClass::default()),
-                Some(class) => self
-                    .admit(&shards, shard, class)
-                    .and_then(|()| slot.transport.try_submit(index, image.clone(), class)),
-            };
-            let e = match sent {
-                Ok(p) => return Ok(p),
-                Err(e) => e,
+            if let Some(class) = class {
+                if let Err(e) = self.admit(&shards, shard, class) {
+                    self.unclaim(gid, shard, index);
+                    return Err(e);
+                }
+            }
+            let e;
+            (flight, e) = match slot.transport.submit(flight) {
+                Ok(()) => return Ok(pending),
+                Err(refused) => *refused,
             };
             self.unclaim(gid, shard, index);
-            let refused = matches!(
-                e,
-                ServeError::Shed(_) | ServeError::DeadlineInfeasible { .. }
-            );
-            if !refused && slot.transport.is_closed() && !self.fleet_is_dead(&shards) {
+            let shed = matches!(e, ServeError::Shed(_));
+            if !shed && slot.transport.is_closed() && !self.fleet_is_dead(&shards) {
                 self.evict_and_rescue(&shards, shard);
                 continue;
             }
@@ -844,18 +821,15 @@ impl FleetHandle {
         let slot = &shards[shard];
         let load = slot.transport.load();
         let in_flight = usize::try_from(load.in_flight).unwrap_or(usize::MAX);
-        let pacer_cfg = self.inner.policy.pacer;
-        let window = {
+        let paced = {
             let mut pacer = slot.pacer.lock().unwrap();
             pacer.observe(load.pressure, self.inner.epoch.elapsed());
-            pacer.window()
+            pacer.admits(in_flight, class.priority)
         };
         if load.pressure {
             self.inner.qos.lock().unwrap().ecn_marks += 1;
         }
-        let over_hard_limit = in_flight >= pacer_cfg.hard_limit;
-        let over_window = pacer_cfg.enabled && in_flight >= window;
-        if over_hard_limit || (over_window && class.priority != Priority::High) {
+        if !paced {
             return Err(self.shed(class, ShedReason::Overload));
         }
         let rank = class.priority.rank();
@@ -906,7 +880,6 @@ impl FleetHandle {
             for s in &shards {
                 s.transport.drain();
             }
-            self.join_rescues();
             if !self.sweep_strays(&shards) {
                 break;
             }
@@ -932,7 +905,6 @@ impl FleetHandle {
             for s in &shards {
                 s.transport.shutdown();
             }
-            self.join_rescues();
             if !self.sweep_strays(&shards) {
                 break;
             }
@@ -1316,9 +1288,8 @@ impl FleetHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::pending_pair;
     use crate::transport::{LocalTransport, ShardControl};
-    use crate::{spawn, BatchPolicy, QosPolicy};
+    use crate::{BatchPolicy, QosPolicy};
     use aimc_dnn::{ExecError, Shape};
     use std::time::Duration;
 
@@ -1330,8 +1301,14 @@ mod tests {
     /// results encode the evaluating coordinate.
     type ShardLog = Arc<Mutex<Vec<(u64, f32)>>>;
 
-    fn shard_handle(log: ShardLog, policy: BatchPolicy) -> crate::ServeHandle {
-        spawn(policy, move |indices: &[u64], inputs: &[Tensor]| {
+    /// A seat of `spec` under `control` whose runner logs to `log`.
+    fn shard_seat(
+        log: ShardLog,
+        policy: BatchPolicy,
+        control: Box<dyn ShardControl>,
+        spec: ShardSpec,
+    ) -> LocalTransport {
+        let runner = move |indices: &[u64], inputs: &[Tensor]| {
             let mut l = log.lock().unwrap();
             for (&idx, t) in indices.iter().zip(inputs) {
                 l.push((idx, t.data()[0]));
@@ -1341,7 +1318,8 @@ mod tests {
                 .zip(inputs)
                 .map(|(&idx, t)| tensor(idx as f32 * 1000.0 + t.data()[0]))
                 .collect())
-        })
+        };
+        LocalTransport::spawn(policy, Box::new(runner), control, spec)
     }
 
     /// A control that records calls instead of owning an executor.
@@ -1369,13 +1347,7 @@ mod tests {
     }
 
     fn local_shard(log: &ShardLog, control: &Arc<RecordingControl>) -> Box<dyn ShardTransport> {
-        Box::new(LocalTransport::new(
-            shard_handle(
-                Arc::clone(log),
-                BatchPolicy::new(2, Duration::from_millis(1)),
-            ),
-            Box::new(ControlHandle(Arc::clone(control))),
-        ))
+        spec_shard(log, control, ShardSpec::default())
     }
 
     fn fleet(n: usize, policy: FleetPolicy) -> (FleetHandle, Vec<ShardLog>, Arc<RecordingControl>) {
@@ -1701,13 +1673,8 @@ mod tests {
     struct RefusingTransport;
 
     impl ShardTransport for RefusingTransport {
-        fn submit(
-            &self,
-            _index: u64,
-            _image: Tensor,
-            _class: QosClass,
-        ) -> Result<Pending, ServeError> {
-            Err(ServeError::ShutDown)
+        fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>> {
+            Err(Box::new((flight, ServeError::ShutDown)))
         }
         fn in_flight(&self) -> u64 {
             0
@@ -1798,7 +1765,7 @@ mod tests {
     struct ParkingTransport {
         accept: usize,
         accepted: Mutex<usize>,
-        parked: Mutex<Vec<Orphan>>,
+        parked: Mutex<Vec<Flight>>,
         closed: AtomicBool,
     }
 
@@ -1814,26 +1781,15 @@ mod tests {
     }
 
     impl ShardTransport for ParkingTransport {
-        fn submit(
-            &self,
-            index: u64,
-            image: Tensor,
-            class: QosClass,
-        ) -> Result<Pending, ServeError> {
+        fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>> {
             let mut accepted = self.accepted.lock().unwrap();
             if *accepted < self.accept {
                 *accepted += 1;
-                let (pending, slot) = pending_pair();
-                self.parked.lock().unwrap().push(Orphan {
-                    index,
-                    image,
-                    class,
-                    slot,
-                });
-                Ok(pending)
+                self.parked.lock().unwrap().push(flight);
+                Ok(())
             } else {
                 self.closed.store(true, Ordering::Release);
-                Err(ServeError::ShutDown)
+                Err(Box::new((flight, ServeError::ShutDown)))
             }
         }
         fn in_flight(&self) -> u64 {
@@ -1846,7 +1802,7 @@ mod tests {
         fn is_closed(&self) -> bool {
             self.closed.load(Ordering::Acquire)
         }
-        fn take_orphans(&self) -> Vec<Orphan> {
+        fn take_orphans(&self) -> Vec<Flight> {
             std::mem::take(&mut *self.parked.lock().unwrap())
         }
         fn stats(&self) -> ServeStats {
@@ -1943,12 +1899,11 @@ mod tests {
     #[test]
     fn refused_orphan_settles_and_the_survivor_stays_live() {
         let log: ShardLog = Arc::default();
-        let survivor = LocalTransport::new(
-            shard_handle(
-                Arc::clone(&log),
-                BatchPolicy::new(2, Duration::from_millis(1)),
-            ),
+        let survivor = shard_seat(
+            Arc::clone(&log),
+            BatchPolicy::new(2, Duration::from_millis(1)),
             Box::new(ScalarInputs),
+            ShardSpec::default(),
         );
         let shards: Vec<Box<dyn ShardTransport>> =
             vec![Box::new(ParkingTransport::new(1)), Box::new(survivor)];
@@ -2114,17 +2069,19 @@ mod tests {
     fn gated_fleet(batch: BatchPolicy, policy: FleetPolicy) -> (FleetHandle, Gate) {
         let gate = Gate::default();
         let runner_gate = gate.clone();
-        let handle = spawn(batch, move |indices: &[u64], inputs: &[Tensor]| {
+        let runner = move |indices: &[u64], inputs: &[Tensor]| {
             runner_gate.wait_open();
             Ok(indices
                 .iter()
                 .zip(inputs)
                 .map(|(&idx, t)| tensor(idx as f32 * 1000.0 + t.data()[0]))
                 .collect())
-        });
-        let shards: Vec<Box<dyn ShardTransport>> = vec![Box::new(LocalTransport::new(
-            handle,
+        };
+        let shards: Vec<Box<dyn ShardTransport>> = vec![Box::new(LocalTransport::spawn(
+            batch,
+            Box::new(runner),
             Box::new(ControlHandle(Arc::default())),
+            ShardSpec::default(),
         ))];
         (FleetHandle::new(shards, policy).unwrap(), gate)
     }
@@ -2311,11 +2268,9 @@ mod tests {
         control: &Arc<RecordingControl>,
         spec: ShardSpec,
     ) -> Box<dyn ShardTransport> {
-        Box::new(LocalTransport::with_spec(
-            shard_handle(
-                Arc::clone(log),
-                BatchPolicy::new(2, Duration::from_millis(1)),
-            ),
+        Box::new(shard_seat(
+            Arc::clone(log),
+            BatchPolicy::new(2, Duration::from_millis(1)),
             Box::new(ControlHandle(Arc::clone(control))),
             spec,
         ))

@@ -1,90 +1,52 @@
-//! The worker thread: bounded channel → [`QosCoalescer`] → [`BatchRunner`].
+//! The seat's worker thread: bounded channel → the QoS coalescer → the
+//! batch runner.
 //!
 //! One worker drains the queue in FIFO order (or earliest-deadline-first
 //! within priority bands under
-//! [`QosOrdering::EdfWithinPriority`](crate::QosOrdering)). Every request already
-//! carries its global stream index (stamped at submission by a fleet
-//! router, through its seat's [`ShardTransport`](crate::ShardTransport)),
+//! [`QosOrdering::EdfWithinPriority`](crate::QosOrdering)). Every flight
+//! already carries its global stream index (stamped by a fleet router),
 //! and the worker hands the per-request indices to the runner alongside
 //! the images. The runner keys evaluation randomness to those indices
 //! (`Executor::infer_batch_indexed`) — the mechanism behind
 //! batch-composition invariance: a shard's batches need not be contiguous
 //! in the global stream, nor in stream order.
 
-use crate::handle::{Msg, Queued, ServeError, ServeHandle, SharedState};
+use crate::handle::{Flight, ServeError, SharedState};
 use crate::qos::QosCoalescer;
-use crate::BatchPolicy;
-use aimc_dnn::{ExecError, Tensor};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use crate::{BatchPolicy, DynRunner};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Executes one coalesced micro-batch.
-///
-/// `indices[i]` is the global stream index of `inputs[i]` (the slices have
-/// equal length). A shard receives whatever slice of the global stream the
-/// router handed it. Runners that wrap a stateful backend must key
-/// per-image randomness to the global index (not the position within the
-/// batch) to preserve batch-composition invariance.
-///
-/// Implemented for any `FnMut(&[u64], &[Tensor]) -> Result<Vec<Tensor>,
-/// ExecError>` closure.
-pub trait BatchRunner: Send + 'static {
-    /// Runs the batch, returning one output per input (same order).
-    ///
-    /// # Errors
-    /// Any [`ExecError`]; it is broadcast to every request of the batch.
-    fn run_batch(&mut self, indices: &[u64], inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError>;
+/// Messages on a seat's bounded request channel.
+pub(crate) enum Msg {
+    Request(Flight),
+    /// Wake-up sentinel: drain what is queued, then exit.
+    Shutdown,
 }
 
-impl<F> BatchRunner for F
-where
-    F: FnMut(&[u64], &[Tensor]) -> Result<Vec<Tensor>, ExecError> + Send + 'static,
-{
-    fn run_batch(&mut self, indices: &[u64], inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-        self(indices, inputs)
-    }
-}
-
-/// Starts a micro-batch scheduler: a bounded MPSC queue in front of one
-/// worker thread that coalesces requests under `policy` and drives
-/// `runner` one batch at a time.
-///
-/// Returns the clone-able [`ServeHandle`] used to submit requests, drain,
-/// and shut down. Dropping every handle without calling
-/// [`ServeHandle::shutdown`] leaves queued requests canceled and detaches
-/// the worker; prefer an explicit shutdown.
-pub fn spawn<R: BatchRunner>(policy: BatchPolicy, runner: R) -> ServeHandle {
-    let policy = policy.normalized();
-    let (tx, rx) = mpsc::sync_channel(policy.queue_depth);
-    let shared = Arc::new(SharedState::for_policy(&policy));
-    let worker_shared = Arc::clone(&shared);
-    let worker = std::thread::Builder::new()
-        .name("aimc-serve".into())
-        .spawn(move || worker_loop(rx, worker_shared, policy, runner))
-        .expect("spawn aimc-serve worker");
-    ServeHandle::new(tx, shared, worker)
-}
-
-fn worker_loop<R: BatchRunner>(
+/// The worker of one seat (see the module docs), run on the thread
+/// [`LocalTransport::spawn`](crate::LocalTransport::spawn) starts.
+pub(crate) fn worker_loop(
     rx: Receiver<Msg>,
     shared: Arc<SharedState>,
     policy: BatchPolicy,
-    mut runner: R,
+    mut runner: Box<DynRunner>,
 ) {
     let epoch = Instant::now();
-    let mut coal: QosCoalescer<Queued> =
+    let mut coal: QosCoalescer<Flight> =
         QosCoalescer::new(policy.max_batch, policy.max_wait, policy.qos.ordering);
-    // Queues a request with its EDF key: the absolute completion deadline
+    // Queues a flight with its EDF key: the absolute completion deadline
     // in the epoch clock domain (relative deadlines are anchored to the
-    // *submission* instant, not the dequeue instant).
-    let push = |coal: &mut QosCoalescer<Queued>, req: Queued| {
-        let deadline = req
+    // seat's *enqueue* instant, not the dequeue instant).
+    let push = |coal: &mut QosCoalescer<Flight>, flight: Flight| {
+        let deadline = flight
             .class
             .deadline
-            .map(|d| req.submitted_at.saturating_duration_since(epoch) + d);
-        let priority = req.class.priority;
-        coal.push(req, priority, deadline, epoch.elapsed())
+            .zip(flight.enqueued_at())
+            .map(|(d, t0)| t0.saturating_duration_since(epoch) + d);
+        let priority = flight.class.priority;
+        coal.push(flight, priority, deadline, epoch.elapsed())
     };
     loop {
         let msg = match coal.deadline() {
@@ -92,13 +54,13 @@ fn worker_loop<R: BatchRunner>(
             Some(deadline) => {
                 let now = epoch.elapsed();
                 if now >= deadline {
-                    flush(&mut coal, &mut runner, &shared);
+                    flush(&mut coal, &mut *runner, &shared);
                     continue;
                 }
                 match rx.recv_timeout(deadline - now) {
                     Ok(m) => m,
                     Err(RecvTimeoutError::Timeout) => {
-                        flush(&mut coal, &mut runner, &shared);
+                        flush(&mut coal, &mut *runner, &shared);
                         continue;
                     }
                     Err(RecvTimeoutError::Disconnected) => break,
@@ -111,19 +73,19 @@ fn worker_loop<R: BatchRunner>(
             },
         };
         match msg {
-            Msg::Request(req) => {
-                if push(&mut coal, req) {
-                    flush(&mut coal, &mut runner, &shared);
+            Msg::Request(flight) => {
+                if push(&mut coal, flight) {
+                    flush(&mut coal, &mut *runner, &shared);
                 }
             }
             Msg::Shutdown => {
                 // Drain everything accepted before the shutdown sentinel,
-                // then exit. Requests racing past the closed flag (if any)
-                // are canceled by their tickets when the channel drops.
+                // then exit. Flights racing past the closed flag (if any)
+                // cancel themselves when the channel drops.
                 while let Ok(m) = rx.try_recv() {
-                    if let Msg::Request(req) = m {
-                        if push(&mut coal, req) {
-                            flush(&mut coal, &mut runner, &shared);
+                    if let Msg::Request(flight) = m {
+                        if push(&mut coal, flight) {
+                            flush(&mut coal, &mut *runner, &shared);
                         }
                     }
                 }
@@ -132,49 +94,53 @@ fn worker_loop<R: BatchRunner>(
         }
     }
     while !coal.is_empty() {
-        flush(&mut coal, &mut runner, &shared);
+        flush(&mut coal, &mut *runner, &shared);
     }
 }
 
-/// Dispatches one coalesced batch (if any) and fulfills its tickets.
-fn flush<R: BatchRunner>(coal: &mut QosCoalescer<Queued>, runner: &mut R, shared: &SharedState) {
-    let reqs = coal.take_batch();
-    if reqs.is_empty() {
+/// Dispatches one coalesced batch (if any) and fills its flights.
+fn flush(coal: &mut QosCoalescer<Flight>, runner: &mut DynRunner, shared: &SharedState) {
+    let batch = coal.take_batch();
+    if batch.is_empty() {
         return;
     }
-    let n = reqs.len();
+    let n = batch.len();
     let mut indices = Vec::with_capacity(n);
     let mut images = Vec::with_capacity(n);
-    let mut tickets = Vec::with_capacity(n);
+    let mut slots = Vec::with_capacity(n);
     let mut waits = Vec::with_capacity(n);
-    for r in reqs {
-        waits.push(r.submitted_at.elapsed());
-        indices.push(r.index);
-        images.push(r.image);
-        tickets.push(r.ticket);
+    for flight in batch {
+        waits.push(
+            flight
+                .enqueued_at()
+                .map_or(Duration::ZERO, |t0| t0.elapsed()),
+        );
+        indices.push(flight.index);
+        images.push(flight.image);
+        slots.push(flight.slot);
     }
     shared.note_batch(n, &waits);
     let exec_start = Instant::now();
-    let outcome = runner.run_batch(&indices, &images);
+    let outcome = runner(&indices, &images);
     // Service-time EWMA feeds deadline-feasibility admission checks.
     shared.note_exec(n, exec_start.elapsed());
     match outcome {
         Ok(outs) if outs.len() == n => {
-            for (ticket, y) in tickets.into_iter().zip(outs) {
-                ticket.fulfill(Ok(y));
+            for (slot, y) in slots.into_iter().zip(outs) {
+                slot.fill(Ok(y));
             }
         }
         // Contract violation: the runner returned the wrong cardinality.
         // Cancel the batch rather than mis-assigning outputs (and keep the
         // worker alive for later batches).
         Ok(_) => {
-            for ticket in tickets {
-                ticket.fulfill(Err(ServeError::Canceled));
+            for slot in slots {
+                slot.fill(Err(ServeError::Canceled));
             }
         }
         Err(e) => {
-            for ticket in tickets {
-                ticket.fulfill(Err(ServeError::Exec(e.clone())));
+            for slot in slots {
+                slot.fill(Err(ServeError::Exec(e.clone())));
             }
         }
     }
@@ -184,10 +150,24 @@ fn flush<R: BatchRunner>(coal: &mut QosCoalescer<Queued>, runner: &mut R, shared
 mod tests {
     use super::*;
     use crate::handle::Pending;
-    use crate::QosClass;
-    use aimc_dnn::Shape;
+    use crate::transport::testing::{submit, Inert};
+    use crate::{LocalTransport, QosClass, ShardTransport};
+    use aimc_dnn::{ExecError, Shape, Tensor};
+    use aimc_wire::ShardSpec;
     use std::sync::Mutex;
-    use std::time::Duration;
+
+    /// A seat over `runner` with an inert replica control.
+    fn spawn(
+        policy: BatchPolicy,
+        runner: impl FnMut(&[u64], &[Tensor]) -> Result<Vec<Tensor>, ExecError> + Send + 'static,
+    ) -> LocalTransport {
+        LocalTransport::spawn(
+            policy,
+            Box::new(runner),
+            Box::new(Inert),
+            ShardSpec::default(),
+        )
+    }
 
     fn tensor(v: f32) -> Tensor {
         Tensor::from_vec(Shape::new(1, 1, 1), vec![v])
@@ -216,11 +196,7 @@ mod tests {
             recording_runner(Arc::clone(&log)),
         );
         let pendings: Vec<Pending> = (0..10)
-            .map(|i| {
-                handle
-                    .submit_at(i, tensor(i as f32), QosClass::default(), false)
-                    .unwrap()
-            })
+            .map(|i| submit(&handle, i, tensor(i as f32), QosClass::default()).unwrap())
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[i as f32 + 0.5]);
@@ -252,9 +228,7 @@ mod tests {
             BatchPolicy::new(1000, Duration::from_millis(10)),
             recording_runner(Arc::clone(&log)),
         );
-        let p = handle
-            .submit_at(0, tensor(7.0), QosClass::default(), false)
-            .unwrap();
+        let p = submit(&handle, 0, tensor(7.0), QosClass::default()).unwrap();
         // Must complete without ever filling the batch.
         assert_eq!(p.wait().unwrap().data(), &[7.5]);
         assert_eq!(handle.stats().batches, 1);
@@ -270,11 +244,7 @@ mod tests {
             recording_runner(Arc::clone(&log)),
         );
         let pendings: Vec<Pending> = (0..5)
-            .map(|i| {
-                handle
-                    .submit_at(i, tensor(i as f32), QosClass::default(), false)
-                    .unwrap()
-            })
+            .map(|i| submit(&handle, i, tensor(i as f32), QosClass::default()).unwrap())
             .collect();
         handle.shutdown();
         for (i, p) in pendings.into_iter().enumerate() {
@@ -282,7 +252,7 @@ mod tests {
         }
         // Post-shutdown submissions are refused and counted.
         assert!(matches!(
-            handle.submit_at(5, tensor(9.0), QosClass::default(), false),
+            submit(&handle, 5, tensor(9.0), QosClass::default()),
             Err(ServeError::ShutDown)
         ));
         assert!(handle.is_closed());
@@ -294,17 +264,18 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_across_clones() {
-        let handle = spawn(BatchPolicy::default(), recording_runner(Default::default()));
-        let clone = handle.clone();
-        let p = clone
-            .submit_at(0, tensor(1.0), QosClass::default(), false)
-            .unwrap();
+        let handle = Arc::new(spawn(
+            BatchPolicy::default(),
+            recording_runner(Default::default()),
+        ));
+        let clone = Arc::clone(&handle);
+        let p = submit(&*clone, 0, tensor(1.0), QosClass::default()).unwrap();
         handle.shutdown();
         clone.shutdown();
         handle.shutdown();
         assert_eq!(p.wait().unwrap().data(), &[1.5]);
         assert!(matches!(
-            clone.submit_at(1, tensor(2.0), QosClass::default(), false),
+            submit(&*clone, 1, tensor(2.0), QosClass::default()),
             Err(ServeError::ShutDown)
         ));
     }
@@ -320,18 +291,12 @@ mod tests {
             BatchPolicy::new(2, Duration::from_millis(1)),
             move |_idx: &[u64], _inputs: &[Tensor]| Err(e.clone()),
         );
-        let a = handle
-            .submit_at(0, tensor(0.0), QosClass::default(), false)
-            .unwrap();
-        let b = handle
-            .submit_at(1, tensor(1.0), QosClass::default(), false)
-            .unwrap();
+        let a = submit(&handle, 0, tensor(0.0), QosClass::default()).unwrap();
+        let b = submit(&handle, 1, tensor(1.0), QosClass::default()).unwrap();
         assert_eq!(a.wait(), Err(ServeError::Exec(bad.clone())));
         assert_eq!(b.wait(), Err(ServeError::Exec(bad)));
         // The scheduler survives failing batches.
-        let c = handle
-            .submit_at(2, tensor(2.0), QosClass::default(), false)
-            .unwrap();
+        let c = submit(&handle, 2, tensor(2.0), QosClass::default()).unwrap();
         assert!(matches!(c.wait(), Err(ServeError::Exec(_))));
         handle.shutdown();
     }
@@ -342,9 +307,7 @@ mod tests {
             BatchPolicy::new(1, Duration::from_millis(1)),
             move |_idx: &[u64], _inputs: &[Tensor]| Ok(Vec::new()),
         );
-        let p = handle
-            .submit_at(0, tensor(3.0), QosClass::default(), false)
-            .unwrap();
+        let p = submit(&handle, 0, tensor(3.0), QosClass::default()).unwrap();
         // debug_assert fires only in the worker thread's debug builds; the
         // observable contract is cancellation either way.
         assert_eq!(p.wait(), Err(ServeError::Canceled));
@@ -358,7 +321,7 @@ mod tests {
     fn soak_1k_requests_keeps_image_parity() {
         let images_seen = Arc::new(Mutex::new(0u64));
         let seen = Arc::clone(&images_seen);
-        let handle = spawn(
+        let handle = Arc::new(spawn(
             BatchPolicy::new(16, Duration::from_millis(1)).with_queue_depth(8),
             move |indices: &[u64], inputs: &[Tensor]| {
                 let mut count = seen.lock().unwrap();
@@ -372,18 +335,17 @@ mod tests {
                 }
                 Ok(inputs.iter().map(|t| tensor(-t.data()[0])).collect())
             },
-        );
+        ));
+        let clone = Arc::clone(&handle);
 
         const N: u64 = 1200;
         // Submit from two clones in lockstep order (single submitting
         // thread keeps the stream order deterministic; the tiny queue
         // depth forces backpressure blocking along the way).
-        let clone = handle.clone();
         let pendings: Vec<Pending> = (0..N)
             .map(|i| {
                 let h = if i % 2 == 0 { &handle } else { &clone };
-                h.submit_at(i, tensor(i as f32), QosClass::default(), false)
-                    .unwrap()
+                submit(&**h, i, tensor(i as f32), QosClass::default()).unwrap()
             })
             .collect();
         handle.drain();

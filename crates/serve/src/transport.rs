@@ -1,13 +1,14 @@
 //! The transport boundary between the fleet router and its shards.
 //!
 //! The router never touches a concrete scheduler or executor: it speaks
-//! only to [`ShardTransport`] — submit a stamped request (with or without
-//! the shard's own admission checks), probe load, drain/shutdown, and fan
-//! the [`ShardControl`] operations (drift, reprogram, thread budget).
-//! Where a shard *lives* is a transport implementation detail:
+//! only to [`ShardTransport`] — submit a [`Flight`], probe load,
+//! drain/shutdown, and fan the [`ShardControl`] operations (drift,
+//! reprogram, thread budget). Where a shard *lives* is a transport
+//! implementation detail:
 //!
-//! * [`LocalTransport`] wraps an in-process [`ServeHandle`] — the
-//!   zero-copy fast path (tensors move, nothing is serialized);
+//! * [`LocalTransport`] is an in-process seat — a bounded queue in front of
+//!   one worker thread that batches requests — the zero-copy fast path
+//!   (flights move, nothing is serialized);
 //! * [`TcpTransport`](crate::TcpTransport) speaks the `aimc-wire` protocol
 //!   to a [`ShardServer`](crate::ShardServer) on another host (or an
 //!   in-memory pipe in tests).
@@ -17,45 +18,17 @@
 //! the results*: any mix of transports produces logits bit-identical to a
 //! solo session.
 
-use crate::handle::{CompletionSlot, Pending, ServeError, ServeHandle, ServeStats};
-use crate::qos::{QosClass, ShardLoad};
+use crate::handle::{Flight, ServeError, ServeStats, SharedState};
+use crate::qos::ShardLoad;
+use crate::scheduler::{worker_loop, Msg};
+use crate::{BatchPolicy, DynRunner};
 use aimc_dnn::{ExecError, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_wire::ShardSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// One request stranded on a dead shard, recovered for re-routing.
-///
-/// When a replay-capable transport exhausts its reconnect budget it parks
-/// every unacknowledged request as an `Orphan` instead of cancelling it:
-/// the original caller still holds the [`Pending`], and whoever harvests
-/// the orphan (the fleet router, via [`ShardTransport::take_orphans`])
-/// re-submits the image **at the same global index** on a survivor and
-/// forwards the result into the waiting slot — so eviction never shifts a
-/// coordinate and the caller never observes the churn.
-pub struct Orphan {
-    pub(crate) index: u64,
-    pub(crate) image: Tensor,
-    pub(crate) class: QosClass,
-    pub(crate) slot: Arc<CompletionSlot>,
-}
-
-impl std::fmt::Debug for Orphan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Orphan")
-            .field("index", &self.index)
-            .field("class", &self.class)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Orphan {
-    /// The global stream coordinate the request must re-run at.
-    pub fn index(&self) -> u64 {
-        self.index
-    }
-}
+use std::sync::mpsc::{self, SendError, SyncSender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 /// Backend-side control surface of one shard, supplied by the layer that
 /// owns the executor types (the `aimc-platform` facade): the serving layer
@@ -99,46 +72,27 @@ pub trait ShardControl: Send + Sync {
 /// router speaks (see the module docs).
 ///
 /// The contract every implementation must honor, because the fleet
-/// invariance rests on it: a request submitted with global index `k` is
+/// invariance rests on it: a flight stamped with global index `k` is
 /// evaluated **at coordinate `k`** on a replica programmed from the
-/// fleet's seed, and every accepted request reaches a terminal outcome
+/// fleet's seed, and every accepted flight reaches a terminal outcome
 /// (logits, error, or cancellation) — so [`ShardTransport::drain`] never
 /// hangs.
 pub trait ShardTransport: Send + Sync {
-    /// Submits one image stamped with its global stream index and class,
-    /// returning the completion handle. The shard must accept the request
-    /// — it waits on its own backpressure rather than shed — and the class
-    /// drives EDF batch composition and deadline-miss accounting. The
-    /// router submits class-less requests (as [`QosClass::default`]) and
-    /// rescued orphans this way; protocol servers submit every request
-    /// that arrives over the wire this way, because the client's router
-    /// already admitted it.
+    /// Takes one flight: the shard settles it with its logits or error.
+    /// A flight its router marked sheddable (a classed request) passes the
+    /// shard's own admission checks — a [`LocalTransport`] sheds at its
+    /// queue bound and at the class's in-flight budget; every other flight
+    /// waits on the shard's backpressure. The class drives EDF batch
+    /// composition and deadline-miss accounting.
     ///
     /// # Errors
+    /// The same flight, handed back with why the shard refused it:
     /// [`ServeError::ShutDown`] once the shard no longer accepts requests;
-    /// [`ServeError::Exec`] when the shard refuses the image itself (a
-    /// [`LocalTransport`] checks it against its replica's input shape).
-    /// Either way the router releases the index.
-    fn submit(&self, index: u64, image: Tensor, class: QosClass) -> Result<Pending, ServeError>;
-
-    /// [`ShardTransport::submit`] under the shard's own admission checks,
-    /// which the router applies to classed requests after its fleet-wide
-    /// ones: a [`LocalTransport`] sheds at its queue bound and at the
-    /// class's in-flight budget. The router releases the index of a shed
-    /// request, keeping the global numbering hole-free. The default admits
-    /// every request through [`ShardTransport::submit`].
-    ///
-    /// # Errors
-    /// [`ServeError::Shed`] when the shard sheds the request; otherwise as
-    /// [`ShardTransport::submit`].
-    fn try_submit(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        self.submit(index, image, class)
-    }
+    /// [`ServeError::Shed`] when it sheds the flight; [`ServeError::Exec`]
+    /// when it refuses the image itself (a [`LocalTransport`] checks it
+    /// against its replica's input shape). The router then releases the
+    /// index and re-submits or settles the flight.
+    fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>>;
 
     /// The shard's congestion signal: occupancy, per-class counts, the
     /// ECN-style pressure bit, and a service-time estimate. Must be cheap
@@ -166,11 +120,12 @@ pub trait ShardTransport: Send + Sync {
     /// Whether [`ShardTransport::shutdown`] has run (or the link died).
     fn is_closed(&self) -> bool;
 
-    /// Harvests requests stranded by a permanent link death so the caller
-    /// can re-route them (see [`Orphan`]). Each orphan is returned exactly
-    /// once; transports that never strand work return nothing — the
-    /// default.
-    fn take_orphans(&self) -> Vec<Orphan> {
+    /// Hands back the flights stranded by a permanent link death, so the
+    /// caller can re-submit each at its coordinate on a survivor: the
+    /// caller's `Pending` still waits on the flight. Each flight is handed
+    /// back exactly once; transports that never strand work return
+    /// nothing — the default.
+    fn take_orphans(&self) -> Vec<Flight> {
         Vec::new()
     }
 
@@ -203,16 +158,19 @@ pub trait ShardTransport: Send + Sync {
     fn set_parallelism(&self, par: Parallelism);
 }
 
-/// The in-process transport: a micro-batch scheduler ([`ServeHandle`])
-/// plus its backend control, behind the [`ShardTransport`] boundary.
+/// The in-process seat: a bounded queue in front of one worker thread that
+/// coalesces requests into micro-batches under a [`BatchPolicy`], plus the
+/// replica's [`ShardControl`], behind the [`ShardTransport`] boundary.
 ///
-/// This is the zero-copy fast path — a submission moves the tensor
-/// straight into the shard's bounded queue; nothing touches the wire
-/// codec. Every submission first passes [`ShardControl::check_input`]: a
-/// refused image never reaches the queue, so it fails no neighbour, and
-/// the router releases its index.
+/// This is the zero-copy fast path — a flight moves straight into the
+/// seat's queue; nothing touches the wire codec. Every flight first passes
+/// [`ShardControl::check_input`]: a refused image never reaches the
+/// queue, so it fails no neighbour, and the router releases its index.
+/// Batches complete in queue order, each fulfilled front to back.
 pub struct LocalTransport {
-    handle: ServeHandle,
+    tx: SyncSender<Msg>,
+    shared: Arc<SharedState>,
+    worker: Mutex<Option<JoinHandle<()>>>,
     control: Box<dyn ShardControl>,
     spec: ShardSpec,
     drift_age: AtomicU64,
@@ -222,24 +180,45 @@ pub struct LocalTransport {
 impl std::fmt::Debug for LocalTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalTransport")
-            .field("handle", &self.handle)
+            .field("spec", &self.spec)
             .finish_non_exhaustive()
     }
 }
 
 impl LocalTransport {
-    /// Wraps a running scheduler and its backend control as one shard with
-    /// the default (spec-less) identity.
-    pub fn new(handle: ServeHandle, control: Box<dyn ShardControl>) -> Self {
-        LocalTransport::with_spec(handle, control, ShardSpec::default())
-    }
-
-    /// Wraps a running scheduler and its backend control as one shard
-    /// carrying an explicit [`ShardSpec`] — the form the facade uses so a
-    /// registry can group replicas by model id and device recipe.
-    pub fn with_spec(handle: ServeHandle, control: Box<dyn ShardControl>, spec: ShardSpec) -> Self {
+    /// Starts a seat: its worker thread coalesces requests under `policy`
+    /// and runs each batch through `runner`, `control` drives the
+    /// runner's replica, and `spec` is the identity a fleet registry
+    /// groups the seat by.
+    ///
+    /// `runner` receives each batch's global stream indices and images
+    /// (slices of equal length) and returns one output per image, in
+    /// order; an error fails every request of the batch. The indices are
+    /// whatever slice of the stream the router handed the seat, so a
+    /// runner over a stateful backend must key per-image randomness to
+    /// the index, not to the position in the batch — the mechanism behind
+    /// batch-composition invariance.
+    ///
+    /// Dropping the seat without [`ShardTransport::shutdown`] detaches the
+    /// worker, which finishes what is queued; prefer an explicit shutdown.
+    pub fn spawn(
+        policy: BatchPolicy,
+        runner: Box<DynRunner>,
+        control: Box<dyn ShardControl>,
+        spec: ShardSpec,
+    ) -> Self {
+        let policy = policy.normalized();
+        let (tx, rx) = mpsc::sync_channel(policy.queue_depth);
+        let shared = Arc::new(SharedState::for_policy(&policy));
+        let worker_shared = Arc::clone(&shared);
+        let worker = std::thread::Builder::new()
+            .name("aimc-serve".into())
+            .spawn(move || worker_loop(rx, worker_shared, policy, runner))
+            .expect("spawn aimc-serve worker");
         LocalTransport {
-            handle,
+            tx,
+            shared,
+            worker: Mutex::new(Some(worker)),
             control,
             spec,
             drift_age: AtomicU64::new(0),
@@ -249,43 +228,58 @@ impl LocalTransport {
 }
 
 impl ShardTransport for LocalTransport {
-    fn submit(&self, index: u64, image: Tensor, class: QosClass) -> Result<Pending, ServeError> {
-        self.control.check_input(&image)?;
-        self.handle.submit_at(index, image, class, false)
-    }
-
-    fn try_submit(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        self.control.check_input(&image)?;
-        self.handle.submit_at(index, image, class, true)
+    fn submit(&self, mut flight: Flight) -> Result<(), Box<(Flight, ServeError)>> {
+        let admitted = self
+            .control
+            .check_input(&flight.image)
+            .map_err(ServeError::Exec)
+            .and_then(|()| self.shared.admit(flight.class, flight.shed));
+        match admitted {
+            Ok(ticket) => flight.slot.ticket = Some(ticket),
+            Err(e) => return Err(Box::new((flight, e))),
+        }
+        if let Err(SendError(Msg::Request(mut flight))) = self.tx.send(Msg::Request(flight)) {
+            // The worker is gone (shutdown raced ahead): the seat never
+            // held the request.
+            if let Some(ticket) = flight.slot.ticket.take() {
+                ticket.refund();
+            }
+            return Err(Box::new((flight, ServeError::ShutDown)));
+        }
+        Ok(())
     }
 
     fn load(&self) -> ShardLoad {
-        self.handle.load()
+        self.shared.load()
     }
 
     fn in_flight(&self) -> u64 {
-        self.handle.in_flight()
+        self.shared.load().in_flight
     }
 
     fn drain(&self) {
-        self.handle.drain();
+        self.shared.drain();
     }
 
     fn shutdown(&self) {
-        self.handle.shutdown();
+        if self.shared.close() {
+            // Wake the worker; if it already exited, the queue is being
+            // torn down and the flights in it cancel themselves.
+            let _ = self.tx.send(Msg::Shutdown);
+            let worker = self.worker.lock().unwrap().take();
+            if let Some(h) = worker {
+                let _ = h.join();
+            }
+        }
+        self.shared.drain();
     }
 
     fn is_closed(&self) -> bool {
-        self.handle.is_closed()
+        self.shared.is_closed()
     }
 
     fn stats(&self) -> ServeStats {
-        let mut stats = self.handle.stats();
+        let mut stats = self.shared.stats();
         stats.drift_age = self.drift_age.load(Ordering::Acquire);
         stats.reprograms = self.reprograms.load(Ordering::Acquire);
         stats
@@ -309,5 +303,39 @@ impl ShardTransport for LocalTransport {
 
     fn set_parallelism(&self, par: Parallelism) {
         self.control.set_parallelism(par);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::handle::Pending;
+    use crate::qos::QosClass;
+
+    /// A replica with nothing to drift, reprogram or parallelize.
+    pub(crate) struct Inert;
+
+    impl ShardControl for Inert {
+        fn apply_drift(&self, _t_hours: f64) -> bool {
+            false
+        }
+        fn reprogram(&self) -> Result<(), ExecError> {
+            Ok(())
+        }
+        fn set_parallelism(&self, _par: Parallelism) {}
+    }
+
+    /// Submits `image` of `class` to `seat` at stream index `index` as a
+    /// flight the seat may not shed, and returns the caller's handle.
+    pub(crate) fn submit(
+        seat: &dyn ShardTransport,
+        index: u64,
+        image: Tensor,
+        class: QosClass,
+    ) -> Result<Pending, ServeError> {
+        let (flight, pending) = Flight::new(index, class, image, false);
+        seat.submit(flight)
+            .map(|()| pending)
+            .map_err(|refused| refused.1)
     }
 }

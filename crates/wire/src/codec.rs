@@ -80,6 +80,9 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     let shape = t.shape();
+    // One growth for the whole tensor: a fresh frame buffer would
+    // otherwise double its way up to the image size.
+    buf.reserve(12 + 4 * t.data().len());
     put_u32(buf, shape.c as u32);
     put_u32(buf, shape.h as u32);
     put_u32(buf, shape.w as u32);

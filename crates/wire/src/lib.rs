@@ -1,10 +1,10 @@
 //! # aimc-wire — the shard wire protocol
 //!
 //! The serving fleet spreads replica shards across hosts by replacing the
-//! in-process `ServeHandle` hop with a thin command interface — the same
-//! shape the 64-core PCM chip and the heterogeneous IMC cluster papers use
-//! for their compute fabrics: replicas behind a small set of serializable
-//! commands. This crate defines that interface's *wire form*: the
+//! in-process seat hop (a request record moved into a local queue) with a
+//! thin command interface — the same shape the 64-core PCM chip and the
+//! heterogeneous IMC cluster papers use for their compute fabrics:
+//! replicas behind a small set of serializable commands. This crate defines that interface's *wire form*: the
 //! [`Frame`] enum (requests, replies, and control frames) and a
 //! hand-rolled little-endian byte codec ([`write_frame`] /
 //! [`read_frame`]) — no serde, consistent with the workspace's

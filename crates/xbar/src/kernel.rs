@@ -1406,19 +1406,22 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// The batched accumulation leaves every patch's f64 column sums
-        /// bit-identical to a single-patch accumulation of that patch.
+        /// bit-identical to a single-patch accumulation of that patch, and
+        /// the single-patch sums bit-identical to a flat row-order
+        /// `mul_add` loop over the patch's masked rows.
         ///
         /// Checked before the ADC, because the ADC code grid and the f32
         /// output hide a last-place change of a sum: a row block that
         /// started its accumulators at zero, and added them in at its end,
         /// would re-associate each sum yet pass the kernel's end-to-end
-        /// equivalence tests. Arrays up to 256×64 reach the 48-row blocks
-        /// (more than 40 KiB of conductances), and inputs with one row in
-        /// sixteen or in ten nonzero reach the walk panels.
+        /// equivalence tests. Arrays up to 256×160 reach the 48-row blocks
+        /// (more than 40 KiB of conductances) and every panel width (the
+        /// 64-column one where AVX-512 builds it), and inputs with one row
+        /// in sixteen or in ten nonzero reach the walk panels.
         #[test]
         fn batched_axpy_matches_single_patch_sums_bitwise(
             rows in 1usize..=256,
-            cols in 1usize..=64,
+            cols in 1usize..=160,
             nonzero_i in 0usize..3,
             seed in proptest::any::<u64>(),
         ) {
@@ -1457,6 +1460,16 @@ mod tests {
                 proptest::prop_assert!(
                     single.iter().zip(got).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "{rows}x{cols}: patch {p} sums diverged from its single accumulation"
+                );
+                let mut flat = vec![0.0f64; cols];
+                for r in (0..rows).filter(|r| mask[r / 64] >> (r % 64) & 1 == 1) {
+                    for (c, f) in flat.iter_mut().enumerate() {
+                        *f = xq[p * rows + r].mul_add(g[r * cols + c], *f);
+                    }
+                }
+                proptest::prop_assert!(
+                    single.iter().zip(&flat).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{rows}x{cols}: patch {p} single sums diverged from the flat loop"
                 );
             }
         }

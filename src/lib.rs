@@ -105,10 +105,10 @@ pub mod prelude {
     };
     pub use aimc_serve::{
         AimdPacer, BatchPolicy, ClassStats, Connect, FleetHandle, FleetPolicy, FleetStats,
-        LocalTransport, NoiseSpec, Orphan, PacerConfig, Pending, Priority, QosClass, QosOrdering,
+        LocalTransport, NoiseSpec, PacerConfig, Pending, Priority, QosClass, QosOrdering,
         QosPolicy, QosStats, RecalHandle, RecalPolicy, RecalStats, Request, RetryPolicy,
-        RoutePolicy, ServeError, ServeHandle, ServeStats, ShardHealth, ShardLoad, ShardServer,
-        ShardSpec, ShardTransport, ShedReason, TcpTransport,
+        RoutePolicy, ServeError, ServeStats, ShardHealth, ShardLoad, ShardServer, ShardSpec,
+        ShardTransport, ShedReason, TcpTransport,
     };
     pub use aimc_sim::SimTime;
     pub use aimc_xbar::{Crossbar, XbarConfig, XbarError};

@@ -448,7 +448,7 @@ fn local_seat(policy: BatchPolicy, spec: ShardSpec, replica: Replica) -> LocalTr
             )
         }
     };
-    LocalTransport::with_spec(aimc_serve::spawn(policy, runner), control, spec)
+    LocalTransport::spawn(policy, runner, control, spec)
 }
 
 /// Refuses an image whose shape is not the graph's input shape, so the
