@@ -1,6 +1,6 @@
 //! `mvm_kernels` — single-core analog-MVM kernel benchmark.
 //!
-//! Three kernels over the ResNet-18/CIFAR-10 tile census of a `hermes_256`
+//! Kernels over the ResNet-18/CIFAR-10 tile census of a `hermes_256`
 //! deployment (the per-image analog hot loop):
 //!
 //! * **legacy** — a faithful in-bench reimplementation of the pre-packing
@@ -8,17 +8,19 @@
 //!   quantize / ADC, Box–Muller read noise per bit line. This is the
 //!   baseline the headline speedup is measured against, compiled with the
 //!   same flags as everything else in this binary.
-//! * **reference** — the current scalar reference kernel
-//!   ([`Crossbar::mvm_reference_at`]): same audited helpers and noise
-//!   stream as the packed kernel, old loop structure, allocating.
-//! * **packed** — the production bit-packed kernel
-//!   ([`Crossbar::mvm_into_with`]) with a warm caller-owned scratch.
+//! * **packed** — the production bit-packed kernel through a one-patch
+//!   [`Crossbar::mvm_batch_into_with`] call (which runs the single-patch
+//!   kernel) with a warm caller-owned scratch.
+//! * **batched** — the same entry with [`DAC_BATCH`] patches per call, as
+//!   the executors' convolution loops issue it.
 //!
-//! Also sweeps the bit-serial kernels over input bit widths and asserts
-//! the packed ↔ reference **bit-identity** contract; the `--smoke` mode
-//! used by CI runs the assertions with shortened timing loops. Results go
-//! to `BENCH_mvm_kernels.json`; the `kernel_equivalence_ok=true` line on
-//! stdout is the CI grep gate.
+//! Also sweeps the bit-serial kernel over input bit widths. Before timing
+//! it checks that batched calls are bit-identical to one-patch calls and
+//! that the legacy kernel agrees to within one ADC step; the
+//! `kernel_equivalence_ok=true` line on stdout, and the same key in
+//! `BENCH_mvm_kernels.json`, attest both. The packed ≡ scalar-reference
+//! bit identity is pinned by `aimc-xbar`'s unit tests. The `--smoke` mode
+//! used by CI runs the checks with shortened timing loops.
 //!
 //! Timing is min-of-rounds: the minimum mean ns/call over several
 //! measurement rounds, which is robust against host frequency and steal
@@ -168,16 +170,17 @@ fn make_case(cfg: &XbarConfig, rows: usize, cols: usize, seed: u64) -> (Crossbar
     (xb, x)
 }
 
-/// Packed ≡ reference bit-identity over DAC and bit-serial paths, plus
-/// adversarial input patterns (zeros, sign flips, saturation).
-fn check_equivalence() -> bool {
+/// Batched ≡ one-patch bit identity on every census shape, over a
+/// ReLU-like input and adversarial patterns (zeros, sign flips,
+/// saturation) as one full batch.
+fn check_batching() -> bool {
     let cfg = XbarConfig::hermes_256();
     let mut scratch = MvmScratch::new();
     let mut ok = true;
     for &(rows, cols, _) in &CENSUS {
         let (xb, relu_x) = make_case(&cfg, rows, cols, 7 + rows as u64);
         let patterns: Vec<Vec<f32>> = vec![
-            relu_x.clone(),
+            relu_x,
             vec![0.0; rows],
             (0..rows)
                 .map(|i| if i % 2 == 0 { -1.0 } else { 1.0 })
@@ -186,38 +189,9 @@ fn check_equivalence() -> bool {
                 .map(|i| (i as f32 - rows as f32 / 2.0) * 100.0)
                 .collect(),
         ];
-        for (p, x) in patterns.iter().enumerate() {
-            for inv in [0u64, 3, 11] {
-                let want = xb.mvm_reference_at(x, inv).unwrap();
-                let mut got = vec![0.0f32; cols];
-                xb.mvm_into_with(x, &mut got, inv, &mut scratch).unwrap();
-                if want
-                    .iter()
-                    .zip(&got)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    eprintln!("MISMATCH dac {rows}x{cols} pattern {p} inv {inv}");
-                    ok = false;
-                }
-                for bits in [1u32, 4, 8, 12, 16] {
-                    let want = xb.mvm_bit_serial_reference_at(x, bits, inv).unwrap();
-                    let mut got = vec![0.0f32; cols];
-                    xb.mvm_bit_serial_into_with(x, bits, &mut got, inv, &mut scratch)
-                        .unwrap();
-                    if want
-                        .iter()
-                        .zip(&got)
-                        .any(|(a, b)| a.to_bits() != b.to_bits())
-                    {
-                        eprintln!("MISMATCH bs{bits} {rows}x{cols} pattern {p} inv {inv}");
-                        ok = false;
-                    }
-                }
-            }
-        }
-        // Batched path: all patterns as one batch (4 + 0-remainder here is
-        // covered by the unit tests; this exercises census shapes), each
-        // patch bit-identical to its single call.
+        // All patterns as one batch (remainders are covered by the unit
+        // tests; this exercises census shapes), each patch bit-identical to
+        // its one-patch call.
         let k = patterns.len();
         let xs: Vec<f32> = patterns.iter().flat_map(|p| p.iter().copied()).collect();
         let invocations: Vec<u64> = (0..k as u64).map(|p| 100 + 7 * p).collect();
@@ -226,7 +200,7 @@ fn check_equivalence() -> bool {
             .unwrap();
         for (p, x) in patterns.iter().enumerate() {
             let mut single = vec![0.0f32; cols];
-            xb.mvm_into_with(x, &mut single, invocations[p], &mut scratch)
+            xb.mvm_batch_into_with(x, &mut single, &invocations[p..=p], &mut scratch)
                 .unwrap();
             if single
                 .iter()
@@ -257,7 +231,8 @@ fn check_legacy_sanity() -> bool {
         let mut want = vec![0.0f32; cols];
         legacy.mvm_into_at(&x, &mut want, 5);
         let mut got = vec![0.0f32; cols];
-        xb.mvm_into_with(&x, &mut got, 5, &mut scratch).unwrap();
+        xb.mvm_batch_into_with(&x, &mut got, &[5], &mut scratch)
+            .unwrap();
         let fs = cfg.adc_headroom * rows as f64 * cfg.x_clip;
         let adc_levels = ((1u64 << cfg.adc_bits.min(31)) - 1) as f64 / 2.0;
         let x_scale = x
@@ -281,11 +256,11 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (rounds, reps_dac, reps_bs) = if smoke { (2, 40, 10) } else { (7, 2000, 400) };
 
-    let equivalence_ok = check_equivalence() && check_legacy_sanity();
+    let equivalence_ok = check_batching() && check_legacy_sanity();
     println!("kernel_equivalence_ok={equivalence_ok}");
     assert!(
         equivalence_ok,
-        "packed kernels are not bit-identical to the scalar reference"
+        "batched calls diverge from one-patch calls, or legacy from packed"
     );
 
     let cfg = XbarConfig::hermes_256();
@@ -295,8 +270,8 @@ fn main() {
     };
     let mut scratch = MvmScratch::new();
     let mut census_rows = Vec::new();
-    let (mut tot_legacy, mut tot_ref, mut tot_packed, mut tot_batch, mut tot_batch0) =
-        (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut tot_legacy, mut tot_packed, mut tot_batch, mut tot_batch0) =
+        (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut tot_mvms = 0u64;
     for &(rows, cols, n) in &CENSUS {
         let (xb, x) = make_case(&cfg, rows, cols, 40 + rows as u64);
@@ -323,11 +298,9 @@ fn main() {
             legacy.mvm_into_at(&x, &mut out, i);
             black_box(&out);
         });
-        let ns_ref = time_min(rounds, reps_dac, |i| {
-            black_box(xb.mvm_reference_at(&x, i).unwrap());
-        });
         let ns_packed = time_min(rounds, reps_dac, |i| {
-            xb.mvm_into_with(&x, &mut out, i, &mut scratch).unwrap();
+            xb.mvm_batch_into_with(&x, &mut out, &[i], &mut scratch)
+                .unwrap();
             black_box(&out);
         });
         // Batched: amortized per MVM over a DAC_BATCH lock-step call (the
@@ -345,14 +318,13 @@ fn main() {
         let ns_batch = ns_batched(&xb);
         let ns_batch0 = ns_batched(&xb0);
         println!(
-            "dac {rows}x{cols}: legacy {ns_legacy:.0} ns, reference {ns_ref:.0} ns, packed {ns_packed:.0} ns, batched {ns_batch:.0} ns/mvm ({:.2}x vs legacy), batched sigma=0 {ns_batch0:.0} ns/mvm",
+            "dac {rows}x{cols}: legacy {ns_legacy:.0} ns, packed {ns_packed:.0} ns, batched {ns_batch:.0} ns/mvm ({:.2}x vs legacy), batched sigma=0 {ns_batch0:.0} ns/mvm",
             ns_legacy / ns_batch
         );
         census_rows.push(format!(
-            "{{\"rows\": {rows}, \"cols\": {cols}, \"mvms_per_image\": {n}, \"legacy_ns\": {ns_legacy:.1}, \"reference_ns\": {ns_ref:.1}, \"packed_ns\": {ns_packed:.1}, \"batched_ns_per_mvm\": {ns_batch:.1}, \"batched_sigma0_ns_per_mvm\": {ns_batch0:.1}}}"
+            "{{\"rows\": {rows}, \"cols\": {cols}, \"mvms_per_image\": {n}, \"legacy_ns\": {ns_legacy:.1}, \"packed_ns\": {ns_packed:.1}, \"batched_ns_per_mvm\": {ns_batch:.1}, \"batched_sigma0_ns_per_mvm\": {ns_batch0:.1}}}"
         ));
         tot_legacy += ns_legacy * n as f64;
-        tot_ref += ns_ref * n as f64;
         tot_packed += ns_packed * n as f64;
         tot_batch += ns_batch * n as f64;
         tot_batch0 += ns_batch0 * n as f64;
@@ -364,20 +336,14 @@ fn main() {
         let (xb, x) = make_case(&cfg, rows, cols, 60 + rows as u64);
         let mut out = vec![0.0f32; cols];
         for bits in SWEEP_BITS {
-            let ns_ref = time_min(rounds, reps_bs, |i| {
-                black_box(xb.mvm_bit_serial_reference_at(&x, bits, i).unwrap());
-            });
             let ns_packed = time_min(rounds, reps_bs, |i| {
                 xb.mvm_bit_serial_into_with(&x, bits, &mut out, i, &mut scratch)
                     .unwrap();
                 black_box(&out);
             });
-            println!(
-                "bit_serial {rows}x{cols} {bits}b: reference {ns_ref:.0} ns, packed {ns_packed:.0} ns ({:.2}x)",
-                ns_ref / ns_packed
-            );
+            println!("bit_serial {rows}x{cols} {bits}b: packed {ns_packed:.0} ns");
             sweep_rows.push(format!(
-                "{{\"rows\": {rows}, \"cols\": {cols}, \"bits\": {bits}, \"reference_ns\": {ns_ref:.1}, \"packed_ns\": {ns_packed:.1}}}"
+                "{{\"rows\": {rows}, \"cols\": {cols}, \"bits\": {bits}, \"packed_ns\": {ns_packed:.1}}}"
             ));
         }
     }
@@ -398,11 +364,10 @@ fn main() {
     println!("speedup_hermes256_resnet18={speedup:.2}");
 
     let json = format!(
-        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"timing\": \"min over {rounds} rounds of {reps_dac} (dac) / {reps_bs} (bit-serial) calls\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"reference_ms_per_image\": {rm:.3}, \"packed_ms_per_image\": {pm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"packed\": {ip:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2},\n  \"speedup_vs_reference\": {sref:.2},\n  \"bit_serial_sweep\": [{sweep}]\n}}\n",
+        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"timing\": \"min over {rounds} rounds of {reps_dac} (dac) / {reps_bs} (bit-serial) calls\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"packed_ms_per_image\": {pm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"packed\": {ip:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2},\n  \"bit_serial_sweep\": [{sweep}]\n}}\n",
         sigma = cfg.read_noise_sigma,
         census = census_rows.join(", "),
         lm = tot_legacy / 1e6,
-        rm = tot_ref / 1e6,
         pm = tot_packed / 1e6,
         bm = tot_batch / 1e6,
         bm0 = tot_batch0 / 1e6,
@@ -410,7 +375,6 @@ fn main() {
         ip = 1e9 / tot_packed,
         ib = images_per_s_batch,
         npm = tot_batch / tot_mvms as f64,
-        sref = tot_ref / tot_batch,
         sweep = sweep_rows.join(", "),
     );
     std::fs::write("BENCH_mvm_kernels.json", json).expect("write BENCH_mvm_kernels.json");

@@ -26,9 +26,11 @@
 //!    `stream_seed(seed, layer_id, tile_index)` — no shared programming RNG
 //!    to serialize on;
 //! 2. every MVM's read noise comes from the stream of its *invocation
-//!    coordinate* `image_index · patches_per_layer + patch_index`
-//!    ([`Crossbar::mvm_into_at`]) — noise depends on where the MVM sits in
-//!    the workload, never on scheduling order;
+//!    coordinate* `image_index · patches_per_layer + patch_index`, which
+//!    [`Crossbar::mvm_batch_into_with`] takes per patch — noise depends on
+//!    where the MVM sits in the workload, never on scheduling order. The
+//!    coordinate is computed with wrapping arithmetic, so every `u64`
+//!    image index is a valid stream coordinate;
 //! 3. digital reduction of row-split partials accumulates tile outputs
 //!    into a pixel-major `[pixel][out_channel]` buffer, starting from
 //!    `+0.0` and adding in fixed ascending `(row_split, col_split)` order,
@@ -265,7 +267,7 @@ impl AnalogLayer {
             for (p, inv) in invocations.iter_mut().enumerate().take(k) {
                 let pix = p0 + p;
                 let (oh, ow) = (pix / outs.w, pix % outs.w);
-                *inv = (img * n_pix as u64) + pix as u64;
+                *inv = img.wrapping_mul(n_pix as u64).wrapping_add(pix as u64);
                 ops::im2col_patch(x, cfg, oh, ow, &mut scratch.patch[p * rows..(p + 1) * rows]);
             }
             for (ri, &(r0, rl)) in self.row_chunks.iter().enumerate() {
@@ -331,7 +333,7 @@ impl AnalogLayer {
                     for (p, inv) in invocations.iter_mut().enumerate().take(k) {
                         let pix = p0 + p;
                         let (oh, ow) = (pix / outs.w, pix % outs.w);
-                        *inv = img * n_pix as u64 + pix as u64;
+                        *inv = img.wrapping_mul(n_pix as u64).wrapping_add(pix as u64);
                         // Each tile extracts only its own row slice of the
                         // im2col patch (the broadcast input it would receive
                         // in hardware), not the full patch.
@@ -376,13 +378,16 @@ impl AnalogLayer {
 ///
 /// # Examples
 /// ```no_run
-/// use aimc_dnn::{AimcExecutor, he_init, resnet18_cifar, Shape, Tensor};
+/// use aimc_dnn::{he_init, resnet18_cifar, AimcExecutor, Executor, Parallelism, Shape, Tensor};
 /// use aimc_xbar::XbarConfig;
-/// let g = resnet18_cifar(10);
-/// let w = he_init(&g, 0);
-/// let exec = AimcExecutor::program(&g, &w, &XbarConfig::hermes_256(), 1).unwrap();
-/// let y = exec.infer(&Tensor::zeros(Shape::new(3, 32, 32)));
-/// assert_eq!(y.shape(), Shape::new(10, 1, 1));
+/// use std::sync::Arc;
+/// let g = Arc::new(resnet18_cifar(10));
+/// let w = Arc::new(he_init(&g, 0));
+/// let par = Parallelism::Serial;
+/// let exec =
+///     AimcExecutor::try_program_shared_with(g, w, &XbarConfig::hermes_256(), 1, par).unwrap();
+/// let y = exec.infer_batch(&[Tensor::zeros(Shape::new(3, 32, 32))], par).unwrap();
+/// assert_eq!(y[0].shape(), Shape::new(10, 1, 1));
 /// ```
 #[derive(Debug)]
 pub struct AimcExecutor {
@@ -393,60 +398,25 @@ pub struct AimcExecutor {
     /// itself when none does); [`AimcExecutor::run_image`] frees each
     /// activation right after it.
     last_use: Vec<usize>,
-    xbar_cfg: XbarConfig,
     /// Images started so far — the base of each image's invocation
     /// coordinates. Atomic so batches and concurrent callers claim disjoint
-    /// coordinate ranges; a serial sequence of `infer` calls and one
-    /// `infer_batch` over the same images see identical coordinates.
+    /// coordinate ranges; a serial sequence of one-image `infer_batch`
+    /// calls and one `infer_batch` over the same images see identical
+    /// coordinates.
     images_seen: AtomicU64,
-    /// Default thread budget for single-image `infer` (tile-level
-    /// parallelism). Batch calls take an explicit setting instead.
-    parallelism: Parallelism,
 }
 
 impl AimcExecutor {
-    /// Programs all analog layers of `graph` onto crossbars.
+    /// Programs all analog layers of `graph` onto crossbars, sharing
+    /// already-owned graph/weights handles (no deep copy — the
+    /// `aimc-platform` session keeps both behind `Arc`). Tiles are
+    /// programmed concurrently up to `par`, each from its own deterministic
+    /// stream, so the conductance image is identical to a serial
+    /// deployment.
     ///
     /// # Errors
     /// [`ExecError::MissingWeights`] if a parametric node lacks weights;
     /// [`ExecError::Xbar`] on programming failures (e.g. invalid config).
-    pub fn try_program(
-        graph: &Graph,
-        weights: &Weights,
-        xbar_cfg: &XbarConfig,
-        seed: u64,
-    ) -> Result<Self, ExecError> {
-        Self::try_program_shared(
-            Arc::new(graph.clone()),
-            Arc::new(weights.clone()),
-            xbar_cfg,
-            seed,
-        )
-    }
-
-    /// Programs all analog layers onto crossbars, sharing already-owned
-    /// graph/weights handles (no deep copy — used by the `aimc-platform`
-    /// session, which keeps both behind `Arc`).
-    ///
-    /// # Errors
-    /// Same conditions as [`AimcExecutor::try_program`].
-    pub fn try_program_shared(
-        graph: Arc<Graph>,
-        weights: Arc<Weights>,
-        xbar_cfg: &XbarConfig,
-        seed: u64,
-    ) -> Result<Self, ExecError> {
-        Self::try_program_shared_with(graph, weights, xbar_cfg, seed, Parallelism::Serial)
-    }
-
-    /// [`AimcExecutor::try_program_shared`] with a thread budget: tiles are
-    /// programmed concurrently (each from its own deterministic stream, so
-    /// the conductance image is identical to a serial deployment), and the
-    /// setting is retained as the executor's default for single-image
-    /// inference.
-    ///
-    /// # Errors
-    /// Same conditions as [`AimcExecutor::try_program`].
     pub fn try_program_shared_with(
         graph: Arc<Graph>,
         weights: Arc<Weights>,
@@ -497,43 +467,8 @@ impl AimcExecutor {
             weights,
             analog,
             last_use,
-            xbar_cfg: xbar_cfg.clone(),
             images_seen: AtomicU64::new(0),
-            parallelism: par,
         })
-    }
-
-    /// Programs all analog layers of `graph` onto crossbars (legacy
-    /// signature over [`AimcExecutor::try_program`]).
-    ///
-    /// # Errors
-    /// Propagates [`XbarError`] from programming (e.g. invalid config).
-    ///
-    /// # Panics
-    /// Panics if a parametric node lacks weights.
-    pub fn program(
-        graph: &Graph,
-        weights: &Weights,
-        xbar_cfg: &XbarConfig,
-        seed: u64,
-    ) -> Result<Self, XbarError> {
-        match Self::try_program(graph, weights, xbar_cfg, seed) {
-            Ok(exec) => Ok(exec),
-            Err(ExecError::Xbar(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Sets the default thread budget used by single-image
-    /// [`AimcExecutor::infer`] calls (tile-level parallelism within each
-    /// layer). Never changes results — only wall-clock.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.parallelism = par;
-    }
-
-    /// The executor's default thread budget.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Number of crossbar tiles programmed (row splits × col splits summed
@@ -543,11 +478,6 @@ impl AimcExecutor {
             .values()
             .map(|l| l.tiles.iter().map(|r| r.len()).sum::<usize>())
             .sum()
-    }
-
-    /// The crossbar configuration in use.
-    pub fn xbar_config(&self) -> &XbarConfig {
-        &self.xbar_cfg
     }
 
     /// Total MVMs evaluated since programming.
@@ -588,52 +518,10 @@ impl AimcExecutor {
         }
     }
 
-    /// Runs one image through the network.
-    ///
-    /// Claims the next image coordinate from the internal counter, so a
-    /// sequence of `try_infer` calls replays exactly as the equivalent
-    /// [`AimcExecutor::try_infer_batch`] would.
-    ///
-    /// # Errors
-    /// [`ExecError::ShapeMismatch`] if the input does not match the graph's
-    /// input shape; the call then claims no coordinate.
-    pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ExecError> {
-        self.check_inputs([input])?;
-        let img = self.images_seen.fetch_add(1, Ordering::Relaxed);
-        let mut scratch = InferScratch::default();
-        Ok(self.run_image(input, img, &mut scratch, self.parallelism))
-    }
-
-    /// Runs a batch of images, parallelizing across images when `par`
-    /// allows (each worker keeps one reusable scratch). Bit-identical to
-    /// the serial loop for any thread count; a single-image batch falls
-    /// back to tile-level parallelism inside each layer.
-    ///
-    /// An empty batch is a no-op: it returns `Ok(vec![])` without claiming
-    /// image coordinates or touching any stream state.
-    ///
-    /// # Errors
-    /// [`ExecError::ShapeMismatch`] on the first (lowest-index) mismatched
-    /// input; the call then claims no coordinate and evaluates nothing.
-    pub fn try_infer_batch(
-        &self,
-        inputs: &[Tensor],
-        par: Parallelism,
-    ) -> Result<Vec<Tensor>, ExecError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.check_inputs(inputs)?;
-        let base = self
-            .images_seen
-            .fetch_add(inputs.len() as u64, Ordering::Relaxed);
-        self.try_infer_batch_at(inputs, base, par)
-    }
-
     /// Runs a batch of images at an **explicit** base image coordinate:
     /// image `i` of the batch evaluates at global invocation coordinate
-    /// `base_image_index + i`, regardless of what the internal counter
-    /// says — the contiguous convenience over
+    /// `base_image_index + i` (wrapping past `u64::MAX`), regardless of
+    /// what the internal counter says — the contiguous convenience over
     /// [`AimcExecutor::try_infer_batch_indexed`].
     ///
     /// # Errors
@@ -648,7 +536,7 @@ impl AimcExecutor {
         let items: Vec<(u64, &Tensor)> = inputs
             .iter()
             .enumerate()
-            .map(|(i, x)| (base_image_index + i as u64, x))
+            .map(|(i, x)| (base_image_index.wrapping_add(i as u64), x))
             .collect();
         self.try_infer_batch_indexed(&items, par)
     }
@@ -663,10 +551,10 @@ impl AimcExecutor {
     /// (same programming seed ⇒ same conductances ⇒ same noise streams).
     ///
     /// The internal counter is advanced to at least `max(k) + 1` over the
-    /// batch's coordinates `k`, so subsequent counter-claiming calls
-    /// ([`AimcExecutor::try_infer`] / [`AimcExecutor::try_infer_batch`])
-    /// never reuse a coordinate evaluated here. An empty batch is a no-op
-    /// and does not touch the counter.
+    /// batch's coordinates `k` (saturating at `u64::MAX`), so a later
+    /// counter-claiming [`Executor::infer_batch`] never reuses a coordinate
+    /// evaluated here. An empty batch is a no-op and does not touch the
+    /// counter.
     ///
     /// # Errors
     /// [`ExecError::ShapeMismatch`] on the first (lowest-index) mismatched
@@ -680,7 +568,8 @@ impl AimcExecutor {
         let Some(max_coord) = items.iter().map(|&(k, _)| k).max() else {
             return Ok(Vec::new());
         };
-        self.images_seen.fetch_max(max_coord + 1, Ordering::Relaxed);
+        self.images_seen
+            .fetch_max(max_coord.saturating_add(1), Ordering::Relaxed);
         if items.len() == 1 {
             let (img, x) = items[0];
             let mut scratch = InferScratch::default();
@@ -703,7 +592,7 @@ impl AimcExecutor {
     }
 
     /// One image, already checked against the graph's input shape, at an
-    /// explicit image coordinate (shared by the serial and batch paths).
+    /// explicit image coordinate (shared by the one-image and batch paths).
     ///
     /// Nodes read their inputs by reference; each activation is dropped
     /// right after its last consumer (`last_use`), so an image holds only
@@ -762,24 +651,30 @@ impl AimcExecutor {
         }
         outs.pop().flatten().expect("non-empty graph")
     }
-
-    /// Runs one image through the network (panicking convenience over
-    /// [`AimcExecutor::try_infer`]).
-    ///
-    /// # Panics
-    /// Panics if the input shape does not match the graph.
-    pub fn infer(&self, input: &Tensor) -> Tensor {
-        self.try_infer(input).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 impl Executor for AimcExecutor {
-    fn infer(&self, input: &Tensor) -> Result<Tensor, ExecError> {
-        self.try_infer(input)
-    }
-
+    /// Runs a batch of images at the next `inputs.len()` coordinates of
+    /// the executor's counter, parallelizing across images when `par`
+    /// allows (each worker keeps one reusable scratch). Bit-identical to
+    /// the serial loop for any thread count; a single-image batch falls
+    /// back to tile-level parallelism inside each layer.
+    ///
+    /// An empty batch is a no-op: it returns `Ok(vec![])` without claiming
+    /// image coordinates or touching any stream state.
+    ///
+    /// # Errors
+    /// [`ExecError::ShapeMismatch`] on the first (lowest-index) mismatched
+    /// input; the call then claims no coordinate and evaluates nothing.
     fn infer_batch(&self, inputs: &[Tensor], par: Parallelism) -> Result<Vec<Tensor>, ExecError> {
-        self.try_infer_batch(inputs, par)
+        if inputs.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.check_inputs(inputs)?;
+        let base = self
+            .images_seen
+            .fetch_add(inputs.len() as u64, Ordering::Relaxed);
+        self.try_infer_batch_at(inputs, base, par)
     }
 
     fn infer_batch_indexed(
@@ -830,6 +725,33 @@ mod tests {
         b.finish()
     }
 
+    fn try_program(
+        g: &Graph,
+        w: &Weights,
+        cfg: &XbarConfig,
+        seed: u64,
+        par: Parallelism,
+    ) -> Result<AimcExecutor, ExecError> {
+        AimcExecutor::try_program_shared_with(
+            Arc::new(g.clone()),
+            Arc::new(w.clone()),
+            cfg,
+            seed,
+            par,
+        )
+    }
+
+    /// Programs `g` serially.
+    fn program(g: &Graph, w: &Weights, cfg: &XbarConfig, seed: u64) -> AimcExecutor {
+        try_program(g, w, cfg, seed, Parallelism::Serial).unwrap()
+    }
+
+    /// One image at the executor's next coordinate, serially.
+    fn infer_one(exec: &AimcExecutor, x: &Tensor) -> Result<Tensor, ExecError> {
+        let mut y = exec.infer_batch(std::slice::from_ref(x), Parallelism::Serial)?;
+        Ok(y.pop().expect("one image in, one out"))
+    }
+
     fn random_image(shape: Shape, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         Tensor::from_vec(
@@ -863,19 +785,23 @@ mod tests {
     #[test]
     fn try_program_reports_missing_weights() {
         let g = small_cnn();
-        let err = AimcExecutor::try_program(&g, &Weights::new(), &XbarConfig::ideal(32, 32), 1)
-            .unwrap_err();
+        let err = try_program(
+            &g,
+            &Weights::new(),
+            &XbarConfig::ideal(32, 32),
+            1,
+            Parallelism::Serial,
+        )
+        .unwrap_err();
         assert!(matches!(err, ExecError::MissingWeights { .. }));
     }
 
     #[test]
-    fn try_infer_reports_shape_mismatch() {
+    fn infer_batch_reports_shape_mismatch() {
         let g = small_cnn();
         let w = he_init(&g, 0);
-        let e = AimcExecutor::try_program(&g, &w, &XbarConfig::ideal(64, 64), 1).unwrap();
-        let err = e
-            .try_infer(&Tensor::zeros(Shape::new(3, 4, 4)))
-            .unwrap_err();
+        let e = program(&g, &w, &XbarConfig::ideal(64, 64), 1);
+        let err = infer_one(&e, &Tensor::zeros(Shape::new(3, 4, 4))).unwrap_err();
         assert!(matches!(err, ExecError::ShapeMismatch { .. }));
     }
 
@@ -885,8 +811,8 @@ mod tests {
         let w = he_init(&g, 3);
         let x = random_image(g.input_shape(), 7);
         let golden = infer_golden(&g, &w, &x);
-        let exec = AimcExecutor::program(&g, &w, &XbarConfig::ideal(256, 256), 1).unwrap();
-        let analog = exec.infer(&x);
+        let exec = program(&g, &w, &XbarConfig::ideal(256, 256), 1);
+        let analog = infer_one(&exec, &x).unwrap();
         for (a, b) in analog.data().iter().zip(golden.data()) {
             let tol = 0.05 * b.abs().max(1.0);
             assert!((a - b).abs() < tol, "{a} vs {b}");
@@ -900,11 +826,11 @@ mod tests {
         // 8-channel 3x3 conv ⇒ 72 rows; a 32-row array forces 3 row splits.
         // c0: 27 rows→1 tile; c1: 72 rows→3 tiles; fc: 1 tile ⇒ 5 tiles.
         let cfg = XbarConfig::ideal(32, 16);
-        let exec = AimcExecutor::program(&g, &w, &cfg, 1).unwrap();
+        let exec = program(&g, &w, &cfg, 1);
         assert_eq!(exec.tile_count(), 5);
         let x = random_image(g.input_shape(), 7);
         let golden = infer_golden(&g, &w, &x);
-        let analog = exec.infer(&x);
+        let analog = infer_one(&exec, &x).unwrap();
         for (a, b) in analog.data().iter().zip(golden.data()) {
             let tol = 0.08 * b.abs().max(1.0);
             assert!((a - b).abs() < tol, "{a} vs {b}");
@@ -916,13 +842,13 @@ mod tests {
     fn noisy_arrays_still_classify_like_golden() {
         let g = small_cnn();
         let w = he_init(&g, 5);
-        let exec = AimcExecutor::program(&g, &w, &XbarConfig::hermes_256(), 2).unwrap();
+        let exec = program(&g, &w, &XbarConfig::hermes_256(), 2);
         let mut agree = 0;
         let n = 10;
         for i in 0..n {
             let x = random_image(g.input_shape(), 100 + i);
             let golden = infer_golden(&g, &w, &x);
-            let analog = exec.infer(&x);
+            let analog = infer_one(&exec, &x).unwrap();
             if golden.argmax() == analog.argmax() {
                 agree += 1;
             }
@@ -937,8 +863,8 @@ mod tests {
         let w = he_init(&g, 5);
         let x = random_image(g.input_shape(), 3);
         let run = || {
-            let e = AimcExecutor::program(&g, &w, &XbarConfig::hermes_256(), 9).unwrap();
-            e.infer(&x)
+            let e = program(&g, &w, &XbarConfig::hermes_256(), 9);
+            infer_one(&e, &x).unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -948,7 +874,7 @@ mod tests {
         let g = small_cnn();
         let w = he_init(&g, 0);
         let cfg = XbarConfig::ideal(32, 4);
-        let exec = AimcExecutor::program(&g, &w, &cfg, 1).unwrap();
+        let exec = program(&g, &w, &cfg, 1);
         // c0: rows 27→1 split, cols 8→2; c1: rows 72→3, cols 8→2;
         // fc: rows 8→1, cols 4→1. Total tiles = 2 + 6 + 1 = 9.
         assert_eq!(exec.tile_count(), 9);
@@ -967,22 +893,15 @@ mod tests {
             .map(|i| random_image(g.input_shape(), 40 + i))
             .collect();
 
-        let serial_exec = AimcExecutor::try_program(&g, &w, &cfg, 9).unwrap();
+        let serial_exec = program(&g, &w, &cfg, 9);
         let serial = serial_exec
-            .try_infer_batch(&images, Parallelism::Serial)
+            .infer_batch(&images, Parallelism::Serial)
             .unwrap();
 
         for n in [2, 4] {
             let par = Parallelism::Threads(n);
-            let exec = AimcExecutor::try_program_shared_with(
-                Arc::new(g.clone()),
-                Arc::new(w.clone()),
-                &cfg,
-                9,
-                par,
-            )
-            .unwrap();
-            let threaded = exec.try_infer_batch(&images, par).unwrap();
+            let exec = try_program(&g, &w, &cfg, 9, par).unwrap();
+            let threaded = exec.infer_batch(&images, par).unwrap();
             assert_eq!(serial, threaded, "Threads({n}) diverged from serial");
             // Same MVMs evaluated, none lost or duplicated.
             assert_eq!(serial_exec.total_mvms(), exec.total_mvms());
@@ -997,13 +916,13 @@ mod tests {
         let w = he_init(&g, 5);
         let cfg = XbarConfig::hermes_256().with_size(32, 4);
         let x = random_image(g.input_shape(), 3);
-        let a = AimcExecutor::try_program(&g, &w, &cfg, 7).unwrap();
+        let a = program(&g, &w, &cfg, 7);
         let serial = a
-            .try_infer_batch(std::slice::from_ref(&x), Parallelism::Serial)
+            .infer_batch(std::slice::from_ref(&x), Parallelism::Serial)
             .unwrap();
-        let b = AimcExecutor::try_program(&g, &w, &cfg, 7).unwrap();
+        let b = program(&g, &w, &cfg, 7);
         let tiled = b
-            .try_infer_batch(std::slice::from_ref(&x), Parallelism::Threads(4))
+            .infer_batch(std::slice::from_ref(&x), Parallelism::Threads(4))
             .unwrap();
         assert_eq!(serial, tiled);
     }
@@ -1018,10 +937,10 @@ mod tests {
         let images: Vec<Tensor> = (0..3)
             .map(|i| random_image(g.input_shape(), 60 + i))
             .collect();
-        let a = AimcExecutor::try_program(&g, &w, &cfg, 5).unwrap();
-        let one_by_one: Vec<Tensor> = images.iter().map(|x| a.try_infer(x).unwrap()).collect();
-        let b = AimcExecutor::try_program(&g, &w, &cfg, 5).unwrap();
-        let batched = b.try_infer_batch(&images, Parallelism::Threads(3)).unwrap();
+        let a = program(&g, &w, &cfg, 5);
+        let one_by_one: Vec<Tensor> = images.iter().map(|x| infer_one(&a, x).unwrap()).collect();
+        let b = program(&g, &w, &cfg, 5);
+        let batched = b.infer_batch(&images, Parallelism::Threads(3)).unwrap();
         assert_eq!(one_by_one, batched);
     }
 
@@ -1043,21 +962,21 @@ mod tests {
             .map(|i| random_image(g.input_shape(), 80 + i))
             .collect();
 
-        let a = AimcExecutor::try_program(&g, &w, &cfg, 5).unwrap();
-        let first = a.try_infer(&images[0]).unwrap();
+        let a = program(&g, &w, &cfg, 5);
+        let first = infer_one(&a, &images[0]).unwrap();
         assert_eq!(a.images_seen(), 1);
-        assert_eq!(a.try_infer_batch(&[], Parallelism::Threads(4)).unwrap(), []);
+        assert_eq!(a.infer_batch(&[], Parallelism::Threads(4)).unwrap(), []);
         assert_eq!(
             a.try_infer_batch_at(&[], 99, Parallelism::Serial).unwrap(),
             []
         );
         assert_eq!(a.images_seen(), 1, "empty batch must not claim coordinates");
-        let second = a.try_infer(&images[1]).unwrap();
+        let second = infer_one(&a, &images[1]).unwrap();
 
         // Reference stream without the interleaved empty calls.
-        let b = AimcExecutor::try_program(&g, &w, &cfg, 5).unwrap();
-        assert_eq!(b.try_infer(&images[0]).unwrap(), first);
-        assert_eq!(b.try_infer(&images[1]).unwrap(), second);
+        let b = program(&g, &w, &cfg, 5);
+        assert_eq!(infer_one(&b, &images[0]).unwrap(), first);
+        assert_eq!(infer_one(&b, &images[1]).unwrap(), second);
         let mvms = a.total_mvms();
         assert_eq!(mvms, b.total_mvms(), "empty batches must not evaluate MVMs");
     }
@@ -1075,11 +994,11 @@ mod tests {
             .collect();
         let bad = Tensor::zeros(Shape::new(3, 4, 4));
         let mixed = [good[0].clone(), bad.clone()];
-        let exec = AimcExecutor::try_program(&g, &w, &cfg, 6).unwrap();
+        let exec = program(&g, &w, &cfg, 6);
         for par in [Parallelism::Serial, Parallelism::Threads(2)] {
             let rejected = [
-                exec.try_infer(&bad).map(|y| vec![y]),
-                exec.try_infer_batch(&mixed, par),
+                exec.infer_batch(std::slice::from_ref(&bad), par),
+                exec.infer_batch(&mixed, par),
                 exec.try_infer_batch_at(&mixed, 40, par),
                 exec.try_infer_batch_indexed(&[(9, &good[0]), (3, &bad)], par),
             ];
@@ -1091,11 +1010,11 @@ mod tests {
             assert_eq!(exec.images_seen(), 0, "{par:?}: a rejected call claimed");
             assert_eq!(exec.total_mvms(), 0, "{par:?}: a rejected call evaluated");
         }
-        let fresh = AimcExecutor::try_program(&g, &w, &cfg, 6).unwrap();
-        assert_eq!(exec.try_infer(&good[0]), fresh.try_infer(&good[0]));
+        let fresh = program(&g, &w, &cfg, 6);
+        assert_eq!(infer_one(&exec, &good[0]), infer_one(&fresh, &good[0]));
         assert_eq!(
-            exec.try_infer_batch(&good, Parallelism::Threads(2)),
-            fresh.try_infer_batch(&good, Parallelism::Threads(2))
+            exec.infer_batch(&good, Parallelism::Threads(2)),
+            fresh.infer_batch(&good, Parallelism::Threads(2))
         );
         assert_eq!(exec.images_seen(), 3);
     }
@@ -1112,10 +1031,10 @@ mod tests {
             .map(|i| random_image(g.input_shape(), 90 + i))
             .collect();
 
-        let solo_exec = AimcExecutor::try_program(&g, &w, &cfg, 11).unwrap();
+        let solo_exec = program(&g, &w, &cfg, 11);
         let solo: Vec<Tensor> = images
             .iter()
-            .map(|x| solo_exec.try_infer(x).unwrap())
+            .map(|x| infer_one(&solo_exec, x).unwrap())
             .collect();
 
         for chop in [
@@ -1125,7 +1044,7 @@ mod tests {
             vec![6],
             vec![1, 4, 1],
         ] {
-            let exec = AimcExecutor::try_program(&g, &w, &cfg, 11).unwrap();
+            let exec = program(&g, &w, &cfg, 11);
             let mut got = Vec::new();
             let mut base = 0u64;
             for len in chop.iter().copied() {
@@ -1155,15 +1074,15 @@ mod tests {
             .collect();
 
         // Solo reference: image i evaluated at coordinate i.
-        let solo_exec = AimcExecutor::try_program(&g, &w, &cfg, 13).unwrap();
+        let solo_exec = program(&g, &w, &cfg, 13);
         let solo: Vec<Tensor> = images
             .iter()
-            .map(|x| solo_exec.try_infer(x).unwrap())
+            .map(|x| infer_one(&solo_exec, x).unwrap())
             .collect();
 
         // A replica (same seed) evaluates interleaved non-contiguous slices
         // of the stream, out of order within each batch.
-        let replica = AimcExecutor::try_program(&g, &w, &cfg, 13).unwrap();
+        let replica = program(&g, &w, &cfg, 13);
         let slice_a: Vec<(u64, &Tensor)> = vec![(4, &images[4]), (0, &images[0]), (2, &images[2])];
         let slice_b: Vec<(u64, &Tensor)> = vec![(5, &images[5]), (1, &images[1]), (3, &images[3])];
         let got_a = replica
@@ -1190,7 +1109,7 @@ mod tests {
         let w = he_init(&g, 1);
         let cfg = XbarConfig::hermes_256();
         let x = random_image(g.input_shape(), 71);
-        let exec = AimcExecutor::try_program(&g, &w, &cfg, 3).unwrap();
+        let exec = program(&g, &w, &cfg, 3);
         assert_eq!(
             exec.try_infer_batch_indexed(&[], Parallelism::Serial)
                 .unwrap(),
@@ -1214,7 +1133,7 @@ mod tests {
         let w = he_init(&g, 1);
         let cfg = XbarConfig::hermes_256();
         let x = random_image(g.input_shape(), 70);
-        let exec = AimcExecutor::try_program(&g, &w, &cfg, 3).unwrap();
+        let exec = program(&g, &w, &cfg, 3);
         exec.try_infer_batch_at(std::slice::from_ref(&x), 4, Parallelism::Serial)
             .unwrap();
         assert_eq!(exec.images_seen(), 5);
@@ -1222,8 +1141,48 @@ mod tests {
         exec.try_infer_batch_at(std::slice::from_ref(&x), 0, Parallelism::Serial)
             .unwrap();
         assert_eq!(exec.images_seen(), 5);
-        let claimed = exec.try_infer(&x);
+        let claimed = infer_one(&exec, &x);
         assert!(claimed.is_ok());
         assert_eq!(exec.images_seen(), 6);
+    }
+
+    /// Any `u64` is a valid stream coordinate: coordinates near the top of
+    /// the range wrap in the invocation arithmetic instead of overflowing
+    /// (a debug build used to panic on them), the counter saturates at
+    /// `u64::MAX`, and thread count still changes no bit.
+    #[test]
+    fn huge_coordinates_wrap_and_stay_parallelism_invariant() {
+        let g = small_cnn();
+        let w = he_init(&g, 8);
+        // Small arrays force multiple tiles per layer, so a one-image call
+        // at `Threads(2)` takes the tile-parallel path.
+        let cfg = XbarConfig::hermes_256().with_size(32, 4);
+        let images: Vec<Tensor> = (0..2)
+            .map(|i| random_image(g.input_shape(), 140 + i))
+            .collect();
+        let run = |par: Parallelism| {
+            let exec = program(&g, &w, &cfg, 17);
+            let mut out = Vec::new();
+            for k in [1u64 << 60, u64::MAX] {
+                out.extend(
+                    exec.try_infer_batch_indexed(&[(k, &images[0])], par)
+                        .unwrap(),
+                );
+            }
+            // Image-parallel: two images, one of them at `u64::MAX`.
+            let pair = [(u64::MAX, &images[1]), (1 << 60, &images[1])];
+            out.extend(exec.try_infer_batch_indexed(&pair, par).unwrap());
+            // A contiguous batch from `u64::MAX` wraps to coordinate 0.
+            out.extend(exec.try_infer_batch_at(&images, u64::MAX, par).unwrap());
+            assert_eq!(exec.images_seen(), u64::MAX, "{par:?}");
+            out
+        };
+        let serial = run(Parallelism::Serial);
+        assert_eq!(serial, run(Parallelism::Threads(2)));
+        // One image at one coordinate replays, whichever call carried it.
+        assert_eq!(serial[1], serial[4]);
+        // The wrapped coordinate 0 is the stream's first image.
+        let fresh = program(&g, &w, &cfg, 17);
+        assert_eq!(serial[5], infer_one(&fresh, &images[1]).unwrap());
     }
 }

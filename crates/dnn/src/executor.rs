@@ -65,7 +65,7 @@ impl From<XbarError> for ExecError {
 /// A programmed functional backend: consumes images, produces logits.
 ///
 /// Implementations hold whatever state the backend needs (programmed
-/// crossbar tiles, weight tables) so that repeated [`Executor::infer`]
+/// crossbar tiles, weight tables) so that repeated [`Executor::infer_batch`]
 /// calls do **not** re-program anything.
 ///
 /// Inference is `&self` and every implementation is `Sync`: backends must
@@ -73,21 +73,17 @@ impl From<XbarError> for ExecError {
 /// invariant of the platform — [`Executor::infer_batch`] must return
 /// bit-identical outputs for every [`Parallelism`] setting.
 pub trait Executor: Sync {
-    /// Runs one image through the network, returning the output tensor.
-    fn infer(&self, input: &Tensor) -> Result<Tensor, ExecError>;
-
-    /// Runs a batch of images, parallelizing across images up to `par`.
+    /// Runs a batch of images, parallelizing across images up to `par`,
+    /// and returns one output tensor per image.
     ///
-    /// The default implementation fans independent [`Executor::infer`]
-    /// calls across the worker pool; backends with internal order-sensitive
-    /// state override it (the analog executor assigns invocation
-    /// coordinates per image).
+    /// A backend with per-image stream state claims the batch's
+    /// coordinates from its own counter (the analog executor takes the
+    /// next `inputs.len()` image coordinates), so a sequence of calls
+    /// replays exactly as one call over the same images would.
     ///
     /// # Errors
     /// The error of the lowest-indexed failing image, if any.
-    fn infer_batch(&self, inputs: &[Tensor], par: Parallelism) -> Result<Vec<Tensor>, ExecError> {
-        try_map_indexed(par, inputs, |_, x| self.infer(x))
-    }
+    fn infer_batch(&self, inputs: &[Tensor], par: Parallelism) -> Result<Vec<Tensor>, ExecError>;
 
     /// Runs a batch where **every image carries its own explicit global
     /// stream coordinate**: item `(k, x)` evaluates image `x` at stream
@@ -103,12 +99,10 @@ pub trait Executor: Sync {
     /// because evaluation randomness is keyed to the coordinate, never to
     /// the position within a batch or the identity of the executor.
     ///
-    /// The default implementation ignores the coordinates (stateless
-    /// backends are trivially composition-invariant) and maps
-    /// [`Executor::infer`] over the images; backends with per-image stream
-    /// state override it (the analog executor keys its read-noise streams
-    /// by the coordinate and advances its image counter past the batch's
-    /// highest coordinate).
+    /// Stateless backends ignore the coordinates (they are trivially
+    /// composition-invariant); the analog executor keys its read-noise
+    /// streams by the coordinate and advances its image counter past the
+    /// batch's highest coordinate.
     ///
     /// # Errors
     /// The error of the lowest-indexed failing item, if any.
@@ -116,9 +110,7 @@ pub trait Executor: Sync {
         &self,
         items: &[(u64, &Tensor)],
         par: Parallelism,
-    ) -> Result<Vec<Tensor>, ExecError> {
-        try_map_indexed(par, items, |_, (_, x)| self.infer(x))
-    }
+    ) -> Result<Vec<Tensor>, ExecError>;
 
     /// Images consumed from the backend's request stream so far — the next
     /// coordinate a counter-claiming call would use (0 for stateless
@@ -151,16 +143,18 @@ pub trait Executor: Sync {
 /// The digital f32 ground-truth backend behind [`Executor`].
 ///
 /// Validates that every parametric node has weights at construction, so
-/// [`Executor::infer`] can only fail on input-shape mismatches.
+/// inference can only fail on input-shape mismatches.
 ///
 /// # Examples
 /// ```
-/// use aimc_dnn::{he_init, resnet18_cifar, Executor, GoldenExecutor, Shape, Tensor};
-/// let g = resnet18_cifar(10);
-/// let w = he_init(&g, 0);
-/// let exec = GoldenExecutor::new(&g, &w).unwrap();
-/// let y = exec.infer(&Tensor::zeros(Shape::new(3, 32, 32))).unwrap();
-/// assert_eq!(y.shape(), Shape::new(10, 1, 1));
+/// use aimc_dnn::{he_init, resnet18_cifar, Executor, GoldenExecutor, Parallelism, Shape, Tensor};
+/// use std::sync::Arc;
+/// let g = Arc::new(resnet18_cifar(10));
+/// let w = Arc::new(he_init(&g, 0));
+/// let exec = GoldenExecutor::from_shared(g, w).unwrap();
+/// let images = [Tensor::zeros(Shape::new(3, 32, 32))];
+/// let y = exec.infer_batch(&images, Parallelism::Serial).unwrap();
+/// assert_eq!(y[0].shape(), Shape::new(10, 1, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoldenExecutor {
@@ -169,15 +163,6 @@ pub struct GoldenExecutor {
 }
 
 impl GoldenExecutor {
-    /// Builds a golden backend over `graph` and `weights`.
-    ///
-    /// # Errors
-    /// Returns [`ExecError::MissingWeights`] if any parametric node lacks
-    /// weights.
-    pub fn new(graph: &Graph, weights: &Weights) -> Result<Self, ExecError> {
-        Self::from_shared(Arc::new(graph.clone()), Arc::new(weights.clone()))
-    }
-
     /// Builds a golden backend sharing already-owned graph/weights handles
     /// (no deep copy — used by the `aimc-platform` session, which keeps
     /// both behind `Arc`).
@@ -189,12 +174,25 @@ impl GoldenExecutor {
         check_weights(&graph, &weights)?;
         Ok(GoldenExecutor { graph, weights })
     }
+
+    /// Runs one image through the network.
+    fn run(&self, input: &Tensor) -> Result<Tensor, ExecError> {
+        let mut outs = try_execute_golden(&self.graph, &self.weights, input)?;
+        Ok(outs.pop().expect("graph is non-empty"))
+    }
 }
 
 impl Executor for GoldenExecutor {
-    fn infer(&self, input: &Tensor) -> Result<Tensor, ExecError> {
-        let mut outs = try_execute_golden(&self.graph, &self.weights, input)?;
-        Ok(outs.pop().expect("graph is non-empty"))
+    fn infer_batch(&self, inputs: &[Tensor], par: Parallelism) -> Result<Vec<Tensor>, ExecError> {
+        try_map_indexed(par, inputs, |_, x| self.run(x))
+    }
+
+    fn infer_batch_indexed(
+        &self,
+        items: &[(u64, &Tensor)],
+        par: Parallelism,
+    ) -> Result<Vec<Tensor>, ExecError> {
+        try_map_indexed(par, items, |_, (_, x)| self.run(x))
     }
 
     fn backend_name(&self) -> &'static str {
@@ -241,13 +239,23 @@ mod tests {
         b.finish()
     }
 
+    fn golden(g: &Graph, w: &Weights) -> Result<GoldenExecutor, ExecError> {
+        GoldenExecutor::from_shared(Arc::new(g.clone()), Arc::new(w.clone()))
+    }
+
+    /// One image through `exec`, serially.
+    fn infer_one(exec: &dyn Executor, x: &Tensor) -> Result<Tensor, ExecError> {
+        let mut y = exec.infer_batch(std::slice::from_ref(x), Parallelism::Serial)?;
+        Ok(y.pop().expect("one image in, one out"))
+    }
+
     #[test]
     fn golden_executor_matches_free_function() {
         let g = tiny();
         let w = he_init(&g, 1);
         let x = Tensor::zeros(g.input_shape());
-        let exec = GoldenExecutor::new(&g, &w).unwrap();
-        assert_eq!(exec.infer(&x).unwrap(), infer_golden(&g, &w, &x));
+        let exec = golden(&g, &w).unwrap();
+        assert_eq!(infer_one(&exec, &x).unwrap(), infer_golden(&g, &w, &x));
         assert_eq!(exec.backend_name(), "golden");
         assert_eq!(exec.tile_count(), 0);
     }
@@ -255,7 +263,7 @@ mod tests {
     #[test]
     fn missing_weights_error_at_construction() {
         let g = tiny();
-        let err = GoldenExecutor::new(&g, &Weights::new()).unwrap_err();
+        let err = golden(&g, &Weights::new()).unwrap_err();
         assert!(err.to_string().contains("missing weights"));
         match err {
             ExecError::MissingWeights { node, name } => {
@@ -270,8 +278,8 @@ mod tests {
     fn shape_mismatch_is_an_error_not_a_panic() {
         let g = tiny();
         let w = he_init(&g, 1);
-        let exec = GoldenExecutor::new(&g, &w).unwrap();
-        let err = exec.infer(&Tensor::zeros(Shape::new(3, 4, 4))).unwrap_err();
+        let exec = golden(&g, &w).unwrap();
+        let err = infer_one(&exec, &Tensor::zeros(Shape::new(3, 4, 4))).unwrap_err();
         assert!(matches!(err, ExecError::ShapeMismatch { .. }));
         assert!(err.to_string().contains("input shape mismatch"));
     }
@@ -280,8 +288,8 @@ mod tests {
     fn works_as_trait_object() {
         let g = tiny();
         let w = he_init(&g, 1);
-        let exec: Box<dyn Executor> = Box::new(GoldenExecutor::new(&g, &w).unwrap());
-        let y = exec.infer(&Tensor::zeros(g.input_shape())).unwrap();
+        let exec: Box<dyn Executor> = Box::new(golden(&g, &w).unwrap());
+        let y = infer_one(exec.as_ref(), &Tensor::zeros(g.input_shape())).unwrap();
         assert_eq!(y.shape(), Shape::new(2, 1, 1));
     }
 
@@ -291,7 +299,7 @@ mod tests {
     fn golden_infer_batch_indexed_ignores_coordinates() {
         let g = tiny();
         let w = he_init(&g, 1);
-        let exec = GoldenExecutor::new(&g, &w).unwrap();
+        let exec = golden(&g, &w).unwrap();
         let images: Vec<Tensor> = (0..3)
             .map(|i| {
                 let mut v = vec![0.0f32; g.input_shape().numel()];
@@ -301,7 +309,10 @@ mod tests {
                 Tensor::from_vec(g.input_shape(), v)
             })
             .collect();
-        let solo: Vec<Tensor> = images.iter().map(|x| exec.infer(x).unwrap()).collect();
+        let solo: Vec<Tensor> = images
+            .iter()
+            .map(|x| infer_one(&exec, x).unwrap())
+            .collect();
         let shuffled: Vec<(u64, &Tensor)> = vec![(9, &images[0]), (2, &images[1]), (2, &images[2])];
         let got = exec
             .infer_batch_indexed(&shuffled, Parallelism::Threads(2))
@@ -322,11 +333,11 @@ mod tests {
                 Tensor::from_vec(g.input_shape(), v)
             })
             .collect();
-        let exec = GoldenExecutor::new(&g, &w).unwrap();
+        let exec = golden(&g, &w).unwrap();
         let serial = exec.infer_batch(&images, Parallelism::Serial).unwrap();
         let par = exec.infer_batch(&images, Parallelism::Threads(4)).unwrap();
         assert_eq!(serial, par);
-        // Default trait implementation reports shape errors by lowest index.
+        // Shape errors are reported by lowest index.
         let mut bad = images.clone();
         bad[2] = Tensor::zeros(Shape::new(1, 1, 1));
         bad[4] = Tensor::zeros(Shape::new(2, 2, 2));

@@ -4,8 +4,7 @@
 //! gives the functional simulators the same concurrency on the host. It is
 //! a minimal data-parallel layer over [`std::thread::scope`] — no external
 //! dependencies (the build environment has no registry access, so rayon is
-//! not an option), no unsafe code outside the [`affinity`] syscall
-//! wrappers, and one hard guarantee:
+//! not an option), no unsafe code, and one hard guarantee:
 //!
 //! > **The result of a parallel map is bit-identical to the serial map.**
 //!
@@ -27,10 +26,8 @@
 //! assert_eq!(serial, threaded);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod affinity;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -45,51 +42,21 @@ pub enum Parallelism {
     /// Run on up to `n` worker threads (`Threads(0)` and `Threads(1)`
     /// degrade to serial execution).
     Threads(usize),
-    /// Like [`Parallelism::Threads`], but worker `w` pins itself to CPU
-    /// core `w mod available_cores` (see [`affinity`]) **before**
-    /// allocating its per-worker scratch. Two effects, neither of which
-    /// changes a single output bit:
-    ///
-    /// * the scheduler cannot migrate a worker mid-sweep, so its scratch
-    ///   stays hot in the private caches of one core;
-    /// * the scratch is first-touched on the core that will hammer it,
-    ///   which on NUMA hosts places the pages in that core's local node.
-    ///
-    /// Pinning is best-effort: on non-Linux targets (or if the kernel
-    /// rejects the mask) this behaves exactly like `Threads(n)`.
-    PinnedThreads(usize),
 }
 
 impl Parallelism {
-    /// One worker per available hardware thread, as reported by the OS
-    /// (falls back to serial if the query fails).
-    pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) => Parallelism::Threads(n.get()),
-            Err(_) => Parallelism::Serial,
-        }
-    }
-
     /// The number of workers a region would use for `items` work items
     /// (never more workers than items, never zero).
     pub fn workers_for(&self, items: usize) -> usize {
         match *self {
             Parallelism::Serial => 1,
-            Parallelism::Threads(n) | Parallelism::PinnedThreads(n) => n.max(1).min(items.max(1)),
+            Parallelism::Threads(n) => n.max(1).min(items.max(1)),
         }
     }
 
     /// Whether this setting can spawn worker threads at all.
     pub fn is_parallel(&self) -> bool {
-        matches!(
-            *self,
-            Parallelism::Threads(n) | Parallelism::PinnedThreads(n) if n > 1
-        )
-    }
-
-    /// Whether workers should pin themselves to cores.
-    pub fn pins_workers(&self) -> bool {
-        matches!(*self, Parallelism::PinnedThreads(n) if n > 1)
+        matches!(*self, Parallelism::Threads(n) if n > 1)
     }
 }
 
@@ -199,14 +166,6 @@ where
     // does not stall the others) against cursor contention (one fetch-add
     // per chunk, not per item).
     let chunk = (items.len() / (workers * 4)).max(1);
-    // Under `PinnedThreads`, worker w pins to core w mod the core count
-    // before first-touching its scratch. The serial path above never pins:
-    // it runs on the caller's thread, whose placement is not ours to move.
-    let pin_cores = if par.pins_workers() {
-        std::thread::available_parallelism().map(|n| n.get()).ok()
-    } else {
-        None
-    };
     let cursor = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     // Each worker returns its locally collected (index, result) pairs; the
@@ -214,11 +173,8 @@ where
     let worker_results: Vec<Vec<(usize, Result<R, E>)>> = std::thread::scope(|scope| {
         let (cursor, failed, init, f) = (&cursor, &failed, &init, &f);
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 scope.spawn(move || {
-                    if let Some(cores) = pin_cores {
-                        affinity::pin_current_thread(w % cores);
-                    }
                     let mut scratch = init();
                     let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
                     loop {
@@ -385,37 +341,5 @@ mod tests {
                 try_map_indexed(par, &xs, |i, &x| if x % 13 == 4 { Err(i) } else { Ok(x) });
             assert_eq!(r.unwrap_err(), 4, "{par:?}");
         }
-    }
-
-    #[test]
-    fn auto_is_at_least_one_worker() {
-        let p = Parallelism::auto();
-        assert!(p.workers_for(usize::MAX) >= 1);
-    }
-
-    /// Pinning is a placement hint, never a semantic one: the pinned pool
-    /// must produce exactly the serial map's output.
-    #[test]
-    fn pinned_threads_agree_with_serial() {
-        let xs: Vec<u64> = (0..500).collect();
-        let serial = map_indexed(Parallelism::Serial, &xs, |i, &x| x * 7 + i as u64);
-        for n in [2, 4] {
-            let pinned = map_indexed(Parallelism::PinnedThreads(n), &xs, |i, &x| x * 7 + i as u64);
-            assert_eq!(serial, pinned, "PinnedThreads({n}) diverged");
-        }
-    }
-
-    #[test]
-    fn pinned_threads_degrade_like_threads() {
-        assert_eq!(Parallelism::PinnedThreads(0).workers_for(3), 1);
-        assert_eq!(Parallelism::PinnedThreads(1).workers_for(3), 1);
-        assert_eq!(Parallelism::PinnedThreads(8).workers_for(3), 3);
-        assert!(!Parallelism::PinnedThreads(1).is_parallel());
-        assert!(Parallelism::PinnedThreads(2).is_parallel());
-        // Only a genuinely multi-worker pinned setting pins anything.
-        assert!(Parallelism::PinnedThreads(2).pins_workers());
-        assert!(!Parallelism::PinnedThreads(1).pins_workers());
-        assert!(!Parallelism::Threads(8).pins_workers());
-        assert!(!Parallelism::Serial.pins_workers());
     }
 }

@@ -108,10 +108,6 @@ fn put_parallelism(buf: &mut Vec<u8>, par: Parallelism) {
             buf.push(1);
             put_u64(buf, n as u64);
         }
-        Parallelism::PinnedThreads(n) => {
-            buf.push(2);
-            put_u64(buf, n as u64);
-        }
     }
 }
 
@@ -331,7 +327,8 @@ impl<'a> Cur<'a> {
         match self.u8()? {
             0 => Ok(Parallelism::Serial),
             1 => Ok(Parallelism::Threads(self.u64()? as usize)),
-            2 => Ok(Parallelism::PinnedThreads(self.u64()? as usize)),
+            // 2 was `PinnedThreads`, a retired variant; it now decodes as
+            // an unknown tag and must not be reused.
             t => Err(bad(format!("unknown parallelism tag {t}"))),
         }
     }
@@ -635,7 +632,6 @@ mod tests {
             Frame::ReprogramDone(Err("weights missing".into())),
             Frame::SetParallelism(Parallelism::Serial),
             Frame::SetParallelism(Parallelism::Threads(8)),
-            Frame::SetParallelism(Parallelism::PinnedThreads(6)),
             Frame::ParallelismSet,
             Frame::StatsProbe,
             Frame::Stats(WireStats {
@@ -835,6 +831,16 @@ mod tests {
         for tag in [17, 200] {
             assert_eq!(
                 decode_frame(&[tag]).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
+        // Unknown parallelism tags, the retired `PinnedThreads` tag 2
+        // among them, even when a well-formed worker count follows.
+        for tag in [2u8, 3, 255] {
+            let mut frame = vec![TAG_SET_PARALLELISM, tag];
+            frame.extend_from_slice(&6u64.to_le_bytes());
+            assert_eq!(
+                decode_frame(&frame).unwrap_err().kind(),
                 io::ErrorKind::InvalidData
             );
         }

@@ -17,47 +17,9 @@ use crate::crossbar::{Crossbar, XbarError};
 use crate::kernel::{self, MvmScratch};
 
 impl Crossbar {
-    /// Evaluates `y = Wᵀx` bit-serially with `n_bits` input bit planes.
-    ///
-    /// The input is normalized to the vector's max-abs (like the parallel
-    /// path), quantized to a *signed* `n_bits`-bit integer, and applied as
-    /// binary pulses from MSB-1 planes down; negative values use two-phase
-    /// (subtractive) evaluation, as memristive designs do.
-    ///
-    /// Read noise follows the same per-call stream model as
-    /// [`Crossbar::mvm`]: this convenience draws the next internal
-    /// invocation index (one bit-serial evaluation counts as one MVM for
-    /// accounting); [`Crossbar::mvm_bit_serial_at`] takes the index
-    /// explicitly for order-independent parallel execution.
-    ///
-    /// # Errors
-    /// Returns [`XbarError::InputLength`] on dimension mismatch, or
-    /// [`XbarError::BadConfig`] if `n_bits` is not in `1..=16`.
-    pub fn mvm_bit_serial(&self, x: &[f32], n_bits: u32) -> Result<Vec<f32>, XbarError> {
-        // Validate before claiming an invocation: rejected calls must not
-        // count as evaluations nor shift later calls' noise streams.
-        self.check_bit_serial_args(x, n_bits)?;
-        let invocation = self.next_invocation();
-        Ok(self.bit_serial_core(x, n_bits, invocation))
-    }
-
-    /// [`Crossbar::mvm_bit_serial`] with a caller-chosen invocation index
-    /// selecting the read-noise stream.
-    ///
-    /// # Errors
-    /// Same conditions as [`Crossbar::mvm_bit_serial`].
-    pub fn mvm_bit_serial_at(
-        &self,
-        x: &[f32],
-        n_bits: u32,
-        invocation: u64,
-    ) -> Result<Vec<f32>, XbarError> {
-        self.check_bit_serial_args(x, n_bits)?;
-        self.next_invocation();
-        Ok(self.bit_serial_core(x, n_bits, invocation))
-    }
-
-    fn check_bit_serial_args(&self, x: &[f32], n_bits: u32) -> Result<(), XbarError> {
+    /// Rejects a bit width outside `1..=16` or an input that is not
+    /// `rows_used` long.
+    pub(crate) fn check_bit_serial_args(&self, x: &[f32], n_bits: u32) -> Result<(), XbarError> {
         if !(1..=16).contains(&n_bits) {
             return Err(XbarError::BadConfig(format!(
                 "bit-serial input bits {n_bits} out of range 1..=16"
@@ -72,26 +34,24 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Pre-validated bit-serial evaluation through the packed kernel with
-    /// this thread's fallback scratch (see [`crate::kernel`]).
-    fn bit_serial_core(&self, x: &[f32], n_bits: u32, invocation: u64) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.cols_used()];
-        kernel::with_thread_scratch(|s| {
-            kernel::bit_serial_packed(self, x, n_bits, &mut y, invocation, s)
-        });
-        y
-    }
-
-    /// Like [`Crossbar::mvm_bit_serial_at`] but writing into a caller
-    /// buffer and reusing a caller-owned [`MvmScratch`] — the
-    /// zero-allocation bit-serial hot path.
+    /// Evaluates `y = Wᵀx` bit-serially with `n_bits` input bit planes,
+    /// writing into a caller buffer and reusing a caller-owned
+    /// [`MvmScratch`] — the zero-allocation bit-serial entry point.
     ///
-    /// Results are bit-identical to the other bit-serial entry points for
-    /// the same invocation index.
+    /// The input is normalized to the vector's max-abs (like the parallel
+    /// path), quantized to a *signed* `n_bits`-bit integer, and applied as
+    /// binary pulses from MSB-1 planes down; negative values use two-phase
+    /// (subtractive) evaluation, as memristive designs do.
+    ///
+    /// Read noise follows the per-call stream model of
+    /// [`Crossbar::mvm_batch_into_with`]: it is drawn from the stream of
+    /// `invocation`, and one bit-serial evaluation counts as one MVM for
+    /// accounting.
     ///
     /// # Errors
-    /// Same conditions as [`Crossbar::mvm_bit_serial`], plus
-    /// [`XbarError::InputLength`] if `out` is not `cols_used` long.
+    /// Returns [`XbarError::InputLength`] if `x` is not `rows_used` or
+    /// `out` not `cols_used` long, or [`XbarError::BadConfig`] if `n_bits`
+    /// is not in `1..=16`.
     pub fn mvm_bit_serial_into_with(
         &self,
         x: &[f32],
@@ -107,36 +67,9 @@ impl Crossbar {
                 expected: self.cols_used(),
             });
         }
-        self.next_invocation();
+        self.count_mvms(1);
         kernel::bit_serial_packed(self, x, n_bits, out, invocation, scratch);
         Ok(())
-    }
-
-    /// Scalar reference bit-serial evaluation at an explicit invocation
-    /// index — the pre-packing per-plane predicate loop kept as the
-    /// equivalence oracle for the `kernel_equivalence` proptests and the
-    /// `mvm_kernels` bench.
-    ///
-    /// Returns results bit-identical to [`Crossbar::mvm_bit_serial_at`]
-    /// for the same `invocation`; it is slower and allocates per plane.
-    ///
-    /// # Errors
-    /// Same conditions as [`Crossbar::mvm_bit_serial`].
-    pub fn mvm_bit_serial_reference_at(
-        &self,
-        x: &[f32],
-        n_bits: u32,
-        invocation: u64,
-    ) -> Result<Vec<f32>, XbarError> {
-        self.check_bit_serial_args(x, n_bits)?;
-        self.next_invocation();
-        Ok(kernel::bit_serial_reference(self, x, n_bits, invocation))
-    }
-
-    /// Latency of a bit-serial MVM: one array evaluation per bit plane (two
-    /// phases share a plane's evaluation slot in pipelined designs).
-    pub fn bit_serial_latency_ns(&self, n_bits: u32) -> f64 {
-        self.config().mvm_latency_ns / 8.0 * n_bits.max(1) as f64
     }
 }
 
@@ -149,6 +82,26 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// One bit-serial evaluation at `invocation`.
+    fn bit_serial(
+        xb: &Crossbar,
+        x: &[f32],
+        n_bits: u32,
+        invocation: u64,
+    ) -> Result<Vec<f32>, XbarError> {
+        let mut y = vec![0.0f32; xb.cols_used()];
+        xb.mvm_bit_serial_into_with(x, n_bits, &mut y, invocation, &mut MvmScratch::new())?;
+        Ok(y)
+    }
+
+    /// One parallel-DAC evaluation at `invocation`.
+    fn dac(xb: &Crossbar, x: &[f32], invocation: u64) -> Vec<f32> {
+        let mut y = vec![0.0f32; xb.cols_used()];
+        xb.mvm_batch_into_with(x, &mut y, &[invocation], &mut MvmScratch::new())
+            .unwrap();
+        y
     }
 
     fn ref_mvm(w: &[f32], rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
@@ -174,7 +127,7 @@ mod tests {
             .collect();
         let xb =
             Crossbar::program(&XbarConfig::ideal(rows, cols), &w, rows, cols, &mut rng).unwrap();
-        let y = xb.mvm_bit_serial(&x, 12).unwrap();
+        let y = bit_serial(&xb, &x, 12, 0).unwrap();
         let yref = ref_mvm(&w, rows, cols, &x);
         for (a, b) in y.iter().zip(&yref) {
             // 11 magnitude bits over sums of 24 terms.
@@ -196,8 +149,8 @@ mod tests {
         let x: Vec<f32> = (0..rows).map(|i| ((i % 5) as f32 - 2.0) / 2.0).collect();
         let xb =
             Crossbar::program(&XbarConfig::ideal(rows, cols), &w, rows, cols, &mut rng).unwrap();
-        let par = xb.mvm(&x).unwrap();
-        let ser = xb.mvm_bit_serial(&x, 16).unwrap();
+        let par = dac(&xb, &x, 0);
+        let ser = bit_serial(&xb, &x, 16, 1).unwrap();
         for (a, b) in par.iter().zip(&ser) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
@@ -218,13 +171,13 @@ mod tests {
         let xb = Crossbar::program(&cfg, &w, 32, 2, &mut rng).unwrap();
         // Each evaluation draws a fresh invocation stream, so variance
         // across repeated calls measures the read-noise magnitude.
-        let spread = |f: &mut dyn FnMut() -> f32| {
-            let vals: Vec<f32> = (0..60).map(|_| f()).collect();
+        let spread = |f: &dyn Fn(u64) -> f32| {
+            let vals: Vec<f32> = (0..60).map(f).collect();
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
             vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32
         };
-        let var_par = spread(&mut || xb.mvm(&x).unwrap()[0]);
-        let var_ser = spread(&mut || xb.mvm_bit_serial(&x, 8).unwrap()[0]);
+        let var_par = spread(&|i| dac(&xb, &x, i)[0]);
+        let var_ser = spread(&|i| bit_serial(&xb, &x, 8, 60 + i).unwrap()[0]);
         assert!(var_ser > 0.0, "bit-serial output must be noisy");
         assert!(var_par > 0.0, "parallel output must be noisy");
         let ratio = var_ser / var_par;
@@ -235,31 +188,27 @@ mod tests {
     }
 
     #[test]
-    fn latency_scales_with_bits() {
-        let mut rng = rng();
-        let xb = Crossbar::program(&XbarConfig::hermes_256(), &[0.1; 16], 4, 4, &mut rng).unwrap();
-        let l8 = xb.bit_serial_latency_ns(8);
-        let l16 = xb.bit_serial_latency_ns(16);
-        assert!((l8 - 130.0).abs() < 1e-9, "8-bit serial ≈ parallel: {l8}");
-        assert!((l16 - 260.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn rejects_bad_bit_counts_and_lengths() {
         let mut rng = rng();
         let xb = Crossbar::program(&XbarConfig::ideal(4, 4), &[0.1; 16], 4, 4, &mut rng).unwrap();
         assert!(matches!(
-            xb.mvm_bit_serial(&[0.0; 4], 0),
+            bit_serial(&xb, &[0.0; 4], 0, 0),
             Err(XbarError::BadConfig(_))
         ));
         assert!(matches!(
-            xb.mvm_bit_serial(&[0.0; 4], 17),
+            bit_serial(&xb, &[0.0; 4], 17, 0),
             Err(XbarError::BadConfig(_))
         ));
         assert!(matches!(
-            xb.mvm_bit_serial(&[0.0; 3], 8),
+            bit_serial(&xb, &[0.0; 3], 8, 0),
             Err(XbarError::InputLength { .. })
         ));
+        let mut short = [0.0f32; 3];
+        assert!(matches!(
+            xb.mvm_bit_serial_into_with(&[0.0; 4], 8, &mut short, 0, &mut MvmScratch::new()),
+            Err(XbarError::InputLength { .. })
+        ));
+        assert_eq!(xb.mvm_count(), 0, "rejected calls count nothing");
     }
 
     #[test]
@@ -268,7 +217,7 @@ mod tests {
         cfg.read_noise_sigma = 0.1; // would be loud if planes fired
         let mut rng = rng();
         let xb = Crossbar::program(&cfg, &[0.5; 16], 8, 2, &mut rng).unwrap();
-        let y = xb.mvm_bit_serial(&[0.0; 8], 8).unwrap();
+        let y = bit_serial(&xb, &[0.0; 8], 8, 0).unwrap();
         assert!(y.iter().all(|&v| v == 0.0), "{y:?}");
     }
 }

@@ -1,9 +1,9 @@
 //! Bit-packed MVM kernels and the reusable per-worker scratch.
 //!
 //! This module is the single-core engine room of the simulator: every
-//! analog MVM — parallel-DAC ([`crate::Crossbar::mvm_into_at`]) or
-//! bit-serial ([`crate::Crossbar::mvm_bit_serial_at`]) — lands in one of
-//! the two *packed* kernels here. The packing idea comes straight from the
+//! analog MVM — parallel-DAC ([`crate::Crossbar::mvm_batch_into_with`]) or
+//! bit-serial ([`crate::Crossbar::mvm_bit_serial_into_with`]) — lands in
+//! one of the *packed* kernels here. The packing idea comes straight from the
 //! hardware being modeled: a bit-serial word-line pulse **is** a binary
 //! row-selection mask, and on a CPU a row-selection mask is a `u64` word,
 //! not a per-row branch test.
@@ -34,8 +34,9 @@
 //! ## Why bit-exactness survives
 //!
 //! The packed kernels promise outputs **bit-identical** to the scalar
-//! reference kernels ([`crate::Crossbar::mvm_reference_at`],
-//! [`crate::Crossbar::mvm_bit_serial_reference_at`]), because:
+//! reference kernels, the pre-packing row loops that the crate's unit
+//! tests keep as oracles (`dac_reference` and `bit_serial_reference` in
+//! `src/equivalence.rs`), because:
 //!
 //! 1. per column, f64 accumulation visits rows in exactly the reference's
 //!    ascending order (`trailing_zeros` enumerates a word's set bits in
@@ -53,9 +54,10 @@
 //!    the references one draw at a time through [`GaussianStream::next`];
 //!    both consume the same raw draws and add the same `sigma * z`.
 //!
-//! The proptest suite in `tests/kernel_equivalence.rs` pins packed ≡
-//! reference across sizes, bit widths, sign patterns, and repeated
-//! invocations (noise-stream parity).
+//! The proptests in `src/equivalence.rs` pin packed ≡ reference across
+//! sizes, bit widths, sign patterns, and repeated invocations
+//! (noise-stream parity), and a census test pins it on every tile shape
+//! of a ResNet-18 deployment.
 //!
 //! ## Per-element stages
 //!
@@ -94,8 +96,7 @@
 //!
 //! All kernel state lives in a caller-owned [`MvmScratch`] (plumbed into
 //! the executors' per-worker scratch); after one warm-up call per shape no
-//! path below allocates. Entry points without a scratch parameter borrow a
-//! thread-local one. `tests/no_alloc.rs` asserts the no-allocation
+//! path below allocates. `tests/no_alloc.rs` asserts the no-allocation
 //! property with a counting global allocator.
 
 use crate::crossbar::Crossbar;
@@ -103,14 +104,13 @@ use crate::noise::GaussianStream;
 use crate::stream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
 
 /// Reusable buffers for the packed MVM kernels — one per worker thread.
 ///
 /// Sized lazily on first use and grown monotonically; a warm scratch makes
 /// every kernel in this module allocation-free. Construct with
 /// [`MvmScratch::new`] (or `Default`) and pass to
-/// [`crate::Crossbar::mvm_into_with`] /
+/// [`crate::Crossbar::mvm_batch_into_with`] /
 /// [`crate::Crossbar::mvm_bit_serial_into_with`].
 #[derive(Debug, Default)]
 pub struct MvmScratch {
@@ -189,17 +189,6 @@ fn aligned_view(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     &mut buf[off..off + len]
 }
 
-thread_local! {
-    /// Fallback scratch for entry points without a caller-provided one
-    /// ([`Crossbar::mvm_into_at`] etc.) — still allocation-free once warm.
-    static THREAD_SCRATCH: RefCell<MvmScratch> = RefCell::new(MvmScratch::new());
-}
-
-/// Runs `f` with this thread's fallback [`MvmScratch`].
-pub(crate) fn with_thread_scratch<T>(f: impl FnOnce(&mut MvmScratch) -> T) -> T {
-    THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
 // ---------------------------------------------------------------------------
 // Audited normalize / clamp / quantize helpers — the one place the DAC and
 // bit-serial input stages (and the ADC readout) define their rounding.
@@ -240,7 +229,7 @@ pub fn dac_scale(x: &[f32]) -> f64 {
 }
 
 /// Input scale of the bit-serial path: max-abs floored at `1e-30` (the
-/// historical epsilon of `bit_serial_core`, kept so results do not move).
+/// historical epsilon of the bit-serial path, kept so results do not move).
 #[inline]
 pub fn bit_serial_scale(x: &[f32]) -> f64 {
     max_abs(x).max(1e-30)
@@ -767,10 +756,11 @@ fn noise_stream(xb: &Crossbar, invocation: u64) -> GaussianStream<StdRng> {
     )))
 }
 
-/// Packed parallel-DAC evaluation (the production hot path).
+/// Packed parallel-DAC evaluation of one patch (the single-patch kernel,
+/// also the batch's remainder path).
 ///
-/// Bit-identical to [`dac_reference`]; see the module docs for why.
-pub(crate) fn dac_packed(
+/// Bit-identical to the scalar reference; see the module docs for why.
+fn dac_packed(
     xb: &Crossbar,
     x: &[f32],
     out: &mut [f32],
@@ -942,66 +932,13 @@ pub(crate) fn dac_packed_batch(
     }
 }
 
-/// Scalar reference for the parallel-DAC chain — the pre-packing row loop,
-/// kept as the equivalence oracle for proptests and the `mvm_kernels`
-/// bench. Allocates per call (that is part of what it measures).
-pub(crate) fn dac_reference(xb: &Crossbar, x: &[f32], out: &mut [f32], invocation: u64) {
-    let rows = xb.rows_used();
-    let cols = xb.cols_used();
-    let cfg = xb.config();
-
-    let dac_levels = ((1u64 << cfg.dac_bits) - 1) as f64 / 2.0;
-    let inv_dac_levels = 1.0 / dac_levels;
-    let clip = cfg.x_clip;
-    let x_scale = dac_scale(x);
-    let inv_x_scale = 1.0 / x_scale;
-    let mut xq = Vec::with_capacity(x.len());
-    for &xi in x {
-        xq.push(dac_quantize(
-            xi as f64,
-            inv_x_scale,
-            clip,
-            dac_levels,
-            inv_dac_levels,
-        ));
-    }
-
-    let mut acc = vec![0.0f64; cols];
-    for (r, &xr) in xq.iter().enumerate() {
-        if xr == 0.0 {
-            continue;
-        }
-        let row = &xb.g_all()[r * cols..(r + 1) * cols];
-        for (c, &g) in row.iter().enumerate() {
-            acc[c] = xr.mul_add(g, acc[c]);
-        }
-    }
-
-    if cfg.read_noise_sigma > 0.0 {
-        let rng = StdRng::seed_from_u64(stream::derive(xb.noise_seed(), invocation));
-        let mut gs = GaussianStream::new(rng);
-        let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
-        for a in acc.iter_mut() {
-            *a += gs.next(sigma);
-        }
-    }
-
-    let fs = cfg.adc_headroom * rows as f64 * clip;
-    let adc_levels = ((1u64 << cfg.adc_bits.min(31)) - 1) as f64 / 2.0;
-    let (to_code, from_code) = (adc_levels / fs, fs / adc_levels);
-    let back_scale = xb.weight_scale() * x_scale;
-    for (c, &a) in acc.iter().enumerate() {
-        out[c] = adc_readout(a, fs, to_code, from_code, back_scale);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Bit-serial kernels
 // ---------------------------------------------------------------------------
 
 /// Packed bit-serial evaluation (the production hot path).
 ///
-/// Bit-identical to [`bit_serial_reference`]; see the module docs for why
+/// Bit-identical to the scalar reference; see the module docs for why
 /// mask packing, popcount silence checks, and plane-sum reuse preserve
 /// every bit.
 pub(crate) fn bit_serial_packed(
@@ -1104,60 +1041,6 @@ pub(crate) fn bit_serial_packed(
     for (o, &a) in out.iter_mut().zip(acc.iter()) {
         *o = (a * back) as f32;
     }
-}
-
-/// Scalar reference for the bit-serial chain — the pre-packing per-plane
-/// predicate loop, kept as the equivalence oracle.
-pub(crate) fn bit_serial_reference(
-    xb: &Crossbar,
-    x: &[f32],
-    n_bits: u32,
-    invocation: u64,
-) -> Vec<f32> {
-    let cols = xb.cols_used();
-    let rows = xb.rows_used();
-    let cfg = xb.config();
-
-    let x_scale = bit_serial_scale(x);
-    let inv_x_scale = 1.0 / x_scale;
-    let levels = (1i64 << (n_bits - 1)) - 1;
-    let xq: Vec<i64> = x
-        .iter()
-        .map(|&v| signed_quantize(v as f64, inv_x_scale, levels as f64))
-        .collect();
-
-    let rng = StdRng::seed_from_u64(stream::derive(xb.noise_seed(), invocation));
-    let mut gs = GaussianStream::new(rng);
-    let mut acc = vec![0.0f64; cols];
-    let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
-    for bit in 0..(n_bits - 1) {
-        let weight = (1i64 << bit) as f64;
-        for phase in [1i64, -1] {
-            // Skip silent planes entirely (no pulse, no noise).
-            let any = xq
-                .iter()
-                .any(|&q| q.signum() == phase && (q.abs() >> bit) & 1 == 1);
-            if !any {
-                continue;
-            }
-            let mut plane = vec![0.0f64; cols];
-            for (r, &q) in xq.iter().enumerate() {
-                if q.signum() == phase && (q.abs() >> bit) & 1 == 1 {
-                    let row = &xb.g_all()[r * cols..(r + 1) * cols];
-                    for (c, g) in row.iter().enumerate() {
-                        plane[c] += g;
-                    }
-                }
-            }
-            for (c, p) in plane.iter().enumerate() {
-                let noisy = p + gs.next(sigma);
-                acc[c] += phase as f64 * weight * noisy;
-            }
-        }
-    }
-
-    let back = xb.weight_scale() * x_scale / levels as f64;
-    acc.iter().map(|&a| (a * back) as f32).collect()
 }
 
 #[cfg(test)]
@@ -1326,8 +1209,8 @@ mod tests {
         assert_batch_matches_single_calls(&xb, &xs, &invocations);
     }
 
-    /// One batched call over the patches of `xs` equals a single call per
-    /// patch, bit for bit.
+    /// One batched call over the patches of `xs` equals a one-patch call
+    /// per patch, bit for bit.
     fn assert_batch_matches_single_calls(xb: &Crossbar, xs: &[f32], invocations: &[u64]) {
         let (rows, cols) = (xb.rows_used(), xb.cols_used());
         let mut batch = vec![0.0f32; invocations.len() * cols];
@@ -1336,7 +1219,7 @@ mod tests {
             .unwrap();
         for (p, x) in xs.chunks(rows).enumerate() {
             let mut single = vec![0.0f32; cols];
-            xb.mvm_into_with(x, &mut single, invocations[p], &mut scratch)
+            xb.mvm_batch_into_with(x, &mut single, &invocations[p..=p], &mut scratch)
                 .unwrap();
             for (a, b) in single.iter().zip(&batch[p * cols..(p + 1) * cols]) {
                 assert_eq!(a.to_bits(), b.to_bits(), "rows {rows}, patch {p}");

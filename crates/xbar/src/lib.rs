@@ -8,8 +8,8 @@
 //!
 //! Three concerns are modeled:
 //!
-//! 1. **Function** — [`Crossbar::mvm`] computes `y = Wᵀx` through the full
-//!    signal chain: DAC clipping/quantization → differential-conductance
+//! 1. **Function** — [`Crossbar::mvm_batch_into_with`] computes `y = Wᵀx`
+//!    for a batch of input patches through the full signal chain: DAC clipping/quantization → differential-conductance
 //!    weights with programming noise → Kirchhoff accumulation → bit-line read
 //!    noise → ADC clipping/quantization. With [`XbarConfig::ideal`] the chain
 //!    collapses to an exact mat-vec (validated by tests and property tests).
@@ -29,7 +29,7 @@
 //!
 //! ## Example
 //! ```
-//! use aimc_xbar::{Crossbar, XbarConfig};
+//! use aimc_xbar::{Crossbar, MvmScratch, XbarConfig};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), aimc_xbar::XbarError> {
@@ -38,8 +38,13 @@
 //! // it is the "local mapping" inefficiency of Fig. 6).
 //! let weights = vec![0.2, -0.4, 0.6, 0.1, -0.3, 0.5];
 //! let xbar = Crossbar::program(&XbarConfig::hermes_256(), &weights, 3, 2, &mut rng)?;
-//! let y = xbar.mvm(&[1.0, 0.5, -0.25])?;
-//! assert_eq!(y.len(), 2);
+//! // Two patches, back to back, at invocation coordinates 0 and 1; the
+//! // scratch is reused across calls, so a warm loop allocates nothing.
+//! let xs = [1.0, 0.5, -0.25, 0.0, -1.0, 0.75];
+//! let mut y = [0.0f32; 4];
+//! let mut scratch = MvmScratch::new();
+//! xbar.mvm_batch_into_with(&xs, &mut y, &[0, 1], &mut scratch)?;
+//! assert_eq!(xbar.mvm_count(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,3 +64,6 @@ pub use config::XbarConfig;
 pub use crossbar::{Crossbar, XbarError};
 pub use kernel::{MvmScratch, DAC_BATCH};
 pub use programming::{ProgrammingCost, ProgrammingModel};
+
+#[cfg(test)]
+mod equivalence;

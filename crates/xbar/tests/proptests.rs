@@ -1,9 +1,17 @@
 //! Property-based tests for the crossbar model's core invariants.
 
-use aimc_xbar::{Crossbar, XbarConfig};
+use aimc_xbar::{Crossbar, MvmScratch, XbarConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One patch through [`Crossbar::mvm_batch_into_with`] at `invocation`.
+fn mvm_at(xb: &Crossbar, x: &[f32], invocation: u64) -> Vec<f32> {
+    let mut y = vec![0.0f32; xb.cols_used()];
+    xb.mvm_batch_into_with(x, &mut y, &[invocation], &mut MvmScratch::new())
+        .unwrap();
+    y
+}
 
 fn ref_mvm(w: &[f32], rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
     let mut y = vec![0.0f32; cols];
@@ -31,7 +39,7 @@ proptest! {
         let w: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let x: Vec<f32> = (0..rows).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let xb = Crossbar::program(&XbarConfig::ideal(rows, cols), &w, rows, cols, &mut rng).unwrap();
-        let y = xb.mvm(&x).unwrap();
+        let y = mvm_at(&xb, &x, 0);
         let yref = ref_mvm(&w, rows, cols, &x);
         // Tolerance: DAC 16b + weight 16b quantization on sums of `rows` terms.
         let tol = 1e-3 * rows as f32 + 1e-3;
@@ -54,9 +62,9 @@ proptest! {
         let w: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let x: Vec<f32> = (0..rows).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let xb = Crossbar::program(&XbarConfig::ideal(rows, cols), &w, rows, cols, &mut rng).unwrap();
-        let y1 = xb.mvm(&x).unwrap();
+        let y1 = mvm_at(&xb, &x, 0);
         let xs: Vec<f32> = x.iter().map(|v| v * scale).collect();
-        let y2 = xb.mvm(&xs).unwrap();
+        let y2 = mvm_at(&xb, &xs, 1);
         let tol = 2e-3 * rows as f32 + 1e-3;
         for (a, b) in y1.iter().zip(&y2) {
             prop_assert!((a * scale - b).abs() <= tol, "{} vs {}", a * scale, b);
@@ -99,7 +107,7 @@ proptest! {
         let w = vec![1.0f32; rows];
         let xb = Crossbar::program(&cfg, &w, rows, 1, &mut rng).unwrap();
         let x = vec![1.0f32; rows];
-        let y = xb.mvm(&x).unwrap();
+        let y = mvm_at(&xb, &x, 0);
         let fs = (headroom * rows as f64 * cfg.x_clip) as f32 * 1.001;
         prop_assert!(y[0].abs() <= fs, "|{}| > fs {}", y[0], fs);
     }
@@ -154,15 +162,15 @@ proptest! {
         // Reference: ascending order on one freshly programmed array.
         let a = program(seed);
         let want: Vec<Vec<f32>> =
-            invocations.iter().map(|&i| a.mvm_at(&x, i).unwrap()).collect();
+            invocations.iter().map(|&i| mvm_at(&a, &x, i)).collect();
 
         // Same coordinates, reversed order, on an identically programmed
         // array — with unrelated interleaved evaluations thrown in.
         let b = program(seed);
         let mut got: Vec<(u64, Vec<f32>)> = Vec::new();
         for &i in invocations.iter().rev() {
-            let _ = b.mvm_at(&x, i + 7_777).unwrap(); // unrelated coordinate
-            got.push((i, b.mvm_at(&x, i).unwrap()));
+            let _ = mvm_at(&b, &x, i + 7_777); // unrelated coordinate
+            got.push((i, mvm_at(&b, &x, i)));
         }
         got.sort_by_key(|(i, _)| *i);
         for ((i, g), w_) in got.iter().zip(&want) {

@@ -877,25 +877,6 @@ impl Session {
         Ok(())
     }
 
-    /// Runs `f` against the active backend's executor (set by
-    /// [`Session::program`]), holding the analog slot's read lock for the
-    /// duration when the analog backend is active.
-    fn with_active<R>(&self, f: impl FnOnce(&dyn Executor) -> R) -> R {
-        match self.active.as_ref().expect("program() ran first") {
-            Backend::Golden => f(self.golden.as_ref().expect("programmed golden").as_ref()),
-            Backend::Analog { .. } => {
-                let guard = self
-                    .analog
-                    .as_ref()
-                    .expect("programmed analog")
-                    .1
-                    .read()
-                    .unwrap();
-                f(&*guard)
-            }
-        }
-    }
-
     /// Overrides the thread budget inherited from the platform (applies to
     /// subsequent programming and inference; never changes results).
     ///
@@ -906,9 +887,6 @@ impl Session {
     /// either way).
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.parallelism.set(parallelism);
-        if let Some((_, slot)) = self.analog.as_ref() {
-            slot.write().unwrap().set_parallelism(parallelism);
-        }
     }
 
     /// The session's current thread budget.
@@ -935,18 +913,29 @@ impl Session {
     pub fn infer(&mut self, images: &[Tensor], backend: Backend) -> Result<Vec<Tensor>, Error> {
         self.program(&backend)?;
         let par = self.parallelism.get();
-        self.with_active(|e| e.infer_batch(images, par))
-            .map_err(Error::from)
+        let logits = match backend {
+            Backend::Golden => self
+                .golden
+                .as_ref()
+                .expect("programmed golden")
+                .infer_batch(images, par),
+            // The read lock makes drift and reprogramming wait for the batch.
+            Backend::Analog { .. } => {
+                let slot = &self.analog.as_ref().expect("programmed analog").1;
+                slot.read().unwrap().infer_batch(images, par)
+            }
+        };
+        logits.map_err(Error::from)
     }
 
-    /// Runs one image through the functional `backend` (see
-    /// [`Session::infer`]).
+    /// Runs one image through the functional `backend`: a one-image
+    /// [`Session::infer`] batch at the session's thread budget.
     ///
     /// # Errors
     /// Same conditions as [`Session::infer`].
     pub fn infer_one(&mut self, image: &Tensor, backend: Backend) -> Result<Tensor, Error> {
-        self.program(&backend)?;
-        self.with_active(|e| e.infer(image)).map_err(Error::from)
+        let mut logits = self.infer(std::slice::from_ref(image), backend)?;
+        Ok(logits.pop().expect("one image in, one out"))
     }
 
     /// Starts an asynchronous micro-batch server over the **active**

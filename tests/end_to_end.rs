@@ -4,6 +4,7 @@
 use aimc_platform::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn random_image(shape: Shape, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -50,9 +51,18 @@ fn analog_executor_tracks_golden_on_the_mapped_split_structure() {
     let w = he_init(&g, 3);
     let x = random_image(g.input_shape(), 11);
     let golden = infer_golden(&g, &w, &x);
-    let analog = AimcExecutor::program(&g, &w, &XbarConfig::ideal(256, 256), 5).unwrap();
-    let y = analog.infer(&x);
-    for (a, b) in y.data().iter().zip(golden.data()) {
+    let analog = AimcExecutor::try_program_shared_with(
+        Arc::new(g),
+        Arc::new(w),
+        &XbarConfig::ideal(256, 256),
+        5,
+        Parallelism::Serial,
+    )
+    .unwrap();
+    let y = analog
+        .infer_batch(std::slice::from_ref(&x), Parallelism::Serial)
+        .unwrap();
+    for (a, b) in y[0].data().iter().zip(golden.data()) {
         assert!((a - b).abs() < 0.05 * b.abs().max(1.0), "{a} vs {b}");
     }
 }

@@ -5,6 +5,7 @@
 use aimc_platform::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn small_cnn() -> Graph {
     let mut b = GraphBuilder::new(Shape::new(3, 16, 16));
@@ -101,9 +102,20 @@ fn session_infer_analog_matches_legacy_executor() {
     let new = session
         .infer_one(&x, Backend::analog(9, cfg.clone()))
         .unwrap();
-    // Legacy path with the same seed sees the identical noise stream.
-    let legacy = AimcExecutor::program(&g, &w, &cfg, 9).unwrap();
-    assert_eq!(new, legacy.infer(&x));
+    // A standalone executor with the same seed sees the identical noise
+    // stream.
+    let legacy = AimcExecutor::try_program_shared_with(
+        Arc::new(g),
+        Arc::new(w),
+        &cfg,
+        9,
+        Parallelism::Serial,
+    )
+    .unwrap();
+    let want = legacy
+        .infer_batch(std::slice::from_ref(&x), Parallelism::Serial)
+        .unwrap();
+    assert_eq!(vec![new], want);
 }
 
 #[test]
