@@ -551,10 +551,11 @@ impl AimcExecutor {
     /// (same programming seed ⇒ same conductances ⇒ same noise streams).
     ///
     /// The internal counter is advanced to at least `max(k) + 1` over the
-    /// batch's coordinates `k` (saturating at `u64::MAX`), so a later
-    /// counter-claiming [`Executor::infer_batch`] never reuses a coordinate
-    /// evaluated here. An empty batch is a no-op and does not touch the
-    /// counter.
+    /// batch's coordinates `k`, so a later counter-claiming
+    /// [`Executor::infer_batch`] never reuses a coordinate evaluated here —
+    /// up to the top of the range: the counter saturates at `u64::MAX`,
+    /// and a counter-claiming call from there wraps around. An empty batch
+    /// is a no-op and does not touch the counter.
     ///
     /// # Errors
     /// [`ExecError::ShapeMismatch`] on the first (lowest-index) mismatched
