@@ -8,19 +8,18 @@
 //!   quantize / ADC, Box–Muller read noise per bit line. This is the
 //!   baseline the headline speedup is measured against, compiled with the
 //!   same flags as everything else in this binary.
-//! * **packed** — the production bit-packed kernel through a one-patch
-//!   [`Crossbar::mvm_batch_into_with`] call (which runs the single-patch
-//!   kernel) with a warm caller-owned scratch.
-//! * **batched** — the same entry with [`DAC_BATCH`] patches per call, as
-//!   the executors' convolution loops issue it.
+//! * **batched** — the production bit-packed kernel through
+//!   [`Crossbar::mvm_batch_into_with`] with [`DAC_BATCH`] patches per call,
+//!   as the executors' convolution loops issue it, with a warm
+//!   caller-owned scratch.
 //!
-//! Also sweeps the bit-serial kernel over input bit widths. Before timing
-//! it checks that batched calls are bit-identical to one-patch calls and
-//! that the legacy kernel agrees to within one ADC step; the
-//! `kernel_equivalence_ok=true` line on stdout, and the same key in
-//! `BENCH_mvm_kernels.json`, attest both. The packed ≡ scalar-reference
+//! Before timing it checks that batched calls are bit-identical to
+//! one-patch calls and that the legacy kernel agrees to within one ADC
+//! step; the `kernel_equivalence_ok=true` line on stdout, and the same key
+//! in `BENCH_mvm_kernels.json`, attest both. The packed ≡ scalar-reference
 //! bit identity is pinned by `aimc-xbar`'s unit tests. The `--smoke` mode
-//! used by CI runs the checks with shortened timing loops.
+//! used by CI runs the checks with shortened timing loops. The JSON names
+//! the host's CPU count (`host_cpus`).
 //!
 //! Timing is min-of-rounds: the minimum mean ns/call over several
 //! measurement rounds, which is robust against host frequency and steal
@@ -50,12 +49,6 @@ const CENSUS: [(usize, usize, u64); 8] = [
     (32, 64, 64),
     (64, 10, 1),
 ];
-
-/// Bit widths of the bit-serial sweep.
-const SWEEP_BITS: [u32; 4] = [4, 8, 12, 16];
-
-/// Shapes of the bit-serial sweep (narrow and wide).
-const SWEEP_SHAPES: [(usize, usize); 2] = [(144, 16), (192, 64)];
 
 /// Min-of-rounds ns/call.
 fn time_min(rounds: usize, reps: u64, mut f: impl FnMut(u64)) -> f64 {
@@ -254,7 +247,8 @@ fn check_legacy_sanity() -> bool {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (rounds, reps_dac, reps_bs) = if smoke { (2, 40, 10) } else { (7, 2000, 400) };
+    let (rounds, reps) = if smoke { (2, 40) } else { (7, 2000) };
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let equivalence_ok = check_batching() && check_legacy_sanity();
     println!("kernel_equivalence_ok={equivalence_ok}");
@@ -270,8 +264,7 @@ fn main() {
     };
     let mut scratch = MvmScratch::new();
     let mut census_rows = Vec::new();
-    let (mut tot_legacy, mut tot_packed, mut tot_batch, mut tot_batch0) =
-        (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut tot_legacy, mut tot_batch, mut tot_batch0) = (0.0f64, 0.0f64, 0.0f64);
     let mut tot_mvms = 0u64;
     for &(rows, cols, n) in &CENSUS {
         let (xb, x) = make_case(&cfg, rows, cols, 40 + rows as u64);
@@ -279,7 +272,7 @@ fn main() {
         let legacy = LegacyKernel::from_xbar(&xb);
         let mut out = vec![0.0f32; cols];
         // Four distinct ReLU-like patches for the batched call, patch 0
-        // being the single-call input.
+        // being the legacy kernel's input.
         let mut rng = StdRng::seed_from_u64(77 + rows as u64);
         let mut xs = x.clone();
         for _ in 1..DAC_BATCH {
@@ -294,20 +287,15 @@ fn main() {
         }
         let mut outs = vec![0.0f32; DAC_BATCH * cols];
 
-        let ns_legacy = time_min(rounds, reps_dac, |i| {
+        let ns_legacy = time_min(rounds, reps, |i| {
             legacy.mvm_into_at(&x, &mut out, i);
-            black_box(&out);
-        });
-        let ns_packed = time_min(rounds, reps_dac, |i| {
-            xb.mvm_batch_into_with(&x, &mut out, &[i], &mut scratch)
-                .unwrap();
             black_box(&out);
         });
         // Batched: amortized per MVM over a DAC_BATCH lock-step call (the
         // executors' convolution loops batch patches exactly like this),
         // with and without read noise.
         let mut ns_batched = |xb: &Crossbar| {
-            time_min(rounds, reps_dac / DAC_BATCH as u64, |i| {
+            time_min(rounds, reps / DAC_BATCH as u64, |i| {
                 let b = DAC_BATCH as u64;
                 let inv = [b * i, b * i + 1, b * i + 2, b * i + 3];
                 xb.mvm_batch_into_with(&xs, &mut outs, &inv, &mut scratch)
@@ -318,34 +306,16 @@ fn main() {
         let ns_batch = ns_batched(&xb);
         let ns_batch0 = ns_batched(&xb0);
         println!(
-            "dac {rows}x{cols}: legacy {ns_legacy:.0} ns, packed {ns_packed:.0} ns, batched {ns_batch:.0} ns/mvm ({:.2}x vs legacy), batched sigma=0 {ns_batch0:.0} ns/mvm",
+            "dac {rows}x{cols}: legacy {ns_legacy:.0} ns, batched {ns_batch:.0} ns/mvm ({:.2}x vs legacy), batched sigma=0 {ns_batch0:.0} ns/mvm",
             ns_legacy / ns_batch
         );
         census_rows.push(format!(
-            "{{\"rows\": {rows}, \"cols\": {cols}, \"mvms_per_image\": {n}, \"legacy_ns\": {ns_legacy:.1}, \"packed_ns\": {ns_packed:.1}, \"batched_ns_per_mvm\": {ns_batch:.1}, \"batched_sigma0_ns_per_mvm\": {ns_batch0:.1}}}"
+            "{{\"rows\": {rows}, \"cols\": {cols}, \"mvms_per_image\": {n}, \"legacy_ns\": {ns_legacy:.1}, \"batched_ns_per_mvm\": {ns_batch:.1}, \"batched_sigma0_ns_per_mvm\": {ns_batch0:.1}}}"
         ));
         tot_legacy += ns_legacy * n as f64;
-        tot_packed += ns_packed * n as f64;
         tot_batch += ns_batch * n as f64;
         tot_batch0 += ns_batch0 * n as f64;
         tot_mvms += n;
-    }
-
-    let mut sweep_rows = Vec::new();
-    for &(rows, cols) in &SWEEP_SHAPES {
-        let (xb, x) = make_case(&cfg, rows, cols, 60 + rows as u64);
-        let mut out = vec![0.0f32; cols];
-        for bits in SWEEP_BITS {
-            let ns_packed = time_min(rounds, reps_bs, |i| {
-                xb.mvm_bit_serial_into_with(&x, bits, &mut out, i, &mut scratch)
-                    .unwrap();
-                black_box(&out);
-            });
-            println!("bit_serial {rows}x{cols} {bits}b: packed {ns_packed:.0} ns");
-            sweep_rows.push(format!(
-                "{{\"rows\": {rows}, \"cols\": {cols}, \"bits\": {bits}, \"packed_ns\": {ns_packed:.1}}}"
-            ));
-        }
     }
 
     // The headline compares the pre-packing kernel against the production
@@ -354,9 +324,8 @@ fn main() {
     let images_per_s_legacy = 1e9 / tot_legacy;
     let images_per_s_batch = 1e9 / tot_batch;
     println!(
-        "census ({tot_mvms} MVMs/image): legacy {:.2} ms/image ({images_per_s_legacy:.1} img/s), packed {:.2} ms/image, batched {:.2} ms/image ({images_per_s_batch:.1} img/s), batched sigma=0 {:.2} ms/image (read noise {:.0}%)",
+        "census ({tot_mvms} MVMs/image): legacy {:.2} ms/image ({images_per_s_legacy:.1} img/s), batched {:.2} ms/image ({images_per_s_batch:.1} img/s), batched sigma=0 {:.2} ms/image (read noise {:.0}%)",
         tot_legacy / 1e6,
-        tot_packed / 1e6,
         tot_batch / 1e6,
         tot_batch0 / 1e6,
         100.0 * (1.0 - tot_batch0 / tot_batch),
@@ -364,18 +333,15 @@ fn main() {
     println!("speedup_hermes256_resnet18={speedup:.2}");
 
     let json = format!(
-        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"timing\": \"min over {rounds} rounds of {reps_dac} (dac) / {reps_bs} (bit-serial) calls\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"packed_ms_per_image\": {pm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"packed\": {ip:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2},\n  \"bit_serial_sweep\": [{sweep}]\n}}\n",
+        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"host_cpus\": {host_cpus},\n  \"timing\": \"min over {rounds} rounds of {reps} MVMs\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2}\n}}\n",
         sigma = cfg.read_noise_sigma,
         census = census_rows.join(", "),
         lm = tot_legacy / 1e6,
-        pm = tot_packed / 1e6,
         bm = tot_batch / 1e6,
         bm0 = tot_batch0 / 1e6,
         il = images_per_s_legacy,
-        ip = 1e9 / tot_packed,
         ib = images_per_s_batch,
         npm = tot_batch / tot_mvms as f64,
-        sweep = sweep_rows.join(", "),
     );
     std::fs::write("BENCH_mvm_kernels.json", json).expect("write BENCH_mvm_kernels.json");
     println!("wrote BENCH_mvm_kernels.json");

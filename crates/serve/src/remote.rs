@@ -66,7 +66,7 @@
 use crate::handle::{Flight, Pending, ServeError, ServeStats};
 use crate::qos::{Priority, ShardLoad};
 use crate::transport::ShardTransport;
-use aimc_dnn::Tensor;
+use aimc_dnn::{ExecError, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_wire::{
     append_frame, read_frame, write_frame, Frame, ReplyError, ShardReply, ShardRequest, ShardSpec,
@@ -633,11 +633,12 @@ impl RemoteInner {
 /// outstanding requests instead of replaying. Clone-able; clones share
 /// the connection.
 ///
-/// A request the server refuses, such as a malformed image, fails alone
-/// through its [`Pending`]. But the transport accepts the flight before
-/// the server replies, so the router cannot release the refused request's
-/// index: on a TCP seat that coordinate stays used, and the stream's later
-/// requests are numbered past it.
+/// A request whose image does not have the input shape of the shard's
+/// spec is refused at submit with [`ServeError::Exec`], before anything is
+/// registered or written, so the router releases its index as it does for
+/// a local seat. A request the server refuses (a spec without an input
+/// shape lets any image through) fails alone through its [`Pending`], but
+/// keeps its coordinate: the transport accepted it before the reply.
 #[derive(Clone)]
 pub struct TcpTransport {
     inner: Arc<RemoteInner>,
@@ -996,6 +997,13 @@ impl ShardTransport for TcpTransport {
         let (flight, encoded) = encode_request(&mut bytes, flight);
         {
             let mut st = self.inner.state.lock().unwrap();
+            if let Some(expected) = st.spec.as_ref().and_then(|spec| spec.input) {
+                let got = flight.image.shape();
+                if got != expected {
+                    let e = ExecError::ShapeMismatch { expected, got };
+                    return Err(Box::new((flight, ServeError::Exec(e))));
+                }
+            }
             // During an outage, wait for the replay to finish rather than
             // racing it: registering mid-replay could miss both the
             // snapshot and the new writer.

@@ -90,8 +90,10 @@ pub trait ShardTransport: Send + Sync {
     /// [`ServeError::ShutDown`] once the shard no longer accepts requests;
     /// [`ServeError::Shed`] when it sheds the flight; [`ServeError::Exec`]
     /// when it refuses the image itself (a [`LocalTransport`] checks it
-    /// against its replica's input shape). The router then releases the
-    /// index and re-submits or settles the flight.
+    /// against its replica's input shape, a
+    /// [`TcpTransport`](crate::TcpTransport) against the input shape of
+    /// the shard's spec). The router then releases the index and
+    /// re-submits or settles the flight.
     fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>>;
 
     /// The shard's congestion signal: occupancy, per-class counts, the

@@ -78,14 +78,17 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
-    let shape = t.shape();
-    // One growth for the whole tensor: a fresh frame buffer would
-    // otherwise double its way up to the image size.
-    buf.reserve(12 + 4 * t.data().len());
+fn put_shape(buf: &mut Vec<u8>, shape: Shape) {
     put_u32(buf, shape.c as u32);
     put_u32(buf, shape.h as u32);
     put_u32(buf, shape.w as u32);
+}
+
+fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
+    // One growth for the whole tensor: a fresh frame buffer would
+    // otherwise double its way up to the image size.
+    buf.reserve(12 + 4 * t.data().len());
+    put_shape(buf, t.shape());
     for &v in t.data() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -130,6 +133,13 @@ fn put_spec(buf: &mut Vec<u8>, spec: &ShardSpec) {
     put_f64(buf, spec.noise.read_sigma);
     put_f64(buf, spec.noise.drift_nu);
     put_u64(buf, spec.seed);
+    match spec.input {
+        None => buf.push(0),
+        Some(shape) => {
+            buf.push(1);
+            put_shape(buf, shape);
+        }
+    }
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
@@ -291,14 +301,19 @@ impl<'a> Cur<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| bad("invalid UTF-8 in string field"))
     }
 
-    fn tensor(&mut self) -> io::Result<Tensor> {
+    fn shape(&mut self) -> io::Result<Shape> {
         let c = self.u32()? as usize;
         let h = self.u32()? as usize;
         let w = self.u32()? as usize;
-        let shape = Shape::new(c, h, w);
-        let numel = c
-            .checked_mul(h)
-            .and_then(|ch| ch.checked_mul(w))
+        Ok(Shape::new(c, h, w))
+    }
+
+    fn tensor(&mut self) -> io::Result<Tensor> {
+        let shape = self.shape()?;
+        let numel = shape
+            .c
+            .checked_mul(shape.h)
+            .and_then(|ch| ch.checked_mul(shape.w))
             .ok_or_else(|| bad("tensor shape overflows"))?;
         let bytes = self.take(
             numel
@@ -378,11 +393,17 @@ impl<'a> Cur<'a> {
             drift_nu: self.f64()?,
         };
         let seed = self.u64()?;
+        let input = match self.u8()? {
+            0 => None,
+            1 => Some(self.shape()?),
+            t => return Err(bad(format!("unknown input-shape tag {t}"))),
+        };
         Ok(ShardSpec {
             model_id,
             xbar_cfg,
             noise,
             seed,
+            input,
         })
     }
 
@@ -693,6 +714,10 @@ mod tests {
                 0xDEAD_BEEF,
             )),
             Frame::Spec(ShardSpec {
+                input: Some(Shape::new(3, 32, 32)),
+                ..ShardSpec::analog("resnet18", XbarConfig::hermes_256(), 7)
+            }),
+            Frame::Spec(ShardSpec {
                 model_id: String::new(), // empty ids survive too
                 xbar_cfg: XbarConfig::ideal(1, 1),
                 noise: NoiseSpec {
@@ -701,6 +726,7 @@ mod tests {
                     drift_nu: 0.05,
                 },
                 seed: u64::MAX,
+                input: Some(Shape::new(u32::MAX as usize, 1, 0)),
             }),
         ];
         for f in &frames {
@@ -711,6 +737,7 @@ mod tests {
                     assert_eq!(a.model_id, b.model_id);
                     assert_eq!(a.seed, b.seed);
                     assert_eq!(a.xbar_cfg, b.xbar_cfg);
+                    assert_eq!(a.input, b.input);
                     // Float fields compare on raw bits (the -0.0 case).
                     assert_eq!(a.noise.prog_sigma.to_bits(), b.noise.prog_sigma.to_bits());
                     assert_eq!(a.noise.read_sigma.to_bits(), b.noise.read_sigma.to_bits());
@@ -720,14 +747,19 @@ mod tests {
             }
         }
         // Truncations of a spec frame are decode errors, never panics.
-        let good = encode_frame(&Frame::Spec(ShardSpec::analog(
-            "m",
-            XbarConfig::hermes_256(),
-            7,
-        )));
+        let good = encode_frame(&Frame::Spec(ShardSpec {
+            input: Some(Shape::new(3, 8, 8)),
+            ..ShardSpec::analog("m", XbarConfig::hermes_256(), 7)
+        }));
         for cut in 0..good.len() {
             assert!(decode_frame(&good[..cut]).is_err());
         }
+        // So is an unknown input-shape tag (the byte before the shape's
+        // three u32s that end the payload).
+        let mut bad_tag = good.clone();
+        assert_eq!(bad_tag[good.len() - 13], 1);
+        bad_tag[good.len() - 13] = 2;
+        assert!(decode_frame(&bad_tag).is_err());
     }
 
     /// The analog constructor derives the noise channels from the crossbar

@@ -30,7 +30,7 @@
 //! | `Reprogram` | `ReprogramDone(result)` | rewrite the replica from its seed, rewind its stream |
 //! | `SetParallelism(par)` | `ParallelismSet` | retune the shard's thread budget |
 //! | `StatsProbe` | `Stats(stats)` | point-in-time serving statistics |
-//! | `SpecProbe` | `Spec(spec)` | the shard's [`ShardSpec`] (model id + device/seed recipe) |
+//! | `SpecProbe` | `Spec(spec)` | the shard's [`ShardSpec`] (model id + device/seed recipe + input shape) |
 //!
 //! Every frame is length-prefixed (`u32` LE) so a reader can never
 //! misframe a stream, and [`write_frame`] hands prefix and payload to the
@@ -56,7 +56,7 @@ pub use codec::{append_frame, decode_frame, encode_frame, read_frame, write_fram
 pub use fault::{FaultPlan, FaultyEnd};
 pub use pipe::{duplex, PipeEnd, PIPE_CAPACITY};
 
-use aimc_dnn::Tensor;
+use aimc_dnn::{Shape, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_xbar::XbarConfig;
 use std::time::Duration;
@@ -127,6 +127,12 @@ pub struct ShardSpec {
     /// The seed keying programming and read noise. Same `(xbar_cfg, seed)`
     /// ⇒ same conductances ⇒ same logits at the same coordinates.
     pub seed: u64,
+    /// The image shape the shard's model takes, or `None` where the spec
+    /// does not say (both constructors leave it unset). A remote seat
+    /// refuses a request of any other shape before it registers or writes
+    /// anything, as an in-process seat does, so the router releases the
+    /// request's stream coordinate.
+    pub input: Option<Shape>,
 }
 
 impl ShardSpec {
@@ -143,6 +149,7 @@ impl ShardSpec {
             xbar_cfg,
             noise,
             seed,
+            input: None,
         }
     }
 
@@ -155,6 +162,7 @@ impl ShardSpec {
             xbar_cfg: XbarConfig::ideal(256, 256),
             noise: NoiseSpec::none(),
             seed: 0,
+            input: None,
         }
     }
 }

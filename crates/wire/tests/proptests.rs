@@ -65,8 +65,9 @@ fn random_class_stats(rng: &mut StdRng) -> WireClassStats {
     }
 }
 
-/// A random shard spec: arbitrary model id, geometry, noise channels and
-/// seed (non-NaN floats so `PartialEq` can witness the round trip).
+/// A random shard spec: arbitrary model id, geometry, noise channels,
+/// seed and input shape, present or absent (non-NaN floats so `PartialEq`
+/// can witness the round trip).
 fn random_spec(rng: &mut StdRng) -> ShardSpec {
     let finite = |rng: &mut StdRng| {
         let v = f64::from_bits(rng.gen::<u64>()).abs() % 1e6;
@@ -91,6 +92,13 @@ fn random_spec(rng: &mut StdRng) -> ShardSpec {
             drift_nu: finite(rng),
         },
         seed: rng.gen(),
+        input: rng.gen::<bool>().then(|| {
+            Shape::new(
+                rng.gen_range(1usize..512),
+                rng.gen_range(1usize..512),
+                rng.gen_range(1usize..512),
+            )
+        }),
     }
 }
 

@@ -117,7 +117,7 @@ pub struct Crossbar {
     /// Effective conductances `g⁺ − g⁻`, row-major `rows_used × cols_used`,
     /// in normalized units (`g_max = 1`), preceded by `g_off` zero pads
     /// chosen at programming time so the data starts 64-byte aligned (the
-    /// MVM kernels stream this as SIMD loads).
+    /// MVM kernel streams this as SIMD loads).
     g_eff: Vec<f64>,
     /// Leading pad length of `g_eff` (see above). Kept as a plain offset so
     /// clones — whose fresh allocation may land elsewhere — stay correct,
@@ -272,14 +272,17 @@ impl Crossbar {
     /// workload, so no schedule (thread count, tile interleaving, batch
     /// splits) can change a result.
     ///
-    /// Each patch is **bit-identical** to a one-patch call with the same
-    /// patch and invocation index, which runs the single-patch kernel (see
-    /// [`crate::kernel`] on why the lock-step accumulation preserves every
-    /// bit). Batching raises arithmetic intensity — each conductance row
-    /// fetched from cache feeds [`crate::kernel::DAC_BATCH`] accumulator
-    /// chains — so the executors' convolution loops batch whenever several
-    /// patches target the same tile. Each patch counts once in
-    /// [`Crossbar::mvm_count`]; a rejected call counts nothing.
+    /// Every call runs one kernel: patches are evaluated in lock-step
+    /// groups of [`DAC_BATCH`](crate::DAC_BATCH), and a group with fewer
+    /// patches (the last of a call, or a one-patch call) runs with its
+    /// unused lanes zeroed. Each patch is **bit-identical** to a one-patch
+    /// call with the same patch and invocation index, and to the scalar
+    /// reference evaluation the crate's tests keep. Batching raises
+    /// arithmetic intensity — each conductance row fetched from cache
+    /// feeds [`DAC_BATCH`](crate::DAC_BATCH) accumulator chains — so the
+    /// executors' convolution loops batch whenever several patches target
+    /// the same tile. Each patch counts once in [`Crossbar::mvm_count`]; a
+    /// rejected call counts nothing.
     ///
     /// # Errors
     /// Returns [`XbarError::InputLength`] if `xs` or `out` is not `k`
@@ -289,7 +292,7 @@ impl Crossbar {
         xs: &[f32],
         out: &mut [f32],
         invocations: &[u64],
-        scratch: &mut crate::kernel::MvmScratch,
+        scratch: &mut crate::MvmScratch,
     ) -> Result<(), XbarError> {
         let k = invocations.len();
         if xs.len() != k * self.rows_used {
@@ -331,7 +334,7 @@ impl Crossbar {
     }
 
     /// The full effective conductance image, row-major
-    /// `rows_used × cols_used` (the packed kernels' working set).
+    /// `rows_used × cols_used` (the packed kernel's working set).
     pub(crate) fn g_all(&self) -> &[f64] {
         &self.g_eff[self.g_off..]
     }
@@ -595,9 +598,6 @@ mod tests {
             .is_err());
         assert!(tainted
             .mvm_batch_into_with(&[0.0; 16], &mut out[..12], &[1, 2], &mut scratch)
-            .is_err());
-        assert!(tainted
-            .mvm_bit_serial_into_with(&x, 0, &mut out[..8], 0, &mut scratch)
             .is_err());
         // Failed calls neither count as evaluations nor shift the streams.
         assert_eq!(tainted.mvm_count(), 0);

@@ -1,20 +1,18 @@
-//! The scalar reference kernels, and the tests that hold the packed
-//! kernels bit-identical to them.
+//! The scalar reference kernel, and the tests that hold the packed kernel
+//! bit-identical to it.
 //!
-//! The references are the pre-packing loops: the same audited quantize
-//! helpers and noise streams as the packed kernels in the old loop
-//! structure. The packed kernels are an *optimization*, not a remodel: for
+//! The reference is the pre-packing loop: the same audited quantize
+//! helpers and noise streams as the packed kernel in the old loop
+//! structure. The packed kernel is an *optimization*, not a remodel: for
 //! every array shape, converter resolution, input pattern (including
 //! negatives, exact zeros, and values deep past the clip range), and
-//! invocation index, their output must equal the reference **to the bit**
+//! invocation index, its output must equal the reference **to the bit**
 //! — asserted via `f32::to_bits`, never via a tolerance. These tests are
-//! the gate that lets the kernels keep changing shape (panels, masks,
-//! batching) without renegotiating a single downstream result.
+//! the gate that lets the kernel keep changing shape (panels, masks,
+//! lanes) without renegotiating a single downstream result.
 
 use crate::crossbar::{Crossbar, XbarError};
-use crate::kernel::{
-    adc_readout, bit_serial_scale, dac_quantize, dac_scale, signed_quantize, MvmScratch, DAC_BATCH,
-};
+use crate::kernel::{adc_readout, dac_quantize, dac_scale, MvmScratch, DAC_BATCH};
 use crate::noise::GaussianStream;
 use crate::{stream, XbarConfig};
 use proptest::prelude::*;
@@ -40,20 +38,6 @@ impl Crossbar {
         self.count_mvms(1);
         dac_reference(self, x, &mut y, invocation);
         Ok(y)
-    }
-
-    /// Scalar reference bit-serial evaluation at an explicit invocation
-    /// index: bit-identical to [`Crossbar::mvm_bit_serial_into_with`],
-    /// slower, and allocating.
-    pub(crate) fn mvm_bit_serial_reference_at(
-        &self,
-        x: &[f32],
-        n_bits: u32,
-        invocation: u64,
-    ) -> Result<Vec<f32>, XbarError> {
-        self.check_bit_serial_args(x, n_bits)?;
-        self.count_mvms(1);
-        Ok(bit_serial_reference(self, x, n_bits, invocation))
     }
 }
 
@@ -107,55 +91,6 @@ fn dac_reference(xb: &Crossbar, x: &[f32], out: &mut [f32], invocation: u64) {
     for (c, &a) in acc.iter().enumerate() {
         out[c] = adc_readout(a, fs, to_code, from_code, back_scale);
     }
-}
-
-/// Scalar reference for the bit-serial chain — the pre-packing per-plane
-/// predicate loop. Allocates per plane.
-fn bit_serial_reference(xb: &Crossbar, x: &[f32], n_bits: u32, invocation: u64) -> Vec<f32> {
-    let cols = xb.cols_used();
-    let rows = xb.rows_used();
-    let cfg = xb.config();
-
-    let x_scale = bit_serial_scale(x);
-    let inv_x_scale = 1.0 / x_scale;
-    let levels = (1i64 << (n_bits - 1)) - 1;
-    let xq: Vec<i64> = x
-        .iter()
-        .map(|&v| signed_quantize(v as f64, inv_x_scale, levels as f64))
-        .collect();
-
-    let rng = StdRng::seed_from_u64(stream::derive(xb.noise_seed(), invocation));
-    let mut gs = GaussianStream::new(rng);
-    let mut acc = vec![0.0f64; cols];
-    let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
-    for bit in 0..(n_bits - 1) {
-        let weight = (1i64 << bit) as f64;
-        for phase in [1i64, -1] {
-            // Skip silent planes entirely (no pulse, no noise).
-            let any = xq
-                .iter()
-                .any(|&q| q.signum() == phase && (q.abs() >> bit) & 1 == 1);
-            if !any {
-                continue;
-            }
-            let mut plane = vec![0.0f64; cols];
-            for (r, &q) in xq.iter().enumerate() {
-                if q.signum() == phase && (q.abs() >> bit) & 1 == 1 {
-                    let row = &xb.g_all()[r * cols..(r + 1) * cols];
-                    for (c, g) in row.iter().enumerate() {
-                        plane[c] += g;
-                    }
-                }
-            }
-            for (c, p) in plane.iter().enumerate() {
-                let noisy = p + gs.next(sigma);
-                acc[c] += phase as f64 * weight * noisy;
-            }
-        }
-    }
-
-    let back = xb.weight_scale() * x_scale / levels as f64;
-    acc.iter().map(|&a| (a * back) as f32).collect()
 }
 
 /// A crossbar programmed from arbitrary-but-reproducible weights, with
@@ -232,28 +167,6 @@ proptest! {
         // (counter-based streams, no hidden state).
         let replay = packed(&xbar, &x, invocation, &mut scratch);
         prop_assert!(bits_eq(&replay, &reference), "replay diverged");
-    }
-
-    /// Packed bit-serial kernel ≡ scalar bit-serial reference across the
-    /// full supported precision range.
-    #[test]
-    fn packed_bit_serial_matches_reference_bitwise(
-        rows in 1usize..100,
-        cols in 1usize..40,
-        n_bits in 1u32..=16,
-        sigma_i in 0usize..2,
-        seed in any::<u64>(),
-        invocation in any::<u64>(),
-    ) {
-        let sigma = [0.0, 0.01][sigma_i];
-        let xbar = programmed(rows, cols, 8, 8, sigma, seed);
-        let x = stress_input(rows, seed ^ 0x2323);
-        let reference = xbar.mvm_bit_serial_reference_at(&x, n_bits, invocation).unwrap();
-        let mut got = vec![0.0f32; cols];
-        let mut scratch = MvmScratch::new();
-        xbar.mvm_bit_serial_into_with(&x, n_bits, &mut got, invocation, &mut scratch)
-            .unwrap();
-        prop_assert!(bits_eq(&got, &reference), "bit-serial packed diverged");
     }
 
     /// Batched evaluation ≡ the same patches run one at a time, bit for
@@ -344,9 +257,9 @@ fn census_case(cfg: &XbarConfig, rows: usize, cols: usize, seed: u64) -> (Crossb
     (xb, x)
 }
 
-/// Packed ≡ reference on every census shape, for the DAC path and every
-/// bit-serial width, over adversarial input patterns (ReLU-like, all
-/// zeros, alternating signs, saturation) and several invocations.
+/// Packed ≡ reference on every census shape, over adversarial input
+/// patterns (ReLU-like, all zeros, alternating signs, saturation) and
+/// several invocations.
 #[test]
 fn census_shapes_match_reference_bitwise() {
     let cfg = XbarConfig::hermes_256();
@@ -371,16 +284,6 @@ fn census_shapes_match_reference_bitwise() {
                     bits_eq(&got, &want),
                     "dac {rows}x{cols} pattern {p} inv {inv}"
                 );
-                for bits in [1u32, 4, 8, 12, 16] {
-                    let want = xb.mvm_bit_serial_reference_at(x, bits, inv).unwrap();
-                    let mut got = vec![0.0f32; cols];
-                    xb.mvm_bit_serial_into_with(x, bits, &mut got, inv, &mut scratch)
-                        .unwrap();
-                    assert!(
-                        bits_eq(&got, &want),
-                        "bit-serial {bits}b {rows}x{cols} pattern {p} inv {inv}"
-                    );
-                }
             }
         }
     }

@@ -9,10 +9,15 @@
 //! Three concerns are modeled:
 //!
 //! 1. **Function** — [`Crossbar::mvm_batch_into_with`] computes `y = Wᵀx`
-//!    for a batch of input patches through the full signal chain: DAC clipping/quantization → differential-conductance
-//!    weights with programming noise → Kirchhoff accumulation → bit-line read
-//!    noise → ADC clipping/quantization. With [`XbarConfig::ideal`] the chain
-//!    collapses to an exact mat-vec (validated by tests and property tests).
+//!    for a batch of input patches through the full signal chain of the
+//!    paper's parallel 8-bit DACs: DAC clipping/quantization →
+//!    differential-conductance weights with programming noise → Kirchhoff
+//!    accumulation → bit-line read noise → ADC clipping/quantization. With
+//!    [`XbarConfig::ideal`] the chain collapses to an exact mat-vec
+//!    (validated by tests and property tests). Every call runs one
+//!    bit-packed kernel, which evaluates the patches in lock-step groups of
+//!    [`DAC_BATCH`] and reuses a caller-owned [`MvmScratch`]; its output is
+//!    bit-identical to a scalar reference loop that the crate's tests keep.
 //! 2. **Timing** — a constant per-MVM latency ([`XbarConfig::mvm_latency_ns`]),
 //!    consumed by the cluster-level IMA subsystem in `aimc-cluster`.
 //! 3. **Energy** — a per-MVM energy ([`XbarConfig::mvm_energy_nj`]), consumed
@@ -52,10 +57,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitserial;
 mod config;
 mod crossbar;
-pub mod kernel;
+mod kernel;
 pub mod noise;
 mod programming;
 pub mod stream;

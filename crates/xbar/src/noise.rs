@@ -79,10 +79,10 @@ static ZIG: std::sync::OnceLock<ZigTables> = std::sync::OnceLock::new();
 /// method — exact `N(0, σ²)` samples at roughly one raw RNG draw, one
 /// table compare, and one multiply each.
 ///
-/// This is the read-noise sampler of the packed MVM kernels (see
-/// [`crate::kernel`]): the hot loop draws one sample per bit line per
-/// evaluation, and with the accumulation loops panelled the sampler is
-/// what remains on the profile. The ziggurat covers the density with 256
+/// This is the read-noise sampler of the packed MVM kernel behind
+/// [`crate::Crossbar::mvm_batch_into_with`]: the hot loop draws one
+/// sample per bit line per evaluation, and with the accumulation loops
+/// panelled the sampler is what remains on the profile. The ziggurat covers the density with 256
 /// horizontal layers; ~99 % of draws land inside a layer's rectangle and
 /// need no transcendental at all, while edge wedges and the `|z| > R`
 /// tail fall back to exact rejection steps — an *exact* Gaussian sampler,
@@ -101,15 +101,14 @@ static ZIG: std::sync::OnceLock<ZigTables> = std::sync::OnceLock::new();
 ///
 /// Two ways to draw, one stream: [`GaussianStream::next`] returns one
 /// sample, and [`GaussianStream::add_to`] adds one sample to each element
-/// of a slice. `add_to` is the kernels' read-noise loop. It keeps the
+/// of a slice. `add_to` is the kernel's read-noise loop. It keeps the
 /// generator in a local copy, inlines the in-layer fast path, and leaves
 /// the wedge and tail steps to a cold out-of-line function that takes and
 /// returns the generator by value, so the copy never has its address
 /// taken and its four state words stay in registers. It consumes the same
 /// raw draws and computes the same `a + sigma * z` as calling `next` per
-/// element; the bit-serial kernel and the scalar reference keep `next`,
-/// and the unit tests and `tests/kernel_equivalence.rs` check one against
-/// the other.
+/// element; the scalar reference keeps `next`, and the crate's unit tests
+/// check one against the other.
 ///
 /// # Examples
 /// ```

@@ -1,6 +1,7 @@
 //! The hot-loop allocation contract, asserted with a counting global
-//! allocator: after one warm-up call per (shape, path), neither MVM entry
-//! point may touch the heap when it is given a warm [`MvmScratch`].
+//! allocator: after one warm-up call per (shape, patch count), the MVM
+//! entry point may not touch the heap when it is given a warm
+//! [`MvmScratch`].
 //!
 //! One test function on purpose — the counter is process-global, and a
 //! sibling test allocating concurrently would produce false positives.
@@ -71,10 +72,11 @@ fn warm_mvm_paths_never_allocate() {
     let sweep = |scratch: &mut MvmScratch, out: &mut [f32], base: u64| {
         for xbar in &xbars {
             let (r, c) = (xbar.rows_used(), xbar.cols_used());
-            // One patch runs the single-patch kernel.
+            // One patch: a one-lane group.
             xbar.mvm_batch_into_with(&x[..r], &mut out[..c], &[base], scratch)
                 .unwrap();
-            // Full quad plus a remainder-sized batch: both batch paths.
+            // A full group, and a two-patch call whose unused lanes are
+            // zeroed.
             xbar.mvm_batch_into_with(
                 &x[..DAC_BATCH * r],
                 &mut out[..DAC_BATCH * c],
@@ -84,10 +86,6 @@ fn warm_mvm_paths_never_allocate() {
             .unwrap();
             xbar.mvm_batch_into_with(&x[..2 * r], &mut out[..2 * c], &invocations[..2], scratch)
                 .unwrap();
-            for bits in [1u32, 8, 16] {
-                xbar.mvm_bit_serial_into_with(&x[..r], bits, &mut out[..c], base + 1, scratch)
-                    .unwrap();
-            }
         }
     };
 

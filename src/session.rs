@@ -421,8 +421,18 @@ enum Replica {
 /// scheduler under `policy` whose runner evaluates every batch at its
 /// router-stamped coordinates, plus the replica's fleet control. Both
 /// [`Platform::local_shard_for`] and [`Session::serve`] build their seats
-/// here, so each backend has one runner and one control.
+/// here, so each backend has one runner and one control. The seat's spec
+/// carries the replica's input shape, which a remote client of the seat
+/// checks before it sends a request.
 fn local_seat(policy: BatchPolicy, spec: ShardSpec, replica: Replica) -> LocalTransport {
+    let input = match &replica {
+        Replica::Golden(control) => control.input,
+        Replica::Analog(control) => control.graph.input_shape(),
+    };
+    let spec = ShardSpec {
+        input: Some(input),
+        ..spec
+    };
     let (runner, control): (Box<aimc_serve::DynRunner>, Box<dyn ShardControl>) = match replica {
         Replica::Golden(control) => {
             let (exec, par) = (Arc::clone(&control.exec), Arc::clone(&control.par));

@@ -362,20 +362,18 @@ fn mixed_fleet_stats_aggregate_over_the_wire() {
     tf.shutdown();
 }
 
-/// A malformed image sent to a TCP seat fails alone: the server's local
-/// seat refuses it before queueing, so the good requests around it share
-/// a micro-batch and complete with solo logits. The refusal travels back
-/// through the request's `Pending`, after the router stamped it, so on a
-/// TCP seat the bad request keeps its coordinate (1) and the good ones run
-/// at 0, 2 and 3.
+/// A malformed image sent to a TCP seat fails alone: the transport checks
+/// it against the input shape of the spec it probed and refuses it at
+/// submit, before anything reaches the wire, so the router releases its
+/// index as it does for a local seat. The good requests around it share a
+/// micro-batch, run at coordinates 0, 1 and 2, and complete with the
+/// logits of a solo stream of the good images alone.
 #[test]
 fn malformed_request_fails_alone_on_a_tcp_seat() {
     let backend = noisy_backend();
-    // images[1] only stands in for the bad request in the solo stream:
-    // noise is keyed to the coordinate, so its content touches no other
-    // request's logits.
     let images = random_images(4, 41);
-    let want = solo_logits(&backend, &images);
+    let good = [images[0].clone(), images[2].clone(), images[3].clone()];
+    let want = solo_logits(&backend, &good);
 
     let platform = platform();
     // max_batch 3 and an hour-long wait: only a full batch dispatches.
@@ -387,18 +385,24 @@ fn malformed_request_fails_alone_on_a_tcp_seat() {
         BatchPolicy::new(3, Duration::from_secs(3600)),
         &backend,
     );
-    let first = tf.fleet.submit(images[0].clone()).unwrap();
-    let bad = tf.fleet.submit(Tensor::zeros(Shape::new(3, 4, 4))).unwrap();
-    let rest: Vec<Pending> = images[2..]
+    let first = tf.fleet.submit(good[0].clone()).unwrap();
+    assert!(matches!(
+        tf.fleet.submit(Tensor::zeros(Shape::new(3, 4, 4))),
+        Err(ServeError::Exec(ExecError::ShapeMismatch { .. }))
+    ));
+    let rest: Vec<Pending> = good[1..]
         .iter()
         .map(|x| tf.fleet.submit(x.clone()).unwrap())
         .collect();
-    assert!(bad.wait().is_err(), "the server refused the bad image");
     let mut got = vec![first.wait().unwrap()];
     got.extend(rest.into_iter().map(|p| p.wait().unwrap()));
-    assert_eq!(tf.fleet.images_routed(), 4, "the refused index stays used");
+    assert_eq!(
+        tf.fleet.images_routed(),
+        3,
+        "the refused index was released"
+    );
     tf.shutdown();
-    assert_eq!(got, vec![want[0].clone(), want[2].clone(), want[3].clone()]);
+    assert_eq!(got, want);
 }
 
 /// ResNet-18/CIFAR at full `hermes_256` arrays: a two-seat local fleet
