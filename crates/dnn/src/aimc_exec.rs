@@ -66,7 +66,7 @@ use std::sync::Arc;
 /// Reusable per-worker buffers for an analog layer: the zero-padded layer
 /// input, up to [`DAC_BATCH`] im2col patches, their per-tile row slices,
 /// the per-tile output slab, the layer's pixel-major partial-sum
-/// accumulator, and the crossbar kernels' own [`MvmScratch`]. One scratch
+/// accumulator, and the crossbar kernel's own [`MvmScratch`]. One scratch
 /// lives per worker thread (or one per executor call in serial mode) and
 /// is recycled across every patch, tile, layer, and image that worker
 /// touches — once warm, the per-patch loop allocates nothing and a layer
