@@ -19,7 +19,10 @@
 //! in `BENCH_mvm_kernels.json`, attest both. The packed ≡ scalar-reference
 //! bit identity is pinned by `aimc-xbar`'s unit tests. The `--smoke` mode
 //! used by CI runs the checks with shortened timing loops. The JSON names
-//! the host's CPU count (`host_cpus`).
+//! the host's CPU count (`host_cpus`) and whether the binary was built
+//! with the `fma` and `avx512f` target features (`target_features`):
+//! without hardware FMA, `f64::mul_add` is a soft-float call and every
+//! timing is many times slower, with the same bits.
 //!
 //! Timing is min-of-rounds: the minimum mean ns/call over several
 //! measurement rounds, which is robust against host frequency and steal
@@ -249,6 +252,8 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (rounds, reps) = if smoke { (2, 40) } else { (7, 2000) };
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let fma = cfg!(target_feature = "fma");
+    let avx512f = cfg!(target_feature = "avx512f");
 
     let equivalence_ok = check_batching() && check_legacy_sanity();
     println!("kernel_equivalence_ok={equivalence_ok}");
@@ -333,7 +338,7 @@ fn main() {
     println!("speedup_hermes256_resnet18={speedup:.2}");
 
     let json = format!(
-        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"host_cpus\": {host_cpus},\n  \"timing\": \"min over {rounds} rounds of {reps} MVMs\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2}\n}}\n",
+        "{{\n  \"bench\": \"mvm_kernels\",\n  \"workload\": \"resnet18_cifar10_analog\",\n  \"xbar\": \"hermes_256\",\n  \"read_noise_sigma\": {sigma},\n  \"smoke\": {smoke},\n  \"host_cpus\": {host_cpus},\n  \"target_features\": {{\"fma\": {fma}, \"avx512f\": {avx512f}}},\n  \"timing\": \"min over {rounds} rounds of {reps} MVMs\",\n  \"kernel_equivalence_ok\": {equivalence_ok},\n  \"census\": [{census}],\n  \"census_totals\": {{\"mvms_per_image\": {tot_mvms}, \"legacy_ms_per_image\": {lm:.3}, \"batched_ms_per_image\": {bm:.3}, \"batched_sigma0_ms_per_image\": {bm0:.3}}},\n  \"analog_images_per_s\": {{\"legacy\": {il:.2}, \"batched\": {ib:.2}}},\n  \"serial_ns_per_mvm\": {npm:.1},\n  \"speedup_hermes256_resnet18\": {speedup:.2}\n}}\n",
         sigma = cfg.read_noise_sigma,
         census = census_rows.join(", "),
         lm = tot_legacy / 1e6,

@@ -1,6 +1,6 @@
 //! Request/completion plumbing: the [`Flight`] record one request travels
-//! in, its caller's [`Pending`] completion handle, the seat ledger that
-//! counts it, and [`ServeStats`].
+//! in, its caller's [`Pending`] completion handle, and the seat ledger that
+//! counts it and reports its [`ServeStats`].
 //!
 //! Every accepted request is guaranteed a terminal outcome: whoever holds
 //! its flight fills it with logits or an error, and a flight dropped
@@ -11,6 +11,7 @@
 use crate::qos::{Priority, QosClass, QosStats, ShardLoad, ShedReason};
 use crate::BatchPolicy;
 use aimc_dnn::{ExecError, Tensor};
+use aimc_wire::ServeStats;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -350,16 +351,19 @@ impl Default for StateInner {
     }
 }
 
+/// The ECN mark threshold as a percentage of `queue_depth`: a seat reports
+/// pressure once `in_flight ≥ queue_depth · 75 / 100`.
+const ECN_THRESHOLD_PCT: u64 = 75;
+
 impl SharedState {
     /// A ledger wired to a policy's admission limits.
     pub(crate) fn for_policy(policy: &BatchPolicy) -> Self {
-        let mut inner = StateInner {
+        let inner = StateInner {
             queue_depth: policy.queue_depth as u64,
             class_budgets: policy.qos.class_budgets,
+            ecn_threshold: (policy.queue_depth as u64 * ECN_THRESHOLD_PCT / 100).max(1),
             ..StateInner::default()
         };
-        inner.ecn_threshold =
-            ((policy.queue_depth as u64) * u64::from(policy.qos.ecn_threshold_pct) / 100).max(1);
         SharedState {
             inner: Mutex::new(inner),
             cv: Condvar::new(),
@@ -520,64 +524,6 @@ impl SharedState {
             max_batch_observed: st.max_batch_observed,
             queue_waits: st.queue_waits.clone(),
             qos: st.qos.clone(),
-            drift_age: 0,
-            reprograms: 0,
-        }
-    }
-}
-
-/// Point-in-time serving statistics of one seat (see
-/// [`ShardTransport::stats`](crate::ShardTransport::stats)).
-#[derive(Debug, Clone, Default)]
-pub struct ServeStats {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Requests that reached a terminal outcome (logits, error, or cancel).
-    pub completed: u64,
-    /// Requests refused because the handle was shut down.
-    pub rejected: u64,
-    /// Micro-batches dispatched to the runner.
-    pub batches: u64,
-    /// Total images dispatched to the runner across all batches.
-    pub dispatched: u64,
-    /// Largest batch dispatched so far.
-    pub max_batch_observed: usize,
-    /// Queue waits (submission → batch dispatch) of the most recently
-    /// dispatched requests — a bounded sample window (4096 entries), so
-    /// long-lived servers report recent latency without unbounded growth.
-    pub queue_waits: Vec<Duration>,
-    /// Per-class admission/shed/deadline accounting plus completion
-    /// latencies (see [`QosStats`]).
-    pub qos: QosStats,
-    /// Drift events applied since the shard was last (re)programmed — its
-    /// staleness in drift-log steps, as the seat's transport counts them.
-    /// A fleet reports its router's view instead (see
-    /// [`ShardHealth::drift_age`](crate::ShardHealth::drift_age)).
-    pub drift_age: u64,
-    /// Times the shard has been reprogrammed from its seed since it
-    /// started serving (cumulative).
-    pub reprograms: u64,
-}
-
-impl ServeStats {
-    /// The `p`-th percentile (0.0–1.0) of the recorded queue waits, or
-    /// `None` before the first dispatch.
-    pub fn queue_wait_percentile(&self, p: f64) -> Option<Duration> {
-        if self.queue_waits.is_empty() {
-            return None;
-        }
-        let mut sorted = self.queue_waits.clone();
-        sorted.sort_unstable();
-        let rank = (p.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank])
-    }
-
-    /// Mean images per dispatched batch (0.0 before the first dispatch).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.dispatched as f64 / self.batches as f64
         }
     }
 }
@@ -619,26 +565,6 @@ mod tests {
         drop(flight);
         assert_eq!(p.wait(), Err(ServeError::Canceled));
         assert_eq!(shared.inner.lock().unwrap().completed, 1);
-    }
-
-    #[test]
-    fn stats_percentiles_and_mean_batch() {
-        let mut s = ServeStats::default();
-        assert_eq!(s.queue_wait_percentile(0.5), None);
-        assert_eq!(s.mean_batch(), 0.0);
-        s.queue_waits = (1..=100).map(Duration::from_millis).collect();
-        s.batches = 25;
-        s.dispatched = 100;
-        assert_eq!(s.queue_wait_percentile(0.0), Some(Duration::from_millis(1)));
-        assert_eq!(
-            s.queue_wait_percentile(0.5),
-            Some(Duration::from_millis(51))
-        );
-        assert_eq!(
-            s.queue_wait_percentile(1.0),
-            Some(Duration::from_millis(100))
-        );
-        assert_eq!(s.mean_batch(), 4.0);
     }
 
     /// Past the wait-sample cap the ring overwrites oldest samples, while

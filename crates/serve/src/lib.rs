@@ -102,8 +102,8 @@ mod router;
 mod scheduler;
 mod transport;
 
-pub use aimc_wire::{NoiseSpec, ShardSpec};
-pub use handle::{Flight, Pending, ServeError, ServeStats};
+pub use aimc_wire::{NoiseSpec, ServeStats, ShardSpec};
+pub use handle::{Flight, Pending, ServeError};
 pub use qos::{
     AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosOrdering, QosPolicy, QosStats,
     ShardLoad, ShedReason,
@@ -143,9 +143,9 @@ pub struct BatchPolicy {
     /// (backpressure, never unbounded growth) and a classed request
     /// ([`Request::class`]) is shed with [`ShedReason::QueueFull`].
     pub queue_depth: usize,
-    /// Admission-control knobs: per-class budgets, coalescer ordering,
-    /// ECN threshold. The default is fully permissive FIFO, preserving
-    /// pre-QoS behavior exactly.
+    /// Admission-control knobs: per-class budgets and coalescer ordering.
+    /// The default is fully permissive FIFO, preserving pre-QoS behavior
+    /// exactly.
     pub qos: QosPolicy,
 }
 

@@ -23,8 +23,8 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`QosPolicy`] — per-class in-flight budgets, coalescer ordering
-//!   ([`QosOrdering`]), and the ECN mark threshold.
+//! * [`QosPolicy`] — per-class in-flight budgets and coalescer ordering
+//!   ([`QosOrdering`]).
 //! * The seat's coalescer — the batching state machine, FIFO or
 //!   earliest-deadline-first *within* priority bands. It owns no clock;
 //!   tests drive it with fake timestamps.
@@ -36,40 +36,13 @@
 //!   increase, multiplicative decrease on marks, so a backpressured remote
 //!   shard slows ingress instead of stalling it.
 //! * [`QosStats`] / [`ClassStats`] — per-class admission, shed, and
-//!   deadline-miss counters plus completion-latency samples.
+//!   deadline-miss counters plus completion-latency samples, defined
+//!   with [`ShedReason`] in `aimc-wire` as part of a seat's stats record.
 
 use std::fmt;
 use std::time::Duration;
 
-pub use aimc_wire::{Priority, QosClass};
-
-/// Why a request was shed at admission.
-///
-/// Every reason is *typed* so callers can react differently: retry later
-/// (`QueueFull`), downgrade the class (`ClassBudget`), or back off
-/// (`Overload`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShedReason {
-    /// The bounded request queue is at `queue_depth`; admitting would
-    /// have blocked the caller.
-    QueueFull,
-    /// The request's class is at its [`QosPolicy::class_budgets`]
-    /// in-flight budget.
-    ClassBudget,
-    /// The congestion pacer ([`AimdPacer`]) has closed its window in
-    /// response to shard pressure marks.
-    Overload,
-}
-
-impl fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::ClassBudget => "class_budget",
-            ShedReason::Overload => "overload",
-        })
-    }
-}
+pub use aimc_wire::{ClassStats, Priority, QosClass, QosStats, ShedReason};
 
 /// How the coalescer orders queued requests into batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,8 +59,8 @@ pub enum QosOrdering {
 }
 
 /// Admission-control knobs carried inside
-/// [`BatchPolicy`](crate::BatchPolicy): per-class budgets, batch ordering,
-/// and the congestion-mark threshold.
+/// [`BatchPolicy`](crate::BatchPolicy): per-class budgets and batch
+/// ordering.
 ///
 /// The default is fully permissive — unbounded budgets, FIFO ordering —
 /// so pre-QoS callers see byte-for-byte identical behavior.
@@ -99,9 +72,6 @@ pub struct QosPolicy {
     /// `usize::MAX` means unbounded. A class at its budget sheds with
     /// [`ShedReason::ClassBudget`].
     pub class_budgets: [usize; Priority::COUNT],
-    /// ECN mark threshold as a percentage of `queue_depth`: the shard
-    /// reports pressure once `in_flight ≥ queue_depth · pct / 100`.
-    pub ecn_threshold_pct: u8,
 }
 
 impl QosPolicy {
@@ -116,12 +86,6 @@ impl QosPolicy {
         self.class_budgets[priority.rank()] = budget;
         self
     }
-
-    /// Overrides the ECN mark threshold (clamped to 1..=100).
-    pub fn with_ecn_threshold_pct(mut self, pct: u8) -> Self {
-        self.ecn_threshold_pct = pct.clamp(1, 100);
-        self
-    }
 }
 
 impl Default for QosPolicy {
@@ -129,7 +93,6 @@ impl Default for QosPolicy {
         QosPolicy {
             ordering: QosOrdering::Fifo,
             class_budgets: [usize::MAX; Priority::COUNT],
-            ecn_threshold_pct: 75,
         }
     }
 }
@@ -271,113 +234,6 @@ impl AimdPacer {
     /// The current congestion window, in requests.
     pub fn window(&self) -> usize {
         self.window as usize
-    }
-}
-
-/// Per-class admission/shed/deadline accounting plus completion-latency
-/// samples.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Sheds with [`ShedReason::QueueFull`].
-    pub shed_queue_full: u64,
-    /// Sheds with [`ShedReason::ClassBudget`].
-    pub shed_class_budget: u64,
-    /// Sheds with [`ShedReason::Overload`].
-    pub shed_overload: u64,
-    /// Rejections as
-    /// [`ServeError::DeadlineInfeasible`](crate::ServeError::DeadlineInfeasible).
-    pub infeasible: u64,
-    /// Admitted requests that completed *after* their deadline. Misses
-    /// are counted, never culled — dropping a stamped request would hole
-    /// the stream numbering.
-    pub deadline_misses: u64,
-    /// Completion latencies (submit → logits) of a bounded sample of
-    /// admitted requests.
-    pub latencies: Vec<Duration>,
-}
-
-impl ClassStats {
-    /// Total sheds across all typed reasons (excludes infeasible, which
-    /// is a pre-admission rejection of the deadline, not load shedding).
-    pub fn shed_total(&self) -> u64 {
-        self.shed_queue_full + self.shed_class_budget + self.shed_overload
-    }
-
-    /// Records one shed under its typed reason.
-    pub fn note_shed(&mut self, reason: ShedReason) {
-        match reason {
-            ShedReason::QueueFull => self.shed_queue_full += 1,
-            ShedReason::ClassBudget => self.shed_class_budget += 1,
-            ShedReason::Overload => self.shed_overload += 1,
-        }
-    }
-
-    /// Pools another shard's counters and latency samples into this one.
-    /// Counters add; samples concatenate (percentiles are computed from
-    /// the pooled sample, never averaged across shards).
-    pub fn merge(&mut self, other: &ClassStats) {
-        self.admitted += other.admitted;
-        self.shed_queue_full += other.shed_queue_full;
-        self.shed_class_budget += other.shed_class_budget;
-        self.shed_overload += other.shed_overload;
-        self.infeasible += other.infeasible;
-        self.deadline_misses += other.deadline_misses;
-        self.latencies.extend_from_slice(&other.latencies);
-    }
-
-    /// The `p`-th percentile (0.0..=1.0) of the completion-latency
-    /// sample, or `None` when no samples were recorded.
-    pub fn latency_percentile(&self, p: f64) -> Option<Duration> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let rank = (p.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank])
-    }
-}
-
-/// The QoS ledger of one handle: per-class accounting plus the number of
-/// ECN marks observed (requests admitted while the queue was past its
-/// pressure threshold, or marked replies seen from a remote shard).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QosStats {
-    /// Per-class counters, indexed by [`Priority::rank`].
-    pub classes: [ClassStats; Priority::COUNT],
-    /// Congestion marks observed.
-    pub ecn_marks: u64,
-}
-
-impl QosStats {
-    /// The counters of one priority class.
-    pub fn class(&self, priority: Priority) -> &ClassStats {
-        &self.classes[priority.rank()]
-    }
-
-    /// Mutable access to one priority class's counters.
-    pub fn class_mut(&mut self, priority: Priority) -> &mut ClassStats {
-        &mut self.classes[priority.rank()]
-    }
-
-    /// Pools another ledger into this one (see [`ClassStats::merge`]).
-    pub fn merge(&mut self, other: &QosStats) {
-        for (mine, theirs) in self.classes.iter_mut().zip(&other.classes) {
-            mine.merge(theirs);
-        }
-        self.ecn_marks += other.ecn_marks;
-    }
-
-    /// Total admitted across all classes.
-    pub fn admitted_total(&self) -> u64 {
-        self.classes.iter().map(|c| c.admitted).sum()
-    }
-
-    /// Total sheds across all classes and reasons.
-    pub fn shed_total(&self) -> u64 {
-        self.classes.iter().map(|c| c.shed_total()).sum()
     }
 }
 
@@ -652,49 +508,6 @@ mod tests {
         }
         assert!(p.admits(9, Priority::Normal));
         assert!(!p.admits(10, Priority::Normal));
-    }
-
-    #[test]
-    fn class_stats_merge_pools_counters_and_samples() {
-        let mut a = QosStats::default();
-        a.class_mut(Priority::High).admitted = 3;
-        a.class_mut(Priority::High).latencies = vec![ms(1), ms(9)];
-        a.class_mut(Priority::Low).note_shed(ShedReason::Overload);
-        a.ecn_marks = 2;
-
-        let mut b = QosStats::default();
-        b.class_mut(Priority::High).admitted = 2;
-        b.class_mut(Priority::High).deadline_misses = 1;
-        b.class_mut(Priority::High).latencies = vec![ms(5)];
-        b.class_mut(Priority::Low).note_shed(ShedReason::QueueFull);
-        b.class_mut(Priority::Low).infeasible = 4;
-        b.ecn_marks = 1;
-
-        a.merge(&b);
-        let high = a.class(Priority::High);
-        assert_eq!(high.admitted, 5);
-        assert_eq!(high.deadline_misses, 1);
-        assert_eq!(high.latencies, vec![ms(1), ms(9), ms(5)]);
-        assert_eq!(
-            high.latency_percentile(0.5),
-            Some(ms(5)),
-            "median comes from the pooled sample, not averaged medians"
-        );
-        let low = a.class(Priority::Low);
-        assert_eq!(low.shed_overload, 1);
-        assert_eq!(low.shed_queue_full, 1);
-        assert_eq!(low.shed_total(), 2);
-        assert_eq!(low.infeasible, 4);
-        assert_eq!(a.ecn_marks, 3);
-        assert_eq!(a.admitted_total(), 5);
-        assert_eq!(a.shed_total(), 2);
-    }
-
-    #[test]
-    fn shed_reasons_render_as_stable_tokens() {
-        assert_eq!(ShedReason::QueueFull.to_string(), "queue_full");
-        assert_eq!(ShedReason::ClassBudget.to_string(), "class_budget");
-        assert_eq!(ShedReason::Overload.to_string(), "overload");
     }
 
     #[test]

@@ -63,14 +63,14 @@
 //! takes those back with [`ShardTransport::take_orphans`] and re-submits
 //! each at its original coordinate, so eviction never shifts an index.
 
-use crate::handle::{Flight, Pending, ServeError, ServeStats};
+use crate::handle::{Flight, Pending, ServeError};
 use crate::qos::{Priority, ShardLoad};
 use crate::transport::ShardTransport;
-use aimc_dnn::{ExecError, Tensor};
+use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
 use aimc_wire::{
-    append_frame, read_frame, write_frame, Frame, ReplyError, ShardReply, ShardRequest, ShardSpec,
-    WireClassStats, WireStats,
+    append_frame, read_frame, write_frame, Frame, ReplyError, ServeStats, ShardReply, ShardRequest,
+    ShardSpec,
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -277,10 +277,7 @@ impl ShardServer {
                     self.shard.set_parallelism(par);
                     reply(&Frame::ParallelismSet)?;
                 }
-                Frame::StatsProbe => {
-                    let stats = to_wire_stats(&self.shard.stats());
-                    reply(&Frame::Stats(stats))?;
-                }
+                Frame::StatsProbe => reply(&Frame::Stats(self.shard.stats()))?,
                 Frame::SpecProbe => {
                     reply(&Frame::Spec(self.shard.spec()))?;
                 }
@@ -369,72 +366,6 @@ fn serve_error(e: ReplyError) -> ServeError {
         ReplyError::Canceled => ServeError::Canceled,
         ReplyError::Exec(msg) => ServeError::Remote(msg),
     }
-}
-
-fn ns(d: &Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn to_wire_stats(s: &ServeStats) -> WireStats {
-    let mut classes: [WireClassStats; Priority::COUNT] = Default::default();
-    for (wire, local) in classes.iter_mut().zip(&s.qos.classes) {
-        *wire = WireClassStats {
-            admitted: local.admitted,
-            shed_queue_full: local.shed_queue_full,
-            shed_class_budget: local.shed_class_budget,
-            shed_overload: local.shed_overload,
-            infeasible: local.infeasible,
-            deadline_misses: local.deadline_misses,
-            latencies_ns: local.latencies.iter().map(ns).collect(),
-        };
-    }
-    WireStats {
-        submitted: s.submitted,
-        completed: s.completed,
-        rejected: s.rejected,
-        batches: s.batches,
-        dispatched: s.dispatched,
-        max_batch_observed: s.max_batch_observed as u64,
-        ecn_marks: s.qos.ecn_marks,
-        drift_age: s.drift_age,
-        reprograms: s.reprograms,
-        classes,
-        queue_waits_ns: s.queue_waits.iter().map(ns).collect(),
-    }
-}
-
-fn from_wire_stats(s: WireStats) -> ServeStats {
-    let mut stats = ServeStats {
-        submitted: s.submitted,
-        completed: s.completed,
-        rejected: s.rejected,
-        batches: s.batches,
-        dispatched: s.dispatched,
-        max_batch_observed: s.max_batch_observed as usize,
-        queue_waits: s
-            .queue_waits_ns
-            .into_iter()
-            .map(Duration::from_nanos)
-            .collect(),
-        drift_age: s.drift_age,
-        reprograms: s.reprograms,
-        ..ServeStats::default()
-    };
-    stats.qos.ecn_marks = s.ecn_marks;
-    for (local, wire) in stats.qos.classes.iter_mut().zip(s.classes) {
-        local.admitted = wire.admitted;
-        local.shed_queue_full = wire.shed_queue_full;
-        local.shed_class_budget = wire.shed_class_budget;
-        local.shed_overload = wire.shed_overload;
-        local.infeasible = wire.infeasible;
-        local.deadline_misses = wire.deadline_misses;
-        local.latencies = wire
-            .latencies_ns
-            .into_iter()
-            .map(Duration::from_nanos)
-            .collect();
-    }
-    stats
 }
 
 // ---------------------------------------------------------------- client
@@ -877,7 +808,8 @@ fn reader_loop(reader: &mut impl Read, inner: &RemoteInner) {
                     // pipeline idle time is not a service time).
                     if let Some(prev) = st.last_reply_at {
                         if !st.pending.is_empty() {
-                            let gap = ns(&now.saturating_duration_since(prev));
+                            let gap = now.saturating_duration_since(prev).as_nanos();
+                            let gap = u64::try_from(gap).unwrap_or(u64::MAX);
                             st.est_image_ns = if st.est_image_ns == 0 {
                                 gap
                             } else {
@@ -997,12 +929,8 @@ impl ShardTransport for TcpTransport {
         let (flight, encoded) = encode_request(&mut bytes, flight);
         {
             let mut st = self.inner.state.lock().unwrap();
-            if let Some(expected) = st.spec.as_ref().and_then(|spec| spec.input) {
-                let got = flight.image.shape();
-                if got != expected {
-                    let e = ExecError::ShapeMismatch { expected, got };
-                    return Err(Box::new((flight, ServeError::Exec(e))));
-                }
+            if let Some(Err(e)) = st.spec.as_ref().map(|s| s.check_input(&flight.image)) {
+                return Err(Box::new((flight, ServeError::Exec(e))));
             }
             // During an outage, wait for the replay to finish rather than
             // racing it: registering mid-replay could miss both the
@@ -1089,8 +1017,8 @@ impl ShardTransport for TcpTransport {
             self.drain();
             // Cache the final server statistics while the link still
             // works; stats() serves this snapshot after close.
-            if let Ok(Frame::Stats(ws)) = self.control(&Frame::StatsProbe) {
-                self.inner.state.lock().unwrap().last_stats = from_wire_stats(ws);
+            if let Ok(Frame::Stats(stats)) = self.control(&Frame::StatsProbe) {
+                self.inner.state.lock().unwrap().last_stats = stats;
             }
             // ShutdownDone orders after every reply, so nothing is lost.
             let _ = self.control(&Frame::Shutdown);
@@ -1111,8 +1039,8 @@ impl ShardTransport for TcpTransport {
 
     fn stats(&self) -> ServeStats {
         if !self.is_link_closed() {
-            if let Ok(Frame::Stats(ws)) = self.control(&Frame::StatsProbe) {
-                self.inner.state.lock().unwrap().last_stats = from_wire_stats(ws);
+            if let Ok(Frame::Stats(stats)) = self.control(&Frame::StatsProbe) {
+                self.inner.state.lock().unwrap().last_stats = stats;
             }
         }
         let st = self.inner.state.lock().unwrap();
@@ -1328,6 +1256,42 @@ mod tests {
         let stats = t.stats();
         assert_eq!(stats.submitted, 6);
         assert_eq!(stats.rejected, 1);
+    }
+
+    /// A seat's statistics cross the wire unchanged: after a stream with
+    /// every priority class and missed deadlines, the client's snapshot
+    /// equals the server seat's own, field for field.
+    #[test]
+    fn stats_cross_the_wire_field_for_field() {
+        let shard = echo_seat(Arc::default());
+        let server = ShardServer {
+            shard: shard.clone(),
+        };
+        let (client_end, server_end) = duplex();
+        let server_thread = std::thread::spawn({
+            let reader = server_end.clone();
+            move || server.serve_stream(reader, server_end).unwrap()
+        });
+        let t = TcpTransport::over(client_end.clone(), client_end);
+        let classes = [
+            QosClass::high(),
+            QosClass::default(),
+            QosClass::low().with_deadline(Duration::ZERO),
+        ];
+        let pendings: Vec<Pending> = (0..9)
+            .map(|i| submit(&t, i, tensor(i as f32), classes[i as usize % 3]).unwrap())
+            .collect();
+        for p in pendings {
+            p.wait().unwrap();
+        }
+        t.drain();
+        let stats = t.stats();
+        assert_eq!(stats, shard.stats());
+        assert_eq!(stats.completed, 9);
+        assert_eq!(stats.qos.class(Priority::Low).deadline_misses, 3);
+        assert_eq!(stats.queue_waits.len(), 9);
+        t.shutdown();
+        server_thread.join().unwrap();
     }
 
     #[test]

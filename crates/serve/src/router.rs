@@ -68,13 +68,13 @@
 //! a stamp-and-forward layer. Shard-side coalescing, backpressure, and
 //! completion plumbing belong to the transports.
 
-use crate::handle::{Flight, Pending, ServeError, ServeStats};
+use crate::handle::{Flight, Pending, ServeError};
 use crate::indices::StreamIndices;
 use crate::qos::{AimdPacer, PacerConfig, Priority, QosClass, QosStats, ShedReason};
 use crate::transport::ShardTransport;
 use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
-use aimc_wire::ShardSpec;
+use aimc_wire::{ServeStats, ShardSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -185,11 +185,9 @@ pub struct ShardHealth {
 /// [`FleetHandle::stats`]).
 #[derive(Debug, Clone)]
 pub struct FleetStats {
-    /// One [`ServeStats`] snapshot per shard, in shard-id order (evicted
-    /// shards keep reporting their last observed snapshot). Each
-    /// snapshot's `drift_age` is the router's view of that seat (see
-    /// [`ShardHealth::drift_age`]), so it is comparable across local and
-    /// remote transports.
+    /// One [`ServeStats`] snapshot per shard, in shard-id order: each
+    /// seat's own [`ShardTransport::stats`] (evicted shards keep reporting
+    /// their last observed snapshot).
     pub shards: Vec<ServeStats>,
     /// The router's own QoS ledger: refusals decided at the fleet ingress
     /// (pacer overload, fleet class budgets, infeasible deadlines) plus
@@ -223,11 +221,6 @@ impl FleetStats {
             agg.max_batch_observed = agg.max_batch_observed.max(s.max_batch_observed);
             agg.queue_waits.extend_from_slice(&s.queue_waits);
             agg.qos.merge(&s.qos);
-            // Staleness is a worst-case property (the stalest replica
-            // bounds the fleet's calibration freshness), so ages max
-            // rather than sum; reprogram work performed does sum.
-            agg.drift_age = agg.drift_age.max(s.drift_age);
-            agg.reprograms += s.reprograms;
         }
         agg.qos.merge(&self.router);
         agg
@@ -1266,19 +1259,7 @@ impl FleetHandle {
         let shards = self.shards_snapshot();
         let health = self.shard_health_of(&shards);
         FleetStats {
-            shards: shards
-                .iter()
-                .map(|s| {
-                    let mut stats = s.transport.stats();
-                    // The router's drift-age view supersedes the
-                    // transport's own count: it is reset by background
-                    // recalibration (whose drift-log replay the transport
-                    // counts as fresh drift) and uniform across local and
-                    // remote seats.
-                    stats.drift_age = s.drift_age.load(Ordering::SeqCst);
-                    stats
-                })
-                .collect(),
+            shards: shards.iter().map(|s| s.transport.stats()).collect(),
             router: self.inner.qos.lock().unwrap().clone(),
             health,
         }
@@ -1288,6 +1269,7 @@ impl FleetHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::testing::Inert;
     use crate::transport::{LocalTransport, ShardControl};
     use crate::{BatchPolicy, QosPolicy};
     use aimc_dnn::{ExecError, Shape};
@@ -1767,6 +1749,7 @@ mod tests {
         accepted: Mutex<usize>,
         parked: Mutex<Vec<Flight>>,
         closed: AtomicBool,
+        spec: ShardSpec,
     }
 
     impl ParkingTransport {
@@ -1776,6 +1759,7 @@ mod tests {
                 accepted: Mutex::new(0),
                 parked: Mutex::new(Vec::new()),
                 closed: AtomicBool::new(false),
+                spec: ShardSpec::default(),
             }
         }
     }
@@ -1807,6 +1791,9 @@ mod tests {
         }
         fn stats(&self) -> ServeStats {
             ServeStats::default()
+        }
+        fn spec(&self) -> ShardSpec {
+            self.spec.clone()
         }
         fn apply_drift(&self, _t_hours: f64) -> bool {
             false
@@ -1872,41 +1859,29 @@ mod tests {
         f.shutdown();
     }
 
-    /// A control whose replica takes only 1×1×1 images: its seat refuses
-    /// any other image before queueing it.
-    struct ScalarInputs;
-
-    impl ShardControl for ScalarInputs {
-        fn apply_drift(&self, _t_hours: f64) -> bool {
-            false
-        }
-        fn reprogram(&self) -> Result<(), ExecError> {
-            Ok(())
-        }
-        fn set_parallelism(&self, _par: Parallelism) {}
-        fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
-            let expected = Shape::new(1, 1, 1);
-            match image.shape() {
-                got if got == expected => Ok(()),
-                got => Err(ExecError::ShapeMismatch { expected, got }),
-            }
-        }
-    }
-
     /// An orphan that an open survivor refuses for its own image settles
     /// with that refusal, and the survivor stays in rotation: one
     /// malformed orphan must not evict the healthy seats of its group.
     #[test]
     fn refused_orphan_settles_and_the_survivor_stays_live() {
         let log: ShardLog = Arc::default();
+        // Both seats take only 1×1×1 images; the survivor refuses any
+        // other image before queueing it.
+        let spec = ShardSpec {
+            input: Some(Shape::new(1, 1, 1)),
+            ..ShardSpec::default()
+        };
         let survivor = shard_seat(
             Arc::clone(&log),
             BatchPolicy::new(2, Duration::from_millis(1)),
-            Box::new(ScalarInputs),
-            ShardSpec::default(),
+            Box::new(Inert),
+            spec.clone(),
         );
-        let shards: Vec<Box<dyn ShardTransport>> =
-            vec![Box::new(ParkingTransport::new(1)), Box::new(survivor)];
+        let parking = ParkingTransport {
+            spec,
+            ..ParkingTransport::new(1)
+        };
+        let shards: Vec<Box<dyn ShardTransport>> = vec![Box::new(parking), Box::new(survivor)];
         let f = FleetHandle::new(shards, FleetPolicy::new(RoutePolicy::RoundRobin)).unwrap();
         // Index 0 parks a malformed image on the dying seat and index 1
         // runs on the survivor. The third request kills the parking seat;
@@ -2455,15 +2430,8 @@ mod tests {
         f.drain();
         assert_eq!(f.images_routed(), 2);
 
-        // The fleet-level stats surface the same view, and aggregate
-        // pools ages as a max (stalest replica), reprograms as a sum.
-        let stats = f.stats();
-        assert_eq!(stats.health, f.shard_health());
-        assert_eq!(stats.shards[0].drift_age, 0);
-        assert_eq!(stats.shards[1].drift_age, 2);
-        let agg = stats.aggregate();
-        assert_eq!(agg.drift_age, 2);
-        assert_eq!(agg.reprograms, 1);
+        // The fleet-level stats surface the same view.
+        assert_eq!(f.stats().health, f.shard_health());
 
         f.shutdown();
     }

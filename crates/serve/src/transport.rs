@@ -18,14 +18,13 @@
 //! the results*: any mix of transports produces logits bit-identical to a
 //! solo session.
 
-use crate::handle::{Flight, ServeError, ServeStats, SharedState};
+use crate::handle::{Flight, ServeError, SharedState};
 use crate::qos::ShardLoad;
 use crate::scheduler::{worker_loop, Msg};
 use crate::{BatchPolicy, DynRunner};
-use aimc_dnn::{ExecError, Tensor};
+use aimc_dnn::ExecError;
 use aimc_parallel::Parallelism;
-use aimc_wire::ShardSpec;
-use std::sync::atomic::{AtomicU64, Ordering};
+use aimc_wire::{ServeStats, ShardSpec};
 use std::sync::mpsc::{self, SendError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -55,17 +54,6 @@ pub trait ShardControl: Send + Sync {
     /// Updates the thread budget this shard's batches snapshot at
     /// dispatch. Never changes results.
     fn set_parallelism(&self, par: Parallelism);
-
-    /// Checks one image before it is queued, so a malformed request is
-    /// refused alone instead of failing the micro-batch it would join.
-    /// The default accepts every image.
-    ///
-    /// # Errors
-    /// [`ExecError::ShapeMismatch`] when the replica cannot take `image`.
-    fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
-        let _ = image;
-        Ok(())
-    }
 }
 
 /// One shard of a serving fleet, wherever it lives: the only interface the
@@ -89,10 +77,9 @@ pub trait ShardTransport: Send + Sync {
     /// The same flight, handed back with why the shard refused it:
     /// [`ServeError::ShutDown`] once the shard no longer accepts requests;
     /// [`ServeError::Shed`] when it sheds the flight; [`ServeError::Exec`]
-    /// when it refuses the image itself (a [`LocalTransport`] checks it
-    /// against its replica's input shape, a
-    /// [`TcpTransport`](crate::TcpTransport) against the input shape of
-    /// the shard's spec). The router then releases the index and
+    /// when it refuses the image itself (both built-in transports check it
+    /// against the input shape of the shard's spec with
+    /// [`ShardSpec::check_input`]). The router then releases the index and
     /// re-submits or settles the flight.
     fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>>;
 
@@ -166,8 +153,9 @@ pub trait ShardTransport: Send + Sync {
 ///
 /// This is the zero-copy fast path — a flight moves straight into the
 /// seat's queue; nothing touches the wire codec. Every flight first passes
-/// [`ShardControl::check_input`]: a refused image never reaches the
-/// queue, so it fails no neighbour, and the router releases its index.
+/// [`ShardSpec::check_input`] against the seat's spec: a refused image
+/// never reaches the queue, so it fails no neighbour, and the router
+/// releases its index.
 /// Batches complete in queue order, each fulfilled front to back.
 pub struct LocalTransport {
     tx: SyncSender<Msg>,
@@ -175,8 +163,6 @@ pub struct LocalTransport {
     worker: Mutex<Option<JoinHandle<()>>>,
     control: Box<dyn ShardControl>,
     spec: ShardSpec,
-    drift_age: AtomicU64,
-    reprograms: AtomicU64,
 }
 
 impl std::fmt::Debug for LocalTransport {
@@ -223,8 +209,6 @@ impl LocalTransport {
             worker: Mutex::new(Some(worker)),
             control,
             spec,
-            drift_age: AtomicU64::new(0),
-            reprograms: AtomicU64::new(0),
         }
     }
 }
@@ -232,7 +216,7 @@ impl LocalTransport {
 impl ShardTransport for LocalTransport {
     fn submit(&self, mut flight: Flight) -> Result<(), Box<(Flight, ServeError)>> {
         let admitted = self
-            .control
+            .spec
             .check_input(&flight.image)
             .map_err(ServeError::Exec)
             .and_then(|()| self.shared.admit(flight.class, flight.shed));
@@ -281,10 +265,7 @@ impl ShardTransport for LocalTransport {
     }
 
     fn stats(&self) -> ServeStats {
-        let mut stats = self.shared.stats();
-        stats.drift_age = self.drift_age.load(Ordering::Acquire);
-        stats.reprograms = self.reprograms.load(Ordering::Acquire);
-        stats
+        self.shared.stats()
     }
 
     fn spec(&self) -> ShardSpec {
@@ -292,15 +273,11 @@ impl ShardTransport for LocalTransport {
     }
 
     fn apply_drift(&self, t_hours: f64) -> bool {
-        self.drift_age.fetch_add(1, Ordering::AcqRel);
         self.control.apply_drift(t_hours)
     }
 
     fn reprogram(&self) -> Result<(), ServeError> {
-        self.control.reprogram().map_err(ServeError::Exec)?;
-        self.drift_age.store(0, Ordering::Release);
-        self.reprograms.fetch_add(1, Ordering::AcqRel);
-        Ok(())
+        self.control.reprogram().map_err(ServeError::Exec)
     }
 
     fn set_parallelism(&self, par: Parallelism) {
@@ -313,6 +290,7 @@ pub(crate) mod testing {
     use super::*;
     use crate::handle::Pending;
     use crate::qos::QosClass;
+    use aimc_dnn::Tensor;
 
     /// A replica with nothing to drift, reprogram or parallelize.
     pub(crate) struct Inert;

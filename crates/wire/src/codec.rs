@@ -9,8 +9,8 @@
 //! cannot trigger an absurd allocation.
 
 use crate::{
-    Frame, IndexLease, NoiseSpec, Priority, QosClass, ReplyError, ShardReply, ShardRequest,
-    ShardSpec, WireClassStats, WireStats,
+    ClassStats, Frame, IndexLease, NoiseSpec, Priority, QosClass, ReplyError, ServeStats,
+    ShardReply, ShardRequest, ShardSpec,
 };
 use aimc_dnn::{Shape, Tensor};
 use aimc_parallel::Parallelism;
@@ -142,36 +142,36 @@ fn put_spec(buf: &mut Vec<u8>, spec: &ShardSpec) {
     }
 }
 
-fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
+/// Durations travel as nanoseconds, saturating at `u64::MAX`.
+fn put_durations(buf: &mut Vec<u8>, ds: &[Duration]) {
+    put_u32(buf, ds.len() as u32);
+    for d in ds {
+        put_u64(buf, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+}
+
+fn put_stats(buf: &mut Vec<u8>, s: &ServeStats) {
     put_u64(buf, s.submitted);
     put_u64(buf, s.completed);
     put_u64(buf, s.rejected);
     put_u64(buf, s.batches);
     put_u64(buf, s.dispatched);
-    put_u64(buf, s.max_batch_observed);
-    put_u64(buf, s.ecn_marks);
-    put_u64(buf, s.drift_age);
-    put_u64(buf, s.reprograms);
+    put_u64(buf, s.max_batch_observed as u64);
+    put_u64(buf, s.qos.ecn_marks);
     // Explicit class count: a decoder built against a different
     // Priority::COUNT must reject the snapshot instead of silently
     // truncating or misaligning the per-class ledgers.
-    put_u32(buf, s.classes.len() as u32);
-    for c in &s.classes {
+    put_u32(buf, s.qos.classes.len() as u32);
+    for c in &s.qos.classes {
         put_u64(buf, c.admitted);
         put_u64(buf, c.shed_queue_full);
         put_u64(buf, c.shed_class_budget);
         put_u64(buf, c.shed_overload);
         put_u64(buf, c.infeasible);
         put_u64(buf, c.deadline_misses);
-        put_u32(buf, c.latencies_ns.len() as u32);
-        for &l in &c.latencies_ns {
-            put_u64(buf, l);
-        }
+        put_durations(buf, &c.latencies);
     }
-    put_u32(buf, s.queue_waits_ns.len() as u32);
-    for &w in &s.queue_waits_ns {
-        put_u64(buf, w);
-    }
+    put_durations(buf, &s.queue_waits);
 }
 
 /// Encodes one frame to its payload bytes (tag + body, **without** the
@@ -348,26 +348,24 @@ impl<'a> Cur<'a> {
         }
     }
 
-    fn class_stats(&mut self) -> io::Result<WireClassStats> {
-        let admitted = self.u64()?;
-        let shed_queue_full = self.u64()?;
-        let shed_class_budget = self.u64()?;
-        let shed_overload = self.u64()?;
-        let infeasible = self.u64()?;
-        let deadline_misses = self.u64()?;
+    fn durations(&mut self) -> io::Result<Vec<Duration>> {
         let n = self.u32()? as usize;
-        let mut latencies_ns = Vec::with_capacity(n.min(1 << 16));
+        let mut ds = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            latencies_ns.push(self.u64()?);
+            ds.push(Duration::from_nanos(self.u64()?));
         }
-        Ok(WireClassStats {
-            admitted,
-            shed_queue_full,
-            shed_class_budget,
-            shed_overload,
-            infeasible,
-            deadline_misses,
-            latencies_ns,
+        Ok(ds)
+    }
+
+    fn class_stats(&mut self) -> io::Result<ClassStats> {
+        Ok(ClassStats {
+            admitted: self.u64()?,
+            shed_queue_full: self.u64()?,
+            shed_class_budget: self.u64()?,
+            shed_overload: self.u64()?,
+            infeasible: self.u64()?,
+            deadline_misses: self.u64()?,
+            latencies: self.durations()?,
         })
     }
 
@@ -407,16 +405,17 @@ impl<'a> Cur<'a> {
         })
     }
 
-    fn stats(&mut self) -> io::Result<WireStats> {
-        let submitted = self.u64()?;
-        let completed = self.u64()?;
-        let rejected = self.u64()?;
-        let batches = self.u64()?;
-        let dispatched = self.u64()?;
-        let max_batch_observed = self.u64()?;
-        let ecn_marks = self.u64()?;
-        let drift_age = self.u64()?;
-        let reprograms = self.u64()?;
+    fn stats(&mut self) -> io::Result<ServeStats> {
+        let mut s = ServeStats {
+            submitted: self.u64()?,
+            completed: self.u64()?,
+            rejected: self.u64()?,
+            batches: self.u64()?,
+            dispatched: self.u64()?,
+            max_batch_observed: self.u64()? as usize,
+            ..ServeStats::default()
+        };
+        s.qos.ecn_marks = self.u64()?;
         let n_classes = self.u32()? as usize;
         if n_classes != Priority::COUNT {
             return Err(bad(format!(
@@ -424,28 +423,11 @@ impl<'a> Cur<'a> {
                 Priority::COUNT
             )));
         }
-        let mut classes: [WireClassStats; Priority::COUNT] = Default::default();
-        for c in classes.iter_mut() {
+        for c in s.qos.classes.iter_mut() {
             *c = self.class_stats()?;
         }
-        let n = self.u32()? as usize;
-        let mut queue_waits_ns = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            queue_waits_ns.push(self.u64()?);
-        }
-        Ok(WireStats {
-            submitted,
-            completed,
-            rejected,
-            batches,
-            dispatched,
-            max_batch_observed,
-            ecn_marks,
-            drift_age,
-            reprograms,
-            classes,
-            queue_waits_ns,
-        })
+        s.queue_waits = self.durations()?;
+        Ok(s)
     }
 
     fn finish(self) -> io::Result<()> {
@@ -577,6 +559,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QosStats;
 
     fn tensor(vals: &[f32]) -> Tensor {
         Tensor::from_vec(Shape::new(1, 1, vals.len()), vals.to_vec())
@@ -655,46 +638,40 @@ mod tests {
             Frame::SetParallelism(Parallelism::Threads(8)),
             Frame::ParallelismSet,
             Frame::StatsProbe,
-            Frame::Stats(WireStats {
+            Frame::Stats(ServeStats {
                 submitted: 10,
                 completed: 9,
                 rejected: 1,
                 batches: 4,
                 dispatched: 9,
                 max_batch_observed: 3,
-                ecn_marks: 5,
-                drift_age: 2,
-                reprograms: 1,
-                classes: [
-                    WireClassStats {
-                        admitted: 4,
-                        shed_queue_full: 0,
-                        shed_class_budget: 0,
-                        shed_overload: 0,
-                        infeasible: 1,
-                        deadline_misses: 2,
-                        latencies_ns: vec![10, 20],
-                    },
-                    WireClassStats {
-                        admitted: 3,
-                        shed_queue_full: 1,
-                        shed_class_budget: 0,
-                        shed_overload: 2,
-                        infeasible: 0,
-                        deadline_misses: 0,
-                        latencies_ns: vec![u64::MAX],
-                    },
-                    WireClassStats {
-                        admitted: 2,
-                        shed_queue_full: 0,
-                        shed_class_budget: 7,
-                        shed_overload: 9,
-                        infeasible: 0,
-                        deadline_misses: 1,
-                        latencies_ns: Vec::new(),
-                    },
-                ],
-                queue_waits_ns: vec![0, 1_000, u64::MAX],
+                queue_waits: [0, 1_000, u64::MAX].map(Duration::from_nanos).to_vec(),
+                qos: QosStats {
+                    classes: [
+                        ClassStats {
+                            admitted: 4,
+                            infeasible: 1,
+                            deadline_misses: 2,
+                            latencies: vec![Duration::from_nanos(10), Duration::from_nanos(20)],
+                            ..ClassStats::default()
+                        },
+                        ClassStats {
+                            admitted: 3,
+                            shed_queue_full: 1,
+                            shed_overload: 2,
+                            latencies: vec![Duration::from_nanos(u64::MAX)],
+                            ..ClassStats::default()
+                        },
+                        ClassStats {
+                            admitted: 2,
+                            shed_class_budget: 7,
+                            shed_overload: 9,
+                            deadline_misses: 1,
+                            ..ClassStats::default()
+                        },
+                    ],
+                    ecn_marks: 5,
+                },
             }),
         ];
         for f in &frames {
@@ -923,18 +900,18 @@ mod tests {
     /// a silent truncation of the per-class ledgers.
     #[test]
     fn mismatched_stats_class_count_is_a_decode_error() {
-        let stats = WireStats {
+        let stats = ServeStats {
             submitted: 3,
             completed: 3,
-            ..WireStats::default()
+            ..ServeStats::default()
         };
         let mut payload = encode_frame(&Frame::Stats(stats.clone()));
         // Round trip at the correct count first, so the tamper below is
         // provably the only difference.
         assert_eq!(decode_frame(&payload).unwrap(), Frame::Stats(stats));
         // The class-count field sits right after the tag byte and the
-        // nine u64 counters.
-        let count_at = 1 + 9 * 8;
+        // seven u64 counters.
+        let count_at = 1 + 7 * 8;
         assert_eq!(
             u32::from_le_bytes(payload[count_at..count_at + 4].try_into().unwrap()),
             Priority::COUNT as u32
@@ -946,5 +923,23 @@ mod tests {
             err.to_string().contains("class count"),
             "error names the skew: {err}"
         );
+    }
+
+    /// A duration past `u64::MAX` nanoseconds (about 584 years) encodes as
+    /// `u64::MAX` ns: the encode saturates instead of wrapping.
+    #[test]
+    fn stats_durations_saturate_at_u64_max_nanoseconds() {
+        let mut stats = ServeStats {
+            queue_waits: vec![Duration::MAX],
+            ..ServeStats::default()
+        };
+        stats.qos.classes[0].latencies = vec![Duration::from_secs(u64::MAX)];
+        let Frame::Stats(decoded) = decode_frame(&encode_frame(&Frame::Stats(stats))).unwrap()
+        else {
+            panic!("frame kind changed over the wire")
+        };
+        let saturated = Duration::from_nanos(u64::MAX);
+        assert_eq!(decoded.queue_waits, vec![saturated]);
+        assert_eq!(decoded.qos.classes[0].latencies, vec![saturated]);
     }
 }

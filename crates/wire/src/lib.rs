@@ -29,7 +29,7 @@
 //! | `ApplyDrift(t_hours)` | `DriftDone(modeled)` | conductance drift on the replica |
 //! | `Reprogram` | `ReprogramDone(result)` | rewrite the replica from its seed, rewind its stream |
 //! | `SetParallelism(par)` | `ParallelismSet` | retune the shard's thread budget |
-//! | `StatsProbe` | `Stats(stats)` | point-in-time serving statistics |
+//! | `StatsProbe` | `Stats(stats)` | the seat's [`ServeStats`] |
 //! | `SpecProbe` | `Spec(spec)` | the shard's [`ShardSpec`] (model id + device/seed recipe + input shape) |
 //!
 //! Every frame is length-prefixed (`u32` LE) so a reader can never
@@ -38,6 +38,12 @@
 //! write); tensors travel as shape + raw `f32` LE bits, so the
 //! fleet invariance survives the wire **bit for bit** — a remote shard's
 //! logits are exactly the bytes the local executor produced.
+//!
+//! The stats module defines the `Stats` payload: [`ServeStats`], with its
+//! [`QosStats`] ledger of [`ClassStats`] rows and the [`ShedReason`]s they
+//! count. It is also the record an in-process seat reports, so a remote
+//! seat's statistics are the same type as a local one's; durations travel
+//! as nanoseconds, saturating at `u64::MAX`.
 //!
 //! For tests (and single-process demos) the crate also ships
 //! [`duplex`] — an in-memory, blocking, bidirectional byte pipe with the
@@ -51,12 +57,14 @@
 mod codec;
 mod fault;
 mod pipe;
+mod stats;
 
 pub use codec::{append_frame, decode_frame, encode_frame, read_frame, write_frame};
 pub use fault::{FaultPlan, FaultyEnd};
 pub use pipe::{duplex, PipeEnd, PIPE_CAPACITY};
+pub use stats::{ClassStats, QosStats, ServeStats, ShedReason};
 
-use aimc_dnn::{Shape, Tensor};
+use aimc_dnn::{ExecError, Shape, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_xbar::XbarConfig;
 use std::time::Duration;
@@ -128,9 +136,9 @@ pub struct ShardSpec {
     /// ⇒ same conductances ⇒ same logits at the same coordinates.
     pub seed: u64,
     /// The image shape the shard's model takes, or `None` where the spec
-    /// does not say (both constructors leave it unset). A remote seat
-    /// refuses a request of any other shape before it registers or writes
-    /// anything, as an in-process seat does, so the router releases the
+    /// does not say (both constructors leave it unset). A seat refuses a
+    /// request of any other shape ([`ShardSpec::check_input`]) before it
+    /// queues, registers or writes anything, so the router releases the
     /// request's stream coordinate.
     pub input: Option<Shape>,
 }
@@ -163,6 +171,21 @@ impl ShardSpec {
             noise: NoiseSpec::none(),
             seed: 0,
             input: None,
+        }
+    }
+
+    /// Checks one image against the spec's input shape, so a malformed
+    /// request is refused alone instead of failing the micro-batch it
+    /// would join. A spec without an input shape accepts every image.
+    ///
+    /// # Errors
+    /// [`ExecError::ShapeMismatch`] when `image` has another shape.
+    pub fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
+        match (self.input, image.shape()) {
+            (Some(expected), got) if got != expected => {
+                Err(ExecError::ShapeMismatch { expected, got })
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -345,59 +368,6 @@ pub struct ShardReply {
     pub outcome: Result<Tensor, ReplyError>,
 }
 
-/// Point-in-time serving statistics in wire form (durations as
-/// nanoseconds, so the encoding is exact and platform-free).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Requests accepted.
-    pub submitted: u64,
-    /// Requests that reached a terminal outcome.
-    pub completed: u64,
-    /// Requests refused.
-    pub rejected: u64,
-    /// Micro-batches dispatched.
-    pub batches: u64,
-    /// Images dispatched across all batches.
-    pub dispatched: u64,
-    /// Largest batch dispatched.
-    pub max_batch_observed: u64,
-    /// Admissions that found the queue at or above the ECN threshold.
-    pub ecn_marks: u64,
-    /// Drift events applied since the shard was last (re)programmed — its
-    /// staleness in drift-log steps. Reset to zero by every reprogram
-    /// (including background recalibration).
-    pub drift_age: u64,
-    /// Times the shard has been reprogrammed from its spec seed since it
-    /// started serving (cumulative; never reset).
-    pub reprograms: u64,
-    /// Per-class admission/shed/deadline accounting, indexed by
-    /// [`Priority::rank`].
-    pub classes: [WireClassStats; Priority::COUNT],
-    /// Recent queue waits, in nanoseconds.
-    pub queue_waits_ns: Vec<u64>,
-}
-
-/// Per-priority-class serving statistics in wire form (see
-/// [`WireStats::classes`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireClassStats {
-    /// Requests of this class admitted.
-    pub admitted: u64,
-    /// Requests shed because the whole queue was full (drop-tail).
-    pub shed_queue_full: u64,
-    /// Requests shed because this class's in-flight budget was exhausted.
-    pub shed_class_budget: u64,
-    /// Requests shed by the congestion pacer (AIMD window exceeded).
-    pub shed_overload: u64,
-    /// Requests refused because their deadline was already infeasible at
-    /// admission.
-    pub infeasible: u64,
-    /// Admitted requests that completed after their deadline.
-    pub deadline_misses: u64,
-    /// Recent submission→completion latencies of this class, nanoseconds.
-    pub latencies_ns: Vec<u64>,
-}
-
 /// Every message of the shard protocol (see the module docs for the
 /// client/server pairing).
 // Frames are transient — decoded, dispatched, and dropped one at a time
@@ -438,7 +408,7 @@ pub enum Frame {
     /// Client → server: request a statistics snapshot.
     StatsProbe,
     /// Server → client: the statistics snapshot.
-    Stats(WireStats),
+    Stats(ServeStats),
     /// Client → server: (re)establishes a protocol session. `resumed` is
     /// `true` when the client reconnects after a link failure and will
     /// follow up by retransmitting its unacknowledged requests in

@@ -6,8 +6,8 @@
 use aimc_dnn::{Shape, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_wire::{
-    decode_frame, encode_frame, read_frame, write_frame, Frame, IndexLease, NoiseSpec, Priority,
-    QosClass, ReplyError, ShardReply, ShardRequest, ShardSpec, WireClassStats, WireStats,
+    decode_frame, encode_frame, read_frame, write_frame, ClassStats, Frame, IndexLease, NoiseSpec,
+    Priority, QosClass, QosStats, ReplyError, ServeStats, ShardReply, ShardRequest, ShardSpec,
 };
 use aimc_xbar::XbarConfig;
 use proptest::prelude::*;
@@ -53,15 +53,23 @@ fn random_class(rng: &mut StdRng) -> QosClass {
     }
 }
 
-fn random_class_stats(rng: &mut StdRng) -> WireClassStats {
-    WireClassStats {
+/// Random durations: any nanosecond count the codec can carry exactly
+/// (every `u64`, so up to and including `u64::MAX` ns).
+fn random_durations(rng: &mut StdRng, max_len: usize) -> Vec<Duration> {
+    (0..rng.gen_range(0..max_len))
+        .map(|_| Duration::from_nanos(rng.gen()))
+        .collect()
+}
+
+fn random_class_stats(rng: &mut StdRng) -> ClassStats {
+    ClassStats {
         admitted: rng.gen(),
         shed_queue_full: rng.gen(),
         shed_class_budget: rng.gen(),
         shed_overload: rng.gen(),
         infeasible: rng.gen(),
         deadline_misses: rng.gen(),
-        latencies_ns: (0..rng.gen_range(0usize..16)).map(|_| rng.gen()).collect(),
+        latencies: random_durations(rng, 16),
     }
 }
 
@@ -144,22 +152,22 @@ fn random_frame(rng: &mut StdRng) -> Frame {
         }),
         13 => Frame::ParallelismSet,
         14 => Frame::StatsProbe,
-        15 => Frame::Stats(WireStats {
+        15 => Frame::Stats(ServeStats {
             submitted: rng.gen(),
             completed: rng.gen(),
             rejected: rng.gen(),
             batches: rng.gen(),
             dispatched: rng.gen(),
             max_batch_observed: rng.gen(),
-            ecn_marks: rng.gen(),
-            drift_age: rng.gen(),
-            reprograms: rng.gen(),
-            classes: [
-                random_class_stats(rng),
-                random_class_stats(rng),
-                random_class_stats(rng),
-            ],
-            queue_waits_ns: (0..rng.gen_range(0usize..64)).map(|_| rng.gen()).collect(),
+            queue_waits: random_durations(rng, 64),
+            qos: QosStats {
+                classes: [
+                    random_class_stats(rng),
+                    random_class_stats(rng),
+                    random_class_stats(rng),
+                ],
+                ecn_marks: rng.gen(),
+            },
         }),
         16 => Frame::SpecProbe,
         17 => Frame::Spec(random_spec(rng)),

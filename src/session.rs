@@ -317,7 +317,6 @@ impl Platform {
             // Golden replicas are stateless; the executor is a cheap
             // wrapper over the shared graph/weight Arcs.
             Backend::Golden => Replica::Golden(GoldenShardControl {
-                input: graph.input_shape(),
                 exec: Arc::new(GoldenExecutor::from_shared(graph, weights)?),
                 par,
             }),
@@ -341,7 +340,8 @@ impl Platform {
                 })
             }
         };
-        Ok(local_seat(policy, backend.shard_spec(model_id), replica))
+        let spec = backend.shard_spec(model_id);
+        Ok(local_seat(policy, spec, inner.graph.input_shape(), replica))
     }
 
     /// Builds a wire-protocol server around one freshly programmed replica
@@ -422,13 +422,14 @@ enum Replica {
 /// router-stamped coordinates, plus the replica's fleet control. Both
 /// [`Platform::local_shard_for`] and [`Session::serve`] build their seats
 /// here, so each backend has one runner and one control. The seat's spec
-/// carries the replica's input shape, which a remote client of the seat
-/// checks before it sends a request.
-fn local_seat(policy: BatchPolicy, spec: ShardSpec, replica: Replica) -> LocalTransport {
-    let input = match &replica {
-        Replica::Golden(control) => control.input,
-        Replica::Analog(control) => control.graph.input_shape(),
-    };
+/// carries the graph's `input` shape, which the seat, and a remote client
+/// of it, check before they take a request.
+fn local_seat(
+    policy: BatchPolicy,
+    spec: ShardSpec,
+    input: Shape,
+    replica: Replica,
+) -> LocalTransport {
     let spec = ShardSpec {
         input: Some(input),
         ..spec
@@ -461,20 +462,10 @@ fn local_seat(policy: BatchPolicy, spec: ShardSpec, replica: Replica) -> LocalTr
     LocalTransport::spawn(policy, runner, control, spec)
 }
 
-/// Refuses an image whose shape is not the graph's input shape, so the
-/// seat never queues it.
-fn check_shape(expected: Shape, image: &Tensor) -> Result<(), ExecError> {
-    match image.shape() {
-        got if got == expected => Ok(()),
-        got => Err(ExecError::ShapeMismatch { expected, got }),
-    }
-}
-
 /// Fleet control surface of one golden shard: stateless, so drift is a
 /// no-op and "reprogramming" needs no work.
 struct GoldenShardControl {
     exec: Arc<GoldenExecutor>,
-    input: Shape,
     par: Arc<ParCell>,
 }
 
@@ -489,10 +480,6 @@ impl ShardControl for GoldenShardControl {
 
     fn set_parallelism(&self, par: Parallelism) {
         self.par.set(par);
-    }
-
-    fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
-        check_shape(self.input, image)
     }
 }
 
@@ -534,10 +521,6 @@ impl ShardControl for AnalogShardControl {
         // batch) — no slot write-lock, so mid-serve retunes never stall
         // behind in-flight batches.
         self.par.set(par);
-    }
-
-    fn check_input(&self, image: &Tensor) -> Result<(), ExecError> {
-        check_shape(self.graph.input_shape(), image)
     }
 }
 
@@ -1001,7 +984,6 @@ impl Session {
         let replica = match active {
             Backend::Golden => Replica::Golden(GoldenShardControl {
                 exec: Arc::clone(self.golden.as_ref().expect("programmed golden")),
-                input: graph.input_shape(),
                 par,
             }),
             Backend::Analog { seed, xbar_cfg } => Replica::Analog(AnalogShardControl {
@@ -1013,11 +995,9 @@ impl Session {
                 par,
             }),
         };
-        let seat = local_seat(
-            policy,
-            active.shard_spec(ShardSpec::DEFAULT_MODEL_ID),
-            replica,
-        );
+        let spec = active.shard_spec(ShardSpec::DEFAULT_MODEL_ID);
+        let input = self.platform.inner.graph.input_shape();
+        let seat = local_seat(policy, spec, input, replica);
         self.platform
             .serve_fleet_with(vec![Box::new(seat)], FleetPolicy::default())
     }

@@ -358,10 +358,9 @@ fn remove_shard_guards_the_live_floor() {
     fleet.shutdown();
 }
 
-/// Merge semantics of the health counters in `FleetStats`: staleness
-/// (`drift_age`) pools as a max — the fleet is as stale as its stalest
-/// replica — while work (`reprograms`) pools as a sum, across a
-/// local + wire transport mix.
+/// The health rows of `FleetStats` are the router's per-seat lifecycle
+/// counts: a recalibration resets its seat's drift age and counts one
+/// recal, across a local + wire transport mix.
 #[test]
 fn stats_pool_drift_age_and_recal_counters() {
     let platform = platform();
@@ -385,14 +384,6 @@ fn stats_pool_drift_age_and_recal_counters() {
     assert_eq!(ages, vec![0, 2], "recal resets seat 0; seat 1 keeps aging");
     let recals: Vec<u64> = stats.health.iter().map(|h| h.recals).collect();
     assert_eq!(recals, vec![1, 0]);
-    // Per-shard rows carry the router's drift-age view (replay does not
-    // re-age a freshly rotated seat), and the pooled row maxes staleness
-    // while summing reprogram work.
-    assert_eq!(stats.shards[0].drift_age, 0);
-    assert_eq!(stats.shards[1].drift_age, 2);
-    let agg = stats.aggregate();
-    assert_eq!(agg.drift_age, 2);
-    assert_eq!(agg.reprograms, 1);
     fleet.shutdown();
 }
 
