@@ -16,8 +16,8 @@
 //! dials — a permanently dead host).
 //!
 //! Emits `BENCH_serve_churn.json` in the working directory: images/s per
-//! scenario against the undisturbed baseline, the surviving/total seat
-//! counts, and `churn_invariance_ok` — the binary also exits non-zero on
+//! scenario against the undisturbed baseline, the seats the fleet holds
+//! after the stream (a retired seat is not held), and `churn_invariance_ok` — the binary also exits non-zero on
 //! a violation, so CI can gate on either signal.
 //!
 //! ```text
@@ -140,8 +140,7 @@ fn run_stream(
 struct Scenario {
     name: &'static str,
     images_per_s: f64,
-    live_shards: usize,
-    seats: usize,
+    seats_held: usize,
     invariant: bool,
 }
 
@@ -202,8 +201,7 @@ fn main() -> Result<(), Error> {
         scenarios.push(Scenario {
             name: "baseline",
             images_per_s: ips,
-            live_shards: fleet.live_shard_count(),
-            seats: fleet.shard_count(),
+            seats_held: fleet.shard_count(),
             invariant: logits == reference,
         });
         fleet.shutdown();
@@ -232,8 +230,7 @@ fn main() -> Result<(), Error> {
         scenarios.push(Scenario {
             name: "sever_replay",
             images_per_s: ips,
-            live_shards: fleet.live_shard_count(),
-            seats: fleet.shard_count(),
+            seats_held: fleet.shard_count(),
             invariant: logits == reference,
         });
         fleet.shutdown();
@@ -255,8 +252,7 @@ fn main() -> Result<(), Error> {
         scenarios.push(Scenario {
             name: "kill_rescue",
             images_per_s: ips,
-            live_shards: fleet.live_shard_count(),
-            seats: fleet.shard_count(),
+            seats_held: fleet.shard_count(),
             invariant: logits == reference,
         });
         fleet.shutdown();
@@ -272,8 +268,7 @@ fn main() -> Result<(), Error> {
         scenarios.push(Scenario {
             name: "live_join",
             images_per_s: ips,
-            live_shards: fleet.live_shard_count(),
-            seats: fleet.shard_count(),
+            seats_held: fleet.shard_count(),
             invariant: logits == reference,
         });
         fleet.shutdown();
@@ -282,17 +277,17 @@ fn main() -> Result<(), Error> {
     let churn_invariance_ok = scenarios.iter().all(|s| s.invariant);
 
     println!(
-        "{:<14} {:>10} {:>8} {:>6} {:>10}",
-        "scenario", "img/s", "live", "seats", "invariant"
+        "{:<14} {:>10} {:>6} {:>10}",
+        "scenario", "img/s", "held", "invariant"
     );
     println!(
-        "{:<14} {:>10.3} {:>8} {:>6} {:>10}",
-        "direct", direct_ips, "-", "-", "-"
+        "{:<14} {:>10.3} {:>6} {:>10}",
+        "direct", direct_ips, "-", "-"
     );
     for s in &scenarios {
         println!(
-            "{:<14} {:>10.3} {:>8} {:>6} {:>10}",
-            s.name, s.images_per_s, s.live_shards, s.seats, s.invariant
+            "{:<14} {:>10.3} {:>6} {:>10}",
+            s.name, s.images_per_s, s.seats_held, s.invariant
         );
     }
     println!("churn-invariance (all scenarios bit-identical to solo): {churn_invariance_ok}");
@@ -301,9 +296,9 @@ fn main() -> Result<(), Error> {
         .iter()
         .map(|s| {
             format!(
-                "{{\"name\": \"{}\", \"images_per_s\": {:.4}, \"live_shards\": {}, \
-                 \"seats\": {}, \"invariant\": {}}}",
-                s.name, s.images_per_s, s.live_shards, s.seats, s.invariant
+                "{{\"name\": \"{}\", \"images_per_s\": {:.4}, \"seats_held\": {}, \
+                 \"invariant\": {}}}",
+                s.name, s.images_per_s, s.seats_held, s.invariant
             )
         })
         .collect();

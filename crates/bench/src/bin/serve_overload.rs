@@ -34,7 +34,7 @@ use aimc_core::ArchConfig;
 use aimc_dnn::{ConvCfg, Graph, GraphBuilder, Shape, Tensor};
 use aimc_platform::serve::{
     BatchPolicy, FleetHandle, FleetPolicy, PacerConfig, Pending, Priority, QosClass, QosOrdering,
-    QosPolicy, Request, RoutePolicy, ServeError, ShardTransport, ShedReason, TcpTransport,
+    Request, RoutePolicy, ServeError, ShardTransport, ShedReason, TcpTransport,
 };
 use aimc_platform::{Backend, Error, Platform};
 use aimc_xbar::XbarConfig;
@@ -92,7 +92,7 @@ fn random_images(n: usize, seed: u64) -> Vec<Tensor> {
 fn batch_policy(max_wait: Duration) -> BatchPolicy {
     BatchPolicy::new(MAX_BATCH, max_wait)
         .with_queue_depth(QUEUE_DEPTH)
-        .with_qos(QosPolicy::default().with_ordering(QosOrdering::EdfWithinPriority))
+        .with_ordering(QosOrdering::EdfWithinPriority)
 }
 
 /// A one-shard QoS fleet: AIMD pacer on (low priority rides the window,

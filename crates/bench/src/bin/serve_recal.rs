@@ -219,9 +219,9 @@ fn main() -> Result<(), Error> {
         &mut scenarios,
         "manual_rotation",
         Box::new(|fleet| {
-            for seat in 0..fleet.shard_count() {
+            for seat in fleet.shard_health() {
                 fleet
-                    .recalibrate_shard(seat)
+                    .recalibrate_shard(seat.id)
                     .expect("every seat has a routable peer");
             }
             None

@@ -320,10 +320,9 @@ struct StateInner {
     /// first batch completes); feeds the router's deadline-feasibility
     /// check through [`SharedState::load`].
     est_image_ns: u64,
-    /// Admission limits, copied from the policy at spawn. The defaults
-    /// are fully permissive, so a default ledger never sheds.
+    /// The queue bound, copied from the policy at spawn. The default is
+    /// unbounded, so a default ledger never sheds.
     queue_depth: u64,
-    class_budgets: [usize; Priority::COUNT],
     /// Absolute in-flight count at which the queue reports ECN pressure.
     ecn_threshold: u64,
 }
@@ -345,7 +344,6 @@ impl Default for StateInner {
             latency_cursors: [0; Priority::COUNT],
             est_image_ns: 0,
             queue_depth: u64::MAX,
-            class_budgets: [usize::MAX; Priority::COUNT],
             ecn_threshold: u64::MAX,
         }
     }
@@ -356,11 +354,10 @@ impl Default for StateInner {
 const ECN_THRESHOLD_PCT: u64 = 75;
 
 impl SharedState {
-    /// A ledger wired to a policy's admission limits.
+    /// A ledger wired to a policy's queue bound.
     pub(crate) fn for_policy(policy: &BatchPolicy) -> Self {
         let inner = StateInner {
             queue_depth: policy.queue_depth as u64,
-            class_budgets: policy.qos.class_budgets,
             ecn_threshold: (policy.queue_depth as u64 * ECN_THRESHOLD_PCT / 100).max(1),
             ..StateInner::default()
         };
@@ -371,9 +368,8 @@ impl SharedState {
     }
 
     /// Admits one request of `class`, returning the ticket that counts it
-    /// until its flight is filled. With `shed` set the seat's own checks
-    /// apply: [`ShedReason::QueueFull`] at the queue bound and
-    /// [`ShedReason::ClassBudget`] at the class's in-flight budget.
+    /// until its flight is filled. With `shed` set the seat sheds with
+    /// [`ShedReason::QueueFull`] at its queue bound.
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] once the seat is closed;
@@ -389,18 +385,9 @@ impl SharedState {
             st.rejected += 1;
             return Err(ServeError::ShutDown);
         }
-        if shed {
-            let reason = if st.submitted - st.completed >= st.queue_depth {
-                Some(ShedReason::QueueFull)
-            } else if st.class_in_flight[rank] >= st.class_budgets[rank] as u64 {
-                Some(ShedReason::ClassBudget)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                st.qos.classes[rank].note_shed(reason);
-                return Err(ServeError::Shed(reason));
-            }
+        if shed && st.submitted - st.completed >= st.queue_depth {
+            st.qos.classes[rank].note_shed(ShedReason::QueueFull);
+            return Err(ServeError::Shed(ShedReason::QueueFull));
         }
         st.submitted += 1;
         st.class_in_flight[rank] += 1;

@@ -102,11 +102,11 @@ mod router;
 mod scheduler;
 mod transport;
 
-pub use aimc_wire::{NoiseSpec, ServeStats, ShardSpec};
+pub use aimc_wire::{ServeStats, ShardSpec};
 pub use handle::{Flight, Pending, ServeError};
 pub use qos::{
-    AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosOrdering, QosPolicy, QosStats,
-    ShardLoad, ShedReason,
+    AimdPacer, ClassStats, PacerConfig, Priority, QosClass, QosOrdering, QosStats, ShardLoad,
+    ShedReason,
 };
 pub use recal::{RecalHandle, RecalPolicy, RecalStats};
 pub use remote::{Connect, RetryPolicy, ShardServer, TcpTransport};
@@ -143,10 +143,9 @@ pub struct BatchPolicy {
     /// (backpressure, never unbounded growth) and a classed request
     /// ([`Request::class`]) is shed with [`ShedReason::QueueFull`].
     pub queue_depth: usize,
-    /// Admission-control knobs: per-class budgets and coalescer ordering.
-    /// The default is fully permissive FIFO, preserving pre-QoS behavior
-    /// exactly.
-    pub qos: QosPolicy,
+    /// How the coalescer orders queued requests into batches. The default
+    /// is FIFO, the pre-QoS behavior.
+    pub ordering: QosOrdering,
 }
 
 impl BatchPolicy {
@@ -157,7 +156,7 @@ impl BatchPolicy {
             max_batch,
             max_wait,
             queue_depth: (max_batch * 4).max(64),
-            qos: QosPolicy::default(),
+            ordering: QosOrdering::Fifo,
         }
     }
 
@@ -167,9 +166,9 @@ impl BatchPolicy {
         self
     }
 
-    /// Overrides the admission-control policy.
-    pub fn with_qos(mut self, qos: QosPolicy) -> Self {
-        self.qos = qos;
+    /// Overrides the coalescer ordering.
+    pub fn with_ordering(mut self, ordering: QosOrdering) -> Self {
+        self.ordering = ordering;
         self
     }
 
@@ -207,7 +206,7 @@ mod tests {
             max_batch: 0,
             max_wait: Duration::ZERO,
             queue_depth: 0,
-            qos: QosPolicy::default(),
+            ordering: QosOrdering::Fifo,
         }
         .normalized();
         assert_eq!(degenerate.max_batch, 1);

@@ -23,8 +23,8 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`QosPolicy`] — per-class in-flight budgets and coalescer ordering
-//!   ([`QosOrdering`]).
+//! * [`QosOrdering`] — the coalescer ordering a seat's
+//!   [`BatchPolicy`](crate::BatchPolicy) picks.
 //! * The seat's coalescer — the batching state machine, FIFO or
 //!   earliest-deadline-first *within* priority bands. It owns no clock;
 //!   tests drive it with fake timestamps.
@@ -56,45 +56,6 @@ pub enum QosOrdering {
     /// request's stream coordinate at submission, so reordering dispatch
     /// never moves a coordinate.
     EdfWithinPriority,
-}
-
-/// Admission-control knobs carried inside
-/// [`BatchPolicy`](crate::BatchPolicy): per-class budgets and batch
-/// ordering.
-///
-/// The default is fully permissive — unbounded budgets, FIFO ordering —
-/// so pre-QoS callers see byte-for-byte identical behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QosPolicy {
-    /// Batch composition order; see [`QosOrdering`].
-    pub ordering: QosOrdering,
-    /// Per-class in-flight budgets indexed by [`Priority::rank`];
-    /// `usize::MAX` means unbounded. A class at its budget sheds with
-    /// [`ShedReason::ClassBudget`].
-    pub class_budgets: [usize; Priority::COUNT],
-}
-
-impl QosPolicy {
-    /// Overrides the coalescer ordering.
-    pub fn with_ordering(mut self, ordering: QosOrdering) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Bounds the in-flight budget of one priority class.
-    pub fn with_class_budget(mut self, priority: Priority, budget: usize) -> Self {
-        self.class_budgets[priority.rank()] = budget;
-        self
-    }
-}
-
-impl Default for QosPolicy {
-    fn default() -> Self {
-        QosPolicy {
-            ordering: QosOrdering::Fifo,
-            class_budgets: [usize::MAX; Priority::COUNT],
-        }
-    }
 }
 
 /// The congestion signal a shard exports to its router: the local
@@ -148,14 +109,6 @@ pub struct PacerConfig {
 }
 
 impl PacerConfig {
-    /// An enabled pacer with the default window bounds.
-    pub fn aimd() -> Self {
-        PacerConfig {
-            enabled: true,
-            ..PacerConfig::default()
-        }
-    }
-
     /// Overrides the hard in-flight cap.
     pub fn with_hard_limit(mut self, hard_limit: usize) -> Self {
         self.hard_limit = hard_limit;

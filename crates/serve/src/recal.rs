@@ -27,8 +27,9 @@
 //!
 //! ## Eligibility
 //!
-//! A seat is a candidate when it is live, not already draining, and its
-//! [`ShardHealth::drift_age`] has reached [`RecalPolicy::max_drift_age`].
+//! A seat is a candidate when it is not already draining and its
+//! [`ShardHealth::drift_age`] has reached [`RecalPolicy::max_drift_age`]
+//! (health rows cover seats in service only: a retired seat has none).
 //! A candidate is **eligible** only if taking it out of rotation leaves at
 //! least [`RecalPolicy::min_live_per_group`] routable members serving its
 //! model group — the live floor. The scheduler picks the eligible seat
@@ -83,23 +84,22 @@ impl RecalPolicy {
         self
     }
 
-    /// The seat one scan would recalibrate, given the router's health
-    /// rows: the stalest eligible seat, ties toward the lowest id. Pure —
-    /// unit-testable without a fleet. The second return reports whether
-    /// any aged-out candidate was blocked by the live floor.
+    /// The id of the seat one scan would recalibrate, given the router's
+    /// health rows (in id order): the stalest eligible seat, ties toward
+    /// the lowest id. Pure — unit-testable without a fleet. The second
+    /// return reports whether any aged-out candidate was blocked by the
+    /// live floor.
     pub fn candidate(&self, health: &[ShardHealth]) -> (Option<usize>, bool) {
         let groups = health.iter().map(|h| h.group).max().map_or(0, |g| g + 1);
         let mut routable = vec![0usize; groups];
-        for h in health {
-            if h.live && !h.draining {
-                routable[h.group] += 1;
-            }
+        for h in health.iter().filter(|h| !h.draining) {
+            routable[h.group] += 1;
         }
         let floor = self.min_live_per_group.max(1);
         let mut best: Option<(u64, usize)> = None;
         let mut floor_blocked = false;
-        for (idx, h) in health.iter().enumerate() {
-            if !h.live || h.draining || h.drift_age < self.max_drift_age {
+        for h in health {
+            if h.draining || h.drift_age < self.max_drift_age {
                 continue;
             }
             if routable[h.group] <= floor {
@@ -107,10 +107,10 @@ impl RecalPolicy {
                 continue;
             }
             if best.is_none_or(|(age, _)| h.drift_age > age) {
-                best = Some((h.drift_age, idx));
+                best = Some((h.drift_age, h.id));
             }
         }
-        (best.map(|(_, idx)| idx), floor_blocked)
+        (best.map(|(_, id)| id), floor_blocked)
     }
 }
 
@@ -200,16 +200,16 @@ impl RecalHandle {
         if floor_blocked {
             stats.skipped_live_floor += 1;
         }
-        let Some(idx) = candidate else { return };
+        let Some(id) = candidate else { return };
         // Rotate outside the stats lock: a drain can take a while and
         // stats() must stay responsive.
         drop(stats);
-        let outcome = fleet.recalibrate_shard(idx);
+        let outcome = fleet.recalibrate_shard(id);
         let mut stats = shared.stats.lock().unwrap();
         match outcome {
             Ok(()) => {
                 stats.rotations += 1;
-                stats.last_rotated = Some(idx);
+                stats.last_rotated = Some(id);
             }
             // The health snapshot raced a concurrent eviction or drain:
             // the floor held at decision time, count it as a skip.
@@ -252,11 +252,12 @@ impl FleetHandle {
 mod tests {
     use super::*;
 
-    fn row(group: usize, live: bool, draining: bool, drift_age: u64) -> ShardHealth {
+    /// The health row of seat `id`.
+    fn row(id: usize, group: usize, draining: bool, drift_age: u64) -> ShardHealth {
         ShardHealth {
+            id,
             model_id: format!("m{group}"),
             group,
-            live,
             draining,
             drift_age,
             recals: 0,
@@ -266,22 +267,23 @@ mod tests {
     #[test]
     fn candidate_picks_the_stalest_eligible_seat() {
         let policy = RecalPolicy::new(2);
-        // Seat 2 is stalest; seat 0 aged out but younger; seat 1 fresh.
+        // Seat 7 is stalest; seat 3 aged out but younger; seat 4 fresh.
+        // The candidate is named by id, not by row position.
         let health = vec![
-            row(0, true, false, 2),
-            row(0, true, false, 0),
-            row(0, true, false, 5),
+            row(3, 0, false, 2),
+            row(4, 0, false, 0),
+            row(7, 0, false, 5),
         ];
-        assert_eq!(policy.candidate(&health), (Some(2), false));
+        assert_eq!(policy.candidate(&health), (Some(7), false));
         // Ties break toward the lowest seat id.
         let health = vec![
-            row(0, true, false, 5),
-            row(0, true, false, 5),
-            row(0, true, false, 5),
+            row(0, 0, false, 5),
+            row(1, 0, false, 5),
+            row(2, 0, false, 5),
         ];
         assert_eq!(policy.candidate(&health), (Some(0), false));
         // Nothing aged out: no candidate, no floor pressure.
-        let health = vec![row(0, true, false, 1), row(0, true, false, 0)];
+        let health = vec![row(0, 0, false, 1), row(1, 0, false, 0)];
         assert_eq!(policy.candidate(&health), (None, false));
     }
 
@@ -291,9 +293,9 @@ mod tests {
         // Group 0 has one member: aged out but rotating it would empty the
         // group — floor-blocked. Group 1 has two: its stale seat rotates.
         let health = vec![
-            row(0, true, false, 9),
-            row(1, true, false, 3),
-            row(1, true, false, 0),
+            row(0, 0, false, 9),
+            row(1, 1, false, 3),
+            row(2, 1, false, 0),
         ];
         assert_eq!(policy.candidate(&health), (Some(1), true));
         // A higher floor blocks the two-member group too.
@@ -304,17 +306,9 @@ mod tests {
     #[test]
     fn candidate_ignores_dead_and_draining_seats() {
         let policy = RecalPolicy::new(1);
-        // The evicted seat is stalest but not a candidate — and it does
-        // not count toward its group's routable floor either.
-        let health = vec![
-            row(0, false, false, 99),
-            row(0, true, false, 4),
-            row(0, true, false, 2),
-        ];
-        assert_eq!(policy.candidate(&health), (Some(1), false));
         // A draining seat neither rotates nor holds the floor: with it
         // out, the group's only other member is floor-blocked.
-        let health = vec![row(0, true, true, 9), row(0, true, false, 4)];
+        let health = vec![row(0, 0, true, 9), row(1, 0, false, 4)];
         assert_eq!(policy.candidate(&health), (None, true));
     }
 }

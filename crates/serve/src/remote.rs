@@ -48,15 +48,20 @@
 //! the connection drops the transport re-dials (bounded
 //! attempts with backoff, per [`RetryPolicy`]), announces itself with
 //! `Hello { resumed: true }`, and retransmits every unacknowledged
-//! request in ascending index order — go-back-N. Each request carries its
+//! request in ascending index order — go-back-N. Every handshake carries
+//! [`PROTOCOL_VERSION`]: a peer that acks another version fails that dial,
+//! so a host built from another frame layout uses up the retry budget
+//! instead of being redialled forever. Each request carries its
 //! own index, so the replay order does not affect any logit, and the
 //! server needs no routing information to serve it. Replay may re-execute a
 //! request whose reply was lost in flight; that is harmless by
 //! construction, because noise is keyed by the global coordinate
 //! (re-running index `k` yields bit-identical logits) and the client
-//! ignores a reply for an index it no longer has pending. Control
-//! commands are level-based (drift to an absolute time, reprogram from
-//! the seed), so the client resends one that was cut off mid-call.
+//! ignores a reply for an index it no longer has pending. The client also
+//! resends a control command that was cut off mid-call. That is safe for
+//! every command but one: `ApplyDrift` compounds (each call scales the
+//! conductances by the factor of its elapsed time), so a resent drift that
+//! the server had already applied drifts that replica twice.
 //!
 //! When the retry budget is exhausted the transport closes and parks its
 //! unacknowledged flights instead of cancelling them — the fleet router
@@ -70,7 +75,7 @@ use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
 use aimc_wire::{
     append_frame, read_frame, write_frame, Frame, ReplyError, ServeStats, ShardReply, ShardRequest,
-    ShardSpec,
+    ShardSpec, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -232,7 +237,19 @@ impl ShardServer {
                 Err(e) => return Err(e),
             };
             match frame {
-                Frame::Hello { resumed: _ } => reply(&Frame::HelloAck)?,
+                Frame::Hello { version, .. } => {
+                    reply(&Frame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                    })?;
+                    // A peer of another frame layout would misread every
+                    // frame that follows: answer with this version, close.
+                    if version != PROTOCOL_VERSION {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("client speaks protocol version {version}"),
+                        ));
+                    }
+                }
                 Frame::Request(ShardRequest {
                     global_index,
                     class,
@@ -538,14 +555,16 @@ impl RemoteInner {
     /// Permanent link death after a spent retry budget: closes the
     /// transport but parks the unacknowledged flights — the router
     /// re-routes them at their original coordinates instead of surfacing
-    /// cancellations.
+    /// cancellations. The transport reads closed only once every flight
+    /// is parked, under the state lock a submission registers under, so
+    /// whoever sees it closed harvests everything it stranded.
     fn park_orphans(&self) {
-        self.closed.store(true, Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();
         st.link_up = false;
         let stranded: Vec<Flight> = st.pending.drain().map(|(_, flight)| flight).collect();
         st.orphans.extend(stranded);
         st.class_in_flight = [0; Priority::COUNT];
+        self.closed.store(true, Ordering::SeqCst);
         drop(st);
         *self.mailbox.lock().unwrap() = None;
         self.state_cv.notify_all();
@@ -601,20 +620,10 @@ impl TcpTransport {
     /// reconnect-and-replay under `retry` when the link dies.
     ///
     /// # Errors
-    /// Initial dial or handshake failures.
+    /// Initial dial or handshake failures; `InvalidData` when the peer
+    /// speaks another [`PROTOCOL_VERSION`].
     pub fn with_connector(connector: Box<dyn Connect>, retry: RetryPolicy) -> io::Result<Self> {
-        let (reader, mut writer) = connector.connect()?;
-        let mut reader = BufReader::new(reader);
-        write_frame(&mut writer, &Frame::Hello { resumed: false })?;
-        match read_frame(&mut reader)? {
-            Frame::HelloAck => {}
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected HelloAck, got {other:?}"),
-                ))
-            }
-        }
+        let (reader, writer) = handshake(&*connector, false)?;
         Ok(Self::start(
             reader,
             writer,
@@ -675,8 +684,9 @@ impl TcpTransport {
     /// Sends one control frame and blocks for its reply (control traffic
     /// is strictly one-outstanding, enforced by the control lock). On a
     /// replay-capable link a death mid-call resends the frame on the
-    /// replacement link — control operations are level-based, so
-    /// re-execution is safe.
+    /// replacement link. Re-execution is safe for every command except
+    /// `ApplyDrift`, which compounds: a resent drift the server had
+    /// already applied drifts the replica twice.
     fn control(&self, request: &Frame) -> Result<Frame, ServeError> {
         let _serial = self.inner.control.lock().unwrap();
         loop {
@@ -862,24 +872,35 @@ fn reconnect_and_replay(inner: &RemoteInner) -> io::Result<LinkReader> {
     Err(last)
 }
 
+/// Dials one connection and runs the handshake: a `Hello` of this build's
+/// [`PROTOCOL_VERSION`], answered by a `HelloAck` of the same version.
+///
+/// # Errors
+/// Dial or I/O failures; `InvalidData` for any other answer.
+fn handshake(
+    connector: &dyn Connect,
+    resumed: bool,
+) -> io::Result<(LinkReader, Box<dyn Write + Send>)> {
+    let (reader, mut writer) = connector.connect()?;
+    let mut reader = BufReader::new(reader);
+    let version = PROTOCOL_VERSION;
+    write_frame(&mut writer, &Frame::Hello { resumed, version })?;
+    match read_frame(&mut reader)? {
+        Frame::HelloAck { version: v } if v == version => Ok((reader, writer)),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("expected HelloAck of protocol version {version}, got {other:?}"),
+        )),
+    }
+}
+
 /// One resume attempt: dial, handshake with `Hello { resumed: true }`,
 /// then — under the writer lock, so no submission interleaves —
 /// retransmit the unacknowledged requests in ascending index order
 /// (go-back-N; each request carries its own index, so the replay order
 /// does not affect any logit).
 fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<LinkReader> {
-    let (reader, mut writer) = replay.connector.connect()?;
-    let mut reader = BufReader::new(reader);
-    write_frame(&mut writer, &Frame::Hello { resumed: true })?;
-    match read_frame(&mut reader)? {
-        Frame::HelloAck => {}
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected HelloAck, got {other:?}"),
-            ))
-        }
-    }
+    let (reader, mut writer) = handshake(&*replay.connector, true)?;
     let mut current = inner.writer.lock().unwrap();
     // Encode under the state lock; anything registered later writes its
     // own frame once the writer lock frees (submissions wait for link_up,
@@ -991,10 +1012,6 @@ impl ShardTransport for TcpTransport {
             pressure: st.pressure,
             est_image_ns: st.est_image_ns,
         }
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.inner.state.lock().unwrap().pending.len() as u64
     }
 
     fn drain(&self) {
@@ -1145,20 +1162,29 @@ mod tests {
         ))
     }
 
-    /// An echo shard: results encode (index, value) so tests can verify
+    /// The echo runner: results encode (index, value) so tests can verify
     /// the coordinate each request ran at.
+    fn echo(indices: &[u64], inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+        Ok(indices
+            .iter()
+            .zip(inputs)
+            .map(|(&i, t)| tensor(i as f32 * 1000.0 + t.data()[0]))
+            .collect())
+    }
+
+    /// An echo shard (see [`echo`]).
     fn echo_seat(control: Arc<RecordingControl>) -> Arc<LocalTransport> {
-        seat(
+        seat(BatchPolicy::new(2, Duration::from_millis(1)), echo, control)
+    }
+
+    /// A boxed local echo seat, for a fleet.
+    fn local_echo() -> Box<dyn ShardTransport> {
+        Box::new(LocalTransport::spawn(
             BatchPolicy::new(2, Duration::from_millis(1)),
-            |indices: &[u64], inputs: &[Tensor]| {
-                Ok(indices
-                    .iter()
-                    .zip(inputs)
-                    .map(|(&i, t)| tensor(i as f32 * 1000.0 + t.data()[0]))
-                    .collect())
-            },
-            control,
-        )
+            Box::new(echo),
+            Box::new(Arc::new(RecordingControl::default())),
+            ShardSpec::default(),
+        ))
     }
 
     /// An echo shard server (see [`echo_seat`]).
@@ -1240,7 +1266,7 @@ mod tests {
             );
         }
         t.drain();
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.load().in_flight, 0);
         let stats = t.stats();
         assert_eq!(stats.submitted, 6);
         assert_eq!(stats.completed, 6);
@@ -1351,7 +1377,7 @@ mod tests {
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
         let p = submit(&t, 0, tensor(1.0), QosClass::default()).unwrap();
-        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.load().in_flight, 1);
         // Sever the connection while the request sits in the coalescer.
         client_end.close();
         assert!(matches!(p.wait(), Err(ServeError::Canceled)));
@@ -1438,24 +1464,19 @@ mod tests {
         });
         // The handshake a dialled transport makes, over the fixed stream.
         let (mut reader, mut writer) = (client_end.clone(), client_end.clone());
-        write_frame(&mut writer, &Frame::Hello { resumed: false }).unwrap();
-        assert_eq!(read_frame(&mut reader).unwrap(), Frame::HelloAck);
-        let local = LocalTransport::spawn(
-            BatchPolicy::new(2, Duration::from_millis(1)),
-            Box::new(|indices: &[u64], inputs: &[Tensor]| {
-                Ok(indices
-                    .iter()
-                    .zip(inputs)
-                    .map(|(&i, t)| tensor(i as f32 * 1000.0 + t.data()[0]))
-                    .collect())
-            }),
-            Box::new(Arc::new(RecordingControl::default())),
-            ShardSpec::default(),
+        let hello = Frame::Hello {
+            resumed: false,
+            version: PROTOCOL_VERSION,
+        };
+        write_frame(&mut writer, &hello).unwrap();
+        assert_eq!(
+            read_frame(&mut reader).unwrap(),
+            Frame::HelloAck {
+                version: PROTOCOL_VERSION
+            }
         );
-        let seats: Vec<Box<dyn ShardTransport>> = vec![
-            Box::new(local),
-            Box::new(TcpTransport::over(reader, writer)),
-        ];
+        let seats: Vec<Box<dyn ShardTransport>> =
+            vec![local_echo(), Box::new(TcpTransport::over(reader, writer))];
         let fleet = FleetHandle::new(
             seats,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
@@ -1476,10 +1497,7 @@ mod tests {
         while !stream.is_empty() {
             frames.push(read_frame(&mut stream).unwrap());
         }
-        assert_eq!(
-            frames[..2],
-            [Frame::Hello { resumed: false }, Frame::SpecProbe]
-        );
+        assert_eq!(frames[..2], [hello, Frame::SpecProbe]);
         // Round robin in blocks of 4: the local seat takes [0, 4) and [8, 12),
         // the TCP seat the block [4, 8) — one frame per request.
         let requests: Vec<u64> = frames
@@ -1650,9 +1668,9 @@ mod tests {
 
     /// Forwards [`Connect`] through an `Arc` so tests can keep a handle on
     /// the connector they hand to the transport.
-    struct ArcConnector(Arc<PipeConnector>);
+    struct ArcConnector<C>(Arc<C>);
 
-    impl Connect for ArcConnector {
+    impl<C: Connect> Connect for ArcConnector<C> {
         fn connect(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
             self.0.connect()
         }
@@ -1726,5 +1744,128 @@ mod tests {
         b.shutdown();
         a.shutdown();
         accept_thread.join().unwrap().unwrap();
+    }
+
+    /// A seat that never replies: its batch never fills and its latency
+    /// budget never fires, so every request it takes stays unacknowledged.
+    fn silent_server() -> (ShardServer, Arc<LocalTransport>) {
+        let handle = seat(
+            BatchPolicy::new(3, Duration::from_secs(3600)),
+            |_idx: &[u64], inputs: &[Tensor]| Ok(inputs.to_vec()),
+            Arc::default(),
+        );
+        let server = ShardServer {
+            shard: handle.clone(),
+        };
+        (server, handle)
+    }
+
+    /// Removing a TCP seat whose link dies during the removal's drain
+    /// rescues the requests it stranded: they settle at their own
+    /// coordinates on the surviving local seat instead of cancelling.
+    #[test]
+    fn remove_shard_rescues_the_strays_of_a_dying_tcp_seat() {
+        let (server, handle) = silent_server();
+        // Hello, the spec probe and requests 0 and 2 pass; the removal's
+        // Drain frame severs the link, and no redial succeeds.
+        let connector = PipeConnector::new(server, vec![FaultPlan::new(1).sever_after(4)]);
+        let tcp = TcpTransport::with_connector(
+            Box::new(connector),
+            RetryPolicy::new(2, Duration::from_millis(1)),
+        )
+        .unwrap();
+        let seats: Vec<Box<dyn ShardTransport>> = vec![Box::new(tcp), local_echo()];
+        let fleet = FleetHandle::new(seats, FleetPolicy::new(RoutePolicy::RoundRobin)).unwrap();
+        let pendings: Vec<Pending> = (0..4)
+            .map(|i| fleet.submit(tensor(i as f32)).unwrap())
+            .collect();
+        fleet.remove_shard(0).unwrap();
+        for (i, p) in pendings.into_iter().enumerate() {
+            assert_eq!(
+                p.wait().unwrap().data(),
+                &[i as f32 * 1001.0],
+                "request {i} did not settle at its coordinate"
+            );
+        }
+        assert_eq!(fleet.shard_count(), 1);
+        fleet.shutdown();
+        handle.shutdown();
+    }
+
+    /// A peer that answers every hello with another protocol version, as
+    /// a host built from another frame layout would.
+    fn skewed_peer() -> (Box<dyn Read + Send>, Box<dyn Write + Send>) {
+        let (client_end, server_end) = duplex();
+        std::thread::spawn(move || {
+            let (mut reader, mut writer) = (server_end.clone(), server_end.clone());
+            if let Ok(Frame::Hello { .. }) = read_frame(&mut reader) {
+                let version = PROTOCOL_VERSION + 1;
+                let _ = write_frame(&mut writer, &Frame::HelloAck { version });
+            }
+            server_end.close();
+        });
+        (Box::new(client_end.clone()), Box::new(client_end))
+    }
+
+    /// Dials through `first` while its script lasts, and reaches a
+    /// [`skewed_peer`] on every dial after that.
+    struct SkewedAfter {
+        first: PipeConnector,
+        dials: AtomicU32,
+    }
+
+    impl Connect for SkewedAfter {
+        fn connect(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+            self.dials.fetch_add(1, Ordering::SeqCst);
+            self.first.connect().or_else(|_| Ok(skewed_peer()))
+        }
+    }
+
+    /// A peer of another protocol version fails the first dial's
+    /// handshake with `InvalidData`, and nothing dials again.
+    #[test]
+    fn handshake_with_another_protocol_version_fails_after_one_dial() {
+        let connector = Arc::new(SkewedAfter {
+            first: PipeConnector::new(echo_server(Arc::default()), Vec::new()),
+            dials: AtomicU32::new(0),
+        });
+        let dialled = TcpTransport::with_connector(
+            Box::new(ArcConnector(Arc::clone(&connector))),
+            RetryPolicy::new(3, Duration::from_millis(1)),
+        );
+        let err = dialled.expect_err("a skewed peer fails the handshake");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("protocol version"), "{err}");
+        assert_eq!(connector.dials.load(Ordering::SeqCst), 1);
+    }
+
+    /// A seat whose redials all reach a peer of another protocol version
+    /// spends its retry budget once — one dial plus `max_attempts`
+    /// redials — then closes and parks its unacknowledged flights.
+    #[test]
+    fn redials_to_another_protocol_version_close_and_park() {
+        let (server, handle) = silent_server();
+        // Hello and request 0 pass; request 1 severs the link.
+        let connector = Arc::new(SkewedAfter {
+            first: PipeConnector::new(server, vec![FaultPlan::new(1).sever_after(2)]),
+            dials: AtomicU32::new(0),
+        });
+        let t = TcpTransport::with_connector(
+            Box::new(ArcConnector(Arc::clone(&connector))),
+            RetryPolicy::new(3, Duration::from_millis(1)),
+        )
+        .unwrap();
+        let _p0 = submit(&t, 0, tensor(0.5), QosClass::default()).unwrap();
+        let _p1 = submit(&t, 1, tensor(1.5), QosClass::default()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !t.is_closed() {
+            assert!(Instant::now() < deadline, "the seat never closed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut parked: Vec<u64> = t.take_orphans().iter().map(|o| o.index).collect();
+        parked.sort_unstable();
+        assert_eq!(parked, vec![0, 1]);
+        assert_eq!(connector.dials.load(Ordering::SeqCst), 1 + 3);
+        handle.shutdown();
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Shards need not be identical. At assembly (and on every
 //! [`FleetHandle::add_shard`]) the router probes each transport's
-//! [`ShardSpec`] — `{model_id, xbar_cfg, noise, seed}` — and groups
+//! [`ShardSpec`] — `{model_id, xbar_cfg, seed, input}` — and groups
 //! transports by `model_id` into **model groups**. Each group owns its own
 //! index allocator and routing cursors, so each model keeps its own
 //! bit-identical global stream `0, 1, 2, …`;
@@ -46,15 +46,18 @@
 //!
 //! ## Elasticity
 //!
-//! The shard set is not fixed for the fleet's lifetime:
+//! The shard set is not fixed for the fleet's lifetime. Each model group
+//! holds only the seats it serves; every seat gets an id when it joins,
+//! ids only grow and are never reused, and a retired seat leaves its
+//! group for good, its counters folded into [`FleetStats::retired`].
 //!
 //! * **Eviction.** A shard whose transport dies past its replay budget is
-//!   *retired*, not mourned: routing skips it from then on (a block in
-//!   progress moves to another seat), its stranded [`Flight`]s are handed
-//!   back and re-submitted **at their original coordinates** on
-//!   survivors, and the failed submission releases its index and retries
-//!   on another shard. The caller observes nothing: the same `Pending`
-//!   resolves with the same logits.
+//!   *retired*, not mourned: it leaves its group (a block in progress
+//!   moves to another seat), its stranded [`Flight`]s are handed back and
+//!   re-submitted **at their original coordinates** on survivors, and the
+//!   failed submission releases its index and retries on another shard.
+//!   The caller observes nothing: the same `Pending` resolves with the
+//!   same logits.
 //! * **Live join.** [`FleetHandle::add_shard`] programs a fresh replica
 //!   from the fleet seed via the control surface, replays the drift
 //!   history so its conductances match the incumbents', and enters it
@@ -76,7 +79,7 @@ use aimc_dnn::Tensor;
 use aimc_parallel::Parallelism;
 use aimc_wire::{ServeStats, ShardSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How the router picks the shard that receives each routing block of
@@ -157,17 +160,19 @@ impl Default for FleetPolicy {
     }
 }
 
-/// The router's view of one shard seat: identity, availability, and the
-/// calibration-freshness counters the background recalibration scheduler
-/// plans from (see [`FleetHandle::shard_health`]).
+/// The router's view of one seat in service: identity, availability, and
+/// the calibration-freshness counters the background recalibration
+/// scheduler plans from (see [`FleetHandle::shard_health`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardHealth {
+    /// The seat's id: the one [`FleetHandle::remove_shard`] and
+    /// [`FleetHandle::recalibrate_shard`] take. Ids are handed out in join
+    /// order and never reused.
+    pub id: usize,
     /// The model id of the group this seat belongs to.
     pub model_id: String,
-    /// The seat's model-group index (stable, like shard ids).
+    /// The seat's model-group index (stable for the fleet's lifetime).
     pub group: usize,
-    /// Whether the seat is still in the routing rotation (not evicted).
-    pub live: bool,
     /// Whether a maintenance operation (graceful removal or background
     /// recalibration) is currently keeping new work off the seat.
     pub draining: bool,
@@ -185,24 +190,29 @@ pub struct ShardHealth {
 /// [`FleetHandle::stats`]).
 #[derive(Debug, Clone)]
 pub struct FleetStats {
-    /// One [`ServeStats`] snapshot per shard, in shard-id order: each
-    /// seat's own [`ShardTransport::stats`] (evicted shards keep reporting
-    /// their last observed snapshot).
+    /// One [`ServeStats`] snapshot per seat in service, in id order: each
+    /// seat's own [`ShardTransport::stats`].
     pub shards: Vec<ServeStats>,
+    /// The counters of every retired seat (evicted, removed, or failed at
+    /// recalibration), each folded in at retirement with
+    /// [`ServeStats::merge`]. Its sample lists stay empty: keeping a
+    /// retired seat's samples would grow this record with every seat the
+    /// fleet ever held.
+    pub retired: ServeStats,
     /// The router's own QoS ledger: refusals decided at the fleet ingress
     /// (pacer overload, fleet class budgets, infeasible deadlines) plus
     /// congestion marks the router observed. Disjoint from the shard
     /// ledgers — every admission outcome is counted exactly once, by the
     /// component that decided it.
     pub router: QosStats,
-    /// One [`ShardHealth`] row per seat, in shard-id order.
+    /// One [`ShardHealth`] row per seat in service, in id order.
     pub health: Vec<ShardHealth>,
 }
 
 impl FleetStats {
-    /// The fleet-wide view: counters summed across shards, the largest
-    /// batch observed anywhere, and every shard's queue-wait **samples
-    /// pooled** before any percentile is taken.
+    /// The fleet-wide view: counters summed across seats, retired ones
+    /// included, the largest batch observed anywhere, and every seat's
+    /// queue-wait **samples pooled** before any percentile is taken.
     ///
     /// Pooling is deliberate: averaging per-shard percentiles would let a
     /// lightly loaded shard's fast p95 mask a congested shard's slow one.
@@ -211,28 +221,20 @@ impl FleetStats {
     /// 95th-percentile *request* wait", not "what is the average shard
     /// like".
     pub fn aggregate(&self) -> ServeStats {
-        let mut agg = ServeStats::default();
+        let mut agg = self.retired.clone();
         for s in &self.shards {
-            agg.submitted += s.submitted;
-            agg.completed += s.completed;
-            agg.rejected += s.rejected;
-            agg.batches += s.batches;
-            agg.dispatched += s.dispatched;
-            agg.max_batch_observed = agg.max_batch_observed.max(s.max_batch_observed);
-            agg.queue_waits.extend_from_slice(&s.queue_waits);
-            agg.qos.merge(&s.qos);
+            agg.merge(s);
         }
         agg.qos.merge(&self.router);
         agg
     }
 }
 
-/// One model group's routing state: the shard seats serving one model id,
-/// plus that model's **own** global stream — index allocator, routing
-/// block cursor, and round-robin cursor. Streams never cross groups, so
-/// every model keeps the bit-identical numbering `0, 1, 2, …` a solo
-/// session of its spec would produce.
-#[derive(Debug)]
+/// One model group's routing state: the seats serving one model id, plus
+/// that model's **own** global stream — index allocator, routing block
+/// cursor, and round-robin cursor. Streams never cross groups, so every
+/// model keeps the bit-identical numbering `0, 1, 2, …` a solo session of
+/// its spec would produce.
 struct GroupState {
     /// The spec every member must match exactly (replicas of one model id
     /// with different device recipes would compute different bits for the
@@ -241,10 +243,10 @@ struct GroupState {
     indices: StreamIndices,
     /// The current routing block: its seat and how many more requests it
     /// takes before the policy picks again.
-    block: Option<(usize, u64)>,
+    block: Option<(Arc<ShardSlot>, u64)>,
     rr: usize,
-    /// Member seat ids, in registration order (append-only, like seats).
-    members: Vec<usize>,
+    /// The seats in service, in id order. A retired seat leaves at once.
+    members: Vec<Arc<ShardSlot>>,
 }
 
 impl GroupState {
@@ -259,9 +261,9 @@ impl GroupState {
     }
 }
 
-/// Mutable routing state, under one lock: the registry's model groups and
-/// the fleet-wide drift history.
-#[derive(Debug)]
+/// Mutable routing state, under one lock: the registry's model groups with
+/// their seats, the fleet-wide drift history, and what retired seats leave
+/// behind.
 struct RouterState {
     /// The registry: one group per distinct model id, in first-appearance
     /// order. Group 0 is the assembly's first model — the target of every
@@ -273,13 +275,17 @@ struct RouterState {
     /// physical, per-device process, so every group experiences the same
     /// history.
     drift_log: Vec<f64>,
+    /// The id the next seat gets: ids only grow, so a retired seat's id is
+    /// never handed out again.
+    next_id: usize,
+    /// The counters of every retired seat (see [`FleetStats::retired`]).
+    retired: ServeStats,
 }
 
-/// One shard's seat in the fleet: its transport, its congestion pacer,
-/// and whether the router has retired it. Seats are never removed — shard
-/// ids stay stable for stats and the routing cursors — they are only
-/// marked evicted and skipped by routing.
+/// One shard's seat in the fleet: its id, its transport and its congestion
+/// pacer.
 struct ShardSlot {
+    id: usize,
     transport: Box<dyn ShardTransport>,
     /// This shard's AIMD congestion window, fed by its pressure marks on
     /// every QoS-gated submission. Per-shard (not global) so one
@@ -288,11 +294,9 @@ struct ShardSlot {
     /// The model group this seat was registered into (fixed for the
     /// seat's lifetime).
     group: usize,
-    evicted: AtomicBool,
     /// Set while a maintenance operation (graceful removal, background
     /// recalibration) keeps new work off the seat; cleared when the seat
-    /// returns to rotation. Routing skips draining seats exactly like
-    /// evicted ones, but the state is temporary.
+    /// returns to rotation. Routing skips draining seats.
     draining: AtomicBool,
     /// Submissions that have claimed an index routed to this seat but not
     /// yet been forwarded to the transport. Maintenance operations wait
@@ -308,12 +312,17 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    fn new(transport: Box<dyn ShardTransport>, pacer: PacerConfig, group: usize) -> Arc<Self> {
+    fn new(
+        id: usize,
+        transport: Box<dyn ShardTransport>,
+        pacer: PacerConfig,
+        group: usize,
+    ) -> Arc<Self> {
         Arc::new(ShardSlot {
+            id,
             transport,
             pacer: Mutex::new(AimdPacer::new(pacer)),
             group,
-            evicted: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             submitting: AtomicU64::new(0),
             drift_age: AtomicU64::new(0),
@@ -321,15 +330,10 @@ impl ShardSlot {
         })
     }
 
-    /// Whether the router still routes to this shard.
-    fn live(&self) -> bool {
-        !self.evicted.load(Ordering::Acquire)
-    }
-
-    /// Whether new work may land on this seat right now: live and not
-    /// held out of rotation by a maintenance drain.
+    /// Whether new work may land on this seat right now: not held out of
+    /// rotation by a maintenance drain.
     fn routable(&self) -> bool {
-        self.live() && !self.draining.load(Ordering::SeqCst)
+        !self.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -346,10 +350,6 @@ impl Drop for SubmitPermit<'_> {
 }
 
 struct FleetInner {
-    /// The shard seats. Behind a `RwLock` so [`FleetHandle::add_shard`]
-    /// can grow the fleet while submissions route; existing seats are
-    /// never removed or reordered.
-    shards: RwLock<Vec<Arc<ShardSlot>>>,
     policy: FleetPolicy,
     state: Mutex<RouterState>,
     /// Epoch of the pacers' fake-clock timestamps (cooldown bookkeeping).
@@ -369,7 +369,6 @@ struct FleetInner {
 impl std::fmt::Debug for FleetInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetInner")
-            .field("shards", &self.shards.read().unwrap().len())
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
@@ -442,7 +441,8 @@ impl FleetHandle {
     /// first-appearance order, so group 0 — the target of every request
     /// without a model id — is the first transport's model). Spec-less
     /// transports report [`ShardSpec::default`] and form one homogeneous
-    /// group, exactly as before the registry existed.
+    /// group, exactly as before the registry existed. The seats get ids
+    /// `0, 1, …` in the order given.
     ///
     /// # Errors
     /// [`ServeError::NoShards`] if `shards` is empty — an empty fleet has
@@ -459,9 +459,9 @@ impl FleetHandle {
         if shards.is_empty() {
             return Err(ServeError::NoShards);
         }
+        let next_id = shards.len();
         let mut groups: Vec<GroupState> = Vec::new();
-        let mut slots = Vec::with_capacity(shards.len());
-        for (idx, t) in shards.into_iter().enumerate() {
+        for (id, t) in shards.into_iter().enumerate() {
             let spec = t.spec();
             let gid = match groups.iter().position(|g| g.spec.model_id == spec.model_id) {
                 Some(gid) => {
@@ -475,16 +475,17 @@ impl FleetHandle {
                     groups.len() - 1
                 }
             };
-            groups[gid].members.push(idx);
-            slots.push(ShardSlot::new(t, policy.pacer, gid));
+            let slot = ShardSlot::new(id, t, policy.pacer, gid);
+            groups[gid].members.push(slot);
         }
         Ok(FleetHandle {
             inner: Arc::new(FleetInner {
-                shards: RwLock::new(slots),
                 policy,
                 state: Mutex::new(RouterState {
                     groups,
                     drift_log: Vec::new(),
+                    next_id,
+                    retired: ServeStats::default(),
                 }),
                 epoch: Instant::now(),
                 qos: Mutex::new(QosStats::default()),
@@ -493,64 +494,45 @@ impl FleetHandle {
         })
     }
 
-    /// A point-in-time copy of the shard seats (seats are append-only, so
-    /// indices in the snapshot stay valid forever).
-    fn shards_snapshot(&self) -> Vec<Arc<ShardSlot>> {
-        self.inner.shards.read().unwrap().clone()
+    /// The seats in service, in id order.
+    fn held(&self) -> Vec<Arc<ShardSlot>> {
+        let st = self.inner.state.lock().unwrap();
+        let mut seats: Vec<Arc<ShardSlot>> =
+            st.groups.iter().flat_map(|g| g.members.clone()).collect();
+        seats.sort_by_key(|s| s.id);
+        seats
     }
 
-    /// Whether no live shard can accept work — the fleet-level shutdown
-    /// condition that distinguishes "this shard died" (evict and re-route)
-    /// from "everything is closed" (report [`ServeError::ShutDown`]).
-    fn fleet_is_dead(&self, shards: &[Arc<ShardSlot>]) -> bool {
-        shards
-            .iter()
-            .filter(|s| s.live())
-            .all(|s| s.transport.is_closed())
-    }
-
-    /// Picks the target shard for one of `g`'s routing blocks under the
-    /// routing policy, skipping evicted and draining seats. `None` when no
-    /// routable member remains. (Member ids can briefly outrun an older
-    /// seat snapshot while a join is in flight — such members are skipped
-    /// until the submitter sees the new seat.)
-    fn pick_shard(&self, g: &mut GroupState, shards: &[Arc<ShardSlot>]) -> Option<usize> {
+    /// Picks the target seat for one of `g`'s routing blocks under the
+    /// routing policy, skipping draining seats. `None` when no routable
+    /// member remains.
+    fn pick_shard(&self, g: &mut GroupState) -> Option<Arc<ShardSlot>> {
         match self.inner.policy.route {
             RoutePolicy::RoundRobin => {
                 let n = g.members.len();
                 for step in 0..n {
                     let c = (g.rr + step) % n;
-                    let s = g.members[c];
-                    if shards.get(s).is_some_and(|slot| slot.routable()) {
+                    if g.members[c].routable() {
                         g.rr = (c + 1) % n;
-                        return Some(s);
+                        return Some(Arc::clone(&g.members[c]));
                     }
                 }
                 None
             }
-            RoutePolicy::LeastQueueDepth => {
-                let mut best = None;
-                let mut best_depth = u64::MAX;
-                for &s in &g.members {
-                    let Some(slot) = shards.get(s) else { continue };
-                    if !slot.routable() {
-                        continue;
-                    }
-                    let depth = slot.transport.in_flight();
-                    if depth < best_depth {
-                        best = Some(s);
-                        best_depth = depth;
-                    }
-                }
-                best
-            }
+            // `min_by_key` keeps the first of equal loads: the lowest id.
+            RoutePolicy::LeastQueueDepth => g
+                .members
+                .iter()
+                .filter(|s| s.routable())
+                .min_by_key(|s| s.transport.load().in_flight)
+                .cloned(),
         }
     }
 
-    /// Claims group `gid`'s next global stream index and the shard it
+    /// Claims group `gid`'s next global stream index and the seat it
     /// routes to: the current routing block's seat while the block has
     /// room and the seat is routable, otherwise the policy's pick for a
-    /// new block of [`FleetPolicy::lease_len`] requests. A seat evicted or
+    /// new block of [`FleetPolicy::lease_len`] requests. A seat retired or
     /// drained mid-block thus loses the rest of its block, and no index is
     /// skipped, since indices are claimed one at a time.
     ///
@@ -561,61 +543,72 @@ impl FleetHandle {
     /// # Errors
     /// [`ServeError::ShutDown`] when no routable member of the group
     /// remains to route to.
-    fn claim(
-        &self,
-        st: &mut RouterState,
-        gid: usize,
-        shards: &[Arc<ShardSlot>],
-    ) -> Result<(usize, u64), ServeError> {
+    fn claim(&self, st: &mut RouterState, gid: usize) -> Result<(Arc<ShardSlot>, u64), ServeError> {
         let g = &mut st.groups[gid];
-        let shard = match g.block {
-            Some((seat, left)) if left > 0 && shards.get(seat).is_some_and(|s| s.routable()) => {
-                g.block = Some((seat, left - 1));
-                seat
+        let seat = match &mut g.block {
+            Some((seat, left)) if *left > 0 && seat.routable() => {
+                *left -= 1;
+                Arc::clone(seat)
             }
             _ => {
-                let seat = self.pick_shard(g, shards).ok_or(ServeError::ShutDown)?;
-                g.block = Some((seat, self.lease_len() - 1));
+                let seat = self.pick_shard(g).ok_or(ServeError::ShutDown)?;
+                g.block = Some((Arc::clone(&seat), self.lease_len() - 1));
                 seat
             }
         };
-        shards[shard].submitting.fetch_add(1, Ordering::SeqCst);
-        Ok((shard, g.indices.claim()))
+        seat.submitting.fetch_add(1, Ordering::SeqCst);
+        Ok((seat, g.indices.claim()))
     }
 
-    /// Returns a claimed-but-unsubmitted index (the shard refused the
+    /// Returns a claimed-but-unsubmitted index (seat `seat` refused the
     /// request) so the stream has no hole — the next claim re-issues it
     /// before any fresh index, and subsequent successful requests keep
     /// their solo-identical coordinates. When the routing block is still
-    /// on the refusing shard it ends, so the re-issue **re-routes** under
-    /// the policy instead of re-hitting that shard.
-    fn unclaim(&self, gid: usize, shard: usize, index: u64) {
+    /// on the refusing seat it ends, so the released index **re-routes** under
+    /// the policy instead of re-hitting that seat.
+    fn unclaim(&self, gid: usize, seat: usize, index: u64) {
         let g = &mut self.inner.state.lock().unwrap().groups[gid];
         g.indices.release(index);
-        if g.block.is_some_and(|(seat, _)| seat == shard) {
+        if g.block.as_ref().is_some_and(|(s, _)| s.id == seat) {
             g.block = None;
         }
     }
 
-    /// Marks shard `idx` evicted; [`FleetHandle::claim`] routes around it
-    /// from then on. Returns `false` when the seat was already retired (a
-    /// concurrent caller owns the rescue).
-    fn retire_slot(&self, shards: &[Arc<ShardSlot>], idx: usize) -> bool {
-        !shards[idx].evicted.swap(true, Ordering::AcqRel)
+    /// Takes `slot` out of its group — a routing block on it ends — and
+    /// folds its counters into [`FleetStats::retired`]. Returns `false`
+    /// when the seat was already retired.
+    fn retire(&self, slot: &ShardSlot) -> bool {
+        let mut last = slot.transport.stats();
+        last.queue_waits = Vec::new();
+        for class in &mut last.qos.classes {
+            class.latencies = Vec::new();
+        }
+        let mut st = self.inner.state.lock().unwrap();
+        let g = &mut st.groups[slot.group];
+        let Some(pos) = g.members.iter().position(|s| s.id == slot.id) else {
+            return false;
+        };
+        g.members.remove(pos);
+        if g.block.as_ref().is_some_and(|(s, _)| s.id == slot.id) {
+            g.block = None;
+        }
+        st.retired.merge(&last);
+        true
     }
 
-    /// Retires shard `idx` and re-routes every request stranded on it
-    /// (see [`FleetHandle::rescue`]). No-op when a concurrent caller
-    /// already retired the seat — orphans are harvested exactly once.
-    fn evict_and_rescue(&self, shards: &[Arc<ShardSlot>], idx: usize) {
-        if !self.retire_slot(shards, idx) {
-            return;
-        }
-        self.rescue(
-            shards,
-            shards[idx].group,
-            shards[idx].transport.take_orphans(),
-        );
+    /// Retires `slot` for good — a dead seat, a removal, a failed
+    /// recalibration: harvests the flights it stranded, shuts it down,
+    /// takes it out of its group, and re-submits the harvest on survivors
+    /// (see [`FleetHandle::rescue`]). The harvest comes first because a
+    /// TCP seat's shutdown cancels the strays nobody took, and the
+    /// shutdown comes before the retirement because nothing reaches a
+    /// retired seat again — fleet shutdown included. Each flight is
+    /// harvested once, so concurrent callers rescue disjoint sets.
+    fn evict(&self, slot: &ShardSlot) {
+        let strays = slot.transport.take_orphans();
+        slot.transport.shutdown();
+        self.retire(slot);
+        self.rescue(slot.group, strays);
     }
 
     /// Re-submits stranded flights **at their original coordinates** on
@@ -631,28 +624,29 @@ impl FleetHandle {
     /// worklist); with no survivor left a flight is dropped, which settles
     /// it as canceled — the terminal outcome the settlement guarantee
     /// requires.
-    fn rescue(&self, shards: &[Arc<ShardSlot>], gid: usize, mut work: Vec<Flight>) {
+    fn rescue(&self, gid: usize, mut work: Vec<Flight>) {
         while let Some(mut flight) = work.pop() {
             // A rescue was admitted once already: no seat may shed it.
             flight.shed = false;
-            let target = shards
-                .iter()
-                .enumerate()
-                .find(|(_, s)| s.group == gid && s.routable() && !s.transport.is_closed());
-            let Some((i, survivor)) = target else {
+            // Open the submit window under the router lock, as a claim
+            // does: a maintenance drain either sees it and waits, or set
+            // its flag first and the seat is not picked — a rescued
+            // request never lands on mid-calibration conductances.
+            let survivor = {
+                let st = self.inner.state.lock().unwrap();
+                let members = &st.groups[gid].members;
+                let found = members
+                    .iter()
+                    .find(|s| s.routable() && !s.transport.is_closed());
+                found.map(|s| {
+                    s.submitting.fetch_add(1, Ordering::SeqCst);
+                    Arc::clone(s)
+                })
+            };
+            let Some(survivor) = survivor else {
                 continue;
             };
-            // Open the submit window, then re-check the draining flag:
-            // either a concurrent maintenance drain sees our window and
-            // waits for it, or we see its flag and pick another target — a
-            // rescued request can never land on mid-calibration
-            // conductances.
-            survivor.submitting.fetch_add(1, Ordering::SeqCst);
-            let permit = SubmitPermit(survivor);
-            if survivor.draining.load(Ordering::SeqCst) {
-                work.push(flight);
-                continue;
-            }
+            let permit = SubmitPermit(&survivor);
             let sent = survivor.transport.submit(flight);
             drop(permit);
             if let Err(refused) = sent {
@@ -661,8 +655,8 @@ impl FleetHandle {
                     flight.settle(Err(e));
                     continue;
                 }
-                if self.retire_slot(shards, i) {
-                    work.extend(shards[i].transport.take_orphans());
+                if self.retire(&survivor) {
+                    work.extend(survivor.transport.take_orphans());
                 }
                 work.push(flight);
             }
@@ -677,16 +671,16 @@ impl FleetHandle {
     /// orphan was harvested — callers loop until a pass comes up empty,
     /// because a transport may park orphans *while* it is being drained
     /// (its reconnect budget exhausting mid-quiesce).
-    fn sweep_strays(&self, shards: &[Arc<ShardSlot>]) -> bool {
+    fn sweep_strays(&self) -> bool {
         let mut swept = false;
-        for (i, s) in shards.iter().enumerate() {
+        for s in self.held() {
             let strays = s.transport.take_orphans();
             if strays.is_empty() {
                 continue;
             }
             swept = true;
-            self.retire_slot(shards, i);
-            self.rescue(shards, s.group, strays);
+            self.retire(&s);
+            self.rescue(s.group, strays);
         }
         swept
     }
@@ -714,10 +708,9 @@ impl FleetHandle {
     ///    [`ShardLoad::estimated_wait`](crate::ShardLoad::estimated_wait)
     ///    against the class deadline; a longer wait is
     ///    [`ServeError::DeadlineInfeasible`].
-    /// 4. **Shard admission** — the seat's own checks in
+    /// 4. **Shard admission** — the seat's own check in
     ///    [`ShardTransport::submit`]: a local shard's queue bound
-    ///    ([`ShedReason::QueueFull`]) and its own class budget
-    ///    ([`ShedReason::ClassBudget`]).
+    ///    ([`ShedReason::QueueFull`]).
     ///
     /// The pacer, the fleet budgets and the deadline check read one probe
     /// of the shard's load, taken just before the request is forwarded.
@@ -747,7 +740,8 @@ impl FleetHandle {
     /// The one submission loop behind [`FleetHandle::submit`]. It is not
     /// generic, so it compiles once, in this crate. The request's flight
     /// is built once; each attempt stamps it with the index just claimed,
-    /// and a refusal hands it back for the next attempt.
+    /// and a refusal hands it back for the next attempt. An attempt takes
+    /// the router lock once and clones one seat handle.
     fn route(&self, request: Request) -> Result<Pending, ServeError> {
         let Request {
             image,
@@ -761,17 +755,15 @@ impl FleetHandle {
         let (mut flight, pending) =
             Flight::new(0, class.unwrap_or_default(), image, class.is_some());
         loop {
-            let shards = self.shards_snapshot();
-            let (shard, index) = {
+            let (slot, index) = {
                 let mut st = self.inner.state.lock().unwrap();
-                self.claim(&mut st, gid, &shards)?
+                self.claim(&mut st, gid)?
             };
             flight.index = index;
-            let slot = &shards[shard];
-            let _permit = SubmitPermit(slot);
+            let _permit = SubmitPermit(&slot);
             if let Some(class) = class {
-                if let Err(e) = self.admit(&shards, shard, class) {
-                    self.unclaim(gid, shard, index);
+                if let Err(e) = self.admit(&slot, class) {
+                    self.unclaim(gid, slot.id, index);
                     return Err(e);
                 }
             }
@@ -780,10 +772,10 @@ impl FleetHandle {
                 Ok(()) => return Ok(pending),
                 Err(refused) => *refused,
             };
-            self.unclaim(gid, shard, index);
+            self.unclaim(gid, slot.id, index);
             let shed = matches!(e, ServeError::Shed(_));
-            if !shed && slot.transport.is_closed() && !self.fleet_is_dead(&shards) {
-                self.evict_and_rescue(&shards, shard);
+            if !shed && slot.transport.is_closed() && !self.is_closed() {
+                self.evict(&slot);
                 continue;
             }
             return Err(e);
@@ -802,16 +794,10 @@ impl FleetHandle {
             .ok_or_else(|| ServeError::UnknownModel(model_id.to_string()))
     }
 
-    /// The router's admission checks of a classed request routed to seat
-    /// `shard` (steps 1–3 of [`FleetHandle::submit`]), read from one probe
+    /// The router's admission checks of a classed request routed to
+    /// `slot` (steps 1–3 of [`FleetHandle::submit`]), read from one probe
     /// of the seat's load. Each refusal is counted in the router's ledger.
-    fn admit(
-        &self,
-        shards: &[Arc<ShardSlot>],
-        shard: usize,
-        class: QosClass,
-    ) -> Result<(), ServeError> {
-        let slot = &shards[shard];
+    fn admit(&self, slot: &ShardSlot, class: QosClass) -> Result<(), ServeError> {
         let load = slot.transport.load();
         let in_flight = usize::try_from(load.in_flight).unwrap_or(usize::MAX);
         let paced = {
@@ -829,8 +815,8 @@ impl FleetHandle {
         let budget = self.inner.policy.class_budgets[rank];
         if budget != usize::MAX {
             let mut class_in_flight = load.per_class[rank];
-            for (i, s) in shards.iter().enumerate() {
-                if i != shard && s.live() {
+            for s in self.held() {
+                if s.id != slot.id {
                     class_in_flight += s.transport.load().per_class[rank];
                 }
             }
@@ -862,18 +848,17 @@ impl FleetHandle {
     /// routing block, so the next request starts a new block under the
     /// routing policy.
     pub fn drain(&self) {
-        let shards = self.shards_snapshot();
         // Loop: a transport can park orphans *during* its drain (reconnect
         // budget exhausting mid-quiesce), and a rescue re-submission lands
         // new work on a survivor — so sweep and re-drain until a full pass
         // harvests nothing. Terminates: every harvesting pass retires at
         // least one shard.
         loop {
-            self.sweep_strays(&shards);
-            for s in &shards {
+            self.sweep_strays();
+            for s in self.held() {
                 s.transport.drain();
             }
-            if !self.sweep_strays(&shards) {
+            if !self.sweep_strays() {
                 break;
             }
         }
@@ -887,35 +872,37 @@ impl FleetHandle {
     /// rescued onto survivors first, so they settle (rather than cancel)
     /// whenever a survivor exists. Idempotent; safe from any clone.
     pub fn shutdown(&self) {
-        let shards = self.shards_snapshot();
         // First sweep runs while survivors are still open, so strays are
         // rescued rather than cancelled; later passes (orphans parked
         // during a shard's own shutdown) find everything closed and
         // cancel, which is the correct post-shutdown outcome. Shutdown is
         // idempotent per transport, so re-issuing it each pass is safe.
         loop {
-            self.sweep_strays(&shards);
-            for s in &shards {
+            self.sweep_strays();
+            for s in self.held() {
                 s.transport.shutdown();
             }
-            if !self.sweep_strays(&shards) {
+            if !self.sweep_strays() {
                 break;
             }
         }
     }
 
-    /// Whether [`FleetHandle::shutdown`] has run.
+    /// Whether no seat in service accepts work any more: the fleet was
+    /// shut down, or every seat died. This is what tells "this shard died"
+    /// (evict and re-route) from "everything is closed" (report
+    /// [`ServeError::ShutDown`]).
     pub fn is_closed(&self) -> bool {
-        self.shards_snapshot()
-            .iter()
-            .all(|s| s.transport.is_closed())
+        let st = self.inner.state.lock().unwrap();
+        let mut seats = st.groups.iter().flat_map(|g| &g.members);
+        seats.all(|s| s.transport.is_closed())
     }
 
-    /// Applies conductance drift to **every** live replica at the same
-    /// stream position: the fleet is drained first (all accepted requests
-    /// finish on pre-drift conductances), then each shard drifts. Returns
-    /// whether the replicas model drift (`false` for a golden fleet, which
-    /// ignores the call).
+    /// Applies conductance drift to **every** replica in service at the
+    /// same stream position: the fleet is drained first (all accepted
+    /// requests finish on pre-drift conductances), then each shard drifts.
+    /// Returns whether the replicas model drift (`false` for a golden
+    /// fleet, which ignores the call).
     ///
     /// Identical replicas drifted identically stay identical — so the
     /// fleet keeps matching a solo session taken through the same
@@ -925,9 +912,8 @@ impl FleetHandle {
     pub fn apply_drift(&self, t_hours: f64) -> bool {
         let _ops = self.inner.ops.lock().unwrap();
         self.drain();
-        let shards = self.shards_snapshot();
         let mut modeled = false;
-        for s in shards.iter().filter(|s| s.live()) {
+        for s in self.held() {
             modeled |= s.transport.apply_drift(t_hours);
             s.drift_age.fetch_add(1, Ordering::SeqCst);
         }
@@ -935,7 +921,7 @@ impl FleetHandle {
         modeled
     }
 
-    /// Reprograms **every** live replica from the original seed and
+    /// Reprograms **every** replica in service from the original seed and
     /// rewinds the global stream to zero, after draining the fleet — the
     /// exact semantics of a solo `Session::reprogram`: freshly written
     /// conductances, coordinates replayed from the start. The drift log is
@@ -952,8 +938,7 @@ impl FleetHandle {
     pub fn reprogram(&self) -> Result<(), ServeError> {
         let _ops = self.inner.ops.lock().unwrap();
         self.drain();
-        let shards = self.shards_snapshot();
-        for s in shards.iter().filter(|s| s.live()) {
+        for s in self.held() {
             s.transport.reprogram()?;
             s.drift_age.store(0, Ordering::SeqCst);
         }
@@ -969,7 +954,7 @@ impl FleetHandle {
     /// Updates the thread budget fleet-wide; in-flight shards pick it up
     /// per dispatched batch. Never changes a logit.
     pub fn set_parallelism(&self, par: Parallelism) {
-        for s in self.shards_snapshot().iter().filter(|s| s.live()) {
+        for s in self.held() {
             s.transport.set_parallelism(par);
         }
     }
@@ -979,8 +964,8 @@ impl FleetHandle {
     /// from the fleet seed via the transport's control surface, the drift
     /// history recorded since the last reprogram is replayed so its
     /// conductances match the incumbents' bit-for-bit, and the shard then
-    /// enters the routing rotation, where it receives routing blocks like
-    /// any other seat.
+    /// enters the routing rotation under the next unused seat id, where it
+    /// receives routing blocks like any other seat.
     ///
     /// Joining never shifts a coordinate: the joiner only serves indices
     /// claimed after it joined, and identical programming plus
@@ -1020,7 +1005,6 @@ impl FleetHandle {
         for t_hours in drift_log {
             transport.apply_drift(t_hours);
         }
-        let mut shards = self.inner.shards.write().unwrap();
         let mut st = self.inner.state.lock().unwrap();
         let gid = match st
             .groups
@@ -1033,39 +1017,39 @@ impl FleetHandle {
                 st.groups.len() - 1
             }
         };
-        let idx = shards.len();
-        shards.push(ShardSlot::new(transport, self.inner.policy.pacer, gid));
-        st.groups[gid].members.push(idx);
+        let slot = ShardSlot::new(st.next_id, transport, self.inner.policy.pacer, gid);
+        st.next_id += 1;
+        st.groups[gid].members.push(slot);
         Ok(())
     }
 
-    /// Blocks until every submission already claimed for `slot` has been
-    /// forwarded to its transport. Callers set the seat draining first
-    /// (under the router lock), so no new claim can extend the wait — the
-    /// window is a few instructions plus one transport call.
-    fn wait_submits(&self, slot: &ShardSlot) {
-        while slot.submitting.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
+    /// The seat in service with id `id`, and how many other members of
+    /// its group could serve a request right now — the live-floor guard
+    /// of maintenance operations. `None` for a retired seat.
+    ///
+    /// # Errors
+    /// [`ServeError::UnknownShard`] for an id no seat ever held.
+    fn seat(&self, id: usize) -> Result<Option<(Arc<ShardSlot>, usize)>, ServeError> {
+        let st = self.inner.state.lock().unwrap();
+        if id >= st.next_id {
+            return Err(ServeError::UnknownShard(id));
         }
+        for g in &st.groups {
+            if let Some(slot) = g.members.iter().find(|s| s.id == id) {
+                let peers = g.members.iter().filter(|s| s.id != id && s.routable());
+                return Ok(Some((Arc::clone(slot), peers.count())));
+            }
+        }
+        Ok(None)
     }
 
-    /// Counts the seats of `slot.group` (excluding seat `idx` itself) that
-    /// could serve a request right now — the live-floor guard for
-    /// maintenance operations.
-    fn routable_peers(&self, shards: &[Arc<ShardSlot>], idx: usize) -> usize {
-        shards
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| *i != idx && s.group == shards[idx].group && s.routable())
-            .count()
-    }
-
-    /// Gracefully decommissions seat `idx`: the seat leaves the routing
+    /// Gracefully decommissions seat `id`: the seat leaves the routing
     /// rotation (a routing block in progress on it moves to another seat),
-    /// in-flight work finishes on the shard, and the transport is shut
-    /// down — no request is cancelled, no coordinate shifts, no logit
-    /// changes. The counterpart of [`FleetHandle::add_shard`] for elastic
-    /// scale-down.
+    /// in-flight work finishes on the shard, requests its dying link
+    /// stranded are rescued onto its group's survivors, and the transport
+    /// is shut down and retired — no request is cancelled, no coordinate
+    /// shifts, no logit changes. The counterpart of
+    /// [`FleetHandle::add_shard`] for elastic scale-down.
     ///
     /// Removing an already-retired seat is a no-op (`Ok`): the seat is
     /// already out of rotation, which is what removal asks for.
@@ -1075,48 +1059,36 @@ impl FleetHandle {
     /// [`ServeError::LiveFloor`] when the seat is its model group's last
     /// routable member — removal would strand the group's stream (shut the
     /// fleet down instead).
-    pub fn remove_shard(&self, idx: usize) -> Result<(), ServeError> {
+    pub fn remove_shard(&self, id: usize) -> Result<(), ServeError> {
         let _ops = self.inner.ops.lock().unwrap();
-        let shards = self.shards_snapshot();
-        if idx >= shards.len() {
-            return Err(ServeError::UnknownShard(idx));
-        }
-        let slot = &shards[idx];
-        if !slot.live() {
+        let Some((slot, peers)) = self.seat(id)? else {
             return Ok(());
-        }
-        if self.routable_peers(&shards, idx) == 0 {
+        };
+        if peers == 0 {
             return Err(ServeError::LiveFloor);
         }
-        self.quiesce_slot(&shards, idx);
-        slot.evicted.store(true, Ordering::SeqCst);
-        slot.draining.store(false, Ordering::SeqCst);
-        slot.transport.shutdown();
-        // A link that died mid-drain may still have parked strays — rescue
-        // them onto the group's survivors so the guarantee holds even for
-        // an unhealthy seat being removed.
-        let strays = slot.transport.take_orphans();
-        if !strays.is_empty() {
-            self.rescue(&shards, slot.group, strays);
-        }
+        self.quiesce(&slot);
+        self.evict(&slot);
         Ok(())
     }
 
-    /// Takes seat `idx` out of rotation and waits until it is fully quiet:
+    /// Takes `slot` out of rotation and waits until it is fully quiet:
     /// sets the draining flag under the router lock — so every claim that
     /// still saw the seat routable has already opened its submit window —
-    /// waits out those claims, then drains the transport.
-    fn quiesce_slot(&self, shards: &[Arc<ShardSlot>], idx: usize) {
-        let slot = &shards[idx];
+    /// waits out those claims, then drains the transport. The windows are
+    /// a few instructions plus one transport call each.
+    fn quiesce(&self, slot: &ShardSlot) {
         {
             let _st = self.inner.state.lock().unwrap();
             slot.draining.store(true, Ordering::SeqCst);
         }
-        self.wait_submits(slot);
+        while slot.submitting.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
         slot.transport.drain();
     }
 
-    /// Recalibrates seat `idx` in the background: the seat drains (its
+    /// Recalibrates seat `id` in the background: the seat drains (its
     /// group's other members keep serving), its replica is reprogrammed
     /// from the spec seed, the fleet's drift history is replayed so its
     /// conductances match the incumbents' bit-for-bit, and the seat
@@ -1132,28 +1104,23 @@ impl FleetHandle {
     ///
     /// # Errors
     /// [`ServeError::UnknownShard`] for an id no seat ever held;
-    /// [`ServeError::ShutDown`] if the seat was evicted; [`ServeError::LiveFloor`]
-    /// when the seat is its group's last routable member (recalibrating it
-    /// would leave the model unservable for the duration); any
-    /// re-programming error (the seat is then retired and its strays
-    /// rescued — a replica that cannot re-program is unusable).
-    pub fn recalibrate_shard(&self, idx: usize) -> Result<(), ServeError> {
+    /// [`ServeError::ShutDown`] if the seat was retired;
+    /// [`ServeError::LiveFloor`] when the seat is its group's last routable
+    /// member (recalibrating it would leave the model unservable for the
+    /// duration); any re-programming error (the seat is then shut down and
+    /// retired and its strays rescued — a replica that cannot re-program
+    /// is unusable).
+    pub fn recalibrate_shard(&self, id: usize) -> Result<(), ServeError> {
         let _ops = self.inner.ops.lock().unwrap();
-        let shards = self.shards_snapshot();
-        if idx >= shards.len() {
-            return Err(ServeError::UnknownShard(idx));
-        }
-        let slot = &shards[idx];
-        if !slot.live() {
+        let Some((slot, peers)) = self.seat(id)? else {
             return Err(ServeError::ShutDown);
-        }
-        if self.routable_peers(&shards, idx) == 0 {
+        };
+        if peers == 0 {
             return Err(ServeError::LiveFloor);
         }
-        self.quiesce_slot(&shards, idx);
+        self.quiesce(&slot);
         if let Err(e) = slot.transport.reprogram() {
-            slot.draining.store(false, Ordering::SeqCst);
-            self.evict_and_rescue(&shards, idx);
+            self.evict(&slot);
             return Err(e);
         }
         let drift_log = self.inner.state.lock().unwrap().drift_log.clone();
@@ -1166,21 +1133,10 @@ impl FleetHandle {
         Ok(())
     }
 
-    /// Number of shard seats behind the router, evicted ones included
-    /// (seats are append-only, so this is also the next joiner's id).
+    /// Number of seats in service: every seat joined and not yet retired.
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.read().unwrap().len()
-    }
-
-    /// Number of shards still in the routing rotation (not evicted).
-    pub fn live_shard_count(&self) -> usize {
-        self.inner
-            .shards
-            .read()
-            .unwrap()
-            .iter()
-            .filter(|s| s.live())
-            .count()
+        let st = self.inner.state.lock().unwrap();
+        st.groups.iter().map(|g| g.members.len()).sum()
     }
 
     /// Requests stamped with global stream indices since the last
@@ -1221,31 +1177,26 @@ impl FleetHandle {
             .collect()
     }
 
-    /// The router's per-seat health view: group membership, availability,
-    /// drift age, and recalibration count — the input the background
-    /// recalibration scheduler plans from.
+    /// The router's health view of each seat in service, in id order:
+    /// group membership, availability, drift age, and recalibration count
+    /// — the input the background recalibration scheduler plans from.
     pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.shard_health_of(&self.shards_snapshot())
+        self.health_of(&self.held())
     }
 
-    fn shard_health_of(&self, shards: &[Arc<ShardSlot>]) -> Vec<ShardHealth> {
+    fn health_of(&self, seats: &[Arc<ShardSlot>]) -> Vec<ShardHealth> {
         let st = self.inner.state.lock().unwrap();
-        shards
+        seats
             .iter()
             .map(|s| ShardHealth {
+                id: s.id,
                 model_id: st.groups[s.group].spec.model_id.clone(),
                 group: s.group,
-                live: s.live(),
                 draining: s.draining.load(Ordering::SeqCst),
                 drift_age: s.drift_age.load(Ordering::SeqCst),
                 recals: s.recals.load(Ordering::SeqCst),
             })
             .collect()
-    }
-
-    /// The routing policy this fleet was assembled with.
-    pub fn route_policy(&self) -> RoutePolicy {
-        self.inner.policy.route
     }
 
     /// The fleet's routing block length (consecutive requests routed to
@@ -1254,12 +1205,13 @@ impl FleetHandle {
         self.inner.policy.lease_len.max(1)
     }
 
-    /// Point-in-time statistics, per shard and aggregatable.
+    /// Point-in-time statistics, per seat in service and aggregatable.
     pub fn stats(&self) -> FleetStats {
-        let shards = self.shards_snapshot();
-        let health = self.shard_health_of(&shards);
+        let seats = self.held();
+        let health = self.health_of(&seats);
         FleetStats {
-            shards: shards.iter().map(|s| s.transport.stats()).collect(),
+            shards: seats.iter().map(|s| s.transport.stats()).collect(),
+            retired: self.inner.state.lock().unwrap().retired.clone(),
             router: self.inner.qos.lock().unwrap().clone(),
             health,
         }
@@ -1269,9 +1221,10 @@ impl FleetHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qos::ShardLoad;
     use crate::transport::testing::Inert;
     use crate::transport::{LocalTransport, ShardControl};
-    use crate::{BatchPolicy, QosPolicy};
+    use crate::BatchPolicy;
     use aimc_dnn::{ExecError, Shape};
     use std::time::Duration;
 
@@ -1461,13 +1414,10 @@ mod tests {
             2,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(4),
         );
-        let shards = f.shards_snapshot();
         let claim = || {
-            let (shard, index) = f
-                .claim(&mut f.inner.state.lock().unwrap(), 0, &shards)
-                .unwrap();
-            drop(SubmitPermit(&shards[shard]));
-            (shard, index)
+            let (seat, index) = f.claim(&mut f.inner.state.lock().unwrap(), 0).unwrap();
+            drop(SubmitPermit(&seat));
+            (seat.id, index)
         };
         assert_eq!(claim(), (0, 0));
         assert_eq!(claim(), (0, 1));
@@ -1573,6 +1523,7 @@ mod tests {
         };
         let stats = FleetStats {
             shards: vec![fast.clone(), slow.clone()],
+            retired: ServeStats::default(),
             router: QosStats::default(),
             health: Vec::new(),
         };
@@ -1658,8 +1609,8 @@ mod tests {
         fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>> {
             Err(Box::new((flight, ServeError::ShutDown)))
         }
-        fn in_flight(&self) -> u64 {
-            0
+        fn load(&self) -> ShardLoad {
+            ShardLoad::default()
         }
         fn drain(&self) {}
         fn shutdown(&self) {}
@@ -1689,16 +1640,15 @@ mod tests {
         let shards: Vec<Box<dyn ShardTransport>> =
             vec![local_shard(&log, &control), Box::new(RefusingTransport)];
         let f = FleetHandle::new(shards, FleetPolicy::new(RoutePolicy::RoundRobin)).unwrap();
-        assert_eq!(f.live_shard_count(), 2);
+        assert_eq!(f.shard_count(), 2);
         let pendings: Vec<Pending> = (0..6)
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
         assert_eq!(
-            f.live_shard_count(),
+            f.shard_count(),
             1,
             "the dead shard was retired on first refusal"
         );
-        assert_eq!(f.shard_count(), 2, "the seat itself is kept");
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
         }
@@ -1729,7 +1679,7 @@ mod tests {
         let pendings: Vec<Pending> = (0..5)
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
-        assert_eq!(f.live_shard_count(), 1);
+        assert_eq!(f.shard_count(), 1);
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
         }
@@ -1776,8 +1726,8 @@ mod tests {
                 Err(Box::new((flight, ServeError::ShutDown)))
             }
         }
-        fn in_flight(&self) -> u64 {
-            0
+        fn load(&self) -> ShardLoad {
+            ShardLoad::default()
         }
         fn drain(&self) {}
         fn shutdown(&self) {
@@ -1824,7 +1774,7 @@ mod tests {
         let pendings: Vec<Pending> = (0..6)
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
-        assert_eq!(f.live_shard_count(), 1);
+        assert_eq!(f.shard_count(), 1);
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(
                 p.wait().unwrap().data(),
@@ -1896,8 +1846,8 @@ mod tests {
         ));
         assert_eq!(p1.wait().unwrap().data(), &[1001.0]);
         assert_eq!(p2.wait().unwrap().data(), &[2002.0]);
-        assert_eq!(f.live_shard_count(), 1);
-        assert!(f.shard_health()[1].live, "the survivor was not retired");
+        let held: Vec<usize> = f.shard_health().iter().map(|h| h.id).collect();
+        assert_eq!(held, vec![1], "the survivor was not retired");
         let p3 = f.submit(tensor(3.0)).unwrap();
         assert_eq!(p3.wait().unwrap().data(), &[3003.0]);
         f.drain();
@@ -1927,7 +1877,6 @@ mod tests {
         let c1 = Arc::new(RecordingControl::default());
         f.add_shard(local_shard(&log1, &c1)).unwrap();
         assert_eq!(f.shard_count(), 2);
-        assert_eq!(f.live_shard_count(), 2);
         assert_eq!(
             *c1.reprograms.lock().unwrap(),
             1,
@@ -2086,32 +2035,6 @@ mod tests {
         f.shutdown();
     }
 
-    /// A seat's own class budget sheds the class with `ClassBudget`, and
-    /// the next request takes the released coordinate 0.
-    #[test]
-    fn seat_class_budget_sheds_and_releases_the_index() {
-        let (f, gate) = gated_fleet(
-            BatchPolicy::new(1, Duration::from_micros(100))
-                .with_qos(QosPolicy::default().with_class_budget(Priority::Low, 0)),
-            FleetPolicy::default(),
-        );
-        let shed = f.submit(Request::new(tensor(1.0)).class(QosClass::low()));
-        assert!(matches!(
-            shed,
-            Err(ServeError::Shed(ShedReason::ClassBudget))
-        ));
-        assert_eq!(f.images_routed(), 0, "the shed released its index");
-        let p = f.submit(tensor(2.0)).unwrap();
-        gate.set(true);
-        assert_eq!(p.wait().unwrap().data(), &[2.0]);
-        f.drain();
-        let agg = f.stats().aggregate();
-        assert_eq!(agg.qos.class(Priority::Low).shed_class_budget, 1);
-        assert_eq!(agg.qos.shed_total(), 1);
-        assert_eq!(agg.qos.admitted_total(), 1);
-        f.shutdown();
-    }
-
     /// A deadline the seat's backlog cannot meet is refused as infeasible
     /// before the request queues, and its index is released.
     #[test]
@@ -2214,6 +2137,7 @@ mod tests {
 
         let agg = FleetStats {
             shards: vec![shard_a, shard_b],
+            retired: ServeStats::default(),
             router,
             health: Vec::new(),
         }
@@ -2362,7 +2286,7 @@ mod tests {
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
         f.remove_shard(0).unwrap();
-        assert_eq!(f.live_shard_count(), 1);
+        assert_eq!(f.shard_count(), 1);
         // Every pre-removal request settled at its coordinate — removal
         // cancelled nothing.
         for (k, p) in pendings.into_iter().enumerate() {
@@ -2381,7 +2305,7 @@ mod tests {
             f.remove_shard(9),
             Err(ServeError::UnknownShard(9))
         ));
-        assert_eq!(f.live_shard_count(), 1, "the floor held");
+        assert_eq!(f.shard_count(), 1, "the floor held");
         f.shutdown();
     }
 
@@ -2437,7 +2361,7 @@ mod tests {
     }
 
     /// A one-member group refuses recalibration (the model would go dark);
-    /// an evicted seat refuses too.
+    /// a retired seat refuses too.
     #[test]
     fn recalibrate_refuses_the_last_routable_member() {
         let (f, _, _) = fleet(1, FleetPolicy::default());
@@ -2452,6 +2376,81 @@ mod tests {
         f.remove_shard(0).unwrap();
         assert!(matches!(f.recalibrate_shard(0), Err(ServeError::ShutDown)));
         assert!(matches!(f.recalibrate_shard(1), Err(ServeError::LiveFloor)));
+        f.shutdown();
+    }
+
+    /// Seat churn keeps every view bounded by the seats in service: 300
+    /// cycles each join a local seat and remove the oldest, and every
+    /// fifth cycle also joins a dying seat (one that refuses everything,
+    /// or one that parks a request and is then removed). After each cycle
+    /// the count, the stats rows and the health rows all cover the two
+    /// seats held, ids only grow, a retired id stays retired, the stream
+    /// stays contiguous, and the aggregate still counts every request.
+    #[test]
+    fn seat_churn_keeps_only_the_seats_in_service() {
+        let log: ShardLog = Arc::default();
+        let control = Arc::new(RecordingControl::default());
+        let f = FleetHandle::new(
+            vec![local_shard(&log, &control), local_shard(&log, &control)],
+            FleetPolicy::new(RoutePolicy::RoundRobin),
+        )
+        .unwrap();
+        let mut minted = 2;
+        let mut requests = 0u64;
+        for cycle in 0..300 {
+            f.add_shard(local_shard(&log, &control)).unwrap();
+            let joined = f.shard_health().last().unwrap().id;
+            assert!(joined >= minted, "ids only grow: {joined} after {minted}");
+            minted = joined + 1;
+            let dying = (cycle % 5 == 0).then(|| {
+                let seat: Box<dyn ShardTransport> = if cycle % 10 == 0 {
+                    Box::new(RefusingTransport)
+                } else {
+                    Box::new(ParkingTransport::new(1))
+                };
+                f.add_shard(seat).unwrap();
+                minted += 1;
+                minted - 1
+            });
+            let oldest = f.shard_health()[0].id;
+            f.remove_shard(oldest).unwrap();
+            // Round robin over the three seats in service reaches each.
+            let pendings: Vec<Pending> = (0..3).map(|_| f.submit(tensor(0.0)).unwrap()).collect();
+            if let Some(id) = dying {
+                // Retires the parking seat with its stray, or is a no-op
+                // for a seat a refusal already retired.
+                f.remove_shard(id).unwrap();
+            }
+            f.drain();
+            for p in pendings {
+                assert_eq!(p.wait().unwrap().data(), &[requests as f32 * 1000.0]);
+                requests += 1;
+            }
+            assert_eq!(f.images_routed(), requests, "the stream stays contiguous");
+
+            let health = f.shard_health();
+            let stats = f.stats();
+            assert_eq!(health.len(), 2, "cycle {cycle}: {health:?}");
+            assert_eq!(f.shard_count(), 2);
+            assert_eq!(stats.shards.len(), 2);
+            assert_eq!(stats.health, health);
+            assert!(health.windows(2).all(|w| w[0].id < w[1].id));
+            for gone in [Some(oldest), dying].into_iter().flatten() {
+                assert!(f.remove_shard(gone).is_ok());
+                assert!(matches!(
+                    f.recalibrate_shard(gone),
+                    Err(ServeError::ShutDown)
+                ));
+            }
+            assert!(matches!(
+                f.remove_shard(minted),
+                Err(ServeError::UnknownShard(id)) if id == minted
+            ));
+            let agg = stats.aggregate();
+            assert_eq!(agg.submitted, requests, "retired seats still count");
+            assert_eq!(agg.completed, requests);
+            assert!(stats.retired.queue_waits.is_empty());
+        }
         f.shutdown();
     }
 

@@ -35,7 +35,7 @@ pub(crate) fn worker_loop(
 ) {
     let epoch = Instant::now();
     let mut coal: QosCoalescer<Flight> =
-        QosCoalescer::new(policy.max_batch, policy.max_wait, policy.qos.ordering);
+        QosCoalescer::new(policy.max_batch, policy.max_wait, policy.ordering);
     // Queues a flight with its EDF key: the absolute completion deadline
     // in the epoch clock domain (relative deadlines are anchored to the
     // seat's *enqueue* instant, not the dequeue instant).

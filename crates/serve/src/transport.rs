@@ -68,9 +68,8 @@ pub trait ShardControl: Send + Sync {
 pub trait ShardTransport: Send + Sync {
     /// Takes one flight: the shard settles it with its logits or error.
     /// A flight its router marked sheddable (a classed request) passes the
-    /// shard's own admission checks — a [`LocalTransport`] sheds at its
-    /// queue bound and at the class's in-flight budget; every other flight
-    /// waits on the shard's backpressure. The class drives EDF batch
+    /// shard's own admission check — a [`LocalTransport`] sheds at its
+    /// queue bound; every other flight waits on the shard's backpressure. The class drives EDF batch
     /// composition and deadline-miss accounting.
     ///
     /// # Errors
@@ -83,21 +82,12 @@ pub trait ShardTransport: Send + Sync {
     /// re-submits or settles the flight.
     fn submit(&self, flight: Flight) -> Result<(), Box<(Flight, ServeError)>>;
 
-    /// The shard's congestion signal: occupancy, per-class counts, the
-    /// ECN-style pressure bit, and a service-time estimate. Must be cheap
-    /// (no network round trip: remote transports estimate locally). The
-    /// default reports occupancy only.
-    fn load(&self) -> ShardLoad {
-        ShardLoad {
-            in_flight: self.in_flight(),
-            ..ShardLoad::default()
-        }
-    }
-
-    /// Requests accepted but not yet completed — the router's load signal
-    /// for least-queue-depth routing. Must be cheap (no network round
-    /// trip: remote transports count locally).
-    fn in_flight(&self) -> u64;
+    /// The shard's congestion signal: occupancy (requests accepted but not
+    /// yet completed, which least-queue-depth routing compares), per-class
+    /// counts, the ECN-style pressure bit, and a service-time estimate.
+    /// Must be cheap (no network round trip: remote transports estimate
+    /// locally).
+    fn load(&self) -> ShardLoad;
 
     /// Blocks until every accepted request has reached a terminal outcome.
     fn drain(&self);
@@ -107,6 +97,11 @@ pub trait ShardTransport: Send + Sync {
     fn shutdown(&self);
 
     /// Whether [`ShardTransport::shutdown`] has run (or the link died).
+    ///
+    /// A closed transport has already parked every flight it will strand:
+    /// once this returns `true`, one [`ShardTransport::take_orphans`]
+    /// harvests them all. The router relies on it, because it never sweeps
+    /// a seat it retired again.
     fn is_closed(&self) -> bool;
 
     /// Hands back the flights stranded by a permanent link death, so the
@@ -237,10 +232,6 @@ impl ShardTransport for LocalTransport {
 
     fn load(&self) -> ShardLoad {
         self.shared.load()
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.shared.load().in_flight
     }
 
     fn drain(&self) {

@@ -9,8 +9,8 @@
 //! cannot trigger an absurd allocation.
 
 use crate::{
-    ClassStats, Frame, IndexLease, NoiseSpec, Priority, QosClass, ReplyError, ServeStats,
-    ShardReply, ShardRequest, ShardSpec,
+    ClassStats, Frame, IndexLease, Priority, QosClass, ReplyError, ServeStats, ShardReply,
+    ShardRequest, ShardSpec,
 };
 use aimc_dnn::{Shape, Tensor};
 use aimc_parallel::Parallelism;
@@ -129,9 +129,6 @@ fn put_spec(buf: &mut Vec<u8>, spec: &ShardSpec) {
     put_f64(buf, cfg.adc_headroom);
     put_f64(buf, cfg.mvm_latency_ns);
     put_f64(buf, cfg.mvm_energy_nj);
-    put_f64(buf, spec.noise.prog_sigma);
-    put_f64(buf, spec.noise.read_sigma);
-    put_f64(buf, spec.noise.drift_nu);
     put_u64(buf, spec.seed);
     match spec.input {
         None => buf.push(0),
@@ -246,11 +243,15 @@ fn put_payload(buf: &mut Vec<u8>, frame: &Frame) {
             buf.push(TAG_STATS);
             put_stats(buf, s);
         }
-        Frame::Hello { resumed } => {
+        Frame::Hello { resumed, version } => {
             buf.push(TAG_HELLO);
             buf.push(u8::from(*resumed));
+            put_u32(buf, *version);
         }
-        Frame::HelloAck => buf.push(TAG_HELLO_ACK),
+        Frame::HelloAck { version } => {
+            buf.push(TAG_HELLO_ACK);
+            put_u32(buf, *version);
+        }
         Frame::SpecProbe => buf.push(TAG_SPEC_PROBE),
         Frame::Spec(spec) => {
             buf.push(TAG_SPEC);
@@ -385,11 +386,6 @@ impl<'a> Cur<'a> {
             mvm_latency_ns: self.f64()?,
             mvm_energy_nj: self.f64()?,
         };
-        let noise = NoiseSpec {
-            prog_sigma: self.f64()?,
-            read_sigma: self.f64()?,
-            drift_nu: self.f64()?,
-        };
         let seed = self.u64()?;
         let input = match self.u8()? {
             0 => None,
@@ -399,7 +395,6 @@ impl<'a> Cur<'a> {
         Ok(ShardSpec {
             model_id,
             xbar_cfg,
-            noise,
             seed,
             input,
         })
@@ -491,8 +486,11 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<Frame> {
         TAG_STATS => Frame::Stats(cur.stats()?),
         TAG_HELLO => Frame::Hello {
             resumed: cur.u8()? != 0,
+            version: cur.u32()?,
         },
-        TAG_HELLO_ACK => Frame::HelloAck,
+        TAG_HELLO_ACK => Frame::HelloAck {
+            version: cur.u32()?,
+        },
         TAG_SPEC_PROBE => Frame::SpecProbe,
         TAG_SPEC => Frame::Spec(cur.spec()?),
         t => return Err(bad(format!("unknown frame tag {t}"))),
@@ -559,7 +557,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QosStats;
+    use crate::{QosStats, PROTOCOL_VERSION};
 
     fn tensor(vals: &[f32]) -> Tensor {
         Tensor::from_vec(Shape::new(1, 1, vals.len()), vals.to_vec())
@@ -620,9 +618,18 @@ mod tests {
     #[test]
     fn control_frames_round_trip() {
         let frames = [
-            Frame::Hello { resumed: false },
-            Frame::Hello { resumed: true },
-            Frame::HelloAck,
+            Frame::Hello {
+                resumed: false,
+                version: PROTOCOL_VERSION,
+            },
+            Frame::Hello {
+                resumed: true,
+                version: u32::MAX,
+            },
+            Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+            },
+            Frame::HelloAck { version: 0 },
             Frame::Lease(IndexLease::new(64, 16)),
             Frame::Drain,
             Frame::DrainDone,
@@ -696,11 +703,11 @@ mod tests {
             }),
             Frame::Spec(ShardSpec {
                 model_id: String::new(), // empty ids survive too
-                xbar_cfg: XbarConfig::ideal(1, 1),
-                noise: NoiseSpec {
-                    prog_sigma: f64::MIN_POSITIVE,
-                    read_sigma: -0.0,
+                xbar_cfg: XbarConfig {
+                    prog_noise_sigma: f64::MIN_POSITIVE,
+                    read_noise_sigma: -0.0,
                     drift_nu: 0.05,
+                    ..XbarConfig::ideal(1, 1)
                 },
                 seed: u64::MAX,
                 input: Some(Shape::new(u32::MAX as usize, 1, 0)),
@@ -715,10 +722,11 @@ mod tests {
                     assert_eq!(a.seed, b.seed);
                     assert_eq!(a.xbar_cfg, b.xbar_cfg);
                     assert_eq!(a.input, b.input);
-                    // Float fields compare on raw bits (the -0.0 case).
-                    assert_eq!(a.noise.prog_sigma.to_bits(), b.noise.prog_sigma.to_bits());
-                    assert_eq!(a.noise.read_sigma.to_bits(), b.noise.read_sigma.to_bits());
-                    assert_eq!(a.noise.drift_nu.to_bits(), b.noise.drift_nu.to_bits());
+                    // Sigmas compare on raw bits (the -0.0 case).
+                    let (x, y) = (&a.xbar_cfg, &b.xbar_cfg);
+                    assert_eq!(x.prog_noise_sigma.to_bits(), y.prog_noise_sigma.to_bits());
+                    assert_eq!(x.read_noise_sigma.to_bits(), y.read_noise_sigma.to_bits());
+                    assert_eq!(x.drift_nu.to_bits(), y.drift_nu.to_bits());
                 }
                 _ => panic!("frame kind changed over the wire"),
             }
@@ -739,16 +747,13 @@ mod tests {
         assert!(decode_frame(&bad_tag).is_err());
     }
 
-    /// The analog constructor derives the noise channels from the crossbar
-    /// configuration, and the golden constructor is seed-free: all golden
-    /// shards of one model are replicas.
+    /// Seed and model id both split analog specs, and the golden
+    /// constructor is seed-free: all golden shards of one model are
+    /// replicas.
     #[test]
     fn spec_constructors_encode_the_grouping_rules() {
         let cfg = XbarConfig::hermes_256();
         let a = ShardSpec::analog("m", cfg.clone(), 7);
-        assert_eq!(a.noise.prog_sigma, cfg.prog_noise_sigma);
-        assert_eq!(a.noise.read_sigma, cfg.read_noise_sigma);
-        assert_eq!(a.noise.drift_nu, cfg.drift_nu);
         assert_ne!(a, ShardSpec::analog("m", cfg.clone(), 8), "seed matters");
         assert_ne!(
             a,
@@ -757,7 +762,6 @@ mod tests {
         );
         assert_eq!(ShardSpec::golden("g"), ShardSpec::golden("g"));
         assert_eq!(ShardSpec::default().model_id, "default");
-        assert_eq!(NoiseSpec::none(), NoiseSpec::default());
     }
 
     #[test]
@@ -810,7 +814,10 @@ mod tests {
     #[test]
     fn write_frame_makes_one_write_per_frame() {
         let frames = [
-            Frame::Hello { resumed: false },
+            Frame::Hello {
+                resumed: false,
+                version: PROTOCOL_VERSION,
+            },
             Frame::Request(ShardRequest {
                 global_index: 9,
                 class: QosClass::high(),

@@ -21,7 +21,7 @@
 //!
 //! | client frame | server frame | meaning |
 //! |---|---|---|
-//! | `Hello { resumed }` | `HelloAck` | (re)establish a protocol session; `resumed` announces a replay |
+//! | `Hello { resumed, version }` | `HelloAck { version }` | (re)establish a protocol session; `resumed` announces a replay |
 //! | `Request { global_index, image }` | `Reply { global_index, outcome }` | evaluate one image at its global stream coordinate |
 //! | `Lease { start, len }` | *(none)* | accepted and ignored; no client sends it |
 //! | `Drain` | `DrainDone` | finish every accepted request |
@@ -44,6 +44,11 @@
 //! count. It is also the record an in-process seat reports, so a remote
 //! seat's statistics are the same type as a local one's; durations travel
 //! as nanoseconds, saturating at `u64::MAX`.
+//!
+//! Both hello frames carry [`PROTOCOL_VERSION`]. A server answers a hello
+//! of another version with its own and closes, so two ends built from
+//! different frame layouts fail at the handshake instead of misreading
+//! each other's frames.
 //!
 //! For tests (and single-process demos) the crate also ships
 //! [`duplex`] — an in-memory, blocking, bidirectional byte pipe with the
@@ -69,44 +74,11 @@ use aimc_parallel::Parallelism;
 use aimc_xbar::XbarConfig;
 use std::time::Duration;
 
-/// The device-noise channels of one shard's analog stack, in wire form.
-///
-/// A shard's results depend on exactly three noise channels (programming
-/// noise at write time, read noise per MVM, conductance drift over time)
-/// plus the seed that keys them. Carrying the sigmas separately from the
-/// full [`XbarConfig`] lets a registry compare "would these replicas
-/// compute the same bits" at a glance, and keeps the door open for specs
-/// whose noise is *not* derived from a crossbar model (e.g. golden shards,
-/// where every channel is zero).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NoiseSpec {
-    /// Relative programming-noise sigma per device (write-time).
-    pub prog_sigma: f64,
-    /// Relative read-noise sigma per device per MVM.
-    pub read_sigma: f64,
-    /// Conductance-drift exponent ν in `g(t) = g₀ (t/t₀)^(−ν)`.
-    pub drift_nu: f64,
-}
-
-impl NoiseSpec {
-    /// A noiseless spec (golden shards).
-    pub const fn none() -> Self {
-        NoiseSpec {
-            prog_sigma: 0.0,
-            read_sigma: 0.0,
-            drift_nu: 0.0,
-        }
-    }
-
-    /// The noise channels of a crossbar configuration.
-    pub fn from_xbar(cfg: &XbarConfig) -> Self {
-        NoiseSpec {
-            prog_sigma: cfg.prog_noise_sigma,
-            read_sigma: cfg.read_noise_sigma,
-            drift_nu: cfg.drift_nu,
-        }
-    }
-}
+/// The frame layout this build speaks, carried by [`Frame::Hello`] and
+/// [`Frame::HelloAck`]. Bump it with every change to the layout of any
+/// frame, so that ends built from different layouts refuse each other at
+/// the handshake.
+pub const PROTOCOL_VERSION: u32 = 1;
 
 /// The full identity of what one shard computes: which model it serves and
 /// the device/seed recipe that makes its logits bit-reproducible.
@@ -127,11 +99,11 @@ pub struct ShardSpec {
     /// The model (stream) this shard serves. Requests are routed by this
     /// id; each distinct id owns its own global index stream `0, 1, 2, …`.
     pub model_id: String,
-    /// Crossbar geometry/resolution of the shard's analog arrays. Golden
-    /// shards carry an ideal placeholder configuration.
+    /// Crossbar geometry/resolution of the shard's analog arrays, noise
+    /// channels included (programming and read sigmas, drift exponent).
+    /// Golden shards carry an ideal placeholder configuration, whose
+    /// sigmas are zero.
     pub xbar_cfg: XbarConfig,
-    /// The shard's device-noise channels.
-    pub noise: NoiseSpec,
     /// The seed keying programming and read noise. Same `(xbar_cfg, seed)`
     /// ⇒ same conductances ⇒ same logits at the same coordinates.
     pub seed: u64,
@@ -148,14 +120,12 @@ impl ShardSpec {
     /// submit path — the one group every homogeneous fleet lives in.
     pub const DEFAULT_MODEL_ID: &'static str = "default";
 
-    /// The spec of an analog shard: noise channels derived from the
-    /// crossbar configuration, keyed by `seed`.
+    /// The spec of an analog shard: the crossbar configuration and its
+    /// noise channels, keyed by `seed`.
     pub fn analog(model_id: impl Into<String>, xbar_cfg: XbarConfig, seed: u64) -> Self {
-        let noise = NoiseSpec::from_xbar(&xbar_cfg);
         ShardSpec {
             model_id: model_id.into(),
             xbar_cfg,
-            noise,
             seed,
             input: None,
         }
@@ -168,7 +138,6 @@ impl ShardSpec {
         ShardSpec {
             model_id: model_id.into(),
             xbar_cfg: XbarConfig::ideal(256, 256),
-            noise: NoiseSpec::none(),
             seed: 0,
             input: None,
         }
@@ -416,9 +385,17 @@ pub enum Frame {
     Hello {
         /// Whether this connection resumes an interrupted session.
         resumed: bool,
+        /// The client's [`PROTOCOL_VERSION`].
+        version: u32,
     },
-    /// Server → client: the hello is accepted; the session may proceed.
-    HelloAck,
+    /// Server → client: the answer to a hello, carrying the server's
+    /// [`PROTOCOL_VERSION`]. The session may proceed only when it equals
+    /// the client's; a server that received another version closes the
+    /// connection after this frame.
+    HelloAck {
+        /// The server's [`PROTOCOL_VERSION`].
+        version: u32,
+    },
     /// Client → server: request the shard's [`ShardSpec`] (model id +
     /// device/seed recipe), so a router can place the transport into the
     /// right model group at fleet-assembly time.

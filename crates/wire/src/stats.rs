@@ -21,9 +21,8 @@ pub enum ShedReason {
     /// The bounded request queue is at `queue_depth`; admitting would
     /// have blocked the caller.
     QueueFull,
-    /// The request's class is at its in-flight budget
-    /// (`QosPolicy::class_budgets` on a seat, `FleetPolicy::class_budgets`
-    /// at the router).
+    /// The request's class is at its fleet-wide in-flight budget
+    /// (`FleetPolicy::class_budgets`, checked at the router).
     ClassBudget,
     /// The router's congestion pacer (`AimdPacer`) has closed its window
     /// in response to shard pressure marks.
@@ -191,6 +190,21 @@ impl ServeStats {
         } else {
             self.dispatched as f64 / self.batches as f64
         }
+    }
+
+    /// Pools another seat's record into this one: counters add, the
+    /// largest batch wins, and the queue-wait and latency samples
+    /// concatenate (percentiles are computed from the pooled sample, never
+    /// averaged across seats).
+    pub fn merge(&mut self, other: &ServeStats) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.rejected += other.rejected;
+        self.batches += other.batches;
+        self.dispatched += other.dispatched;
+        self.max_batch_observed = self.max_batch_observed.max(other.max_batch_observed);
+        self.queue_waits.extend_from_slice(&other.queue_waits);
+        self.qos.merge(&other.qos);
     }
 }
 

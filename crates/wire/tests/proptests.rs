@@ -6,8 +6,8 @@
 use aimc_dnn::{Shape, Tensor};
 use aimc_parallel::Parallelism;
 use aimc_wire::{
-    decode_frame, encode_frame, read_frame, write_frame, ClassStats, Frame, IndexLease, NoiseSpec,
-    Priority, QosClass, QosStats, ReplyError, ServeStats, ShardReply, ShardRequest, ShardSpec,
+    decode_frame, encode_frame, read_frame, write_frame, ClassStats, Frame, IndexLease, Priority,
+    QosClass, QosStats, ReplyError, ServeStats, ShardReply, ShardRequest, ShardSpec,
 };
 use aimc_xbar::XbarConfig;
 use proptest::prelude::*;
@@ -73,8 +73,8 @@ fn random_class_stats(rng: &mut StdRng) -> ClassStats {
     }
 }
 
-/// A random shard spec: arbitrary model id, geometry, noise channels,
-/// seed and input shape, present or absent (non-NaN floats so `PartialEq`
+/// A random shard spec: arbitrary model id, geometry, noise sigmas, seed
+/// and input shape, present or absent (non-NaN floats so `PartialEq`
 /// can witness the round trip).
 fn random_spec(rng: &mut StdRng) -> ShardSpec {
     let finite = |rng: &mut StdRng| {
@@ -94,11 +94,6 @@ fn random_spec(rng: &mut StdRng) -> ShardSpec {
     ShardSpec {
         model_id: random_string(rng),
         xbar_cfg: cfg,
-        noise: NoiseSpec {
-            prog_sigma: finite(rng),
-            read_sigma: finite(rng),
-            drift_nu: finite(rng),
-        },
         seed: rng.gen(),
         input: rng.gen::<bool>().then(|| {
             Shape::new(
@@ -112,7 +107,7 @@ fn random_spec(rng: &mut StdRng) -> ShardSpec {
 
 /// Draws one frame covering every variant and every nested outcome arm.
 fn random_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0u32..19) {
+    match rng.gen_range(0u32..21) {
         0 => Frame::Request(ShardRequest {
             global_index: rng.gen(),
             class: random_class(rng),
@@ -171,6 +166,11 @@ fn random_frame(rng: &mut StdRng) -> Frame {
         }),
         16 => Frame::SpecProbe,
         17 => Frame::Spec(random_spec(rng)),
+        18 => Frame::Hello {
+            resumed: rng.gen(),
+            version: rng.gen(),
+        },
+        19 => Frame::HelloAck { version: rng.gen() },
         _ => Frame::Request(ShardRequest {
             global_index: 0,
             class: QosClass::default(),

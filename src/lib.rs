@@ -105,10 +105,10 @@ pub mod prelude {
     };
     pub use aimc_serve::{
         AimdPacer, BatchPolicy, ClassStats, Connect, FleetHandle, FleetPolicy, FleetStats,
-        LocalTransport, NoiseSpec, PacerConfig, Pending, Priority, QosClass, QosOrdering,
-        QosPolicy, QosStats, RecalHandle, RecalPolicy, RecalStats, Request, RetryPolicy,
-        RoutePolicy, ServeError, ServeStats, ShardHealth, ShardLoad, ShardServer, ShardSpec,
-        ShardTransport, ShedReason, TcpTransport,
+        LocalTransport, PacerConfig, Pending, Priority, QosClass, QosOrdering, QosStats,
+        RecalHandle, RecalPolicy, RecalStats, Request, RetryPolicy, RoutePolicy, ServeError,
+        ServeStats, ShardHealth, ShardLoad, ShardServer, ShardSpec, ShardTransport, ShedReason,
+        TcpTransport,
     };
     pub use aimc_sim::SimTime;
     pub use aimc_xbar::{Crossbar, XbarConfig, XbarError};

@@ -240,10 +240,12 @@ proptest! {
             .map(|p| p.wait().expect("every request settles under churn"))
             .collect();
 
-        // Seats are append-only: eviction shrinks only the live count.
-        let expected_seats = if matches!(churn, Churn::Join) { seats + 1 } else { seats };
-        prop_assert_eq!(fleet.shard_count(), expected_seats);
-        prop_assert!(fleet.live_shard_count() >= 1, "a survivor remains live");
+        // Only seats in service are held: a joiner adds one, an eviction
+        // retires one, and at least the survivor remains.
+        let most = if matches!(churn, Churn::Join) { seats + 1 } else { seats };
+        let held = fleet.shard_count();
+        prop_assert!((1..=most).contains(&held), "{} seats held of {}", held, most);
+        prop_assert_eq!(fleet.shard_health().len(), held);
         fleet.shutdown();
         prop_assert_eq!(
             &want, &got,
@@ -290,8 +292,8 @@ fn permanent_kill_mid_lease_is_invisible() {
         .collect();
     fleet.drain();
     let got: Vec<Tensor> = pendings.into_iter().map(|p| p.wait().unwrap()).collect();
-    assert_eq!(fleet.live_shard_count(), 1, "the dead shard was evicted");
-    assert_eq!(fleet.shard_count(), 2, "seats outlive eviction");
+    assert_eq!(fleet.shard_count(), 1, "the dead shard was retired");
+    assert_eq!(fleet.shard_health()[0].id, 1, "the survivor keeps its id");
     fleet.shutdown();
     assert_eq!(want, got, "eviction shifted a coordinate or lost a request");
 }
@@ -333,7 +335,7 @@ fn joiner_after_drift_matches_solo() {
     fleet
         .add_shard(local_shard(&platform, batch, &backend))
         .unwrap();
-    assert_eq!(fleet.live_shard_count(), 2);
+    assert_eq!(fleet.shard_count(), 2);
     got.extend(
         b.iter()
             .map(|x| fleet.submit(x.clone()).unwrap())

@@ -183,8 +183,7 @@ proptest! {
         } else {
             QosOrdering::Fifo
         };
-        let batch = BatchPolicy::new(2, Duration::from_millis(1))
-            .with_qos(QosPolicy::default().with_ordering(ordering));
+        let batch = BatchPolicy::new(2, Duration::from_millis(1)).with_ordering(ordering);
         let mut policy = FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(lease);
         let blocked = |p: Priority| blocked_mask & (1 << p.rank()) != 0;
         for p in Priority::ALL {
@@ -276,7 +275,7 @@ fn session_serve_keeps_edf_solo_identical() {
             // Batches big enough that an unclamped EDF sort *would*
             // reorder dispatch across priorities.
             BatchPolicy::new(6, Duration::from_millis(20))
-                .with_qos(QosPolicy::default().with_ordering(QosOrdering::EdfWithinPriority)),
+                .with_ordering(QosOrdering::EdfWithinPriority),
         )
         .unwrap();
     let classes = [
