@@ -57,8 +57,9 @@ fn main() -> Result<(), Error> {
         ("1 month", 24.0 * 30.0),
         ("1 year", 24.0 * 365.0),
     ] {
-        // Fresh conductances per time point: drift compounds, so each level
-        // starts from a forced re-programming of the arrays.
+        // Drift sets the time since programming, so no level needs fresh
+        // arrays; the reprogram rewinds the session's stream, so every time
+        // point evaluates the same read-noise coordinates.
         session.reprogram(&analog)?;
         session.apply_drift(hours)?;
         let agree = session

@@ -2,7 +2,7 @@
 //! single-image requests (ResNet-18/CIFAR on modeled PCM crossbars) for
 //! **two model groups at once** through `Platform::serve_hetero_fleet`,
 //! while the fleet drifts mid-stream and replicas are rotated through a
-//! drain → reprogram-from-spec → drift-replay recalibration — manually
+//! drain → reprogram-from-spec → drift-to-fleet-time recalibration — manually
 //! seat by seat, and under the background scheduler
 //! (`FleetHandle::start_recal`). Each scenario carries the registry's
 //! hard invariant as a built-in check: each model's completed logits must
@@ -214,7 +214,7 @@ fn main() -> Result<(), Error> {
     serve(&mut scenarios, "baseline", Box::new(|_| None))?;
 
     // Manual rotation: every seat is drained, reprogrammed from its spec
-    // seed, and replayed through the drift log before the second half.
+    // seed, and drifted to the fleet's time before the second half.
     serve(
         &mut scenarios,
         "manual_rotation",

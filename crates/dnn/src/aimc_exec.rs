@@ -485,10 +485,11 @@ impl AimcExecutor {
         self.analog.values().map(|l| l.total_mvms()).sum()
     }
 
-    /// Applies PCM conductance drift to every programmed tile: `t_hours`
-    /// since programming (see [`Crossbar::apply_drift`]). Models inference
-    /// long after deployment without re-programming — the scenario
-    /// non-volatile AIMC targets.
+    /// Sets every programmed tile to `t_hours` since programming (see
+    /// [`Crossbar::apply_drift`]): a level, so calls do not compound and
+    /// the last one alone decides the conductances. Models inference long
+    /// after deployment without re-programming — the scenario non-volatile
+    /// AIMC targets.
     pub fn apply_drift(&mut self, t_hours: f64) {
         for layer in self.analog.values_mut() {
             for row in layer.tiles.iter_mut() {

@@ -132,7 +132,8 @@ pub trait Executor: Sync {
         0
     }
 
-    /// Applies conductance drift for `t_hours` since programming; returns
+    /// Sets the conductances to `t_hours` since programming (a level: the
+    /// last call alone counts, and `t_hours ≤ 1` restores them); returns
     /// whether the backend models drift (`false` for digital backends,
     /// which ignore the call).
     fn apply_drift(&mut self, _t_hours: f64) -> bool {

@@ -13,9 +13,9 @@
 //! ## What a rotation does — and what it never does
 //!
 //! One rotation drains exactly one seat, reprograms its replica from the
-//! [`ShardSpec`](aimc_wire::ShardSpec) seed, replays the fleet's recorded
-//! drift history so the fresh conductances match the incumbents'
-//! bit-for-bit, and returns the seat to the routing rotation. Because
+//! [`ShardSpec`](aimc_wire::ShardSpec) seed, drifts it to the fleet's
+//! time since programming so the fresh conductances match the
+//! incumbents' bit-for-bit, and returns the seat to the routing rotation. Because
 //! every request carries its global stream coordinate and noise is keyed
 //! by coordinate, the recalibrated replica computes **the same bits at
 //! every coordinate** as any incumbent — so a rotation never changes a

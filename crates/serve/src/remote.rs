@@ -59,9 +59,9 @@
 //! (re-running index `k` yields bit-identical logits) and the client
 //! ignores a reply for an index it no longer has pending. The client also
 //! resends a control command that was cut off mid-call. That is safe for
-//! every command but one: `ApplyDrift` compounds (each call scales the
-//! conductances by the factor of its elapsed time), so a resent drift that
-//! the server had already applied drifts that replica twice.
+//! every command, because running one twice leaves the replica as running
+//! it once: `ApplyDrift` sets the replica's time since programming, so a
+//! resent drift that the server had already applied changes nothing.
 //!
 //! When the retry budget is exhausted the transport closes and parks its
 //! unacknowledged flights instead of cancelling them — the fleet router
@@ -684,9 +684,9 @@ impl TcpTransport {
     /// Sends one control frame and blocks for its reply (control traffic
     /// is strictly one-outstanding, enforced by the control lock). On a
     /// replay-capable link a death mid-call resends the frame on the
-    /// replacement link. Re-execution is safe for every command except
-    /// `ApplyDrift`, which compounds: a resent drift the server had
-    /// already applied drifts the replica twice.
+    /// replacement link. Re-execution is safe for every command: running
+    /// one twice leaves the replica as running it once (`ApplyDrift` sets
+    /// the time since programming rather than adding to it).
     fn control(&self, request: &Frame) -> Result<Frame, ServeError> {
         let _serial = self.inner.control.lock().unwrap();
         loop {

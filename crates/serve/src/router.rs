@@ -59,10 +59,10 @@
 //!   The caller observes nothing: the same `Pending` resolves with the
 //!   same logits.
 //! * **Live join.** [`FleetHandle::add_shard`] programs a fresh replica
-//!   from the fleet seed via the control surface, replays the drift
-//!   history so its conductances match the incumbents', and enters it
-//!   into the routing rotation — where it receives routing blocks like
-//!   any other shard.
+//!   from the fleet seed via the control surface, drifts it to the
+//!   fleet's time since programming so its conductances match the
+//!   incumbents', and enters it into the routing rotation — where it
+//!   receives routing blocks like any other shard.
 //!
 //! Both directions preserve the invariance because the stream numbering —
 //! not the placement — determines every logit.
@@ -262,19 +262,17 @@ impl GroupState {
 }
 
 /// Mutable routing state, under one lock: the registry's model groups with
-/// their seats, the fleet-wide drift history, and what retired seats leave
+/// their seats, the fleet-wide drift time, and what retired seats leave
 /// behind.
 struct RouterState {
     /// The registry: one group per distinct model id, in first-appearance
     /// order. Group 0 is the assembly's first model — the target of every
     /// request without a model id.
     groups: Vec<GroupState>,
-    /// Drift transitions applied since the last reprogram, in order —
-    /// replayed onto late joiners and recalibrated shards so their
-    /// conductances match the incumbents'. Fleet-wide: drift is a
-    /// physical, per-device process, so every group experiences the same
-    /// history.
-    drift_log: Vec<f64>,
+    /// The fleet-wide time since programming of the last drift, `None`
+    /// after a reprogram: joiners and recalibrated seats drift to it so
+    /// their conductances match the incumbents'.
+    drift: Option<f64>,
     /// The id the next seat gets: ids only grow, so a retired seat's id is
     /// never handed out again.
     next_id: usize,
@@ -483,7 +481,7 @@ impl FleetHandle {
                 policy,
                 state: Mutex::new(RouterState {
                     groups,
-                    drift_log: Vec::new(),
+                    drift: None,
                     next_id,
                     retired: ServeStats::default(),
                 }),
@@ -904,11 +902,10 @@ impl FleetHandle {
     /// Returns whether the replicas model drift (`false` for a golden
     /// fleet, which ignores the call).
     ///
-    /// Identical replicas drifted identically stay identical — so the
-    /// fleet keeps matching a solo session taken through the same
-    /// transition at the same stream position. The transition is also
-    /// recorded in the drift log, so a later [`FleetHandle::add_shard`]
-    /// replays it onto the joiner.
+    /// `t_hours` is the time since programming, not an increment: replicas
+    /// drifted to one time stay identical and match a solo session drifted
+    /// at the same stream position. The router keeps the time, so a later
+    /// [`FleetHandle::add_shard`] drifts the joiner to it.
     pub fn apply_drift(&self, t_hours: f64) -> bool {
         let _ops = self.inner.ops.lock().unwrap();
         self.drain();
@@ -917,14 +914,14 @@ impl FleetHandle {
             modeled |= s.transport.apply_drift(t_hours);
             s.drift_age.fetch_add(1, Ordering::SeqCst);
         }
-        self.inner.state.lock().unwrap().drift_log.push(t_hours);
+        self.inner.state.lock().unwrap().drift = Some(t_hours);
         modeled
     }
 
     /// Reprograms **every** replica in service from the original seed and
     /// rewinds the global stream to zero, after draining the fleet — the
     /// exact semantics of a solo `Session::reprogram`: freshly written
-    /// conductances, coordinates replayed from the start. The drift log is
+    /// conductances, coordinates replayed from the start. The drift time is
     /// cleared: a joiner added after a reprogram starts from the same
     /// fresh conductances as everyone else.
     ///
@@ -947,7 +944,7 @@ impl FleetHandle {
             g.indices = StreamIndices::default();
             g.block = None;
         }
-        st.drift_log.clear();
+        st.drift = None;
         Ok(())
     }
 
@@ -961,15 +958,15 @@ impl FleetHandle {
 
     /// Adds a freshly connected shard to a running fleet — the **live
     /// join** path of elastic serving. The joiner's replica is programmed
-    /// from the fleet seed via the transport's control surface, the drift
-    /// history recorded since the last reprogram is replayed so its
-    /// conductances match the incumbents' bit-for-bit, and the shard then
-    /// enters the routing rotation under the next unused seat id, where it
-    /// receives routing blocks like any other seat.
+    /// from the fleet seed via the transport's control surface, drifted to
+    /// the fleet's time since programming so its conductances match the
+    /// incumbents' bit-for-bit, and the shard then enters the routing
+    /// rotation under the next unused seat id, where it receives routing
+    /// blocks like any other seat.
     ///
     /// Joining never shifts a coordinate: the joiner only serves indices
-    /// claimed after it joined, and identical programming plus
-    /// identical drift history keeps its logits bit-identical to every
+    /// claimed after it joined, and identical programming plus an
+    /// identical drift time keeps its logits bit-identical to every
     /// other replica — the fleet invariance is preserved across elastic
     /// scale-up.
     ///
@@ -977,7 +974,7 @@ impl FleetHandle {
     /// [`ShardSpec`]'s model id — an unknown id founds a new group with
     /// its own stream. Re-joining a model whose previous replica was
     /// evicted goes through this same path: fresh programming from the
-    /// spec seed plus the drift-log replay reproduce the incumbents'
+    /// spec seed plus the fleet's drift time reproduce the incumbents'
     /// conductances exactly, so the rejoined host serves bit-identical
     /// logits.
     ///
@@ -1001,8 +998,8 @@ impl FleetHandle {
             }
         }
         transport.reprogram()?;
-        let drift_log = self.inner.state.lock().unwrap().drift_log.clone();
-        for t_hours in drift_log {
+        let drift = self.inner.state.lock().unwrap().drift;
+        if let Some(t_hours) = drift {
             transport.apply_drift(t_hours);
         }
         let mut st = self.inner.state.lock().unwrap();
@@ -1090,7 +1087,7 @@ impl FleetHandle {
 
     /// Recalibrates seat `id` in the background: the seat drains (its
     /// group's other members keep serving), its replica is reprogrammed
-    /// from the spec seed, the fleet's drift history is replayed so its
+    /// from the spec seed and drifted to the fleet's time so its
     /// conductances match the incumbents' bit-for-bit, and the seat
     /// returns to rotation with its drift age reset — **no completed or
     /// concurrent logit changes**, because every request carries its
@@ -1123,8 +1120,8 @@ impl FleetHandle {
             self.evict(&slot);
             return Err(e);
         }
-        let drift_log = self.inner.state.lock().unwrap().drift_log.clone();
-        for t_hours in drift_log {
+        let drift = self.inner.state.lock().unwrap().drift;
+        if let Some(t_hours) = drift {
             slot.transport.apply_drift(t_hours);
         }
         slot.drift_age.store(0, Ordering::SeqCst);
@@ -1857,7 +1854,7 @@ mod tests {
     }
 
     /// The live-join path: a shard added to a running fleet is programmed
-    /// from the fleet seed, receives the recorded drift history, and
+    /// from the fleet seed, drifted to the fleet's last drift time, and
     /// enters the rotation — serving part of the stream without shifting
     /// anyone's coordinates.
     #[test]
@@ -1884,8 +1881,8 @@ mod tests {
         );
         assert_eq!(
             *c1.drifts.lock().unwrap(),
-            vec![3.5, 1.5],
-            "drift history replayed onto the joiner"
+            vec![1.5],
+            "the joiner drifts to the fleet's time since programming"
         );
 
         // The rotation now alternates; global indices stay contiguous and
@@ -1905,8 +1902,8 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (0..5).collect::<Vec<u64>>());
 
-        // Reprogram clears the drift history: a post-reprogram joiner is
-        // fresh-seeded with nothing to replay.
+        // Reprogram clears the drift time: a post-reprogram joiner is
+        // fresh-seeded and not drifted.
         f.reprogram().unwrap();
         let c2 = Arc::new(RecordingControl::default());
         let log2: ShardLog = Arc::default();
@@ -2309,11 +2306,11 @@ mod tests {
         f.shutdown();
     }
 
-    /// Background recalibration: reprogram from the spec seed plus a
-    /// drift-log replay, drift age reset, stream untouched — and the
-    /// group's last routable member is never taken.
+    /// Background recalibration: reprogram from the spec seed plus one
+    /// drift to the fleet's time, drift age reset, stream untouched — and
+    /// the group's last routable member is never taken.
     #[test]
-    fn recalibrate_shard_replays_drift_and_resets_age() {
+    fn recalibrate_shard_redrifts_and_resets_age() {
         let c0 = Arc::new(RecordingControl::default());
         let c1 = Arc::new(RecordingControl::default());
         let log0: ShardLog = Arc::default();
@@ -2338,8 +2335,8 @@ mod tests {
         );
         assert_eq!(
             *c0.drifts.lock().unwrap(),
-            vec![3.5, 1.5, 3.5, 1.5],
-            "the fleet drift history is replayed after the reprogram"
+            vec![3.5, 1.5, 1.5],
+            "the fleet's drift time is applied after the reprogram"
         );
         assert_eq!(*c1.reprograms.lock().unwrap(), 0, "only the target seat");
         let health = f.shard_health();

@@ -39,9 +39,9 @@ use std::thread::JoinHandle;
 /// after draining, so every replica transitions at the same global stream
 /// position.
 pub trait ShardControl: Send + Sync {
-    /// Applies conductance drift to this shard's replica (write-locked
-    /// against in-flight batches). Returns whether the backend models
-    /// drift (`false` for digital replicas).
+    /// Sets this shard's replica to `t_hours` since programming
+    /// (write-locked against in-flight batches). Returns whether the
+    /// backend models drift (`false` for digital replicas).
     fn apply_drift(&self, t_hours: f64) -> bool;
 
     /// Rewrites this shard's replica from scratch with the original seed —
@@ -126,8 +126,8 @@ pub trait ShardTransport: Send + Sync {
         ShardSpec::default()
     }
 
-    /// Applies conductance drift to the shard's replica, after the caller
-    /// drained. Returns whether the backend models drift.
+    /// Sets the shard's replica to `t_hours` since programming, after the
+    /// caller drained. Returns whether the backend models drift.
     fn apply_drift(&self, t_hours: f64) -> bool;
 
     /// Rewrites the shard's replica from its original seed and rewinds its

@@ -26,7 +26,7 @@
 //! | `Lease { start, len }` | *(none)* | accepted and ignored; no client sends it |
 //! | `Drain` | `DrainDone` | finish every accepted request |
 //! | `Shutdown` | `ShutdownDone` | stop accepting, drain, stop the shard |
-//! | `ApplyDrift(t_hours)` | `DriftDone(modeled)` | conductance drift on the replica |
+//! | `ApplyDrift(t_hours)` | `DriftDone(modeled)` | set the replica's time since programming |
 //! | `Reprogram` | `ReprogramDone(result)` | rewrite the replica from its seed, rewind its stream |
 //! | `SetParallelism(par)` | `ParallelismSet` | retune the shard's thread budget |
 //! | `StatsProbe` | `Stats(stats)` | the seat's [`ServeStats`] |
@@ -47,8 +47,8 @@
 //!
 //! Both hello frames carry [`PROTOCOL_VERSION`]. A server answers a hello
 //! of another version with its own and closes, so two ends built from
-//! different frame layouts fail at the handshake instead of misreading
-//! each other's frames.
+//! different frame layouts or meanings fail at the handshake instead of
+//! misreading each other's frames.
 //!
 //! For tests (and single-process demos) the crate also ships
 //! [`duplex`] — an in-memory, blocking, bidirectional byte pipe with the
@@ -74,11 +74,13 @@ use aimc_parallel::Parallelism;
 use aimc_xbar::XbarConfig;
 use std::time::Duration;
 
-/// The frame layout this build speaks, carried by [`Frame::Hello`] and
-/// [`Frame::HelloAck`]. Bump it with every change to the layout of any
-/// frame, so that ends built from different layouts refuse each other at
-/// the handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// The protocol this build speaks, carried by [`Frame::Hello`] and
+/// [`Frame::HelloAck`]. Bump it with every change to the layout *or the
+/// meaning* of any frame, so that ends built from different protocols
+/// refuse each other at the handshake. Version 2 keeps version 1's bytes
+/// but makes [`Frame::ApplyDrift`] set the time since programming, where
+/// version 1 drifted the current conductances further.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The full identity of what one shard computes: which model it serves and
 /// the device/seed recipe that makes its logits bit-reproducible.
@@ -91,9 +93,10 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// a fleet whose specs differ across groups.
 ///
 /// The spec is also a *rebuild recipe*: reprogramming a shard from
-/// `(xbar_cfg, seed)` and replaying the fleet drift log reproduces its
-/// incumbent replicas' conductances bit for bit — which is what makes
-/// background recalibration and evict→rejoin invisible in the results.
+/// `(xbar_cfg, seed)` and drifting it to the fleet's time since
+/// programming reproduces its incumbent replicas' conductances bit for
+/// bit — which is what makes background recalibration and evict→rejoin
+/// invisible in the results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     /// The model (stream) this shard serves. Requests are routed by this
@@ -360,7 +363,8 @@ pub enum Frame {
     Shutdown,
     /// Server → client: shutdown completed (all replies already sent).
     ShutdownDone,
-    /// Client → server: apply conductance drift (`t_hours`).
+    /// Client → server: drift the replica to `t_hours` since programming
+    /// (a level, so a resent frame changes nothing).
     ApplyDrift(f64),
     /// Server → client: whether the replica models drift.
     DriftDone(bool),

@@ -129,6 +129,9 @@ pub struct Crossbar {
     w_scale: f64,
     /// Root of this array's read-noise streams (fixed at program time).
     noise_seed: u64,
+    /// `g_eff` as programmed, kept from the first drift on: every drift
+    /// level is computed from it.
+    programmed: Option<Vec<f64>>,
     /// Evaluations so far — atomic so evaluation is `&self` and tiles can
     /// be evaluated concurrently without losing energy-accounting counts.
     mvm_count: AtomicU64,
@@ -144,6 +147,7 @@ impl Clone for Crossbar {
             cols_used: self.cols_used,
             w_scale: self.w_scale,
             noise_seed: self.noise_seed,
+            programmed: self.programmed.clone(),
             mvm_count: AtomicU64::new(self.mvm_count.load(Ordering::Relaxed)),
         }
     }
@@ -219,6 +223,7 @@ impl Crossbar {
             cols_used: cols,
             w_scale,
             noise_seed,
+            programmed: None,
             mvm_count: AtomicU64::new(0),
         })
     }
@@ -312,18 +317,15 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Applies conductance drift for `t_hours` of elapsed time since
-    /// programming: `g ← g · (t/t₀)^(−ν)` with `t₀ = 1 h`.
-    ///
-    /// Drift is deterministic and affects magnitude only; `t_hours ≤ 1`
-    /// leaves the state unchanged.
+    /// Sets the array to `t_hours` since programming, `g = g₀·max(t, 1)^(−ν)`
+    /// with `t` in hours and `g₀` as programmed: a level, not a step, so
+    /// calls never compound and `t_hours ≤ 1` restores the programmed
+    /// state. Drift is deterministic and affects magnitude only.
     pub fn apply_drift(&mut self, t_hours: f64) {
-        if t_hours <= 1.0 || self.cfg.drift_nu == 0.0 {
-            return;
-        }
-        let factor = t_hours.powf(-self.cfg.drift_nu);
-        for g in self.g_eff.iter_mut() {
-            *g *= factor;
+        let factor = t_hours.max(1.0).powf(-self.cfg.drift_nu);
+        let programmed = self.programmed.get_or_insert_with(|| self.g_eff.clone());
+        for (g, &p) in self.g_eff.iter_mut().zip(programmed.iter()) {
+            *g = p * factor;
         }
     }
 
@@ -542,6 +544,48 @@ mod tests {
         let before = xb.stored_weight(2, 2);
         xb.apply_drift(0.5);
         assert_eq!(xb.stored_weight(2, 2), before);
+    }
+
+    /// Drift is a level, not a step: every call computes from the
+    /// programmed image, so a repeated time does not compound, a later and
+    /// shorter time undoes part of an earlier one, `t ≤ 1 h` restores the
+    /// programmed bits, and a clone keeps its original's programmed image.
+    #[test]
+    fn drift_is_a_time_since_programming() {
+        let cfg = XbarConfig::hermes_256();
+        let w: Vec<f32> = (0..16).map(|i| (i as f32 - 7.5) / 8.0).collect();
+        let program = || Crossbar::program(&cfg, &w, 4, 4, &mut rng()).unwrap();
+        let bits = |xb: &Crossbar| xb.g_all().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let fresh = program();
+        let drifted = |hours: &[f64]| {
+            let mut xb = program();
+            hours.iter().for_each(|&t| xb.apply_drift(t));
+            xb
+        };
+
+        let once = drifted(&[100.0]);
+        assert_eq!(bits(&drifted(&[100.0, 100.0])), bits(&once));
+        // 100^-0.05; a compounding drift would read 100^-0.1 = 0.630957.
+        let ratio = once.stored_weight(0, 0) / fresh.stored_weight(0, 0);
+        assert!((ratio - 0.794328).abs() < 1e-6, "ratio {ratio}");
+
+        let ten = drifted(&[10.0]);
+        let mut back = drifted(&[1000.0, 10.0]);
+        assert_eq!(bits(&back), bits(&ten));
+        back.apply_drift(0.5);
+        assert_eq!(
+            bits(&back),
+            bits(&fresh),
+            "t ≤ 1 h restores the programmed bits"
+        );
+
+        let mut clone = once.clone();
+        clone.apply_drift(10.0);
+        assert_eq!(
+            bits(&clone),
+            bits(&ten),
+            "the clone drifts from the programmed image"
+        );
     }
 
     #[test]

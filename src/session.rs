@@ -162,7 +162,7 @@ impl Platform {
     /// evicted and its stranded requests re-run at their original
     /// coordinates on survivors, and [`FleetHandle::add_shard`] grows the
     /// fleet mid-serve (the joiner is programmed from the fleet seed and
-    /// replayed through the accumulated drift history) — neither ever
+    /// drifted to the fleet's time since programming) — neither ever
     /// changes a logit of a request that completes.
     ///
     /// This is the all-local convenience path; to mix transports (local
@@ -715,8 +715,8 @@ impl ParCell {
 /// numbering: it starts at coordinate 0 on its own, `Session::reprogram`
 /// does not rewind it, direct [`Session::infer`] calls beside a live
 /// handle (or two live handles on one backend) can evaluate the same
-/// coordinates, and [`FleetHandle::add_shard`] replays only the drift
-/// applied through the handle (see [`Session::serve`]).
+/// coordinates, and [`FleetHandle::add_shard`] drifts a joiner only to a
+/// time set through the handle (see [`Session::serve`]).
 pub struct Session {
     platform: Platform,
     runs: HashMap<usize, RunReport>,
@@ -970,8 +970,8 @@ impl Session {
     ///   rewinds the served stream to 0, like a solo reprogram;
     /// * direct [`Session::infer`] calls beside a live handle, or two live
     ///   handles on one backend, can evaluate the same coordinates;
-    /// * [`FleetHandle::add_shard`] replays onto a joiner only the drift
-    ///   applied through the handle, not [`Session::apply_drift`].
+    /// * [`FleetHandle::add_shard`] drifts a joiner to the time last set
+    ///   through the handle, not by [`Session::apply_drift`].
     ///
     /// Call [`FleetHandle::shutdown`] when done.
     ///
@@ -1002,9 +1002,10 @@ impl Session {
             .serve_fleet_with(vec![Box::new(seat)], FleetPolicy::default())
     }
 
-    /// Applies PCM conductance drift (`t_hours` since programming) to the
-    /// retained analog crossbars — regardless of which backend is active,
-    /// since golden reference checks do not disturb the arrays.
+    /// Sets the retained analog crossbars to `t_hours` since programming
+    /// (PCM conductance drift; a level, so calls do not compound) —
+    /// regardless of which backend is active, since golden reference
+    /// checks do not disturb the arrays.
     ///
     /// # Errors
     /// [`Error::NoAnalogBackend`] if no analog backend is programmed.

@@ -5,7 +5,7 @@
 //! severed mid-stream (reconnect-and-replay), a shard is killed
 //! permanently mid-block (eviction + orphan rescue on survivors, at the
 //! original coordinates), or a shard joins mid-stream (programmed from
-//! the fleet seed and replayed through the drift history).
+//! the fleet seed and drifted to the fleet's time since programming).
 //!
 //! Faults are injected with the seeded frame-aware `FaultyEnd` wrapper
 //! from `aimc-wire`: remote shards run real `ShardServer`s over in-memory
@@ -299,8 +299,8 @@ fn permanent_kill_mid_lease_is_invisible() {
 }
 
 /// A joiner arriving *after* a fleet-wide drift transition must be
-/// programmed from the fleet seed and replayed through the recorded drift
-/// history: round-robin then lands half the remaining stream on it, and
+/// programmed from the fleet seed and drifted to the fleet's time since
+/// programming: round-robin then lands half the remaining stream on it, and
 /// the logits stay bit-identical to a solo session taken through the same
 /// transition — which they could not if the joiner's conductances missed
 /// the drift.

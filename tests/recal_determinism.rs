@@ -5,8 +5,8 @@
 //! `Session::infer_one` stream **of that request's model** — while the
 //! fleet serves several model groups at once, a fleet-wide drift
 //! transition lands mid-stream, and a replica is drained, reprogrammed
-//! from its `ShardSpec` seed, and replayed through the drift log behind
-//! the stream's back.
+//! from its `ShardSpec` seed, and drifted to the fleet's time since
+//! programming behind the stream's back.
 //!
 //! The analog backends with real noise are the hard case on purpose:
 //! noise is keyed by `(seed, coordinate)`, so a request routed to the
@@ -228,7 +228,8 @@ proptest! {
 
         // First half → fleet-wide drift (drains, so every submitted
         // request ran pre-drift, like the solo streams) → recalibrate one
-        // seat (reprogram from spec seed + drift-log replay) → second half.
+        // seat (reprogram from spec seed + drift to the fleet's time) →
+        // second half.
         let (mut a_pend, mut b_pend) = submit_half(0, half);
         prop_assert!(fleet.apply_drift(250.0));
         fleet.recalibrate_shard(recal_seat).unwrap();
@@ -265,7 +266,7 @@ proptest! {
 /// The evict→rejoin round trip is invisible: a seat is gracefully removed
 /// mid-stream, the stream keeps flowing on the survivor through a drift
 /// transition, and the host rejoins via `add_shard` — programmed from its
-/// spec seed and replayed through the recorded drift history. Every logit
+/// spec seed and drifted to the fleet's time since programming. Every logit
 /// stays bit-identical to solo, which it could not if the rejoiner's
 /// conductances missed the drift or any coordinate moved.
 #[test]
@@ -304,7 +305,8 @@ fn evict_then_rejoin_matches_solo() {
             .collect(),
     ));
     // The rejoiner: same spec (model id, config, seed), fresh host. The
-    // router reprograms it and replays the drift log before routing to it.
+    // router reprograms it and drifts it to the fleet's time before
+    // routing to it.
     fleet
         .add_shard(local_shard(&platform, "alpha", &backend))
         .unwrap();
@@ -317,6 +319,52 @@ fn evict_then_rejoin_matches_solo() {
     ));
     fleet.shutdown();
     assert_eq!(want, got, "evict→rejoin changed a logit");
+}
+
+/// Drift is a time since programming, fleet-wide: two seats drift to
+/// 100 h and then to 1000 h, a third joins, and seat 0 is recalibrated.
+/// The incumbent, the joiner and the recalibrated seat all hold the
+/// conductances of one drift to 1000 h, so the served stream matches a
+/// solo session drifted once to 1000 h at the same stream position.
+#[test]
+fn fleet_drift_is_a_level_across_join_and_recal() {
+    let backend = alpha_backend();
+    let images = random_images(9, 29);
+    let want = solo_logits_with_drift(&backend, &images, 3, 1000.0);
+    let platform = platform();
+    let fleet = platform
+        .serve_fleet_with(
+            vec![
+                local_shard(&platform, "alpha", &backend),
+                local_shard(&platform, "alpha", &backend),
+            ],
+            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(1),
+        )
+        .unwrap();
+    let serve = |images: &[Tensor]| -> Vec<Tensor> {
+        let pend: Vec<Pending> = images
+            .iter()
+            .map(|x| fleet.submit(Request::new(x.clone()).to("alpha")).unwrap())
+            .collect();
+        pend.into_iter().map(|p| p.wait().unwrap()).collect()
+    };
+
+    let mut got = serve(&images[..3]);
+    assert!(fleet.apply_drift(100.0));
+    assert!(fleet.apply_drift(1000.0));
+    fleet
+        .add_shard(local_shard(&platform, "alpha", &backend))
+        .unwrap();
+    fleet.recalibrate_shard(0).unwrap();
+    got.extend(serve(&images[3..]));
+    let stats = fleet.stats();
+    assert_eq!(stats.shards.len(), 3);
+    assert!(
+        stats.shards[2].submitted > 0,
+        "the joiner served part of the stream"
+    );
+    fleet.shutdown();
+    assert_eq!(want, got, "a second drift compounded on some seat");
 }
 
 /// Maintenance guard rails at the facade level: removing a group's last

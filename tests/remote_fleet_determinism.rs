@@ -13,11 +13,14 @@
 //! loopback TCP (so does `examples/remote_fleet.rs`).
 
 use aimc_platform::prelude::*;
-use aimc_platform::wire::duplex;
+use aimc_platform::wire::{decode_frame, duplex, Frame, PipeEnd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{self, Read, Write};
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -242,6 +245,99 @@ fn mixed_fleet_across_drift_and_reprogram_matches_solo() {
     // Reprogramming rewinds the stream: image a[0] re-served after
     // reprogram replays coordinate 0 on freshly written replicas.
     assert_eq!(want[0], want[6], "reprogram did not rewind the stream");
+}
+
+/// The server's writer on its first connection: in place of the first
+/// `DriftDone` it closes the pipe, so the client loses the reply to a
+/// drift the server has already applied.
+struct CutAtFirstDriftDone(PipeEnd);
+
+impl Write for CutAtFirstDriftDone {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // A control reply leaves in one write: length prefix, then payload.
+        if let Some(Ok(Frame::DriftDone(_))) = buf.get(4..).map(decode_frame) {
+            self.0.close();
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "cut at DriftDone",
+            ));
+        }
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// Dials a shared server over fresh duplex pipes and counts the dials;
+/// only the first connection cuts at `DriftDone`.
+struct DriftCutConnector {
+    server: Arc<ShardServer>,
+    dials: Arc<AtomicU32>,
+}
+
+impl Connect for DriftCutConnector {
+    fn connect(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+        let first = self.dials.fetch_add(1, Ordering::SeqCst) == 0;
+        let (client_end, server_end) = duplex();
+        let server = Arc::clone(&self.server);
+        std::thread::spawn(move || {
+            let writer: Box<dyn Write + Send> = if first {
+                Box::new(CutAtFirstDriftDone(server_end.clone()))
+            } else {
+                Box::new(server_end.clone())
+            };
+            let _ = server.serve_stream(server_end.clone(), writer);
+            server_end.close();
+        });
+        Ok((Box::new(client_end.clone()), Box::new(client_end)))
+    }
+}
+
+/// A control command cut off mid-call is resent on the next link, and a
+/// resent drift must not drift the replica twice: the first connection's
+/// server applies `ApplyDrift(1000.0)` and hangs up before answering, the
+/// transport redials and sends the drift again, and every logit still
+/// matches a solo session drifted once at the same stream position.
+#[test]
+fn resent_drift_is_applied_once() {
+    let backend = noisy_backend();
+    let images = random_images(6, 37);
+    let (a, b) = images.split_at(3);
+    let mut solo = platform().session();
+    let mut want: Vec<Tensor> = a
+        .iter()
+        .map(|x| solo.infer_one(x, backend.clone()).unwrap())
+        .collect();
+    solo.apply_drift(1000.0).unwrap();
+    want.extend(
+        b.iter()
+            .map(|x| solo.infer_one(x, backend.clone()).unwrap()),
+    );
+
+    let platform = platform();
+    let batch = BatchPolicy::new(2, Duration::from_millis(1));
+    let dials = Arc::new(AtomicU32::new(0));
+    let connector = DriftCutConnector {
+        server: Arc::new(platform.shard_server(batch, &backend).unwrap()),
+        dials: Arc::clone(&dials),
+    };
+    let seat = TcpTransport::with_connector(
+        Box::new(connector),
+        RetryPolicy::new(2, Duration::from_millis(1)),
+    )
+    .unwrap();
+    let seats: Vec<Box<dyn ShardTransport>> = vec![Box::new(seat)];
+    let fleet = platform
+        .serve_fleet_with(seats, FleetPolicy::default())
+        .unwrap();
+    let mut got = fleet_logits(&fleet, a);
+    assert!(fleet.apply_drift(1000.0), "analog replicas model drift");
+    got.extend(fleet_logits(&fleet, b));
+    fleet.shutdown();
+    assert_eq!(dials.load(Ordering::SeqCst), 2, "one redial after the cut");
+    assert_eq!(want, got, "the resent drift drifted the replica twice");
 }
 
 /// Block length 1 is the per-request router **exactly**: the same stream
