@@ -15,15 +15,15 @@
 //! One rotation drains exactly one seat, reprograms its replica from the
 //! [`ShardSpec`](aimc_wire::ShardSpec) seed, drifts it to the fleet's
 //! time since programming so the fresh conductances match the
-//! incumbents' bit-for-bit, and returns the seat to the routing rotation. Because
-//! every request carries its global stream coordinate and noise is keyed
-//! by coordinate, the recalibrated replica computes **the same bits at
-//! every coordinate** as any incumbent — so a rotation never changes a
-//! completed logit, never changes an in-flight logit, and never shifts a
-//! coordinate. The scheduler models the *operational procedure* (which
-//! seat is out of rotation when, and what that costs in capacity); the
-//! accuracy effect of skipping recalibration is quantified separately by
-//! the drift ablation bench.
+//! incumbents' bit-for-bit, and returns the seat to the routing
+//! rotation. Because every request carries its global stream coordinate
+//! and noise is keyed by coordinate, the recalibrated replica computes
+//! **the same bits at every coordinate** as any incumbent — so a rotation
+//! never changes a completed logit, never changes an in-flight logit, and
+//! never shifts a coordinate. The scheduler models the *operational
+//! procedure* (which seat is out of rotation when, and what that costs in
+//! capacity); the accuracy effect of skipping recalibration is quantified
+//! separately by the drift ablation bench.
 //!
 //! ## Eligibility
 //!

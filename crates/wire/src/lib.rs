@@ -77,9 +77,8 @@ use std::time::Duration;
 /// The protocol this build speaks, carried by [`Frame::Hello`] and
 /// [`Frame::HelloAck`]. Bump it with every change to the layout *or the
 /// meaning* of any frame, so that ends built from different protocols
-/// refuse each other at the handshake. Version 2 keeps version 1's bytes
-/// but makes [`Frame::ApplyDrift`] set the time since programming, where
-/// version 1 drifted the current conductances further.
+/// refuse each other at the handshake (version 2 changed no layout: it
+/// made [`Frame::ApplyDrift`] set the time since programming).
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The full identity of what one shard computes: which model it serves and
